@@ -2,7 +2,8 @@
 
 Row order is exactly the order the runner produced (encoding-major, config
 order), values are emitted with full float precision so a rendered CSV
-reparses to the same numbers, and undefined metrics print as NA.
+reparses to the same numbers, and undefined metrics print as NA.  The
+`converged` column echoes the cell's solver flag (NA for a failed cell).
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ COLUMNS = (
     "encode_ms",
     "fit_ms",
     "predict_ms",
+    "converged",
     "error",
 )
 
@@ -53,6 +55,7 @@ def _row_cells(result: dict) -> list[str]:
         cells.append(_cell(report[name] if report is not None else None))
     for name in ("encode_ms", "fit_ms", "predict_ms"):
         cells.append(_cell(result[name]))
+    cells.append(_cell(result.get("converged")))
     cells.append(result.get("error") or "")
     return cells
 

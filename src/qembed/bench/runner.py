@@ -51,6 +51,8 @@ class RunResult:
     seed: int
     split_checksum: str
     timestamp: str
+    iterations: int = 0
+    converged: bool | None = None
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -177,6 +179,8 @@ def _run_once(config: BenchConfig, pre: PreprocessResult, checksum: str) -> list
                     seed=config.seed,
                     split_checksum=checksum,
                     timestamp=_now(),
+                    iterations=int(model.meta.iterations),
+                    converged=bool(model.meta.converged),
                 )
             )
     return results

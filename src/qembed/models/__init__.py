@@ -23,7 +23,7 @@ from ..errors import (
 from ..pipeline import FeatureMatrix
 from . import ensemble, linear, neighbors, svm, tree
 from .svm import KernelFn, kernel_eval
-from .tree import node_from_record, node_to_record
+from .tree import Tree
 
 MODEL_KINDS = ("logreg", "knn", "svm", "tree", "forest", "adaboost", "gbt")
 
@@ -225,15 +225,15 @@ class SvmModel(TrainedModel):
 
 
 class TreeModel(TrainedModel):
-    def __init__(self, spec, meta, root, n_features):
+    def __init__(self, spec, meta, tree, n_features):
         super().__init__(spec, meta, n_features)
-        self.root = root
+        self.tree = tree
 
     def _proba(self, data):
-        return tree.node_values(self.root, data)
+        return self.tree.predict(data)
 
     def state_dict(self):
-        return {"root": node_to_record(self.root), "n_features": self.n_features}
+        return {"tree": self.tree.to_record(), "n_features": self.n_features}
 
 
 class ForestModel(TrainedModel):
@@ -245,10 +245,7 @@ class ForestModel(TrainedModel):
         return ensemble.forest_proba(self.trees, data)
 
     def state_dict(self):
-        return {
-            "trees": [node_to_record(t) for t in self.trees],
-            "n_features": self.n_features,
-        }
+        return {"trees": [t.to_record() for t in self.trees], "n_features": self.n_features}
 
 
 class AdaboostModel(TrainedModel):
@@ -262,7 +259,7 @@ class AdaboostModel(TrainedModel):
 
     def state_dict(self):
         return {
-            "stumps": [node_to_record(s) for s in self.stumps],
+            "trees": [s.to_record() for s in self.stumps],
             "alphas": self.alphas,
             "n_features": self.n_features,
         }
@@ -281,7 +278,7 @@ class GbtModel(TrainedModel):
     def state_dict(self):
         return {
             "f0": self.f0,
-            "trees": [node_to_record(t) for t in self.trees],
+            "trees": [t.to_record() for t in self.trees],
             "losses": self.losses,
             "n_features": self.n_features,
         }
@@ -344,10 +341,10 @@ def _fit_svm(spec, data, y):
 
 def _fit_tree(spec, data, y):
     p = spec.params
-    root = tree.grow_classifier(
+    grown = tree.grow_classifier(
         data, y, max_depth=p["max_depth"], min_leaf=p["min_leaf"]
     )
-    return TreeModel(spec, TrainMeta(), root, data.shape[1])
+    return TreeModel(spec, TrainMeta(), grown, data.shape[1])
 
 
 def _fit_forest(spec, data, y):
@@ -416,17 +413,15 @@ def model_from_dict(d: dict) -> TrainedModel:
             state["bias"],
             state["n_features"],
         )
+    n_features = state["n_features"]
     if spec.kind == "tree":
-        return TreeModel(spec, meta, node_from_record(state["root"]), state["n_features"])
+        return TreeModel(spec, meta, Tree.from_record(state["tree"]), n_features)
+    trees = [Tree.from_record(r) for r in state["trees"]]
     if spec.kind == "forest":
-        trees = [node_from_record(r) for r in state["trees"]]
-        return ForestModel(spec, meta, trees, state["n_features"])
+        return ForestModel(spec, meta, trees, n_features)
     if spec.kind == "adaboost":
-        stumps = [node_from_record(r) for r in state["stumps"]]
-        return AdaboostModel(spec, meta, stumps, state["alphas"], state["n_features"])
-    f0 = state["f0"]
-    trees = [node_from_record(r) for r in state["trees"]]
-    return GbtModel(spec, meta, f0, trees, state["losses"], state["n_features"])
+        return AdaboostModel(spec, meta, trees, state["alphas"], n_features)
+    return GbtModel(spec, meta, state["f0"], trees, state["losses"], n_features)
 
 
 __all__ = [

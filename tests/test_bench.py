@@ -263,6 +263,24 @@ class TestRunner:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == runner.config_hash(cfg)
 
+    def test_cells_record_solver_convergence(self, tmp_path):
+        cfg = small_config(
+            encodings=[{"kind": "classical"}],
+            models=[
+                {"kind": "logreg", "params": {"epochs": 3}},
+                {"kind": "knn", "params": {"k": 3}},
+            ],
+        )
+        run = runner.run_matrix(cfg)
+        capped, knn = run.results
+        assert (capped.iterations, capped.converged) == (3, False)
+        assert (knn.iterations, knn.converged) == (0, True)
+        path = runner.persist_run(run, str(tmp_path))
+        rows = runner.load_results(path)
+        assert [(r["iterations"], r["converged"]) for r in rows] == [(3, False), (0, True)]
+        parsed = list(csv.DictReader(io.StringIO(report.emit_report(rows, "csv"))))
+        assert [row["converged"] for row in parsed] == ["False", "True"]
+
     def test_results_file_rerunnable(self, tmp_path):
         cfg = small_config()
         run = runner.run_matrix(cfg)
@@ -331,6 +349,8 @@ class TestReport:
         row = list(csv.reader(io.StringIO(text)))[1]
         assert row[2:8] == ["NA"] * 6
         assert row[-1] == "encode: boom"
+        assert (failed.iterations, failed.converged) == (0, None)
+        assert row[report.COLUMNS.index("converged")] == "NA"
 
     def test_markdown_table_and_footnote(self):
         run = self.run_small()

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from qembed.errors import (
 from qembed.models import KernelFn, ModelSpec, kernel_eval
 from qembed.models.linear import log_loss_gradient, log_loss_l2
 from qembed.models.svm import fit_smo, gram
-from qembed.models.tree import grow_classifier, node_values, tree_depth
+from qembed.models.tree import grow_classifier
 
 
 def blobs(seed, n=60, d=3, spread=1.0):
@@ -245,7 +247,7 @@ class TestTree:
     def test_depth_limit_respected(self):
         X, y = blobs(11, n=80, spread=2.5)
         model = models.fit(ModelSpec("tree", params={"max_depth": 2}), X, y)
-        assert tree_depth(model.root) <= 2
+        assert model.tree.depth <= 2
 
     def test_split_tie_prefers_lower_feature(self):
         # identical informative columns: the split must use feature 0
@@ -253,13 +255,29 @@ class TestTree:
         X = np.column_stack([col, col])
         y = col.astype(int)
         root = grow_classifier(X, y, max_depth=1, min_leaf=1)
-        assert root.feature == 0
+        assert root.feature[0] == 0
+
+    def test_grower_working_set_is_bounded(self):
+        # The grower holds one (d + 1) x m int32 index array (1.66 MB here)
+        # and per-node temporaries capped by a fixed element budget.  4 MiB
+        # leaves room for those, but not for a second copy of X (3.2 MB), a
+        # 64-bit index array (3.3 MB) or full-width float blocks at the root.
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(12568, 32))
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=12568) > 0).astype(int)
+        tracemalloc.start()
+        try:
+            grow_classifier(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_leaf_probabilities_are_class_fractions(self):
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
         y = np.array([1, 1, 0, 0, 0, 0])
         root = grow_classifier(X, y, max_depth=1, min_leaf=1)
-        got = node_values(root, np.array([[0.0], [1.0]]))
+        got = root.predict(np.array([[0.0], [1.0]]))
         assert got[0] == pytest.approx(2 / 3)
         assert got[1] == pytest.approx(0.0)
 
@@ -404,3 +422,65 @@ class TestDeterminism:
             a = models.fit(spec, X, y).predict_proba(X)
             b = models.fit(spec, X, y).predict_proba(X)
             assert np.array_equal(a, b), kind
+
+
+def tied_data():
+    """Quantized columns with many tied values, plus an off-grid probe."""
+    rng = np.random.default_rng(2024)
+    X = rng.normal(size=(160, 6))
+    X[:, :3] = np.round(X[:, :3] * 2) / 2
+    X[:, 3:] = np.clip(np.round(X[:, 3:]), -1, 1)
+    y = (X[:, 0] + 0.5 * X[:, 3] + rng.normal(scale=0.8, size=160) > 0).astype(int)
+    probe = np.vstack([X, np.round(rng.normal(size=(40, 6)) * 4) / 4])
+    return X, y, probe
+
+
+class TestPinnedOutputs:
+    """sha256 of the predict_proba bytes of every tree kind on tied data.
+
+    Ties make the split order depend on the stable sort, the forest's
+    bootstrap duplicates rows, and AdaBoost reweights them, so any change
+    in how splits are searched, ordered or broken shows up here.  numpy's
+    exp and OpenBLAS's dot product pick CPU-specific kernels, so AdaBoost
+    and gbt have one digest per x86-64 choice: numpy with or without
+    AVX-512, OpenBLAS's SkylakeX or Haswell kernels.
+    """
+
+    PINS = {
+        "tree": (
+            ModelSpec("tree"),
+            {"099aaea2a800430981687c7b1e3b4d04ab7fd57df2b44fc3378bdc2e3188fa9c"},
+        ),
+        "tree_deep": (
+            ModelSpec("tree", params={"max_depth": None, "min_leaf": 1}),
+            {"d4d5c83346bec041f4c9531b020fcdc05ab57e5a913f6abb7b73777d31823cce"},
+        ),
+        "forest": (
+            ModelSpec("forest", seed=3, params={"n_trees": 15}),
+            {"cbcf1c7ff56f71ad089ed607899164a9ba38d893d2c7235a79ae588d05208099"},
+        ),
+        "adaboost": (
+            ModelSpec("adaboost", params={"n_rounds": 25}),
+            {
+                "dc6357bd7559a81152697775207a8ac980a010168c340fc16b0f287315ebfbe5",
+                "ff5d368ea0d92ca8b75225b1f4dceaf39a551a25be7a6527463889205108317a",
+                "310dcb7c8ee5345bb27351f0be79f326ad3e7fa74e09bdfc6ed9ed12e8eadd8d",
+                "945aa0b495c12956c3383dabc5133de76e7ea38558fc80c47004de47aa0b52ed",
+            },
+        ),
+        "gbt": (
+            ModelSpec("gbt", params={"n_rounds": 25}),
+            {
+                "cacb58d55b70c4a4440055b6bdc42cf3c94574392dac18695d037203ca676d56",
+                "5883235f9c19cd078324d7337d5aed1d897d4cdff2da8fa3f1cd7db4c59cae07",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_predict_proba_bytes(self, name):
+        spec, digests = self.PINS[name]
+        X, y, probe = tied_data()
+        proba = models.fit(spec, X, y).predict_proba(probe)
+        assert proba.dtype == np.float64
+        assert hashlib.sha256(proba.tobytes()).hexdigest() in digests
