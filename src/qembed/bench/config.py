@@ -103,6 +103,11 @@ def _parse_encoding(obj: dict) -> EncodingEntry:
     if kind == ANGLE:
         kwargs["axis"] = obj.get("axis", "X")
         kwargs["angle_map"] = obj.get("angle_map", "linear_pi")
+        if kwargs["axis"] == "Z":
+            raise ConfigError(
+                "angle axis Z prepares |0...0> up to a global phase for every "
+                "row, so its features carry no information; use X or Y"
+            )
     if kind == BASIS:
         kwargs["bits_per_feature"] = obj.get("bits_per_feature", 4)
     scheme = EncodingScheme(kind, **kwargs)

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from ..encoding import ANGLE, BASIS, LINEAR_PI, Quantizer, embed_matrix
+from ..encoding import BASIS, LINEAR_PI, Quantizer, embed_matrix
 from ..errors import QembedError
 from ..metrics import MetricReport, compute_report
 from ..models import fit
@@ -98,23 +98,15 @@ def encode_split(
     if scheme is None:
         return train, test, 0.0
     t0 = time.perf_counter()
-    if scheme.kind == BASIS:
-        quantizer = Quantizer(scheme.bits_per_feature).fit(train.data)
-        enc_train = embed_matrix(train, scheme, quantizer)
-        enc_test = embed_matrix(test, scheme, quantizer)
-    elif scheme.kind == ANGLE and scheme.angle_map == LINEAR_PI:
-        quantizer = Quantizer().fit(train.data)
-        norm_train = FeatureMatrix(
-            quantizer.normalize(train.data), train.column_names, train.labels
+    quantizer = None
+    if scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:
+        quantizer = Quantizer(scheme.bits_per_feature or 1).fit(train.data)
+    if scheme.angle_map == LINEAR_PI:  # angles of features scaled to [0, 1]
+        train, test = (
+            FeatureMatrix(quantizer.normalize(p.data), p.column_names, p.labels)
+            for p in (train, test)
         )
-        norm_test = FeatureMatrix(
-            quantizer.normalize(test.data), test.column_names, test.labels
-        )
-        enc_train = embed_matrix(norm_train, scheme)
-        enc_test = embed_matrix(norm_test, scheme)
-    else:
-        enc_train = embed_matrix(train, scheme)
-        enc_test = embed_matrix(test, scheme)
+    enc_train, enc_test = (embed_matrix(p, scheme, quantizer) for p in (train, test))
     return enc_train, enc_test, (time.perf_counter() - t0) * 1e3
 
 

@@ -2,10 +2,16 @@
 
 Four schemes: basis (bitstrings to basis states), superposition (uniform
 combinations of listed basis states), angle (one rotated qubit per
-feature), amplitude (values as normalized amplitudes).  A ReadoutMode
+feature), amplitude (values as normalized amplitudes).  A readout mode
 turns the encoded state back into a real feature vector for downstream
 classifiers.  Written kets follow the usual convention: the leftmost bit
 of |b_{n-1}...b_0> is the highest qubit index.
+
+`embed_matrix` (the production path) encodes all rows as one batch and
+equals the oracle, `embed_sample` on `qsim` states, bit for bit: Z readouts
+square with `np.float_power`, libm `pow` like the simulator's scalar `** 2`
+(an array `** 2` multiplies), and amplitude norms are batched row dots,
+the dot product `np.linalg.norm` runs (`axis=1` sums in another order).
 """
 from __future__ import annotations
 
@@ -207,6 +213,8 @@ def amplitude_encode(x, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("values must be finite")
     norm = np.linalg.norm(arr)
+    if not np.isfinite(norm):
+        raise NonFiniteInput("values overflow the norm")
     if norm == 0:
         raise ZeroVector("cannot normalize an all-zero vector")
     n = max(1, math.ceil(math.log2(arr.size)))
@@ -261,13 +269,11 @@ class Quantizer:
         return np.clip((X - self.lo) / span, 0.0, 1.0)
 
     def bits_for_row(self, x) -> np.ndarray:
-        """Fixed-point bit expansion of one row, feature by feature."""
-        x01 = self.normalize(np.asarray(x, dtype=float))
-        if x01.ndim != 1:
-            raise LengthMismatch("bits_for_row takes a single row")
+        """Fixed-point bit expansion of one row (of each row of a matrix), feature by feature."""
+        x01 = self.normalize(x)
         levels = np.rint(x01 * ((1 << self.bits_per_feature) - 1)).astype(int)
         shifts = np.arange(self.bits_per_feature - 1, -1, -1)
-        return ((levels[:, None] >> shifts) & 1).reshape(-1)
+        return ((levels[..., None] >> shifts) & 1).reshape(x01.shape[:-1] + (-1,))
 
 
 # --- readout and batch embedding -----------------------------------------------------
@@ -338,21 +344,79 @@ def _feature_names(mode: str, width: int) -> tuple[str, ...]:
     return tuple(f"re{i}" for i in range(half)) + tuple(f"im{i}" for i in range(half))
 
 
+def _product_factors(data, scheme, quantizer):
+    """(m, n, 2) qubit factors in feature order, signed zeros as the scalar gates
+    give them, and the rows embed_sample rejects."""
+    if scheme.kind == BASIS:
+        if quantizer is not None:
+            return np.eye(2, dtype=complex)[quantizer.bits_for_row(data)], np.zeros(len(data), bool)
+        bad = ~np.isin(data, (0.0, 1.0)).all(axis=1)  # raw features must be bits
+        return np.eye(2, dtype=complex)[(data == 1) * 1], bad
+    thetas, bad = data, np.zeros(len(data), bool)  # a FeatureMatrix holds finite values
+    if scheme.angle_map == LINEAR_PI:
+        thetas, bad = math.pi * data, ((data < 0) | (data > 1)).any(axis=1)
+    if scheme.axis == "Z":
+        pair = np.exp(-0.5j * thetas), np.zeros_like(thetas)
+    else:
+        pair = np.cos(thetas / 2), (-1j if scheme.axis == "X" else 1) * np.sin(thetas / 2)
+    return np.stack(pair, axis=-1).astype(complex), bad
+
+
+def _dense_readout(amps, mode) -> np.ndarray:
+    """readout_features of every row of an (m, 2^n) amplitude array."""
+    if mode == PROBABILITY_VECTOR:
+        return np.abs(amps) ** 2
+    if mode == AMPLITUDE_PARTS:
+        return np.concatenate([amps.real, amps.imag], axis=1)
+    n = amps.shape[1].bit_length() - 1  # Z: the marginals expectation_z sums
+    probs = (np.abs(amps) ** 2).reshape((len(amps),) + (2,) * n)
+    margs = [probs.sum(axis=tuple(a + 1 for a in range(n) if a != i)) for i in range(n)]
+    return np.stack([p[:, 0] - p[:, 1] for p in margs], axis=1)
+
+
 def embed_matrix(
     X: FeatureMatrix,
     scheme: EncodingScheme,
     quantizer: Quantizer | None = None,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> FeatureMatrix:
-    """Row-wise embed_sample over a matrix; labels pass through unchanged.
+    """Encode and read out all rows at once, equal to stacking embed_sample rows.
 
-    The first failing row aborts the batch with its row index attached.
+    Row 0 runs through embed_sample first, to check what depends only on the
+    width and scheme (qubit cap, quantizer fit); so does the first row the
+    batch masks flag.  A failure is RowEncodeError(row, typed per-row cause).
     """
-    rows = []
-    for i in range(X.n_rows):
+    data, (m, d) = X.data, X.data.shape
+    if m == 0:
+        return FeatureMatrix(np.zeros((0, 0)), (), X.labels)
+
+    def encode_row(i):
         try:
-            rows.append(embed_sample(X.data[i], scheme, quantizer, max_qubits).features)
+            embed_sample(data[i], scheme, quantizer, max_qubits)
         except QembedError as exc:
             raise RowEncodeError(i, exc) from exc
-    data = np.vstack(rows) if rows else np.zeros((0, 0))
-    return FeatureMatrix(data, _feature_names(scheme.readout, data.shape[1]), X.labels)
+
+    encode_row(0)
+    factors = None
+    if scheme.kind == AMPLITUDE:
+        amps = np.zeros((m, 1 << max(1, math.ceil(math.log2(d)))), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            amps[:, :d] = data / np.sqrt(data[:, None, :] @ data[:, :, None])[:, 0]
+        # a zero, overflowing or underflowing norm fails the state's norm check
+        bad = ~(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0) <= qsim._NORM_TOL)
+    else:
+        factors, bad = _product_factors(data, scheme, quantizer)
+    if bad.any():
+        encode_row(int(bad.argmax()))
+        raise AssertionError("a batch check rejects a row that embed_sample encodes")
+    if scheme.readout == Z_EXPECTATIONS and factors is not None:
+        # scalar abs() of a complex is hypot; array np.abs differs in the last bit
+        mag = np.hypot(factors.real, factors.imag)
+        out = np.float_power(mag[..., 0], 2) - np.float_power(mag[..., 1], 2)
+    else:
+        if factors is not None:  # expand each product state as StateVector.amps does
+            amps = factors[:, 0]
+            for i in range(1, factors.shape[1]):
+                amps = (amps[:, :, None] * factors[:, None, i]).reshape(m, -1)
+        out = _dense_readout(amps, scheme.readout)
+    return FeatureMatrix(out, _feature_names(scheme.readout, out.shape[1]), X.labels)

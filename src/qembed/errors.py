@@ -142,6 +142,10 @@ class InvalidHyperparameter(ModelError):
     pass
 
 
+class InvalidLabel(ModelError):
+    """A training label is not 0 or 1."""
+
+
 # --- bench -------------------------------------------------------------------
 
 class ConfigError(QembedError):

@@ -17,6 +17,7 @@ from ..errors import (
     ClassTooSmall,
     DimensionMismatch,
     InvalidHyperparameter,
+    InvalidLabel,
     NonFiniteFeature,
     SingleClass,
 )
@@ -287,7 +288,7 @@ class GbtModel(TrainedModel):
 def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
     """Train one model; y defaults to the FeatureMatrix labels.
 
-    Requires finite features and at least two samples of each class.
+    Requires finite features, 0/1 labels and at least two samples of each class.
     Non-convergence (logreg epoch cap, SMO sweep cap) is flagged in the
     metadata, never raised.
     """
@@ -296,11 +297,14 @@ def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
         if not isinstance(X, FeatureMatrix):
             raise ValueError("labels required when X is a bare array")
         y = X.labels
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     if data.ndim != 2 or y.shape != (data.shape[0],):
         raise DimensionMismatch("X must be 2-D with one label per row")
     if not np.all(np.isfinite(data)):
         raise NonFiniteFeature("training features must be finite")
+    if not np.isin(y, (0, 1)).all():
+        raise InvalidLabel("labels must be 0 or 1")
+    y = y.astype(int)
     counts = np.bincount(y, minlength=2)
     if counts[0] == 0 or counts[1] == 0:
         raise SingleClass("training data must contain both classes")

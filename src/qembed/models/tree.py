@@ -20,8 +20,10 @@ most `_BLOCK` elements: prefix sums along the rows, the criterion at each
 cut, the best cut per feature.  The budget stops a wide node (thousands
 of rows by dozens of columns) from allocating several full-size float
 temporaries at once; partitions go in blocks of the same size.  Thresholds are midpoints between distinct
-neighbors.  A later feature wins only by more than `_EPS`, so ties break
-toward the lower feature, then the lower threshold.
+neighbors, or the lower neighbor where the midpoint rounds up to the upper
+one (adjacent floats) or overflows, so both children keep rows.  A later
+feature wins only by more than `_EPS`, so ties break toward the lower
+feature, then the lower threshold.
 """
 from __future__ import annotations
 
@@ -113,7 +115,9 @@ def _best_split(X, seg, features, scores, totals, min_leaf, best):
                 best, won = s, r
         if won >= 0:
             cut = score[won].argmin()  # the first, lowest-threshold cut of the best
-            best_j, best_thr = int(block[won]), float((below[won] + above[won])[cut] / 2)
+            lo, hi = float(below[won, cut]), float(above[won, cut])
+            mid = (lo + hi) / 2  # rounds up to hi for adjacent floats, or overflows
+            best_j, best_thr = int(block[won]), mid if mid < hi else lo
     return best_j, best_thr
 
 

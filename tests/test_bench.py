@@ -63,6 +63,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(encodings=[{"kind": "superposition"}])
 
+    def test_information_free_angle_axis_rejected(self):
+        # R_Z|0> is |0> up to a phase: every row would encode the same state
+        with pytest.raises(ConfigError):
+            small_config(encodings=[{"kind": "angle", "axis": "Z"}])
+
     def test_unknown_model_kind_wrapped(self):
         with pytest.raises(ConfigError):
             small_config(models=[{"kind": "perceptron"}])
@@ -416,6 +421,17 @@ class TestCli:
         # cos(39 deg)^2 = 0.6039558...
         assert "0.60395585" in out
         assert "0.77714596" in out  # cos(39 deg)
+
+    def test_z_axis_config_exits_one_but_encode_demo_runs(self, tmp_path, capsys):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({
+            "encodings": [{"kind": "angle", "axis": "Z"}],
+            "models": [{"kind": "tree"}],
+        }))
+        assert cli.main(["bench", "--config", str(path)]) == 1
+        assert cli.main(["encode", "--scheme", "angle", "--axis", "Z",
+                         "--vector", "0.2,0.7"]) == 0
+        assert "readout (z_expectations): [1., 1.]" in capsys.readouterr().out
 
     def test_encode_bad_bits_is_data_error(self, capsys):
         assert cli.main(["encode", "--scheme", "basis", "--bits", "102"]) == 2

@@ -221,6 +221,12 @@ class TestAmplitudeEncode:
         with pytest.raises(QubitCapExceeded):
             enc.amplitude_encode(np.ones(1 << 25))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_norm_overflow_is_typed(self):
+        # the squared norm overflows to inf, so every amplitude would be 0
+        with pytest.raises(NonFiniteInput):
+            enc.amplitude_encode([1e200, 1e200])
+
     def test_scale_invariance_trials(self):
         rng = np.random.default_rng(19)
         for _ in range(300):
@@ -405,3 +411,83 @@ class TestEmbedMatrix:
         X = matrix_of([[0.1], [0.5], [0.9]], labels)
         out = enc.embed_matrix(X, enc.angle_scheme())
         assert np.array_equal(out.labels, labels)
+
+
+def oracle_cases():
+    """Every (scheme, quantized) pair embed_matrix accepts, for each readout."""
+    for readout in enc.READOUTS:
+        for axis in "XYZ":
+            for angle_map in (enc.LINEAR_PI, enc.RAW):
+                scheme = enc.angle_scheme(axis, angle_map, readout)
+                yield pytest.param(scheme, False, id=f"angle-{axis}-{angle_map}-{readout}")
+        for bits in (1, 2, 3):
+            scheme = enc.basis_scheme(bits, readout)
+            yield pytest.param(scheme, True, id=f"basis-{bits}bit-{readout}")
+        scheme = enc.basis_scheme(1, readout)  # raw 0/1 features
+        yield pytest.param(scheme, False, id=f"basis-raw-{readout}")
+        yield pytest.param(enc.amplitude_scheme(readout), False, id=f"amplitude-{readout}")
+
+
+def oracle_rows(rng, scheme, quantized, width, m=24):
+    """Rows of the values the scheme accepts, with exact 0s and 1s and ties."""
+    if scheme.kind == enc.BASIS and not quantized:
+        return rng.integers(0, 2, size=(m, width)).astype(float)
+    if scheme.kind == enc.ANGLE and scheme.angle_map == enc.LINEAR_PI:
+        X = rng.uniform(0, 1, size=(m, width))
+    else:
+        X = rng.normal(size=(m, width)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    X[rng.uniform(size=X.shape) < 0.2] = 0.0
+    X[rng.uniform(size=X.shape) < 0.2] = 1.0
+    X[1] = X[0]  # tied rows
+    X[2] = X[2, 0]  # tied values within a row
+    X[(X == 0).all(axis=1), 0] = 0.5  # amplitude rows must not be all zero
+    return X
+
+
+class TestEmbedMatrixEqualsOracle:
+    """The batch path gives the bytes of embed_sample, row by row."""
+
+    @pytest.mark.parametrize("scheme, quantized", oracle_cases())
+    def test_bytes_equal_embed_sample(self, scheme, quantized):
+        rng = np.random.default_rng(47)
+        for width in range(1, 9):
+            n_qubits = width * (scheme.bits_per_feature or 1)
+            if scheme.readout != enc.Z_EXPECTATIONS and n_qubits > 12:
+                continue  # 2^n-wide readouts stop at 12 qubits; Z covers widths 1-8
+            X = oracle_rows(rng, scheme, quantized, width)
+            q = enc.Quantizer(scheme.bits_per_feature).fit(X) if quantized else None
+            got = enc.embed_matrix(matrix_of(X), scheme, q).data
+            want = np.vstack([enc.embed_sample(x, scheme, q).features for x in X])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("scheme, bad_row, cause", [
+        (enc.amplitude_scheme(), [1e200, 1e200], NonFiniteInput),
+        (enc.angle_scheme(), [0.5, 1.5], OutOfRangeFeature),
+        (enc.basis_scheme(1), [1.0, 0.5], MissingQuantizer),  # non-binary, no quantizer
+        (enc.amplitude_scheme(), [0.0, 0.0], ZeroVector),
+    ])
+    def test_first_bad_row_carries_oracle_cause(self, scheme, bad_row, cause):
+        X = np.array([[0.0, 1.0], [1.0, 1.0]] * 3)
+        X[3] = X[5] = bad_row
+        with pytest.raises(RowEncodeError) as exc_info:
+            enc.embed_matrix(matrix_of(X), scheme)
+        assert exc_info.value.row == 3
+        assert type(exc_info.value.cause) is cause
+        with pytest.raises(cause):
+            enc.embed_sample(X[3], scheme)
+
+    @pytest.mark.parametrize("scheme, max_qubits, cause", [
+        (enc.angle_scheme(), 2, QubitCapExceeded),
+        (enc.superposition_scheme(), 24, InvalidScheme),
+    ])
+    def test_width_and_scheme_failures_are_row_0(self, scheme, max_qubits, cause):
+        # these do not depend on the values, so the first row already fails
+        X = np.full((4, 3), 0.5)
+        with pytest.raises(RowEncodeError) as exc_info:
+            enc.embed_matrix(matrix_of(X), scheme, max_qubits=max_qubits)
+        assert exc_info.value.row == 0
+        assert type(exc_info.value.cause) is cause
+        with pytest.raises(cause):
+            enc.embed_sample(X[0], scheme, max_qubits=max_qubits)

@@ -11,6 +11,7 @@ from qembed.errors import (
     ClassTooSmall,
     DimensionMismatch,
     InvalidHyperparameter,
+    InvalidLabel,
     LengthMismatch,
     NonFiniteFeature,
     SingleClass,
@@ -86,6 +87,12 @@ class TestFitValidation:
         X = np.array([[1.0], [math.nan], [2.0], [3.0]])
         with pytest.raises(NonFiniteFeature):
             models.fit(ModelSpec("knn"), X, np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_labels_outside_0_1(self, bad):
+        X = np.arange(6.0)[:, None]
+        with pytest.raises(InvalidLabel):
+            models.fit(ModelSpec("tree"), X, np.array([0, 1, bad, 1, 0, 0]))
 
     def test_dimension_mismatch_on_predict(self):
         X, y = blobs(0, n=20, d=3)
@@ -256,6 +263,16 @@ class TestTree:
         y = col.astype(int)
         root = grow_classifier(X, y, max_depth=1, min_leaf=1)
         assert root.feature[0] == 0
+
+    @pytest.mark.parametrize("a, b", [(1 + 2**-52, 1 + 2**-51), (1.7e308, 1.79e308)])
+    def test_threshold_keeps_both_children(self, a, b):
+        # the midpoint of adjacent floats rounds up to b, and that of huge ones
+        # overflows; either way `x <= midpoint` would send every row left
+        X = np.array([[a], [a], [b], [b]])
+        spec = ModelSpec("tree", params={"min_leaf": 1})
+        model = models.fit(spec, X, np.array([0, 0, 1, 1]))
+        assert model.tree.threshold[0] == a
+        assert list(model.predict_proba(X)) == [0.0, 0.0, 1.0, 1.0]
 
     def test_grower_working_set_is_bounded(self):
         # The grower holds one (d + 1) x m int32 index array (1.66 MB here)
