@@ -24,6 +24,7 @@ from . import qsim
 from .errors import (
     DuplicateString,
     EmptyInput,
+    EncodingError,
     InvalidScheme,
     MissingQuantizer,
     NonAsciiCharacter,
@@ -222,6 +223,8 @@ def amplitude_encode(x, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
         raise QubitCapExceeded(f"{n} qubits exceeds cap {max_qubits}")
     amps = np.zeros(1 << n, dtype=complex)
     amps[: arr.size] = arr / norm
+    if abs(np.sum(np.abs(amps) ** 2) - 1.0) > qsim._NORM_TOL:  # a subnormal squared norm
+        raise EncodingError("values underflow the norm")
     return StateVector(n, amps, qsim.DENSE)
 
 
@@ -265,6 +268,8 @@ class Quantizer:
         """Min-max scale rows to [0, 1] with clipping; constant features map to 0."""
         X = np.asarray(X, dtype=float)
         self._require_fitted(X.shape[-1])
+        if not np.all(np.isfinite(X)):
+            raise NonFiniteInput("values must be finite")
         span = np.where(self.span == 0, 1.0, self.span)
         return np.clip((X - self.lo) / span, 0.0, 1.0)
 

@@ -29,7 +29,7 @@ from .tree import Tree
 MODEL_KINDS = ("logreg", "knn", "svm", "tree", "forest", "adaboost", "gbt")
 
 DEFAULT_PARAMS: dict[str, dict] = {
-    "logreg": {"lr": 0.1, "epochs": 5000, "l2": 1e-4},
+    "logreg": {"l2": 1e-4, "max_iter": 100},
     "knn": {"k": 5},
     "svm": {
         "C": 1.0,
@@ -38,8 +38,7 @@ DEFAULT_PARAMS: dict[str, dict] = {
         "degree": 3,
         "coef0": 0.0,
         "tol": 1e-3,
-        "max_sweeps": 100,
-        "quiet_sweeps": 3,
+        "max_iter": 100_000,
     },
     "tree": {"max_depth": 8, "min_leaf": 2},
     "forest": {
@@ -63,11 +62,9 @@ def _positive_int(value, what: str, allow_none=False) -> None:
 
 def _validate_params(kind: str, p: dict) -> None:
     if kind == "logreg":
-        if not p["lr"] > 0:
-            raise InvalidHyperparameter("lr must be positive")
-        _positive_int(p["epochs"], "epochs")
         if p["l2"] < 0:
             raise InvalidHyperparameter("l2 must be nonnegative")
+        _positive_int(p["max_iter"], "max_iter")
     elif kind == "knn":
         _positive_int(p["k"], "k")
     elif kind == "svm":
@@ -76,8 +73,7 @@ def _validate_params(kind: str, p: dict) -> None:
         KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"])
         if not p["tol"] > 0:
             raise InvalidHyperparameter("tol must be positive")
-        _positive_int(p["max_sweeps"], "max_sweeps")
-        _positive_int(p["quiet_sweeps"], "quiet_sweeps")
+        _positive_int(p["max_iter"], "max_iter")
     elif kind in ("tree", "forest", "gbt"):
         _positive_int(p["max_depth"], "max_depth", allow_none=True)
         _positive_int(p["min_leaf"], "min_leaf")
@@ -289,8 +285,8 @@ def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
     """Train one model; y defaults to the FeatureMatrix labels.
 
     Requires finite features, 0/1 labels and at least two samples of each class.
-    Non-convergence (logreg epoch cap, SMO sweep cap) is flagged in the
-    metadata, never raised.
+    Non-convergence (logreg Newton-step cap, SMO pair-update cap) is
+    flagged in the metadata, never raised.
     """
     data = _matrix_data(X)
     if y is None:
@@ -319,7 +315,7 @@ def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
 
 def _fit_logreg(spec, data, y):
     p = spec.params
-    weights, bias, iters, ok = linear.fit_logreg(data, y, p["lr"], p["epochs"], p["l2"])
+    weights, bias, iters, ok = linear.fit_logreg(data, y, p["l2"], p["max_iter"])
     return LogregModel(spec, TrainMeta(iters, ok), weights, bias)
 
 
@@ -332,13 +328,10 @@ def _fit_svm(spec, data, y):
     kernel = KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"]).resolve(
         data.shape[1]
     )
-    rng = np.random.default_rng(spec.seed)
-    alpha, bias, sweeps, ok = svm.fit_smo(
-        data, y, kernel, p["C"], p["tol"], p["max_sweeps"], p["quiet_sweeps"], rng
-    )
+    alpha, bias, iters, ok = svm.fit_smo(data, y, kernel, p["C"], p["tol"], p["max_iter"])
     support = alpha > 0
     return SvmModel(
-        spec, TrainMeta(sweeps, ok), kernel,
+        spec, TrainMeta(iters, ok), kernel,
         data[support], y[support], alpha[support], bias, data.shape[1],
     )
 

@@ -1,10 +1,10 @@
-"""Kernel SVM trained with simplified sequential minimal optimization.
+"""Kernel SVM trained by sequential minimal optimization (SMO).
 
-The dual is optimized by the classic two-variable SMO sweep: pick a KKT
-violator, pair it with a random second index, solve the 1-D subproblem in
-closed form.  Pair updates preserve sum(alpha*y) = 0 exactly.  Class
-probability is sigmoid(decision value); rank metrics are unaffected by
-that monotone squashing.
+The dual is optimized two variables at a time on a maintained gradient,
+with the second-order working-set selection of Fan, Chen & Lin (JMLR 6,
+2005) and the maximal-violation stop of Keerthi et al. (Neural Comput.
+13, 2001); no choice is random.  Class probability is sigmoid(decision
+value); rank metrics are unaffected by that monotone squashing.
 """
 from __future__ import annotations
 
@@ -67,67 +67,53 @@ def gram(kernel: KernelFn, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def fit_smo(
-    X: np.ndarray,
-    y01: np.ndarray,
-    kernel: KernelFn,
-    C: float,
-    tol: float,
-    max_sweeps: int,
-    quiet_sweeps: int,
-    rng: np.random.Generator,
+    X: np.ndarray, y01: np.ndarray, kernel: KernelFn, C: float, tol: float, max_iter: int
 ):
-    """Simplified SMO; returns (alpha, bias, sweeps, converged).
+    """SMO with second-order working-set selection.
 
-    Stops after `quiet_sweeps` consecutive full sweeps without an update,
-    or at the sweep cap (converged=False).
+    Returns (alpha, bias, iterations, converged).  Keeps the dual
+    gradient G = Q alpha - 1 with Q = K * y y^T.  Each iteration takes i
+    as the maximal violator over I_up, j by the WSS2 gain over I_low,
+    moves the pair by the Newton step clipped to the box and updates G
+    with two rows of Q.  Stops when the violation gap max_up(-yG) -
+    min_low(-yG) drops below tol (converged), or after max_iter pair
+    updates (not converged).  Pair updates keep sum(alpha*y) = 0.  The
+    bias is the mean of -yG over the free vectors, or the midpoint of
+    [min_low, max_up] when none is free.
     """
-    m = X.shape[0]
     y = np.where(y01 == 1, 1.0, -1.0)
-    K = gram(kernel, X, X)
-    alpha = np.zeros(m)
-    b = 0.0
-    quiet = 0
-    sweeps = 0
-    while quiet < quiet_sweeps and sweeps < max_sweeps:
-        sweeps += 1
-        changed = 0
-        for i in range(m):
-            e_i = float(np.dot(K[i], alpha * y) + b - y[i])
-            if not (
-                (y[i] * e_i < -tol and alpha[i] < C)
-                or (y[i] * e_i > tol and alpha[i] > 0)
-            ):
-                continue
-            j = int(rng.integers(m - 1))
-            if j >= i:
-                j += 1
-            e_j = float(np.dot(K[j], alpha * y) + b - y[j])
-            a_i, a_j = alpha[i], alpha[j]
-            if y[i] == y[j]:
-                lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
-            else:
-                lo, hi = max(0.0, a_j - a_i), min(C, C + a_j - a_i)
-            if lo == hi:
-                continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-            if eta >= 0:
-                continue
-            a_j_new = np.clip(a_j - y[j] * (e_i - e_j) / eta, lo, hi)
-            if abs(a_j_new - a_j) < 1e-7:
-                continue
-            a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
-            b1 = b - e_i - y[i] * (a_i_new - a_i) * K[i, i] - y[j] * (a_j_new - a_j) * K[i, j]
-            b2 = b - e_j - y[i] * (a_i_new - a_i) * K[i, j] - y[j] * (a_j_new - a_j) * K[j, j]
-            if 0 < a_i_new < C:
-                b = b1
-            elif 0 < a_j_new < C:
-                b = b2
-            else:
-                b = (b1 + b2) / 2
-            alpha[i], alpha[j] = a_i_new, a_j_new
-            changed += 1
-        quiet = quiet + 1 if changed == 0 else 0
-    return alpha, float(b), sweeps, quiet >= quiet_sweeps
+    Q = gram(kernel, X, X)
+    Q *= y[:, None]
+    Q *= y
+    diag = Q.diagonal().copy()
+    alpha = np.zeros(X.shape[0])
+    G = -np.ones(X.shape[0])
+    for it in range(max_iter + 1):
+        score = -y * G
+        up = np.where(y > 0, alpha < C, alpha > 0)
+        low = np.where(y > 0, alpha > 0, alpha < C)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        g_up, g_low = score[i], np.min(score[low])
+        converged = bool(g_up - g_low < tol)
+        if converged or it == max_iter:
+            break
+        # curvature along the pair direction, clamped as LIBSVM's tau
+        # clamps it so that a non-PSD kernel (sigmoid) still steps
+        b = g_up - score
+        a = np.maximum(diag[i] + diag - 2.0 * y[i] * y * Q[i], 1e-12)
+        j = int(np.argmin(np.where(low & (b > 0), -b * b / a, np.inf)))
+        # alpha_i moves by +y_i t and alpha_j by -y_j t, each toward one bound
+        bound_i = C if y[i] > 0 else 0.0
+        bound_j = 0.0 if y[j] > 0 else C
+        room_i, room_j = abs(bound_i - alpha[i]), abs(bound_j - alpha[j])
+        t = min(b[j] / a[j], room_i, room_j)
+        old_i, old_j = alpha[i], alpha[j]
+        alpha[i] = bound_i if t == room_i else old_i + y[i] * t
+        alpha[j] = bound_j if t == room_j else old_j - y[j] * t
+        G += (alpha[i] - old_i) * Q[i] + (alpha[j] - old_j) * Q[j]
+    free = (alpha > 0) & (alpha < C)
+    bias = float(np.mean(score[free]) if free.any() else (g_up + g_low) / 2)
+    return alpha, bias, it, converged
 
 
 def decision_values(X_train, y01_train, alpha, bias, kernel, X) -> np.ndarray:

@@ -440,6 +440,7 @@ def test_criterion_10_full_benchmark_matrix():
     }
     for cell in run.results:
         assert cell.error is None
+        assert cell.converged, (cell.encoding, cell.model)
         for name in mt.MetricReport.METRIC_NAMES:
             value = getattr(cell.report, name)
             assert value is None or math.isfinite(value)

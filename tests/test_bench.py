@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from qembed.bench import cli, config, data, report, runner
 from qembed.errors import ConfigError, EmptyResults
 from qembed.metrics import MetricReport
+from qembed.models import MODEL_KINDS
 from qembed.pipeline import pearson_corr
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**overrides):
@@ -21,7 +25,7 @@ def small_config(**overrides):
             {"kind": "angle"},
         ],
         "models": [
-            {"kind": "logreg", "params": {"epochs": 300}},
+            {"kind": "logreg", "params": {"max_iter": 300}},
             {"kind": "knn", "params": {"k": 3}},
         ],
     }
@@ -41,6 +45,12 @@ class TestConfig:
             small_config(encodings=[])
         with pytest.raises(ConfigError):
             small_config(models=[])
+
+    @pytest.mark.parametrize("name", ["synthetic.json", "telco.json"])
+    def test_shipped_configs_load(self, name):
+        cfg = config.load_config(CONFIGS / name)
+        assert len(cfg.encodings) == 4
+        assert tuple(m.kind for m in cfg.models) == MODEL_KINDS
 
     def test_duplicate_encoding_names_rejected(self):
         with pytest.raises(ConfigError):
@@ -272,17 +282,17 @@ class TestRunner:
         cfg = small_config(
             encodings=[{"kind": "classical"}],
             models=[
-                {"kind": "logreg", "params": {"epochs": 3}},
+                {"kind": "logreg", "params": {"max_iter": 1}},
                 {"kind": "knn", "params": {"k": 3}},
             ],
         )
         run = runner.run_matrix(cfg)
         capped, knn = run.results
-        assert (capped.iterations, capped.converged) == (3, False)
+        assert (capped.iterations, capped.converged) == (1, False)
         assert (knn.iterations, knn.converged) == (0, True)
         path = runner.persist_run(run, str(tmp_path))
         rows = runner.load_results(path)
-        assert [(r["iterations"], r["converged"]) for r in rows] == [(3, False), (0, True)]
+        assert [(r["iterations"], r["converged"]) for r in rows] == [(1, False), (0, True)]
         parsed = list(csv.DictReader(io.StringIO(report.emit_report(rows, "csv"))))
         assert [row["converged"] for row in parsed] == ["False", "True"]
 
@@ -463,7 +473,7 @@ class TestCli:
             "preprocess": {"n_components": 6},
             "encodings": [{"kind": "classical"}, {"kind": "angle"}],
             "models": [
-                {"kind": "logreg", "params": {"epochs": 300}},
+                {"kind": "logreg", "params": {"max_iter": 300}},
                 {"kind": "knn", "params": {"k": 3}},
             ],
         }

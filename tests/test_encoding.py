@@ -8,6 +8,7 @@ from qembed import qsim
 from qembed.errors import (
     DuplicateString,
     EmptyInput,
+    EncodingError,
     InvalidScheme,
     LengthMismatch,
     MissingQuantizer,
@@ -227,6 +228,11 @@ class TestAmplitudeEncode:
         with pytest.raises(NonFiniteInput):
             enc.amplitude_encode([1e200, 1e200])
 
+    def test_norm_underflow_is_typed(self):
+        # the squared norm is subnormal, so the amplitudes miss unit norm
+        with pytest.raises(EncodingError):
+            enc.amplitude_encode([1e-160, 1e-160])
+
     def test_scale_invariance_trials(self):
         rng = np.random.default_rng(19)
         for _ in range(300):
@@ -315,6 +321,16 @@ class TestQuantizer:
         q = enc.Quantizer().fit([[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(LengthMismatch):
             q.bits_for_row([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN used to round to an arbitrary level and encode as bits 0
+        q = enc.Quantizer(2).fit([[0.0, 0.0], [1.0, 1.0]])
+        for call in (q.normalize, q.bits_for_row):
+            with pytest.raises(NonFiniteInput):
+                call([bad, 0.3])
+        with pytest.raises(NonFiniteInput):
+            enc.embed_sample([bad, 0.3], enc.basis_scheme(2, enc.Z_EXPECTATIONS), q)
 
 
 class TestEmbedSample:
@@ -467,6 +483,7 @@ class TestEmbedMatrixEqualsOracle:
         (enc.angle_scheme(), [0.5, 1.5], OutOfRangeFeature),
         (enc.basis_scheme(1), [1.0, 0.5], MissingQuantizer),  # non-binary, no quantizer
         (enc.amplitude_scheme(), [0.0, 0.0], ZeroVector),
+        (enc.amplitude_scheme(), [1e-160, 1e-160], EncodingError),
     ])
     def test_first_bad_row_carries_oracle_cause(self, scheme, bad_row, cause):
         X = np.array([[0.0, 1.0], [1.0, 1.0]] * 3)

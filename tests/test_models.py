@@ -52,6 +52,11 @@ class TestModelSpec:
             ModelSpec("perceptron")
         with pytest.raises(InvalidHyperparameter):
             ModelSpec("knn", params={"n_neighbors": 3})
+        # the retired solver knobs are unknown keys, not silently ignored
+        for kind, key in [("svm", "quiet_sweeps"), ("svm", "max_sweeps"),
+                          ("logreg", "lr"), ("logreg", "epochs")]:
+            with pytest.raises(InvalidHyperparameter):
+                ModelSpec(kind, params={key: 1})
 
     def test_range_validation(self):
         with pytest.raises(InvalidHyperparameter):
@@ -65,7 +70,7 @@ class TestModelSpec:
         with pytest.raises(InvalidHyperparameter):
             ModelSpec("forest", params={"feature_fraction": 1.5})
         with pytest.raises(InvalidHyperparameter):
-            ModelSpec("logreg", params={"lr": 0.0})
+            ModelSpec("logreg", params={"max_iter": 0})
 
     def test_roundtrip(self):
         spec = ModelSpec("svm", seed=7, params={"kernel": "linear", "C": 2.0})
@@ -113,7 +118,7 @@ class TestLogreg:
 
     def test_zero_weights_give_half(self):
         X, y = blobs(1, n=20)
-        model = models.fit(ModelSpec("logreg", params={"epochs": 1}), X, y)
+        model = models.fit(ModelSpec("logreg", params={"max_iter": 1}), X, y)
         model.weights[:] = 0.0
         model.bias = 0.0
         assert np.allclose(model.predict_proba(X), 0.5)
@@ -137,9 +142,19 @@ class TestLogreg:
             num_b = (log_loss_l2(X, y, w, b + h, l2) - log_loss_l2(X, y, w, b - h, l2)) / (2 * h)
             assert abs(num_b - grad_b) / max(abs(num_b), 1e-8) < 1e-4
 
+    def test_zero_column_without_penalty(self):
+        # an all-zero column (amplitude padding) makes the l2 = 0 Hessian singular
+        X, y = blobs(3, n=30, spread=3.0)
+        X = np.column_stack([X, np.zeros(len(X))])
+        model = models.fit(ModelSpec("logreg", params={"l2": 0.0}), X, y)
+        assert model.meta.converged
+        assert model.weights[-1] == 0.0
+        grad_w, grad_b = log_loss_gradient(X, y, model.weights, model.bias, 0.0)
+        assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
+
     def test_convergence_flag(self):
         X, y = blobs(3, n=30)
-        capped = models.fit(ModelSpec("logreg", params={"epochs": 2}), X, y)
+        capped = models.fit(ModelSpec("logreg", params={"max_iter": 2}), X, y)
         assert not capped.meta.converged
         assert capped.meta.iterations == 2
 
@@ -209,13 +224,27 @@ class TestSvm:
         for kernel in ("linear", "rbf", "polynomial", "sigmoid"):
             spec = ModelSpec("svm", params={"kernel": kernel, "C": 1.0})
             kern = KernelFn(kernel).resolve(X.shape[1])
-            alpha, bias, _, _ = fit_smo(
-                X, y, kern, 1.0, 1e-3, 100, 3, np.random.default_rng(0)
-            )
+            alpha, bias, _, _ = fit_smo(X, y, kern, 1.0, 1e-3, 100_000)
             assert np.all(alpha >= -1e-12)
             assert np.all(alpha <= 1.0 + 1e-12)
             y_pm = np.where(y == 1, 1.0, -1.0)
             assert abs(np.dot(alpha, y_pm)) < 1e-6
+
+    def test_kkt_conditions_at_convergence(self):
+        # overlapping blobs give zero, free and at-C multipliers; at the stop
+        # every margin y*f(x) is within tol of its KKT condition
+        X, y = blobs(12, n=50, spread=3.0)
+        y_pm = np.where(y == 1, 1.0, -1.0)
+        tol = 1e-3
+        for kernel in ("linear", "rbf", "polynomial", "sigmoid"):
+            kern = KernelFn(kernel).resolve(X.shape[1])
+            alpha, bias, _, converged = fit_smo(X, y, kern, 1.0, tol, 100_000)
+            assert converged, kernel
+            margin = y_pm * (gram(kern, X, X) @ (alpha * y_pm) + bias)
+            assert np.all(margin[alpha == 0] >= 1 - tol), kernel
+            assert np.all(margin[alpha == 1.0] <= 1 + tol), kernel
+            free = (alpha > 0) & (alpha < 1.0)
+            assert free.any() and np.all(np.abs(margin[free] - 1) <= tol), kernel
 
     def test_probabilities_monotone_in_decision(self):
         X, y = blobs(8, n=40)
@@ -402,9 +431,9 @@ class TestProbabilityContract:
 
 def _small_params(kind):
     return {
-        "logreg": {"epochs": 200},
+        "logreg": {"max_iter": 200},
         "knn": {},
-        "svm": {"max_sweeps": 20},
+        "svm": {"max_iter": 20},
         "tree": {},
         "forest": {"n_trees": 10},
         "adaboost": {"n_rounds": 10},
@@ -425,7 +454,7 @@ class TestSerialization:
 
     def test_meta_survives(self):
         X, y = blobs(35, n=30)
-        model = models.fit(ModelSpec("logreg", params={"epochs": 3}), X, y)
+        model = models.fit(ModelSpec("logreg", params={"max_iter": 3}), X, y)
         clone = models.model_from_dict(models.model_to_dict(model))
         assert clone.meta.iterations == model.meta.iterations
         assert clone.meta.converged == model.meta.converged
