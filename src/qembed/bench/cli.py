@@ -117,8 +117,6 @@ def _load_config(args):
         raise ConfigError("--config is required")
     raw = load_raw(args.config)
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be a nonnegative integer")
         raw = dict(raw)
         raw["seed"] = args.seed
     return config_from_dict(raw)

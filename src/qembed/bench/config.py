@@ -114,10 +114,17 @@ def _parse_encoding(obj: dict) -> EncodingEntry:
     return EncodingEntry(obj.get("name", kind), scheme)
 
 
+def _int_field(value, name: str, minimum: int) -> int:
+    """An integer >= minimum; bools and floats such as 12.0 are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _parse_model(obj: dict, default_seed: int) -> ModelSpec:
     return ModelSpec(
         obj.get("kind", ""),
-        seed=obj.get("seed", default_seed),
+        seed=_int_field(obj.get("seed", default_seed), "models[].seed", 0),
         params=dict(obj.get("params", {})),
     )
 
@@ -126,8 +133,11 @@ def config_from_dict(raw: dict) -> BenchConfig:
     """Build and validate a BenchConfig; all failures raise ConfigError."""
     try:
         dataset = raw.get("dataset", {})
-        seed = int(raw.get("seed", 0))
+        seed = _int_field(raw.get("seed", 0), "seed", 0)
         pre_raw = dict(raw.get("preprocess", {}))
+        n_components = pre_raw.get("n_components")
+        if n_components is not None:
+            _int_field(n_components, "preprocess.n_components", 1)
         preprocess = PreprocessOptions(
             corr_threshold=float(pre_raw.get("corr_threshold", 0.8)),
             vif_threshold=float(pre_raw.get("vif_threshold", 12.0)),
@@ -135,7 +145,7 @@ def config_from_dict(raw: dict) -> BenchConfig:
             standardize=bool(pre_raw.get("standardize", True)),
             split_ratio=float(pre_raw.get("split_ratio", 0.8)),
             seed=seed,
-            n_components=pre_raw.get("n_components"),
+            n_components=n_components,
         )
         if not 0 < preprocess.split_ratio < 1:
             raise ConfigError("split_ratio must be in (0, 1)")
@@ -151,7 +161,9 @@ def config_from_dict(raw: dict) -> BenchConfig:
         return BenchConfig(
             dataset_path=dataset.get("path"),
             schema=schema,
-            synthetic_rows=int(dataset.get("synthetic_rows", 500)),
+            synthetic_rows=_int_field(
+                dataset.get("synthetic_rows", 500), "dataset.synthetic_rows", 1
+            ),
             preprocess=preprocess,
             seed=seed,
             encodings=encodings,

@@ -2,13 +2,14 @@
 
 Seven kinds: logreg, knn, svm, tree, forest, adaboost, gbt.  A ModelSpec
 names the kind, the seed and the hyperparameters (validated against
-per-kind defaults); fit() returns an immutable TrainedModel that can
-score new rows and round-trip through a JSON-safe dict.
+per-kind defaults); fit() returns a TrainedModel, one record for every
+kind: the spec, fit metadata and a plain dict of the kind's fitted state.
+It scores new rows through one proba function per kind and round-trips
+through a JSON-safe dict.
 """
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ DEFAULT_PARAMS: dict[str, dict] = {
 def _positive_int(value, what: str, allow_none=False) -> None:
     if allow_none and value is None:
         return
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
         raise InvalidHyperparameter(f"{what} must be an integer >= 1")
 
 
@@ -123,7 +124,6 @@ class ModelSpec:
 class TrainMeta:
     iterations: int = 0
     converged: bool = True
-    seconds: float = 0.0
 
 
 def _matrix_data(X) -> np.ndarray:
@@ -132,13 +132,22 @@ def _matrix_data(X) -> np.ndarray:
     return np.asarray(X, dtype=float)
 
 
+@dataclass(eq=False)
 class TrainedModel:
-    """Fitted classifier; subclasses implement _proba and state_dict."""
+    """Fitted classifier: spec, fit metadata and the kind's fitted state.
 
-    def __init__(self, spec: ModelSpec, meta: TrainMeta, n_features: int):
-        self.spec = spec
-        self.meta = meta
-        self.n_features = n_features
+    `state` is a plain dict of arrays and numbers:
+      logreg   weights, bias
+      knn      X, y (the training rows)
+      svm      gamma (resolved), sv_X, sv_y, sv_alpha, bias
+      tree, forest, adaboost, gbt
+               trees, weights, offset, scale (see `ensemble`); gbt adds losses
+    """
+
+    spec: ModelSpec
+    meta: TrainMeta
+    n_features: int
+    state: dict
 
     def predict_proba(self, X) -> np.ndarray:
         """P(class=1) per row."""
@@ -147,138 +156,36 @@ class TrainedModel:
             raise DimensionMismatch(
                 f"expected {self.n_features} features, got shape {data.shape}"
             )
-        return self._proba(data)
+        return _PROBA[self.spec.kind](self.spec.params, self.state, data)
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(int)
 
-    def _proba(self, data: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
-    def state_dict(self) -> dict:
-        raise NotImplementedError
-
-
-class LogregModel(TrainedModel):
-    def __init__(self, spec, meta, weights, bias):
-        super().__init__(spec, meta, len(weights))
-        self.weights = np.asarray(weights, dtype=float)
-        self.bias = float(bias)
-
-    def _proba(self, data):
-        return linear.sigmoid(data @ self.weights + self.bias)
-
-    def state_dict(self):
-        return {"weights": self.weights.tolist(), "bias": self.bias}
+def _svm_proba(p, s, data):
+    kernel = KernelFn(p["kernel"], s["gamma"], p["degree"], p["coef0"])
+    # an empty support set loses its width in JSON
+    sv_X = s["sv_X"].reshape(-1, data.shape[1])
+    return linear.sigmoid(
+        svm.decision_values(sv_X, s["sv_y"], s["sv_alpha"], s["bias"], kernel, data)
+    )
 
 
-class KnnModel(TrainedModel):
-    def __init__(self, spec, meta, X_train, y_train):
-        super().__init__(spec, meta, X_train.shape[1])
-        self.X_train = np.asarray(X_train, dtype=float)
-        self.y_train = np.asarray(y_train, dtype=int)
-
-    def _proba(self, data):
-        k = min(self.spec.params["k"], self.X_train.shape[0])
-        return neighbors.knn_proba(self.X_train, self.y_train, k, data)
-
-    def state_dict(self):
-        return {"X": self.X_train.tolist(), "y": self.y_train.tolist()}
+def _tree_sum(p, s, data):
+    return ensemble.tree_sum(s, data)
 
 
-class SvmModel(TrainedModel):
-    def __init__(self, spec, meta, kernel, sv_X, sv_y, sv_alpha, bias, n_features):
-        super().__init__(spec, meta, n_features)
-        self.kernel = kernel
-        self.sv_X = np.asarray(sv_X, dtype=float).reshape(-1, n_features)
-        self.sv_y = np.asarray(sv_y, dtype=int)
-        self.sv_alpha = np.asarray(sv_alpha, dtype=float)
-        self.bias = float(bias)
-
-    def _proba(self, data):
-        if self.sv_X.size == 0:
-            return linear.sigmoid(np.full(data.shape[0], self.bias))
-        return svm.svm_proba(
-            self.sv_X, self.sv_y, self.sv_alpha, self.bias, self.kernel, data
-        )
-
-    def decision_function(self, X) -> np.ndarray:
-        data = _matrix_data(X)
-        if self.sv_X.size == 0:
-            return np.full(data.shape[0], self.bias)
-        return svm.decision_values(
-            self.sv_X, self.sv_y, self.sv_alpha, self.bias, self.kernel, data
-        )
-
-    def state_dict(self):
-        return {
-            "kernel": dataclasses.asdict(self.kernel),
-            "sv_X": self.sv_X.tolist(),
-            "sv_y": self.sv_y.tolist(),
-            "sv_alpha": self.sv_alpha.tolist(),
-            "bias": self.bias,
-            "n_features": self.n_features,
-        }
-
-
-class TreeModel(TrainedModel):
-    def __init__(self, spec, meta, tree, n_features):
-        super().__init__(spec, meta, n_features)
-        self.tree = tree
-
-    def _proba(self, data):
-        return self.tree.predict(data)
-
-    def state_dict(self):
-        return {"tree": self.tree.to_record(), "n_features": self.n_features}
-
-
-class ForestModel(TrainedModel):
-    def __init__(self, spec, meta, trees, n_features):
-        super().__init__(spec, meta, n_features)
-        self.trees = trees
-
-    def _proba(self, data):
-        return ensemble.forest_proba(self.trees, data)
-
-    def state_dict(self):
-        return {"trees": [t.to_record() for t in self.trees], "n_features": self.n_features}
-
-
-class AdaboostModel(TrainedModel):
-    def __init__(self, spec, meta, stumps, alphas, n_features):
-        super().__init__(spec, meta, n_features)
-        self.stumps = stumps
-        self.alphas = list(alphas)
-
-    def _proba(self, data):
-        return ensemble.adaboost_proba(self.stumps, self.alphas, data)
-
-    def state_dict(self):
-        return {
-            "trees": [s.to_record() for s in self.stumps],
-            "alphas": self.alphas,
-            "n_features": self.n_features,
-        }
-
-
-class GbtModel(TrainedModel):
-    def __init__(self, spec, meta, f0, trees, losses, n_features):
-        super().__init__(spec, meta, n_features)
-        self.f0 = float(f0)
-        self.trees = trees
-        self.losses = list(losses)
-
-    def _proba(self, data):
-        return ensemble.gbt_proba(self.f0, self.trees, self.spec.params["lr"], data)
-
-    def state_dict(self):
-        return {
-            "f0": self.f0,
-            "trees": [t.to_record() for t in self.trees],
-            "losses": self.losses,
-            "n_features": self.n_features,
-        }
+_PROBA = {
+    "logreg": lambda p, s, data: linear.sigmoid(data @ s["weights"] + s["bias"]),
+    "knn": lambda p, s, data: neighbors.knn_proba(
+        s["X"], s["y"], min(p["k"], len(s["y"])), data
+    ),
+    "svm": _svm_proba,
+    "tree": _tree_sum,
+    "forest": _tree_sum,
+    "adaboost": _tree_sum,
+    "gbt": lambda p, s, data: linear.sigmoid(ensemble.tree_sum(s, data)),
+}
 
 
 def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
@@ -306,65 +213,52 @@ def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
         raise SingleClass("training data must contain both classes")
     if counts.min() < 2:
         raise ClassTooSmall("need at least two samples per class")
-
-    start = time.perf_counter()
-    model = _FITTERS[spec.kind](spec, data, y)
-    model.meta.seconds = time.perf_counter() - start
-    return model
+    meta, state = _FITTERS[spec.kind](spec.params, spec.seed, data, y)
+    return TrainedModel(spec, meta, data.shape[1], state)
 
 
-def _fit_logreg(spec, data, y):
-    p = spec.params
+def _fit_logreg(p, seed, data, y):
     weights, bias, iters, ok = linear.fit_logreg(data, y, p["l2"], p["max_iter"])
-    return LogregModel(spec, TrainMeta(iters, ok), weights, bias)
+    return TrainMeta(iters, ok), {"weights": weights, "bias": bias}
 
 
-def _fit_knn(spec, data, y):
-    return KnnModel(spec, TrainMeta(), data.copy(), y.copy())
+def _fit_knn(p, seed, data, y):
+    return TrainMeta(), {"X": data.copy(), "y": y.copy()}
 
 
-def _fit_svm(spec, data, y):
-    p = spec.params
+def _fit_svm(p, seed, data, y):
     kernel = KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"]).resolve(
         data.shape[1]
     )
     alpha, bias, iters, ok = svm.fit_smo(data, y, kernel, p["C"], p["tol"], p["max_iter"])
     support = alpha > 0
-    return SvmModel(
-        spec, TrainMeta(iters, ok), kernel,
-        data[support], y[support], alpha[support], bias, data.shape[1],
-    )
+    return TrainMeta(iters, ok), {
+        "gamma": kernel.gamma, "sv_X": data[support], "sv_y": y[support],
+        "sv_alpha": alpha[support], "bias": bias,
+    }
 
 
-def _fit_tree(spec, data, y):
-    p = spec.params
-    grown = tree.grow_classifier(
-        data, y, max_depth=p["max_depth"], min_leaf=p["min_leaf"]
-    )
-    return TreeModel(spec, TrainMeta(), grown, data.shape[1])
+def _fit_tree(p, seed, data, y):
+    grown = tree.grow_classifier(data, y, max_depth=p["max_depth"], min_leaf=p["min_leaf"])
+    return TrainMeta(), {"trees": [grown], "weights": np.ones(1), "offset": 0.0, "scale": 1.0}
 
 
-def _fit_forest(spec, data, y):
-    p = spec.params
-    rng = np.random.default_rng(spec.seed)
-    trees = ensemble.fit_forest(
+def _fit_forest(p, seed, data, y):
+    state = ensemble.fit_forest(
         data, y, p["n_trees"], p["feature_fraction"], p["max_depth"],
-        p["min_leaf"], p["bootstrap"], rng,
+        p["min_leaf"], p["bootstrap"], np.random.default_rng(seed),
     )
-    return ForestModel(spec, TrainMeta(len(trees)), trees, data.shape[1])
+    return TrainMeta(len(state["trees"])), state
 
 
-def _fit_adaboost(spec, data, y):
-    stumps, alphas = ensemble.fit_adaboost(data, y, spec.params["n_rounds"])
-    return AdaboostModel(spec, TrainMeta(len(stumps)), stumps, alphas, data.shape[1])
+def _fit_adaboost(p, seed, data, y):
+    state = ensemble.fit_adaboost(data, y, p["n_rounds"])
+    return TrainMeta(len(state["trees"])), state
 
 
-def _fit_gbt(spec, data, y):
-    p = spec.params
-    f0, trees, losses = ensemble.fit_gbt(
-        data, y, p["n_rounds"], p["lr"], p["max_depth"], p["min_leaf"]
-    )
-    return GbtModel(spec, TrainMeta(len(trees)), f0, trees, losses, data.shape[1])
+def _fit_gbt(p, seed, data, y):
+    state = ensemble.fit_gbt(data, y, p["n_rounds"], p["lr"], p["max_depth"], p["min_leaf"])
+    return TrainMeta(len(state["trees"])), state
 
 
 _FITTERS = {
@@ -378,47 +272,36 @@ _FITTERS = {
 }
 
 
-def predict_proba(model: TrainedModel, X) -> np.ndarray:
-    return model.predict_proba(X)
-
-
 # --- JSON-safe persistence ------------------------------------------------------
+# Arrays become lists and the `trees` entry tree records, whatever the kind.
 
 def model_to_dict(model: TrainedModel) -> dict:
+    state = {}
+    for key, value in model.state.items():
+        if key == "trees":
+            value = [t.to_record() for t in value]
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        state[key] = value
     return {
         "spec": model.spec.to_dict(),
         "meta": dataclasses.asdict(model.meta),
-        "state": model.state_dict(),
+        "n_features": model.n_features,
+        "state": state,
     }
 
 
 def model_from_dict(d: dict) -> TrainedModel:
-    spec = ModelSpec.from_dict(d["spec"])
-    meta = TrainMeta(**d["meta"])
-    state = d["state"]
-    if spec.kind == "logreg":
-        return LogregModel(spec, meta, state["weights"], state["bias"])
-    if spec.kind == "knn":
-        return KnnModel(spec, meta, np.array(state["X"]), np.array(state["y"]))
-    if spec.kind == "svm":
-        kernel = KernelFn(**state["kernel"])
-        return SvmModel(
-            spec, meta, kernel,
-            np.array(state["sv_X"], dtype=float),
-            np.array(state["sv_y"], dtype=int),
-            np.array(state["sv_alpha"], dtype=float),
-            state["bias"],
-            state["n_features"],
-        )
-    n_features = state["n_features"]
-    if spec.kind == "tree":
-        return TreeModel(spec, meta, Tree.from_record(state["tree"]), n_features)
-    trees = [Tree.from_record(r) for r in state["trees"]]
-    if spec.kind == "forest":
-        return ForestModel(spec, meta, trees, n_features)
-    if spec.kind == "adaboost":
-        return AdaboostModel(spec, meta, trees, state["alphas"], n_features)
-    return GbtModel(spec, meta, state["f0"], trees, state["losses"], n_features)
+    state = {}
+    for key, value in d["state"].items():
+        if key == "trees":
+            value = [Tree.from_record(r) for r in value]
+        elif isinstance(value, list):
+            value = np.asarray(value)
+        state[key] = value
+    return TrainedModel(
+        ModelSpec.from_dict(d["spec"]), TrainMeta(**d["meta"]), d["n_features"], state
+    )
 
 
 __all__ = [
@@ -430,7 +313,6 @@ __all__ = [
     "MODEL_KINDS",
     "DEFAULT_PARAMS",
     "fit",
-    "predict_proba",
     "model_to_dict",
     "model_from_dict",
 ]

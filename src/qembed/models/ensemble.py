@@ -1,4 +1,10 @@
-"""Tree ensembles: bagged forest, SAMME AdaBoost on stumps, gradient boosting."""
+"""Tree ensembles: bagged forest, SAMME AdaBoost on stumps, gradient boosting.
+
+Each fit returns a tree-sum state: `trees`, one weight per tree in
+`weights`, `offset` and `scale`, scored by `tree_sum` as
+(offset + sum_t weights[t] * trees[t].predict(X)) / scale.  gbt adds its
+training `losses`.  The single-tree model is the same state with one tree.
+"""
 from __future__ import annotations
 
 import math
@@ -18,11 +24,13 @@ def fit_forest(
     min_leaf: int,
     bootstrap: bool,
     rng: np.random.Generator,
-) -> list[Tree]:
+) -> dict:
     """Bootstrap bagging with per-split feature subsampling.
 
-    feature_fraction=None defaults to 1/sqrt(d).  With one tree, full
-    features and no bootstrap this reduces to the plain classifier tree.
+    The score is the mean of the trees' leaf probabilities: weights 1,
+    scale n_trees.  feature_fraction=None defaults to 1/sqrt(d).  With one
+    tree, full features and no bootstrap this reduces to the plain
+    classifier tree.
     """
     m, d = X.shape
     frac = feature_fraction if feature_fraction is not None else 1.0 / math.sqrt(d)
@@ -36,22 +44,19 @@ def fit_forest(
                 n_sub=n_sub, rng=rng,
             )
         )
-    return trees
+    return {"trees": trees, "weights": np.ones(n_trees), "offset": 0.0, "scale": n_trees}
 
 
-def forest_proba(trees: list[Tree], X: np.ndarray) -> np.ndarray:
-    return np.mean([t.predict(X) for t in trees], axis=0)
-
-
-def fit_adaboost(
-    X: np.ndarray, y: np.ndarray, n_rounds: int
-) -> tuple[list[Tree], list[float]]:
+def fit_adaboost(X: np.ndarray, y: np.ndarray, n_rounds: int) -> dict:
     """SAMME with depth-1 stumps on a binary problem.
 
-    Sample weights renormalize to sum 1 after every round.  A round with
-    weighted error 0 gets a large clamped vote and ends training; a round
-    no better than chance is discarded and ends training.  Columns are
-    sorted once per fit.
+    Each stump's leaves hold its 0/1 vote and its weight is its alpha, so
+    the score is the alpha-weighted share of votes for class 1 (no
+    sigmoid; margins map linearly).  With no stump better than chance the
+    score is 0.5.  Sample weights renormalize to sum 1 after every round.
+    A round with weighted error 0 gets a large clamped vote and ends
+    training; a round no better than chance is discarded and ends
+    training.  Columns are sorted once per fit.
     """
     m = X.shape[0]
     w = np.full(m, 1.0 / m)
@@ -60,29 +65,25 @@ def fit_adaboost(
     alphas: list[float] = []
     for _ in range(n_rounds):
         stump = grow_classifier(X, y, sample_weight=w, max_depth=1, min_leaf=1, order=order)
-        pred = (stump.predict(X) >= 0.5).astype(int)
-        err = float(np.dot(w, pred != y))
+        stump.value = (stump.value >= 0.5).astype(float)
+        miss = stump.predict(X) != y
+        err = float(np.dot(w, miss))
         if err >= 0.5:
             break
         err = max(err, 1e-10)
         alpha = math.log((1.0 - err) / err)
         stumps.append(stump)
         alphas.append(alpha)
-        w = w * np.exp(alpha * (pred != y))
+        w = w * np.exp(alpha * miss)
         w /= w.sum()
         if err <= 1e-10:
             break
-    return stumps, alphas
-
-
-def adaboost_proba(stumps: list[Tree], alphas: list[float], X: np.ndarray) -> np.ndarray:
-    """Weighted vote share for class 1 (no sigmoid; margins map linearly)."""
-    if not stumps:
-        return np.full(X.shape[0], 0.5)
-    votes = np.zeros(X.shape[0])
-    for stump, alpha in zip(stumps, alphas):
-        votes += alpha * (stump.predict(X) >= 0.5)
-    return votes / sum(alphas)
+    return {
+        "trees": stumps,
+        "weights": np.array(alphas),
+        "offset": 0.0 if stumps else 0.5,
+        "scale": sum(alphas) if stumps else 1.0,
+    }
 
 
 def fit_gbt(
@@ -92,11 +93,12 @@ def fit_gbt(
     lr: float,
     max_depth: int | None,
     min_leaf: int,
-) -> tuple[float, list[Tree], list[float]]:
+) -> dict:
     """Stagewise regression trees on log-loss gradients with Newton leaves.
 
-    Returns the constant initial log-odds, the trees, and the training
-    log-loss recorded after every round.  Columns are sorted once per fit.
+    The score is the log-odds: offset the constant initial log-odds, every
+    weight lr, scale 1.  `losses` holds the training log-loss after every
+    round.  Columns are sorted once per fit.
     """
     p_bar = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     f0 = math.log(p_bar / (1.0 - p_bar))
@@ -111,11 +113,15 @@ def fit_gbt(
         scores = scores + lr * tree.predict(X)
         pc = np.clip(sigmoid(scores), 1e-15, 1 - 1e-15)
         losses.append(-float(np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
-    return f0, trees, losses
+    return {
+        "trees": trees, "weights": np.full(n_rounds, lr), "offset": f0, "scale": 1.0,
+        "losses": np.array(losses),
+    }
 
 
-def gbt_proba(f0: float, trees: list[Tree], lr: float, X: np.ndarray) -> np.ndarray:
-    scores = np.full(X.shape[0], f0)
-    for tree in trees:
-        scores = scores + lr * tree.predict(X)
-    return sigmoid(scores)
+def tree_sum(state: dict, X: np.ndarray) -> np.ndarray:
+    """(offset + sum_t weights[t] * trees[t].predict(X)) / scale, in tree order."""
+    score = np.full(X.shape[0], state["offset"])
+    for weight, tree in zip(state["weights"], state["trees"]):
+        score = score + weight * tree.predict(X)
+    return score / state["scale"]

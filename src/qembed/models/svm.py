@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidHyperparameter, LengthMismatch
-from .linear import sigmoid
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 
@@ -119,7 +118,3 @@ def fit_smo(
 def decision_values(X_train, y01_train, alpha, bias, kernel, X) -> np.ndarray:
     y = np.where(y01_train == 1, 1.0, -1.0)
     return gram(kernel, X, X_train) @ (alpha * y) + bias
-
-
-def svm_proba(X_train, y01_train, alpha, bias, kernel, X) -> np.ndarray:
-    return sigmoid(decision_values(X_train, y01_train, alpha, bias, kernel, X))

@@ -282,11 +282,11 @@ def iterative_vif_prune(
 
 # --- encoding to numeric matrices ------------------------------------------------
 
-def _vocabulary(values) -> list[str]:
-    seen: dict[str, None] = {}
-    for v in values:
-        seen.setdefault(v, None)
-    return list(seen)
+def _codes(values) -> tuple[list[str], np.ndarray]:
+    """Categories in first-appearance order, and each value's index among them."""
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(v, len(index)) for v in values], dtype=np.intp)
+    return list(index), codes
 
 
 def ordinal_matrix(dataset: Dataset) -> FeatureMatrix:
@@ -301,8 +301,7 @@ def ordinal_matrix(dataset: Dataset) -> FeatureMatrix:
         if spec.kind == NUMERIC:
             cols.append(np.asarray(dataset.columns[spec.name], dtype=float))
         else:
-            vocab = {v: i for i, v in enumerate(_vocabulary(dataset.columns[spec.name]))}
-            cols.append(np.array([vocab[v] for v in dataset.columns[spec.name]], dtype=float))
+            cols.append(_codes(dataset.columns[spec.name])[1].astype(float))
         names.append(spec.name)
     return FeatureMatrix(np.column_stack(cols), tuple(names), labels)
 
@@ -323,10 +322,9 @@ def one_hot(dataset: Dataset, columns) -> FeatureMatrix:
     cols, names = [], []
     for spec in dataset.feature_specs():
         if spec.name in listed:
-            values = dataset.columns[spec.name]
-            for cat in _vocabulary(values):
-                cols.append(np.array([1.0 if v == cat else 0.0 for v in values]))
-                names.append(f"{spec.name}={cat}")
+            vocabulary, codes = _codes(dataset.columns[spec.name])
+            cols.append((codes[:, None] == np.arange(len(vocabulary))).astype(float))
+            names.extend(f"{spec.name}={cat}" for cat in vocabulary)
         elif spec.kind == NUMERIC:
             cols.append(np.asarray(dataset.columns[spec.name], dtype=float))
             names.append(spec.name)

@@ -323,12 +323,13 @@ def test_criterion_08_model_properties():
 
     # SMO convergence satisfies the dual equality constraint
     svm_model = models.fit(ModelSpec("svm", seed=8), X, y)
-    signed = np.where(svm_model.sv_y == 1, 1.0, -1.0)
-    residual = abs(float(np.sum(svm_model.sv_alpha * signed)))
+    sv_alpha = svm_model.state["sv_alpha"]
+    signed = np.where(svm_model.state["sv_y"] == 1, 1.0, -1.0)
+    residual = abs(float(np.sum(sv_alpha * signed)))
     assert residual < 1e-6
     C = svm_model.spec.params["C"]
-    assert np.all(svm_model.sv_alpha >= -1e-12)
-    assert np.all(svm_model.sv_alpha <= C + 1e-12)
+    assert np.all(sv_alpha >= -1e-12)
+    assert np.all(sv_alpha <= C + 1e-12)
 
     # one full-feature unbagged tree is the forest's fixed point
     shared = {"max_depth": 6, "min_leaf": 2}
@@ -367,7 +368,7 @@ def test_criterion_08_model_properties():
 
     # gradient boosting's training loss never increases
     gbt = models.fit(ModelSpec("gbt", params={"n_rounds": 60}), X, y)
-    losses = np.asarray(gbt.losses)
+    losses = np.asarray(gbt.state["losses"])
     assert losses.size >= 2
     assert np.all(np.diff(losses) <= 1e-12)
 

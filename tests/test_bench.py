@@ -94,6 +94,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(preprocess={"vif_threshold": 1.0})
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", True), ("seed", 2.0), ("seed", "3"),
+        ("dataset.synthetic_rows", 0), ("dataset.synthetic_rows", True),
+        ("dataset.synthetic_rows", 200.0),
+        ("preprocess.n_components", 0), ("preprocess.n_components", -3),
+        ("preprocess.n_components", True), ("preprocess.n_components", 12.0),
+        ("preprocess.n_components", "12"),
+    ])
+    def test_integer_fields_rejected_by_name(self, field, value):
+        section, _, key = field.rpartition(".")
+        overrides = {section: {key: value}} if section else {key: value}
+        if section == "dataset":
+            overrides[section]["path"] = None
+        with pytest.raises(ConfigError, match=field):
+            small_config(**overrides)
+
     def test_seed_flows_to_preprocess_and_models(self):
         cfg = small_config(seed=11)
         assert cfg.preprocess.seed == 11
@@ -102,6 +118,12 @@ class TestConfig:
     def test_explicit_model_seed_kept(self):
         cfg = small_config(models=[{"kind": "knn", "seed": 5}])
         assert cfg.models[0].seed == 5
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.5])
+    def test_bad_model_seed_rejected(self, seed):
+        # caught here, not later in the forest's rng, which aborts the whole matrix
+        with pytest.raises(ConfigError, match=r"models\[\]\.seed"):
+            small_config(models=[{"kind": "forest", "seed": seed}])
 
     def test_roundtrip_hash_stable(self):
         cfg = small_config()
@@ -515,6 +537,18 @@ class TestCli:
         cfg_path = self.write_config(tmp_path)
         assert cli.main(["bench", "--config", str(cfg_path),
                          "--seed", "-1"]) == 1
+
+    @pytest.mark.parametrize("overrides", [
+        {"seed": -1},
+        {"preprocess": {"n_components": "12"}},
+        {"preprocess": {"n_components": 0}},
+        {"dataset": {"path": None, "synthetic_rows": 0}},
+    ])
+    def test_preprocess_bad_integer_field_is_config_error(self, tmp_path, capsys, overrides):
+        cfg_path = self.write_config(tmp_path, **overrides)
+        assert cli.main(["preprocess", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "pre")]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_bench_unparsable_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -18,7 +18,7 @@ from qembed.errors import (
 )
 from qembed.models import KernelFn, ModelSpec, kernel_eval
 from qembed.models.linear import log_loss_gradient, log_loss_l2
-from qembed.models.svm import fit_smo, gram
+from qembed.models.svm import decision_values, fit_smo, gram
 from qembed.models.tree import grow_classifier
 
 
@@ -71,6 +71,9 @@ class TestModelSpec:
             ModelSpec("forest", params={"feature_fraction": 1.5})
         with pytest.raises(InvalidHyperparameter):
             ModelSpec("logreg", params={"max_iter": 0})
+        for kind, key in [("forest", "n_trees"), ("knn", "k"), ("tree", "max_depth")]:
+            with pytest.raises(InvalidHyperparameter):
+                ModelSpec(kind, params={key: True})
 
     def test_roundtrip(self):
         spec = ModelSpec("svm", seed=7, params={"kernel": "linear", "C": 2.0})
@@ -113,14 +116,14 @@ class TestLogreg:
         model = models.fit(ModelSpec("logreg"), X, y)
         assert train_accuracy(model, X, y) == 1.0
         # symmetry pins the boundary at the origin
-        assert abs(model.bias) < 1e-6
+        assert abs(model.state["bias"]) < 1e-6
         assert model.predict_proba(np.array([[0.0]]))[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_zero_weights_give_half(self):
         X, y = blobs(1, n=20)
         model = models.fit(ModelSpec("logreg", params={"max_iter": 1}), X, y)
-        model.weights[:] = 0.0
-        model.bias = 0.0
+        model.state["weights"][:] = 0.0
+        model.state["bias"] = 0.0
         assert np.allclose(model.predict_proba(X), 0.5)
 
     def test_gradient_matches_finite_differences(self):
@@ -148,8 +151,9 @@ class TestLogreg:
         X = np.column_stack([X, np.zeros(len(X))])
         model = models.fit(ModelSpec("logreg", params={"l2": 0.0}), X, y)
         assert model.meta.converged
-        assert model.weights[-1] == 0.0
-        grad_w, grad_b = log_loss_gradient(X, y, model.weights, model.bias, 0.0)
+        weights, bias = model.state["weights"], model.state["bias"]
+        assert weights[-1] == 0.0
+        grad_w, grad_b = log_loss_gradient(X, y, weights, bias, 0.0)
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
 
     def test_convergence_flag(self):
@@ -249,7 +253,10 @@ class TestSvm:
     def test_probabilities_monotone_in_decision(self):
         X, y = blobs(8, n=40)
         model = models.fit(ModelSpec("svm", params={"kernel": "linear"}), X, y)
-        dec = model.decision_function(X)
+        s = model.state
+        dec = decision_values(
+            s["sv_X"], s["sv_y"], s["sv_alpha"], s["bias"], KernelFn("linear"), X
+        )
         proba = model.predict_proba(X)
         order = np.argsort(dec)
         assert np.all(np.diff(proba[order]) >= -1e-12)
@@ -283,7 +290,7 @@ class TestTree:
     def test_depth_limit_respected(self):
         X, y = blobs(11, n=80, spread=2.5)
         model = models.fit(ModelSpec("tree", params={"max_depth": 2}), X, y)
-        assert model.tree.depth <= 2
+        assert model.state["trees"][0].depth <= 2
 
     def test_split_tie_prefers_lower_feature(self):
         # identical informative columns: the split must use feature 0
@@ -300,7 +307,7 @@ class TestTree:
         X = np.array([[a], [a], [b], [b]])
         spec = ModelSpec("tree", params={"min_leaf": 1})
         model = models.fit(spec, X, np.array([0, 0, 1, 1]))
-        assert model.tree.threshold[0] == a
+        assert model.state["trees"][0].threshold[0] == a
         assert list(model.predict_proba(X)) == [0.0, 0.0, 1.0, 1.0]
 
     def test_grower_working_set_is_bounded(self):
@@ -382,7 +389,7 @@ class TestAdaboost:
         X = np.array([[0.0], [0.1], [0.9], [1.0]])
         y = np.array([0, 0, 1, 1])
         model = models.fit(ModelSpec("adaboost", params={"n_rounds": 1}), X, y)
-        assert len(model.stumps) == 1
+        assert len(model.state["trees"]) == 1
         proba = model.predict_proba(X)
         assert np.all(proba[y == 1] > 0.5)
         assert np.all(proba[y == 0] < 0.5)
@@ -399,7 +406,7 @@ class TestGbt:
         for seed in range(5):
             X, y = blobs(20 + seed, n=60, d=3, spread=2.5)
             model = models.fit(ModelSpec("gbt", params={"n_rounds": 40}), X, y)
-            losses = np.array(model.losses)
+            losses = np.array(model.state["losses"])
             assert np.all(np.diff(losses) <= 1e-12)
 
     def test_loss_starts_below_prior(self):
@@ -407,7 +414,7 @@ class TestGbt:
         model = models.fit(ModelSpec("gbt", params={"n_rounds": 5}), X, y)
         p0 = np.clip(y.mean(), 1e-15, 1 - 1e-15)
         prior_loss = -(y.mean() * math.log(p0) + (1 - y.mean()) * math.log(1 - p0))
-        assert model.losses[0] <= prior_loss + 1e-12
+        assert model.state["losses"][0] <= prior_loss + 1e-12
 
     def test_fits_separable_data(self):
         X, y = blobs(27, n=60, spread=0.6)
@@ -452,6 +459,16 @@ class TestSerialization:
             clone = models.model_from_dict(json.loads(payload))
             assert np.array_equal(model.predict_proba(Xt), clone.predict_proba(Xt)), kind
 
+    def test_empty_support_set_roundtrip(self):
+        # a tol above the starting violation gap of 2 stops SMO before any update
+        X, y = blobs(37, n=20, d=3)
+        model = models.fit(ModelSpec("svm", params={"tol": 3.0}), X, y)
+        assert model.state["sv_X"].shape == (0, 3)
+        payload = json.dumps(models.model_to_dict(model))
+        clone = models.model_from_dict(json.loads(payload))
+        assert np.array_equal(model.predict_proba(X), clone.predict_proba(X))
+        assert np.all(clone.predict_proba(X) == model.predict_proba(X[:1])[0])
+
     def test_meta_survives(self):
         X, y = blobs(35, n=30)
         model = models.fit(ModelSpec("logreg", params={"max_iter": 3}), X, y)
@@ -482,17 +499,37 @@ def tied_data():
 
 
 class TestPinnedOutputs:
-    """sha256 of the predict_proba bytes of every tree kind on tied data.
+    """sha256 of the predict_proba bytes of every model kind on tied data.
 
     Ties make the split order depend on the stable sort, the forest's
     bootstrap duplicates rows, and AdaBoost reweights them, so any change
     in how splits are searched, ordered or broken shows up here.  numpy's
-    exp and OpenBLAS's dot product pick CPU-specific kernels, so AdaBoost
-    and gbt have one digest per x86-64 choice: numpy with or without
-    AVX-512, OpenBLAS's SkylakeX or Haswell kernels.
+    exp and OpenBLAS's dot product pick CPU-specific kernels, so logreg,
+    svm, AdaBoost and gbt have one digest per x86-64 choice: numpy with or
+    without AVX-512, OpenBLAS's SkylakeX or Haswell kernels.
     """
 
     PINS = {
+        "logreg": (
+            ModelSpec("logreg"),
+            {
+                "3f91ae6c6eb2b41087fa003383a9c3db071823cb6344b7be5a8177d25879b2e2",
+                "c0d90171e048fb7811c80cb053b73e76bcd45a18f59e4a305e6615183fe046ae",
+                "08a6a4e90aec069ac7928e201ac350789333d109cfd06aba5c64375166efa52f",
+                "fde360b81f4d6945b66dc4477d1dffaf95992bdf070eaa8c37cd08876430e7b9",
+            },
+        ),
+        "knn": (
+            ModelSpec("knn"),
+            {"6808c2a60986e68cbb2d3a2e5d260d470fc6ae6f9f5b4a416fcad4ee15a37232"},
+        ),
+        "svm": (
+            ModelSpec("svm"),
+            {
+                "25571e1088a2aef6c23175a02a43e3c258147ee9f6ccfde4f8a45e5b08e0562f",
+                "213e764b6af4abbe1dcce1f5d6b0196485e83a14beaecdd1dbcd9d97629c2305",
+            },
+        ),
         "tree": (
             ModelSpec("tree"),
             {"099aaea2a800430981687c7b1e3b4d04ab7fd57df2b44fc3378bdc2e3188fa9c"},
