@@ -1,4 +1,7 @@
-"""Benchmark harness: config, runner, reporting and the qembed CLI."""
+"""Benchmark harness: config, runner, reporting and the qembed CLI.
+
+The names imported here are the package's public API.
+"""
 
 from .config import (
     CLASSICAL,
@@ -7,7 +10,6 @@ from .config import (
     EncodingEntry,
     config_from_dict,
     config_to_dict,
-    default_synthetic_dict,
     load_config,
     load_raw,
 )
@@ -27,32 +29,3 @@ from .runner import (
     run_matrix,
     split_checksum,
 )
-
-__all__ = [
-    "CLASSICAL",
-    "TELCO_SCHEMA",
-    "BenchConfig",
-    "EncodingEntry",
-    "config_from_dict",
-    "config_to_dict",
-    "default_synthetic_dict",
-    "load_config",
-    "load_raw",
-    "synthetic_telco",
-    "COLUMNS",
-    "FORMATS",
-    "emit_report",
-    "write_report",
-    "DEFAULT_OUTPUT_DIR",
-    "ENV_OUTPUT_DIR",
-    "BenchRun",
-    "RunResult",
-    "config_hash",
-    "encode_split",
-    "load_dataset",
-    "load_results",
-    "persist_run",
-    "resolve_output_dir",
-    "run_matrix",
-    "split_checksum",
-]

@@ -41,6 +41,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -74,41 +80,35 @@ def _print_state(state, readout: str) -> None:
 
 def _cmd_encode(args) -> int:
     if args.text is not None:
-        states = enc.basis_encode_text(args.text)
-        for ch, state in zip(args.text, states):
+        for ch, state in zip(args.text, enc.basis_encode_text(args.text)):
             print(f"char {ch!r} (code {ord(ch)}):")
-            _print_state(state, args.readout or "probability_vector")
+            _print_state(state, args.readout or enc.default_readout(enc.BASIS))
         return EXIT_OK
 
     if args.scheme == "basis":
         if args.bits is None:
             raise ConfigError("basis encoding needs --bits or --text")
         state = enc.basis_encode(_parse_bits(args.bits))
-        readout = args.readout or enc.default_readout("basis")
     elif args.scheme == "superposition":
         if not args.strings:
             raise ConfigError("superposition encoding needs --strings")
         state = enc.superposition_encode(args.strings.split(","))
-        readout = args.readout or "probability_vector"
     elif args.scheme == "angle":
         if args.vector is None:
             raise ConfigError("angle encoding needs --vector")
         values = _parse_floats(args.vector)
         if args.degrees:
-            values = list(np.radians(values))
-            scheme = enc.angle_scheme(args.axis, "raw", args.readout)
-        else:
-            scheme = enc.angle_scheme(args.axis, args.map, args.readout)
+            values, args.map = list(np.radians(values)), enc.RAW
+        given = {"axis": args.axis, "angle_map": args.map}
+        scheme = enc.angle_scheme(**{k: v for k, v in given.items() if v is not None})
         state = enc.angle_encode(values, scheme)
-        readout = scheme.readout
     elif args.scheme == "amplitude":
         if args.vector is None:
             raise ConfigError("amplitude encoding needs --vector")
         state = enc.amplitude_encode(_parse_floats(args.vector))
-        readout = args.readout or enc.default_readout("amplitude")
     else:
         raise ConfigError(f"unknown scheme {args.scheme!r}")
-    _print_state(state, readout)
+    _print_state(state, args.readout or enc.default_readout(args.scheme))
     return EXIT_OK
 
 
@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--bits", help="bitstring such as 101")
     p_enc.add_argument("--strings", help="comma-separated bitstrings to superpose")
     p_enc.add_argument("--text", help="ASCII text, one 7-qubit state per character")
-    p_enc.add_argument("--axis", default="X", choices=("X", "Y", "Z"))
-    p_enc.add_argument("--map", default="linear_pi", choices=("linear_pi", "raw"),
+    p_enc.add_argument("--axis", choices=("X", "Y", "Z"))
+    p_enc.add_argument("--map", choices=("linear_pi", "raw"),
                        help="angle map for --scheme angle")
     p_enc.add_argument("--degrees", action="store_true",
                        help="treat --vector entries as rotation angles in degrees")
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int)
     p_bench.add_argument("--out")
     p_bench.add_argument("--format", default="csv", choices=report_mod.FORMATS)
-    p_bench.add_argument("--repeat", type=int, default=1,
+    p_bench.add_argument("--repeat", type=_positive_int, default=1,
                          help="rerun the matrix n times, report median timings")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -1,52 +1,52 @@
 """Benchmark configuration: JSON schema, validation, canonical echo.
 
-One JSON file drives a full reproduction: dataset (CSV path or synthetic
-fallback), preprocessing switches, the encoding list (plus the literal
-"classical" baseline) and the model list.  Any invalid field surfaces as
-ConfigError so the CLI can map it to exit code 1.
+One JSON file drives a full reproduction: dataset, preprocessing, encodings
+(plus the "classical" baseline) and models.  Each section takes its keys and
+defaults from the record that owns it (`PreprocessOptions`, the `*_scheme`
+builders, `DEFAULT_PARAMS`, `ColumnSpec`); the echo reads those records back.
+An unknown key, a value without its default's JSON type, or one the owner
+rejects raises ConfigError naming the key path (exit 1 in the CLI).
 """
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
-from ..encoding import (
-    ANGLE,
-    BASIS,
-    KINDS,
-    EncodingScheme,
-    default_readout,
-)
+from ..encoding import AMPLITUDE, ANGLE, BASIS, EncodingScheme
+from ..encoding import amplitude_scheme, angle_scheme, basis_scheme
 from ..errors import ConfigError, QembedError
-from ..models import ModelSpec
-from ..pipeline import CATEGORICAL, COLUMN_KINDS, ColumnSpec, PreprocessOptions
+from ..models import DEFAULT_PARAMS, ModelSpec
+from ..pipeline import CATEGORICAL, ID, NUMERIC, TARGET, ColumnSpec, PreprocessOptions
 
-# Column layout of the public churn CSV; also the synthetic fallback's layout.
-TELCO_SCHEMA: tuple[ColumnSpec, ...] = (
-    ColumnSpec("customerID", "id"),
-    ColumnSpec("gender", CATEGORICAL),
-    ColumnSpec("SeniorCitizen", "numeric"),
-    ColumnSpec("Partner", CATEGORICAL),
-    ColumnSpec("Dependents", CATEGORICAL),
-    ColumnSpec("tenure", "numeric"),
-    ColumnSpec("PhoneService", CATEGORICAL),
-    ColumnSpec("MultipleLines", CATEGORICAL),
-    ColumnSpec("InternetService", CATEGORICAL),
-    ColumnSpec("OnlineSecurity", CATEGORICAL),
-    ColumnSpec("OnlineBackup", CATEGORICAL),
-    ColumnSpec("DeviceProtection", CATEGORICAL),
-    ColumnSpec("TechSupport", CATEGORICAL),
-    ColumnSpec("StreamingTV", CATEGORICAL),
-    ColumnSpec("StreamingMovies", CATEGORICAL),
-    ColumnSpec("Contract", CATEGORICAL),
-    ColumnSpec("PaperlessBilling", CATEGORICAL),
-    ColumnSpec("PaymentMethod", CATEGORICAL),
-    ColumnSpec("MonthlyCharges", "numeric"),
-    ColumnSpec("TotalCharges", "numeric"),
-    ColumnSpec("Churn", "target"),
+# Column layout of the public churn CSV and the synthetic fallback; a column
+# without an entry in _TELCO_KINDS is categorical.
+_TELCO_KINDS = {"customerID": ID, "SeniorCitizen": NUMERIC, "tenure": NUMERIC,
+                "MonthlyCharges": NUMERIC, "TotalCharges": NUMERIC, "Churn": TARGET}
+TELCO_SCHEMA: tuple[ColumnSpec, ...] = tuple(
+    ColumnSpec(name, _TELCO_KINDS.get(name, CATEGORICAL)) for name in (
+        "customerID gender SeniorCitizen Partner Dependents tenure PhoneService "
+        "MultipleLines InternetService OnlineSecurity OnlineBackup DeviceProtection "
+        "TechSupport StreamingTV StreamingMovies Contract PaperlessBilling "
+        "PaymentMethod MonthlyCharges TotalCharges Churn"
+    ).split()
 )
 
 CLASSICAL = "classical"
+SCHEME_BUILDERS = {BASIS: basis_scheme, ANGLE: angle_scheme, AMPLITUDE: amplitude_scheme}
+
+NULL, NUMBER = type(None), (int, float)
+_TYPE_NAMES = {bool: "true or false", str: "a string", list: "a list",
+               dict: "an object", int: "a number", NULL: "null"}
+# JSON types of the keys no library record owns.
+_TOP_KEYS = {"dataset": (dict,), "seed": NUMBER, "preprocess": (dict,),
+             "encodings": (list,), "models": (list,), "output_dir": (str, NULL)}
+_DATASET_KEYS = {"path": (str, NULL), "synthetic_rows": NUMBER, "schema": (list,)}
+_ENTRY_KEYS = {"kind": (str,), "name": (str,)}
+_MODEL_KEYS = {"kind": (str,), "seed": NUMBER, "params": (dict,)}
+# The preprocess seed is the config's top-level one.
+_PREPROCESS_FIELDS = {f.name: f for f in fields(PreprocessOptions) if f.name != "seed"}
 
 
 @dataclass(frozen=True)
@@ -78,40 +78,41 @@ class BenchConfig:
             raise ConfigError(f"duplicate encoding names: {names}")
 
 
-def _parse_schema(items) -> tuple[ColumnSpec, ...]:
-    specs = []
-    for item in items:
-        kind = item["kind"]
-        if kind not in COLUMN_KINDS:
-            raise ConfigError(f"unknown column kind {kind!r}")
-        specs.append(ColumnSpec(item["name"], kind))
-    return tuple(specs)
+def _json_types(default, annotation="") -> tuple[type, ...]:
+    """JSON types a key takes: its default's, and null where the default is an
+    integer or null, the owner saying if null means anything there (`max_depth`
+    yes, `n_trees` no).  A null default takes its annotation's type (`readout`)."""
+    if isinstance(default, (bool, str)):
+        return (type(default),)
+    if isinstance(default, tuple):
+        return (list,)
+    if default is None and str(annotation).startswith("str"):
+        return (str, NULL)
+    return NUMBER if isinstance(default, float) else NUMBER + (NULL,)
 
 
-def _parse_encoding(obj: dict) -> EncodingEntry:
-    kind = obj.get("kind")
-    if kind == CLASSICAL:
-        return EncodingEntry(obj.get("name", CLASSICAL), None)
-    if kind not in KINDS:
-        raise ConfigError(f"unknown encoding kind {kind!r}")
-    if kind == "superposition":
-        raise ConfigError(
-            "superposition has no per-sample form and cannot be benchmarked; "
-            "use the encode command instead"
-        )
-    kwargs: dict = {"readout": obj.get("readout") or default_readout(kind)}
-    if kind == ANGLE:
-        kwargs["axis"] = obj.get("axis", "X")
-        kwargs["angle_map"] = obj.get("angle_map", "linear_pi")
-        if kwargs["axis"] == "Z":
-            raise ConfigError(
-                "angle axis Z prepares |0...0> up to a global phase for every "
-                "row, so its features carry no information; use X or Y"
-            )
-    if kind == BASIS:
-        kwargs["bits_per_feature"] = obj.get("bits_per_feature", 4)
-    scheme = EncodingScheme(kind, **kwargs)
-    return EncodingEntry(obj.get("name", kind), scheme)
+def _typed(obj, types: dict, path: str) -> dict:
+    """obj, once every key is declared in `types` and every value has its type."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'a config'} must be a JSON object, got {obj!r}")
+    for key, value in obj.items():
+        where = f"{path}.{key}" if path else key
+        if key not in types:
+            raise ConfigError(f"unknown key {where}")
+        want = types[key]
+        if (not isinstance(value, want) or (isinstance(value, bool) and bool not in want)
+                or (isinstance(value, float) and not math.isfinite(value))):  # NaN, Infinity
+            names = " or ".join(_TYPE_NAMES[t] for t in want if t is not float)
+            raise ConfigError(f"{where} must be {names}, got {value!r}")
+    return obj
+
+
+def _build(owner, kwargs, path: str):
+    """owner(**kwargs), with a value the owner rejects reported under path."""
+    try:
+        return owner(**kwargs)
+    except (TypeError, ValueError, QembedError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _int_field(value, name: str, minimum: int) -> int:
@@ -121,91 +122,82 @@ def _int_field(value, name: str, minimum: int) -> int:
     return value
 
 
-def _parse_model(obj: dict, default_seed: int) -> ModelSpec:
-    return ModelSpec(
-        obj.get("kind", ""),
-        seed=_int_field(obj.get("seed", default_seed), "models[].seed", 0),
-        params=dict(obj.get("params", {})),
-    )
+def _parse_preprocess(obj, seed: int) -> PreprocessOptions:
+    types = {k: _json_types(f.default, f.type) for k, f in _PREPROCESS_FIELDS.items()}
+    kwargs = dict(_typed(obj, types, "preprocess"), seed=seed)
+    if kwargs.get("n_components") is not None:
+        _int_field(kwargs["n_components"], "preprocess.n_components", 1)
+    for key in obj:
+        default = _PREPROCESS_FIELDS[key].default
+        if isinstance(default, (float, tuple)):  # 12 -> 12.0, a list -> a tuple
+            kwargs[key] = type(default)(kwargs[key])
+    return _build(PreprocessOptions, kwargs, "preprocess")
+
+
+def _parse_encoding(obj, path: str) -> EncodingEntry:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    builder = SCHEME_BUILDERS.get(kind) if isinstance(kind, str) else None
+    if builder is None and kind != CLASSICAL:  # superposition has no per-sample form
+        raise ConfigError(f"{path}.kind: {kind!r} is not one of "
+                          f"{[CLASSICAL, *SCHEME_BUILDERS]}; try the encode command")
+    params = inspect.signature(builder).parameters.values() if builder else ()
+    types = dict(_ENTRY_KEYS, **{p.name: _json_types(p.default, p.annotation) for p in params})
+    kwargs = dict(_typed(obj, types, path))
+    name = kwargs.pop("name", kwargs.pop("kind"))
+    if kwargs.get("axis") == "Z":
+        raise ConfigError(f"{path}.axis: Z prepares |0...0> up to a global phase for "
+                          "every row, so its features carry no information; use X or Y")
+    return EncodingEntry(name, _build(builder, kwargs, path) if builder else None)
+
+
+def _parse_model(obj, path: str, default_seed: int) -> ModelSpec:
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in DEFAULT_PARAMS:
+        raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
+    kwargs = dict(_typed(obj, _MODEL_KEYS, path))
+    types = {k: _json_types(v) for k, v in DEFAULT_PARAMS[kind].items()}
+    _typed(kwargs.get("params", {}), types, f"{path}.params")
+    kwargs["seed"] = _int_field(kwargs.get("seed", default_seed), f"{path}.seed", 0)
+    return _build(ModelSpec, kwargs, path)
 
 
 def config_from_dict(raw: dict) -> BenchConfig:
     """Build and validate a BenchConfig; all failures raise ConfigError."""
-    try:
-        dataset = raw.get("dataset", {})
-        seed = _int_field(raw.get("seed", 0), "seed", 0)
-        pre_raw = dict(raw.get("preprocess", {}))
-        n_components = pre_raw.get("n_components")
-        if n_components is not None:
-            _int_field(n_components, "preprocess.n_components", 1)
-        preprocess = PreprocessOptions(
-            corr_threshold=float(pre_raw.get("corr_threshold", 0.8)),
-            vif_threshold=float(pre_raw.get("vif_threshold", 12.0)),
-            extra_drops=tuple(pre_raw.get("extra_drops", ())),
-            standardize=bool(pre_raw.get("standardize", True)),
-            split_ratio=float(pre_raw.get("split_ratio", 0.8)),
-            seed=seed,
-            n_components=n_components,
-        )
-        if not 0 < preprocess.split_ratio < 1:
-            raise ConfigError("split_ratio must be in (0, 1)")
-        if preprocess.corr_threshold <= 0 or preprocess.corr_threshold > 1:
-            raise ConfigError("corr_threshold must be in (0, 1]")
-        if preprocess.vif_threshold <= 1:
-            raise ConfigError("vif_threshold must exceed 1")
-        schema = (
-            _parse_schema(dataset["schema"]) if "schema" in dataset else TELCO_SCHEMA
-        )
-        encodings = tuple(_parse_encoding(e) for e in raw.get("encodings", ()))
-        model_specs = tuple(_parse_model(m, seed) for m in raw.get("models", ()))
-        return BenchConfig(
-            dataset_path=dataset.get("path"),
-            schema=schema,
-            synthetic_rows=_int_field(
-                dataset.get("synthetic_rows", 500), "dataset.synthetic_rows", 1
-            ),
-            preprocess=preprocess,
-            seed=seed,
-            encodings=encodings,
-            models=model_specs,
-            output_dir=raw.get("output_dir"),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, QembedError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    raw = _typed(raw, _TOP_KEYS, "")
+    seed = _int_field(raw.get("seed", 0), "seed", 0)
+    dataset = _typed(raw.get("dataset", {}), _DATASET_KEYS, "dataset")
+    schema = [_build(ColumnSpec, c, f"dataset.schema[{i}]")
+              for i, c in enumerate(dataset.get("schema", ()))]
+    encodings = [_parse_encoding(e, f"encodings[{i}]")
+                 for i, e in enumerate(raw.get("encodings", ()))]
+    models = [_parse_model(m, f"models[{i}]", seed) for i, m in enumerate(raw.get("models", ()))]
+    return BenchConfig(
+        dataset_path=dataset.get("path"),
+        schema=tuple(schema) if "schema" in dataset else TELCO_SCHEMA,
+        synthetic_rows=_int_field(dataset.get("synthetic_rows", 500), "dataset.synthetic_rows", 1),
+        preprocess=_parse_preprocess(raw.get("preprocess", {}), seed),
+        seed=seed,
+        encodings=tuple(encodings),
+        models=tuple(models),
+        output_dir=raw.get("output_dir"),
+    )
 
 
 def config_to_dict(cfg: BenchConfig) -> dict:
-    """Canonical JSON-safe echo of a config (used for hashing and manifests)."""
-    encodings = []
-    for entry in cfg.encodings:
-        if entry.scheme is None:
-            encodings.append({"kind": CLASSICAL, "name": entry.name})
-            continue
-        s = entry.scheme
-        obj = {"kind": s.kind, "name": entry.name, "readout": s.readout}
-        if s.kind == ANGLE:
-            obj["axis"] = s.axis
-            obj["angle_map"] = s.angle_map
-        if s.kind == BASIS:
-            obj["bits_per_feature"] = s.bits_per_feature
-        encodings.append(obj)
+    """Canonical JSON-safe echo of a config (used for hashing and manifests),
+    read back from the records the parse filled."""
+    preprocess = {**asdict(cfg.preprocess), "extra_drops": list(cfg.preprocess.extra_drops)}
+    del preprocess["seed"]
+    encodings = [
+        {"kind": CLASSICAL, "name": e.name} if e.scheme is None else
+        {**{k: v for k, v in asdict(e.scheme).items() if v is not None}, "name": e.name}
+        for e in cfg.encodings
+    ]
     return {
-        "dataset": {
-            "path": cfg.dataset_path,
-            "synthetic_rows": cfg.synthetic_rows,
-            "schema": [{"name": c.name, "kind": c.kind} for c in cfg.schema],
-        },
+        "dataset": {"path": cfg.dataset_path, "synthetic_rows": cfg.synthetic_rows,
+                    "schema": [asdict(c) for c in cfg.schema]},
         "seed": cfg.seed,
-        "preprocess": {
-            "corr_threshold": cfg.preprocess.corr_threshold,
-            "vif_threshold": cfg.preprocess.vif_threshold,
-            "extra_drops": list(cfg.preprocess.extra_drops),
-            "standardize": cfg.preprocess.standardize,
-            "split_ratio": cfg.preprocess.split_ratio,
-            "n_components": cfg.preprocess.n_components,
-        },
+        "preprocess": preprocess,
         "encodings": encodings,
         "models": [m.to_dict() for m in cfg.models],
         "output_dir": cfg.output_dir,
@@ -231,27 +223,3 @@ def load_raw(path) -> dict:
 
 def load_config(path) -> BenchConfig:
     return config_from_dict(load_raw(path))
-
-
-def default_synthetic_dict(seed: int = 0) -> dict:
-    """Bundled fallback: 500 synthetic rows, all four encodings, all seven models."""
-    return {
-        "dataset": {"path": None, "synthetic_rows": 500},
-        "seed": seed,
-        "preprocess": {"n_components": 12, "extra_drops": []},
-        "encodings": [
-            {"kind": "classical"},
-            {"kind": "basis", "bits_per_feature": 1, "readout": "z_expectations"},
-            {"kind": "angle", "axis": "X", "angle_map": "linear_pi"},
-            {"kind": "amplitude"},
-        ],
-        "models": [
-            {"kind": "logreg"},
-            {"kind": "knn"},
-            {"kind": "svm"},
-            {"kind": "tree"},
-            {"kind": "forest"},
-            {"kind": "adaboost"},
-            {"kind": "gbt"},
-        ],
-    }

@@ -265,4 +265,6 @@ def load_results(path) -> list[dict]:
     """Read back the combined results file for re-rendering."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not (isinstance(payload, dict) and isinstance(payload.get("results"), list)):
+        raise ValueError(f"{path} is not a results file: no \"results\" list")
     return payload["results"]

@@ -89,7 +89,8 @@ class EncodingScheme:
         elif self.axis is not None or self.angle_map is not None:
             raise InvalidScheme("axis/angle_map are angle-encoding parameters")
         if self.kind == BASIS:
-            if not isinstance(self.bits_per_feature, int) or self.bits_per_feature < 1:
+            bits = self.bits_per_feature
+            if isinstance(bits, bool) or not isinstance(bits, int) or bits < 1:
                 raise InvalidScheme("bits_per_feature must be a count >= 1")
         elif self.bits_per_feature is not None:
             raise InvalidScheme("bits_per_feature is a basis-encoding parameter")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidHyperparameter, LengthMismatch
+from .neighbors import sq_distances
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 
@@ -57,12 +58,7 @@ def gram(kernel: KernelFn, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return (g * (A @ B.T) + kernel.coef0) ** kernel.degree
     if kernel.kind == "sigmoid":
         return np.tanh(g * (A @ B.T) + kernel.coef0)
-    sq = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(B**2, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    return np.exp(-g * np.maximum(sq, 0.0))
+    return np.exp(-g * np.maximum(sq_distances(A, B), 0.0))
 
 
 def fit_smo(

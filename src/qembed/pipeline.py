@@ -43,6 +43,8 @@ class ColumnSpec:
     kind: str
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"column name must be a string, got {self.name!r}")
         if self.kind not in COLUMN_KINDS:
             raise ValueError(f"unknown column kind {self.kind!r}")
 
@@ -411,11 +413,15 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray
     explained_variance_ratio: np.ndarray
-    rank_deficient: bool
+    rank: int  # numerical rank of the centered matrix
 
     @property
     def n_components(self) -> int:
         return self.components.shape[0]
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.n_components > self.rank
 
 
 def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
@@ -441,7 +447,7 @@ def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
         if row[pivot] < 0:
             row *= -1
     rank = int(np.sum(sing > sing[0] * max(m, d) * np.finfo(float).eps)) if sing.size else 0
-    return PcaModel(mean, components, ratios, rank_deficient=k > rank)
+    return PcaModel(mean, components, ratios, rank)
 
 
 def pca_transform(model: PcaModel, matrix: FeatureMatrix) -> FeatureMatrix:
@@ -491,6 +497,16 @@ class PreprocessOptions:
     split_ratio: float = 0.8
     seed: int = 0
     n_components: int | None = None  # None: pick by elbow
+
+    def __post_init__(self):
+        if not 0 < self.split_ratio < 1:
+            raise ValueError("split_ratio must be in (0, 1)")
+        if not 0 < self.corr_threshold <= 1:
+            raise ValueError("corr_threshold must be in (0, 1]")
+        if not self.vif_threshold > 1:
+            raise ValueError("vif_threshold must exceed 1")
+        if not all(isinstance(name, str) for name in self.extra_drops):
+            raise ValueError(f"extra_drops must list column names, got {self.extra_drops!r}")
 
 
 @dataclass
@@ -598,7 +614,9 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
         np.cumsum(full.explained_variance_ratio)[elbow]
     )
     k = options.n_components if options.n_components is not None else max(elbow, 1)
-    model = pca_fit(matrix, k)
+    if not 1 <= k <= full.n_components:
+        raise ValueError(f"n_components={k} outside [1, {full.n_components}]")
+    model = dataclasses.replace(full, components=full.components[:k])  # same SVD
     report.n_components = k
     if model.rank_deficient:
         report.notes.append("requested components exceed numerical rank")

@@ -17,7 +17,7 @@ import pytest
 from qembed import encoding as enc
 from qembed import metrics as mt
 from qembed import models, qsim
-from qembed.bench import config_from_dict, default_synthetic_dict, run_matrix
+from qembed.bench import config_from_dict, load_config, run_matrix
 from qembed.bench.config import TELCO_SCHEMA
 from qembed.models import ModelSpec
 from qembed.models.linear import log_loss_gradient, log_loss_l2
@@ -36,7 +36,8 @@ from qembed.pipeline import (
 )
 
 TELCO_ENV = "QEMBED_TELCO"
-_DEFAULT_TELCO = Path(__file__).resolve().parent.parent / "data" / "telco.csv"
+_ROOT = Path(__file__).resolve().parent.parent
+_DEFAULT_TELCO = _ROOT / "data" / "telco.csv"
 
 
 def _telco_path() -> Path:
@@ -431,7 +432,7 @@ def test_criterion_09_metrics_oracles():
 
 def test_criterion_10_full_benchmark_matrix():
     t0 = time.perf_counter()
-    config = config_from_dict(default_synthetic_dict())
+    config = load_config(_ROOT / "configs" / "synthetic.json")
     run = run_matrix(config)
 
     assert len(run.results) == 28

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,44 @@ def small_config(**overrides):
     }
     raw.update(overrides)
     return config.config_from_dict(raw)
+
+
+def synthetic_raw_with(path: str, value) -> dict:
+    """configs/synthetic.json as a dict, its SVM polynomial (so coef0 and
+    degree are live), with `value` set at a key path such as
+    models[4].params.bootstrap."""
+    raw = json.loads((CONFIGS / "synthetic.json").read_text())
+    raw["models"][2]["params"] = {"kernel": "polynomial"}
+    *parents, last = re.findall(r"\w+|\[\d+\]", path)
+    node = raw
+    for step in parents:
+        node = node[int(step[1:-1])] if step[0] == "[" else node.setdefault(step, {})
+    node[int(last[1:-1]) if last[0] == "[" else last] = value
+    return raw
+
+
+# Each was accepted once: run as something else, echoed as given, or failed
+# mid-matrix. Encodings: classical, basis, angle, amplitude; models: logreg,
+# knn, svm, tree, forest, adaboost, gbt.
+MALFORMED = [
+    ("preprocess.standardize", "false"),
+    ("preprocess.corr_threshold", True),
+    ("preprocess.split_ratio", "0.5"),
+    ("preprocess.n_component", 6),
+    ("preprocess.extra_drops", "tenure"),
+    ("encodings[1].bits", 2),
+    ("encodings[1].bits_per_feature", True),
+    ("encodings[3].axis", "X"),
+    ("encodings[0].readout", "z_expectations"),
+    ("models[0].param", {"max_iter": 50}),
+    ("models[4].params.bootstrap", "no"),
+    ("models[6].params.lr", True),
+    ("models[2].params.coef0", "a"),
+    ("models[2].params.degree", True),
+    ("models[4].params.feature_fraction", True),
+    ("seeds", 3),
+    ("dataset.rows", 100),
+]
 
 
 class TestConfig:
@@ -122,8 +161,48 @@ class TestConfig:
     @pytest.mark.parametrize("seed", [-1, True, 2.5])
     def test_bad_model_seed_rejected(self, seed):
         # caught here, not later in the forest's rng, which aborts the whole matrix
-        with pytest.raises(ConfigError, match=r"models\[\]\.seed"):
+        with pytest.raises(ConfigError, match=r"models\[0\]\.seed"):
             small_config(models=[{"kind": "forest", "seed": seed}])
+
+    @pytest.mark.parametrize("path, value", MALFORMED)
+    def test_malformed_input_rejected_by_key_path(self, path, value):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            config.config_from_dict(synthetic_raw_with(path, value))
+
+    @pytest.mark.parametrize("path, value, named", [
+        ("preprocess.vif_threshold", float("inf"), "preprocess.vif_threshold"),
+        ("models[0].params.l2", float("nan"), "models[0].params.l2"),
+        ("preprocess.extra_drops", [3], "preprocess: extra_drops"),
+        ("models[4].params.n_trees", None, "models[4]: n_trees"),
+        ("dataset.schema", [{"name": 3, "kind": "numeric"}], "dataset.schema[0]"),
+        ("encodings[1]", "basis", "encodings[1]"),
+    ])
+    def test_owner_and_entry_rejections_named(self, path, value, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            config.config_from_dict(synthetic_raw_with(path, value))
+
+    def test_valid_variants_accepted(self):
+        raw = synthetic_raw_with("models[3].params.max_depth", None)
+        raw["models"][2]["params"] = {"C": 2}
+        raw["preprocess"]["vif_threshold"] = 12
+        raw["encodings"][3]["readout"] = None
+        cfg = config.config_from_dict(raw)
+        assert cfg.models[3].params["max_depth"] is None
+        assert cfg.models[2].params["C"] == 2
+        assert isinstance(cfg.models[2].params["C"], int)  # params are not widened
+        assert cfg.preprocess.vif_threshold == 12.0
+        assert isinstance(cfg.preprocess.vif_threshold, float)
+        assert cfg.encodings[3].scheme.readout == "probability_vector"
+
+    @pytest.mark.parametrize("name, digest", [
+        ("synthetic.json",
+         "0e6760cd7a2bd82595a6ade5e58824fad239d2a4d404b6ec813ad513721b74a4"),
+        ("telco.json",
+         "c2c3cc4908e153e79152f33bdedf031d42cb2274cfd1a42773d507bd82e34d27"),
+    ])
+    def test_shipped_config_hash_pinned(self, name, digest):
+        # a results.json records this hash; a changed echo breaks its re-run
+        assert runner.config_hash(config.load_config(CONFIGS / name)) == digest
 
     def test_roundtrip_hash_stable(self):
         cfg = small_config()
@@ -550,6 +629,13 @@ class TestCli:
                          "--out", str(tmp_path / "pre")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_too_many_components_is_data_error(self, tmp_path, capsys):
+        # the bound depends on the data's rows and one-hot columns
+        cfg_path = self.write_config(tmp_path, preprocess={"n_components": 500})
+        assert cli.main(["preprocess", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "pre")]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_bench_unparsable_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         header = ",".join(c.name for c in config.TELCO_SCHEMA)
@@ -572,6 +658,32 @@ class TestCli:
         payload = json.loads((out_dir / "preprocess.json").read_text())
         assert payload["n_components"] == 6
         assert payload["train_rows"] > payload["test_rows"] > 0
+
+    @pytest.mark.parametrize("path, value", MALFORMED)
+    def test_malformed_config_exits_one(self, tmp_path, capsys, path, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(synthetic_raw_with(path, value)))
+        assert cli.main(["bench", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_bench_repeat_below_one_is_usage_error(self, tmp_path, capsys, repeat):
+        cfg_path = self.write_config(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bench", "--config", str(cfg_path), "--repeat", repeat])
+        assert err.value.code == 1
+        assert "--repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", ["config", "array"])
+    def test_report_on_non_results_file_is_data_error(self, tmp_path, capsys, payload):
+        path = CONFIGS / "synthetic.json"
+        if payload == "array":
+            path = tmp_path / "array.json"
+            path.write_text("[1, 2, 3]")
+        assert cli.main(["report", "--results", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err
 
     def test_report_missing_results_is_data_error(self, tmp_path, capsys):
         assert cli.main(["report", "--results",

@@ -286,6 +286,8 @@ class TestSchemeValidation:
             enc.angle_scheme(angle_map="quadratic")
         with pytest.raises(InvalidScheme):
             enc.basis_scheme(bits_per_feature=0)
+        with pytest.raises(InvalidScheme):  # True is an int to isinstance
+            enc.basis_scheme(bits_per_feature=True)
 
 
 class TestQuantizer:
