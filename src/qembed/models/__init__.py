@@ -10,6 +10,7 @@ through a JSON-safe dict.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,41 +55,35 @@ DEFAULT_PARAMS: dict[str, dict] = {
 }
 
 
-def _positive_int(value, what: str, allow_none=False) -> None:
-    if allow_none and value is None:
-        return
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise InvalidHyperparameter(f"{what} must be an integer >= 1")
+def _real(test):
+    return lambda v: isinstance(v, (int, float, np.integer, np.floating)) \
+        and not isinstance(v, bool) and math.isfinite(v) and test(v)
+
+
+_INT = ("an integer >= 1", lambda v: isinstance(v, (int, np.integer))
+        and not isinstance(v, bool) and v >= 1)
+_POSITIVE = ("a finite real number > 0", _real(lambda v: v > 0))
+# What each hyperparameter must be, and the test; the same key means the
+# same in every kind.  KernelFn checks the kernel and its degree.
+_RULES = {
+    "l2": ("a finite real number >= 0", _real(lambda v: v >= 0)),
+    "C": _POSITIVE, "gamma": _POSITIVE, "tol": _POSITIVE, "lr": _POSITIVE,
+    "coef0": ("a finite real number", _real(lambda v: True)),
+    "feature_fraction": ("a finite real number in (0, 1]", _real(lambda v: 0 < v <= 1)),
+    "max_iter": _INT, "k": _INT, "max_depth": _INT, "min_leaf": _INT,
+    "n_trees": _INT, "n_rounds": _INT,
+}
+_NULLABLE = ("gamma", "feature_fraction", "max_depth")
 
 
 def _validate_params(kind: str, p: dict) -> None:
-    if kind == "logreg":
-        if p["l2"] < 0:
-            raise InvalidHyperparameter("l2 must be nonnegative")
-        _positive_int(p["max_iter"], "max_iter")
-    elif kind == "knn":
-        _positive_int(p["k"], "k")
-    elif kind == "svm":
-        if not p["C"] > 0:
-            raise InvalidHyperparameter("C must be positive")
+    for key, value in p.items():
+        if key in _RULES and not (value is None and key in _NULLABLE):
+            what, ok = _RULES[key]
+            if not ok(value):
+                raise InvalidHyperparameter(f"{key} must be {what}")
+    if kind == "svm":
         KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"])
-        if not p["tol"] > 0:
-            raise InvalidHyperparameter("tol must be positive")
-        _positive_int(p["max_iter"], "max_iter")
-    elif kind in ("tree", "forest", "gbt"):
-        _positive_int(p["max_depth"], "max_depth", allow_none=True)
-        _positive_int(p["min_leaf"], "min_leaf")
-        if kind == "forest":
-            _positive_int(p["n_trees"], "n_trees")
-            frac = p["feature_fraction"]
-            if frac is not None and not 0 < frac <= 1:
-                raise InvalidHyperparameter("feature_fraction must be in (0, 1]")
-        if kind == "gbt":
-            _positive_int(p["n_rounds"], "n_rounds")
-            if not p["lr"] > 0:
-                raise InvalidHyperparameter("lr must be positive")
-    elif kind == "adaboost":
-        _positive_int(p["n_rounds"], "n_rounds")
 
 
 @dataclass(frozen=True)
@@ -244,11 +239,10 @@ def _fit_tree(p, seed, data, y):
 
 
 def _fit_forest(p, seed, data, y):
-    state = ensemble.fit_forest(
-        data, y, p["n_trees"], p["feature_fraction"], p["max_depth"],
-        p["min_leaf"], p["bootstrap"], np.random.default_rng(seed),
-    )
-    return TrainMeta(len(state["trees"])), state
+    trees = tree.grow_forest(data, y, p["n_trees"], p["feature_fraction"], p["max_depth"],
+                             p["min_leaf"], p["bootstrap"], np.random.default_rng(seed))
+    n = len(trees)
+    return TrainMeta(n), {"trees": trees, "weights": np.ones(n), "offset": 0.0, "scale": n}
 
 
 def _fit_adaboost(p, seed, data, y):

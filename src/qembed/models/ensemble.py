@@ -1,9 +1,9 @@
-"""Tree ensembles: bagged forest, SAMME AdaBoost on stumps, gradient boosting.
+"""Tree ensembles: SAMME AdaBoost on stumps, gradient boosting.
 
 Each fit returns a tree-sum state: `trees`, one weight per tree in
 `weights`, `offset` and `scale`, scored by `tree_sum` as
 (offset + sum_t weights[t] * trees[t].predict(X)) / scale.  gbt adds its
-training `losses`.  The single-tree model is the same state with one tree.
+training `losses`.  The single tree and the forest are the same state.
 """
 from __future__ import annotations
 
@@ -13,38 +13,6 @@ import numpy as np
 
 from .linear import sigmoid
 from .tree import Tree, grow_classifier, grow_regression, presort
-
-
-def fit_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_trees: int,
-    feature_fraction: float | None,
-    max_depth: int | None,
-    min_leaf: int,
-    bootstrap: bool,
-    rng: np.random.Generator,
-) -> dict:
-    """Bootstrap bagging with per-split feature subsampling.
-
-    The score is the mean of the trees' leaf probabilities: weights 1,
-    scale n_trees.  feature_fraction=None defaults to 1/sqrt(d).  With one
-    tree, full features and no bootstrap this reduces to the plain
-    classifier tree.
-    """
-    m, d = X.shape
-    frac = feature_fraction if feature_fraction is not None else 1.0 / math.sqrt(d)
-    n_sub = max(1, min(d, int(round(frac * d))))
-    trees = []
-    for _ in range(n_trees):
-        idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
-        trees.append(
-            grow_classifier(
-                X[idx], y[idx], max_depth=max_depth, min_leaf=min_leaf,
-                n_sub=n_sub, rng=rng,
-            )
-        )
-    return {"trees": trees, "weights": np.ones(n_trees), "offset": 0.0, "scale": n_trees}
 
 
 def fit_adaboost(X: np.ndarray, y: np.ndarray, n_rounds: int) -> dict:

@@ -1,32 +1,34 @@
 """CART-style binary trees: flat node arrays grown from presorted columns.
 
-One depth-first grower serves weighted Gini (tree, forest, AdaBoost) and
-the Newton gain on gradient/hessian sums (gbt).  A `Tree` is six arrays
-indexed by node id in preorder: split `feature` and `threshold`, child
-ids `left` and `right` (feature and ids -1 at leaves), `value`, row count `n`.
-
-`presort` sorts each column once, stably, into a (d + 1, m) int32 array
-whose last row is 0..m-1.  Each node owns one segment [lo, hi) of every
-row, and a split partitions the segment stably in place, left rows first.
-So at every node row j of the segment lists the node's rows by column j
-with ties in row order, exactly what a mergesort of the node's column
-gives, and the last row lists them in row order, so node totals add the
-same numbers in the same order as a per-node subset would.  A split whose
-children reach the depth limit partitions only that last row, since
-leaves need no more.
+A `Tree` is six arrays indexed by node id: split `feature` and `threshold`,
+child ids `left` and `right` (feature and ids -1 at leaves), `value`, row
+count `n`.  A depth-first grower serves weighted Gini (tree, AdaBoost) and
+the Newton gain on gradient/hessian sums (gbt).  `grow_forest` grows a
+forest's trees together, level by level: faster on many small trees, half
+as fast on one large tree.  Depth-first, `presort` sorts each column once,
+stably, into a (d + 1, m) int32 array whose last row is 0..m-1.  Each node
+owns one segment [lo, hi) of every row, and a split partitions the segment
+stably in place, left rows first.  So at every node row j of the segment
+lists the node's rows by column j with ties in row order, exactly what a
+mergesort of the node's column gives, and the last row lists them in row
+order, so node totals add the same numbers in the same order as a per-node
+subset would.  A split whose children reach the depth limit partitions
+only that last row, since leaves need no more.
 
 A node scores its candidate features in (features, rows) blocks of at
 most `_BLOCK` elements: prefix sums along the rows, the criterion at each
 cut, the best cut per feature.  The budget stops a wide node (thousands
 of rows by dozens of columns) from allocating several full-size float
-temporaries at once; partitions go in blocks of the same size.  Thresholds are midpoints between distinct
-neighbors, or the lower neighbor where the midpoint rounds up to the upper
-one (adjacent floats) or overflows, so both children keep rows.  A later
-feature wins only by more than `_EPS`, so ties break toward the lower
-feature, then the lower threshold.
+temporaries at once; partitions go in blocks of the same size.  In both
+growers thresholds are midpoints between distinct neighbors, or the lower
+neighbor where the midpoint rounds up to the upper one (adjacent floats)
+or overflows, so both children keep rows.  A later feature wins only by
+more than `_EPS`, so ties break toward the lower feature, then the lower
+threshold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,11 +38,14 @@ _EPS = 1e-12
 # Elements per (features x rows) block in the split search: a constant, so
 # memory per node is bounded whatever the data's width.
 _BLOCK = 1 << 13
+_RUN = 1 << 12  # elements per run of the level-wise search, ~100 bytes each
 
 
 @dataclass
 class Tree:
-    """Flat preorder tree; `left[i] == -1` marks node i as a leaf."""
+    """Flat tree, root at node 0; `left[i] == -1` marks node i as a leaf.
+    Forest trees number nodes in level order, others in preorder; `predict`,
+    `depth` and the records do not depend on the order."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -87,13 +92,20 @@ def presort(X: np.ndarray) -> np.ndarray:
     return order
 
 
-def _choose_features(d: int, n_sub: int | None, rng) -> np.ndarray:
-    if n_sub is None or n_sub >= d:
-        return np.arange(d)
-    return np.sort(rng.choice(d, size=n_sub, replace=False))
+def _gini(wl, pl, total_w, total_pos):
+    """Weighted Gini impurity after a cut with left weight wl and left label sum pl."""
+    ql, wr = pl / wl, total_w - wl
+    qr = (total_pos - pl) / wr
+    return (wl * (2 * ql * (1 - ql)) + wr * (2 * qr * (1 - qr))) / total_w
 
 
-def _best_split(X, seg, features, scores, totals, min_leaf, best):
+def _threshold(below, above):
+    """Midpoint of neighbors, or the lower one if it rounds up or overflows."""
+    mid = (below + above) / 2
+    return np.where(mid < above, mid, below)
+
+
+def _best_split(X, seg, scores, totals, min_leaf, best):
     """Best (feature, threshold) whose score beats `best` by more than _EPS.
 
     Cut i puts sorted positions 0..i on the left; only cuts that leave
@@ -103,8 +115,8 @@ def _best_split(X, seg, features, scores, totals, min_leaf, best):
     cuts = slice(min_leaf - 1, n - min_leaf)
     step = max(1, _BLOCK // n)
     best_j, best_thr = -1, 0.0
-    for start in range(0, features.size, step):
-        block = features[start:start + step]
+    for start in range(0, X.shape[1], step):
+        block = np.arange(start, min(start + step, X.shape[1]))
         sorted_rows = seg[block]
         sc = X[sorted_rows, block[:, None]]
         below, above = sc[:, cuts], sc[:, min_leaf:n - min_leaf + 1]
@@ -115,9 +127,8 @@ def _best_split(X, seg, features, scores, totals, min_leaf, best):
                 best, won = s, r
         if won >= 0:
             cut = score[won].argmin()  # the first, lowest-threshold cut of the best
-            lo, hi = float(below[won, cut]), float(above[won, cut])
-            mid = (lo + hi) / 2  # rounds up to hi for adjacent floats, or overflows
-            best_j, best_thr = int(block[won]), mid if mid < hi else lo
+            best_j = int(block[won])
+            best_thr = float(_threshold(below[won, cut], above[won, cut]))
     return best_j, best_thr
 
 
@@ -134,7 +145,7 @@ def _partition(seg, go_left, n_left):
         part[:, n_left:] = rights.reshape(part.shape[0], n - n_left)
 
 
-def _grow(X, node, scores, best0, max_depth, min_leaf, n_sub=None, rng=None, order=None):
+def _grow(X, node, scores, best0, max_depth, min_leaf, order=None):
     """Depth-first preorder growth: node(rows) gives (value, splittable, totals),
     scores(sorted_rows, cuts, totals) a score per cut (lower is better)."""
     m, d = X.shape
@@ -143,7 +154,7 @@ def _grow(X, node, scores, best0, max_depth, min_leaf, n_sub=None, rng=None, ord
     go_left = np.zeros(m, dtype=bool)
     nodes = []  # [feature, threshold, left, right, value, n] per node
     stack = [(0, m, 0, None, 2)]  # segment, depth, parent node, child slot
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while stack:
             lo, hi, depth, parent, slot = stack.pop()
             if parent is not None:
@@ -154,8 +165,7 @@ def _grow(X, node, scores, best0, max_depth, min_leaf, n_sub=None, rng=None, ord
             nodes.append(rec := [-1, 0.0, -1, -1, val, hi - lo])
             if not splittable or hi - lo < 2 * min_leaf or depth >= limit:
                 continue
-            features = _choose_features(d, n_sub, rng)
-            j, thr = _best_split(X, seg, features, scores, totals, min_leaf, best0)
+            j, thr = _best_split(X, seg, scores, totals, min_leaf, best0)
             if j < 0:
                 continue
             rec[:2] = j, thr
@@ -170,8 +180,7 @@ def _grow(X, node, scores, best0, max_depth, min_leaf, n_sub=None, rng=None, ord
 
 def grow_classifier(
     X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None,
-    max_depth: int | None = 8, min_leaf: int = 2, n_sub: int | None = None,
-    rng: np.random.Generator | None = None, order: np.ndarray | None = None,
+    max_depth: int | None = 8, min_leaf: int = 2, order: np.ndarray | None = None,
 ) -> Tree:
     """Weighted-Gini CART on binary labels; leaves hold P(class 1).
 
@@ -201,12 +210,10 @@ def grow_classifier(
             wl = np.arange(1.0, sorted_rows.shape[1])[cuts]
         else:
             wl = w.take(sorted_rows).cumsum(axis=1)[:, cuts]
-        wr, pr = total_w - wl, total_pos - pl
-        ql, qr = pl / wl, pr / wr
-        imp = (wl * (2 * ql * (1 - ql)) + wr * (2 * qr * (1 - qr))) / total_w
-        return imp if w is None else np.where((wl > 0) & (wr > 0), imp, np.inf)
+        imp = _gini(wl, pl, total_w, total_pos)
+        return imp if w is None else np.where((wl > 0) & (total_w - wl > 0), imp, np.inf)
 
-    return _grow(X, node, scores, np.inf, max_depth, min_leaf, n_sub, rng, order)
+    return _grow(X, node, scores, np.inf, max_depth, min_leaf, order)
 
 
 def grow_regression(
@@ -231,3 +238,134 @@ def grow_regression(
         return -(gl**2 / (hl + _EPS) + (total_g - gl) ** 2 / (total_h - hl + _EPS) - parent)
 
     return _grow(X, node, scores, -0.0, max_depth, min_leaf, order=order)
+
+
+def _runs(size, budget=_RUN):
+    """Slices of consecutive segments with at most budget elements, or one segment."""
+    ends, a = np.cumsum(size), 0
+    while a < size.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - size[a] + budget, side="right")))
+        yield slice(a, b)
+        a = b
+
+
+def _sorted(X, rank, idx, lo, size, j):
+    """Elements of segments idx[lo:lo + size], each segment ordered by column j:
+    their segment, place in idx and (row, column) index into X; segment offsets."""
+    offs = np.cumsum(size) - size
+    seg = np.repeat(np.arange(size.size), size)
+    at = np.arange(seg.size) + np.repeat(lo - offs, size)
+    flat = np.multiply(idx[at], X.shape[1], dtype=np.int64) + j[seg]
+    o = np.argsort(seg * X.shape[0] + rank.take(flat))
+    return seg, at[o], flat[o], offs
+
+
+def _pair_splits(X, y, rank, idx, cnt, lo, size, j, n, pos, min_leaf):
+    """`_best_split`'s cut for each (node, feature j) pair; the node owns in-bag
+    rows idx[lo:lo + size], count sum n, label sum pos.  Result rows: impurity
+    (inf: no cut), threshold, then the left side's count sum, label sum, rows."""
+    pair, at, flat, offs = _sorted(X, rank, idx, lo, size, j)
+    c, xs, rows = cnt[at], X.take(flat), flat // X.shape[1]
+    # count and label sums left of each cut: integers, exact in float64
+    last = offs[1:] - 1  # each pair's last element; no cut after it
+    wl, pl = np.cumsum(c, dtype=float), np.cumsum(c * y.take(rows), dtype=float)
+    wl -= np.repeat(np.concatenate([[0], wl[last]]), size)
+    pl -= np.repeat(np.concatenate([[0], pl[last]]), size)
+    del at, flat, rows, c
+    ok = (xs[1:] > xs[:-1]) & (wl[:-1] >= min_leaf) & (wl[:-1] <= (n - min_leaf)[pair[:-1]])
+    ok[last] = False
+    cut = np.flatnonzero(ok)
+    pair, wl, pl = pair[cut], wl[cut], pl[cut]
+    imp = _gini(wl, pl, n[pair], pos[pair])
+    has = np.bincount(pair, minlength=size.size)  # per pair the lowest impurity, first cut
+    out = np.zeros((5, size.size))
+    low = np.minimum.reduceat(np.append(imp, np.inf), np.cumsum(has) - has)
+    out[0] = np.where(has, low, np.inf)
+    hit = np.flatnonzero(imp == out[0, pair])
+    hit = hit[np.diff(pair[hit], prepend=-1) != 0]
+    won, cut = pair[hit], cut[hit]
+    out[1:, won] = _threshold(xs[cut], xs[cut + 1]), wl[hit], pl[hit], cut - offs[won] + 1
+    return out
+
+
+def grow_forest(
+    X: np.ndarray, y: np.ndarray, n_trees: int, feature_fraction: float | None,
+    max_depth: int | None, min_leaf: int, bootstrap: bool, rng: np.random.Generator,
+) -> list[Tree]:
+    """Bagged Gini CART trees, all grown together level by level from bootstrap counts.
+
+    Each split searches k = round(feature_fraction * d) features (None:
+    1/sqrt(d); at least one).  Draw order: first each tree's bootstrap, in
+    tree order, as row counts `bincount(rng.integers(0, m, m))` (all ones
+    without bootstrap); then, per level, d uniforms per split-searched node
+    in (tree, node) order, whose k smallest pick its features (none if k = d).
+    With all features, tree t is `grow_classifier` on X and y with row i
+    repeated counts[t, i] times: count and label sums are integers, exact
+    in float64, and no cut falls between equal values.
+    """
+    X, (m, d) = np.ascontiguousarray(X), X.shape  # X.take indexes it row-major
+    frac = feature_fraction if feature_fraction is not None else 1 / math.sqrt(d)
+    k, limit = max(1, min(d, int(round(frac * d)))), np.inf if max_depth is None else max_depth
+    rank = np.empty((m, d), dtype=np.int32)  # rank[i, j]: place of row i in column j
+    rank[presort(X)[:d], np.arange(d)[:, None]] = np.arange(m, dtype=np.int32)
+    idx, cnt, pos = [], [], []
+    for _ in range(n_trees):
+        c = np.bincount(rng.integers(0, m, size=m), minlength=m) if bootstrap else np.ones(m, int)
+        idx.append(np.flatnonzero(c).astype(np.int32))
+        cnt.append(c[idx[-1]].astype(np.int32))
+        pos.append(float(c @ y))
+    # node: in-bag rows idx[lo:lo + size], their counts in cnt; sums n, pos exact
+    size, idx, cnt = np.array([r.size for r in idx]), np.concatenate(idx), np.concatenate(cnt)
+    tree, lo, n = np.arange(n_trees), np.cumsum(size) - size, np.full(n_trees, m, float)
+    pos = np.array(pos)
+    next_id = np.ones(n_trees, dtype=np.int64)  # nodes numbered so far, per tree
+    table = [[] for _ in range(7)]  # per level: tree, feature, threshold, left, right, value, n
+    depth = 0
+    with np.errstate(over="ignore"):  # a midpoint of huge neighbors
+        while tree.size:
+            feature, left, right = (np.full(tree.size, -1, np.int32) for _ in range(3))
+            threshold = np.zeros(tree.size)
+            level = (tree, feature, threshold, left, right, pos / n, n.astype(np.int64))
+            for col, part in zip(table, level):
+                col.append(part)
+            # best split per searched node: chunks of at most 4 * _RUN (node, feature,
+            # row) elements, or one node, draw features in order and hold per-pair arrays
+            go = np.flatnonzero((pos > 0) & (pos < n) & (n >= 2 * min_leaf) & (depth < limit))
+            found = np.full((5, go.size), -1.0)  # feature, then as in _pair_splits
+            for chunk in _runs(k * size[go], 4 * _RUN):
+                s = go[chunk]
+                feats = np.broadcast_to(np.arange(d), (s.size, d)) if k == d else \
+                    np.sort(rng.random((s.size, d)).argsort(axis=1)[:, :k], axis=1)
+                node, j = np.repeat(s, k), feats.ravel()
+                pairs = np.empty((5, node.size))
+                for run in _runs(size[node]):
+                    r = node[run]
+                    pairs[:, run] = _pair_splits(
+                        X, y, rank, idx, cnt, lo[r], size[r], j[run], n[r], pos[r], min_leaf)
+                best, won = np.full(s.size, np.inf), np.full(s.size, -1)
+                for col in range(k):  # a later feature wins only by more than _EPS
+                    better = pairs[0, col::k] < best - _EPS
+                    best[better], won[better] = pairs[0, col::k][better], col
+                p, part = np.flatnonzero(won >= 0) * k + won[won >= 0], found[:, chunk]
+                part[0, won >= 0], part[1:, won >= 0] = j[p], pairs[1:, p]
+            w = found[0] >= 0
+            split, (nl, pl), sl = go[w], found[2:4, w], found[4, w].astype(np.int64)
+            feature[split], threshold[split] = found[:2, w]
+            # children, left then right of each split, in (tree, node) order
+            tree = np.repeat(tree[split], 2)
+            cid = next_id[tree] + np.arange(tree.size) - np.searchsorted(tree, tree)
+            next_id += np.bincount(tree, minlength=n_trees)
+            left[split], right[split] = cid[0::2], cid[1::2]
+            span, lo = size[split], np.repeat(lo[split], 2)
+            lo[1::2] += sl
+            size, n, pos = (np.column_stack([a, b - a]).ravel()
+                            for a, b in [(sl, span), (nl, n[split]), (pl, pos[split])])
+            depth += 1
+            for run in _runs(span) if depth < limit else ():
+                # sorting a split's rows by its feature puts the left child's first
+                at = _sorted(X, rank, idx, lo[0::2][run], span[run], feature[split][run])[1]
+                idx[np.sort(at)], cnt[np.sort(at)] = idx[at], cnt[at]
+    by_tree = np.argsort(np.concatenate(table.pop(0)), kind="stable")
+    for i, col in enumerate(table):  # a column at a time, freeing its levels
+        table[i] = np.split(np.concatenate(col)[by_tree], np.cumsum(next_id)[:-1])
+    return [Tree(*arrays) for arrays in zip(*table)]

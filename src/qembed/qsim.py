@@ -98,17 +98,6 @@ def new_zero_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> State
     return StateVector(n_qubits, factors, PRODUCT)
 
 
-def from_amplitudes(amps, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
-    """Dense state from a full 2^n amplitude array (must be normalized)."""
-    amps = np.asarray(amps, dtype=complex)
-    n = int(round(math.log2(amps.size)))
-    if 1 << n != amps.size or n < 1:
-        raise ValueError("amplitude count must be a power of two >= 2")
-    if n > max_qubits:
-        raise QubitCapExceeded(f"n_qubits={n} exceeds cap {max_qubits}")
-    return StateVector(n, amps, DENSE)
-
-
 # --- single-qubit gates -------------------------------------------------------
 
 def _check_angle(theta: float) -> float:

@@ -16,10 +16,10 @@ from qembed.errors import (
     NonFiniteFeature,
     SingleClass,
 )
-from qembed.models import KernelFn, ModelSpec, kernel_eval
+from qembed.models import KernelFn, ModelSpec, ensemble, kernel_eval
 from qembed.models.linear import log_loss_gradient, log_loss_l2
 from qembed.models.svm import decision_values, fit_smo, gram
-from qembed.models.tree import grow_classifier
+from qembed.models.tree import grow_classifier, grow_forest
 
 
 def blobs(seed, n=60, d=3, spread=1.0):
@@ -74,6 +74,18 @@ class TestModelSpec:
         for kind, key in [("forest", "n_trees"), ("knn", "k"), ("tree", "max_depth")]:
             with pytest.raises(InvalidHyperparameter):
                 ModelSpec(kind, params={key: True})
+        # real hyperparameters must be finite numbers, not bools or strings
+        for kind, params in [
+            ("logreg", {"l2": math.nan}),
+            ("svm", {"C": math.inf}),
+            ("svm", {"gamma": math.inf}),
+            ("svm", {"kernel": "polynomial", "coef0": "a"}),
+            ("svm", {"tol": math.inf}),
+            ("gbt", {"lr": math.inf}),
+            ("forest", {"feature_fraction": True}),
+        ]:
+            with pytest.raises(InvalidHyperparameter, match="finite real"):
+                ModelSpec(kind, params=params)
 
     def test_roundtrip(self):
         spec = ModelSpec("svm", seed=7, params={"kernel": "linear", "C": 2.0})
@@ -359,6 +371,43 @@ class TestForest:
         assert np.array_equal(pa, b.predict_proba(X))
         assert np.all((pa >= 0) & (pa <= 1))
 
+    @pytest.mark.parametrize("max_depth, min_leaf", [(8, 2), (None, 1), (3, 5)])
+    def test_trees_follow_the_draw_order(self, max_depth, min_leaf):
+        # Bootstrap counts come first, one bincount of m draws per tree; with
+        # all features no other draw happens.  Each tree is then the plain
+        # tree on its bootstrap rows, ties and duplicates included.
+        X, y, probe = tied_data()
+        m = X.shape[0]
+        spec = ModelSpec("forest", seed=11, params={
+            "n_trees": 6, "feature_fraction": 1.0, "max_depth": max_depth, "min_leaf": min_leaf,
+        })
+        trees = models.fit(spec, X, y).state["trees"]
+        rng = np.random.default_rng(11)
+        for tree in trees:
+            rows = np.repeat(np.arange(m), np.bincount(rng.integers(0, m, size=m), minlength=m))
+            plain = grow_classifier(X[rows], y[rows], max_depth=max_depth, min_leaf=min_leaf)
+            assert tree.predict(probe).tobytes() == plain.predict(probe).tobytes()
+            assert sorted(tree.n.tolist()) == sorted(plain.n.tolist())
+
+    def test_working_set_is_bounded(self):
+        # The level-wise grower holds every tree's in-bag rows and counts as
+        # int32 (1.6 MB here), a rank table (0.2 MB), the node tables
+        # (~0.6 MB) and one run of temporaries capped by a fixed element
+        # budget (~0.4 MB): 3.1-3.2 MiB measured.  4 MiB leaves room for
+        # those, but not for 64-bit rows and counts (+1.6 MB), per-pair
+        # results for a whole level (~1.3 MB at the deepest) or a level
+        # searched in one piece (tens of MB).
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(3156, 16))
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=3156) > 0).astype(int)
+        tracemalloc.start()
+        try:
+            grow_forest(X, y, 100, None, 8, 2, True, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_seed_changes_bootstrap(self):
         X, y = blobs(14, n=50, spread=2.0)
         a = models.fit(ModelSpec("forest", seed=1, params={"n_trees": 10}), X, y)
@@ -368,8 +417,6 @@ class TestForest:
 
 class TestAdaboost:
     def test_weights_renormalized_every_round(self, monkeypatch):
-        from qembed.models import ensemble
-
         sums = []
         original = ensemble.grow_classifier
 
@@ -540,7 +587,7 @@ class TestPinnedOutputs:
         ),
         "forest": (
             ModelSpec("forest", seed=3, params={"n_trees": 15}),
-            {"cbcf1c7ff56f71ad089ed607899164a9ba38d893d2c7235a79ae588d05208099"},
+            {"9d5f8e36f0b1afd73457223c718c865895088f5b4268c231b7af7f9652021c1c"},
         ),
         "adaboost": (
             ModelSpec("adaboost", params={"n_rounds": 25}),
