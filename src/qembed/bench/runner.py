@@ -100,7 +100,7 @@ def encode_split(
     t0 = time.perf_counter()
     quantizer = None
     if scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:
-        quantizer = Quantizer(scheme.bits_per_feature or 1).fit(train.data)
+        quantizer = Quantizer().fit(train.data)
     if scheme.angle_map == LINEAR_PI:  # angles of features scaled to [0, 1]
         train, test = (
             FeatureMatrix(quantizer.normalize(p.data), p.column_names, p.labels)

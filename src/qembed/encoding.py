@@ -38,7 +38,7 @@ from .errors import (
     ZeroVector,
 )
 from .pipeline import FeatureMatrix
-from .qsim import DEFAULT_MAX_QUBITS, StateVector
+from .qsim import MAX_QUBITS, StateVector
 
 BASIS = "basis"
 SUPERPOSITION = "superposition"
@@ -116,7 +116,7 @@ def amplitude_scheme(readout: str | None = None):
 
 # --- encoders -------------------------------------------------------------------
 
-def basis_encode(bits, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def basis_encode(bits) -> StateVector:
     """Basis state |b_0 b_1 ... b_{n-1}> from a bit array, leftmost bit highest.
 
     [1,0,1] gives |101>, the single amplitude at index 5.  Product layout.
@@ -127,15 +127,15 @@ def basis_encode(bits, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     if not np.all(np.isin(arr, (0, 1))):
         raise NonBinaryInput(f"entries must be 0 or 1, got {list(arr)!r}")
     n = arr.size
-    if n > max_qubits:
-        raise QubitCapExceeded(f"{n} bits exceeds cap {max_qubits}")
+    if n > MAX_QUBITS:
+        raise QubitCapExceeded(f"{n} bits exceeds cap {MAX_QUBITS}")
     factors = np.zeros((n, 2), dtype=complex)
     for i, bit in enumerate(arr.astype(int)):
         factors[n - 1 - i, bit] = 1.0
     return StateVector(n, factors, qsim.PRODUCT)
 
 
-def basis_encode_text(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> list[StateVector]:
+def basis_encode_text(text: str) -> list[StateVector]:
     """One 7-qubit basis state per ASCII character ('h' is |1101000>, code 104)."""
     if not text:
         raise EmptyInput("text must be nonempty")
@@ -145,11 +145,11 @@ def basis_encode_text(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> list[S
         if code >= 128:
             raise NonAsciiCharacter(f"character {ch!r} is not 7-bit ASCII")
         bits = [(code >> (6 - k)) & 1 for k in range(7)]
-        states.append(basis_encode(bits, max_qubits))
+        states.append(basis_encode(bits))
     return states
 
 
-def superposition_encode(strings, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def superposition_encode(strings) -> StateVector:
     """Uniform superposition with amplitude 1/sqrt(k) on each listed bitstring.
 
     Strings must be equal-length and distinct; '100' style, leftmost bit
@@ -167,18 +167,16 @@ def superposition_encode(strings, max_qubits: int = DEFAULT_MAX_QUBITS) -> State
         raise DuplicateString("bitstrings must be distinct")
     if any(c not in "01" for s in strings for c in s):
         raise NonBinaryInput("bitstrings may only contain 0 and 1")
-    if n > max_qubits:
-        raise QubitCapExceeded(f"{n} qubits exceeds cap {max_qubits}")
+    if n > MAX_QUBITS:
+        raise QubitCapExceeded(f"{n} qubits exceeds cap {MAX_QUBITS}")
     if len(strings) == 1:
-        return basis_encode([int(c) for c in strings[0]], max_qubits)
+        return basis_encode([int(c) for c in strings[0]])
     amps = np.zeros(1 << n, dtype=complex)
     amps[[int(s, 2) for s in strings]] = 1.0 / math.sqrt(len(strings))
     return StateVector(n, amps, qsim.DENSE)
 
 
-def angle_encode(
-    x, scheme: EncodingScheme, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> StateVector:
+def angle_encode(x, scheme: EncodingScheme) -> StateVector:
     """One qubit per feature, qubit for feature i prepared as R_axis(theta_i)|0>.
 
     linear_pi maps a normalized feature to theta = pi*x (so 0 stays |0>
@@ -192,8 +190,8 @@ def angle_encode(
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("features must be finite")
     n = arr.size
-    if n > max_qubits:
-        raise QubitCapExceeded(f"{n} features exceeds cap {max_qubits}")
+    if n > MAX_QUBITS:
+        raise QubitCapExceeded(f"{n} features exceeds cap {MAX_QUBITS}")
     if scheme.angle_map == LINEAR_PI:
         if np.any(arr < 0) or np.any(arr > 1):
             raise OutOfRangeFeature("linear_pi features must lie in [0, 1]")
@@ -207,7 +205,7 @@ def angle_encode(
     return StateVector(n, factors, qsim.PRODUCT)
 
 
-def amplitude_encode(x, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def amplitude_encode(x) -> StateVector:
     """L2-normalized values as amplitudes, zero-padded to the next power of two."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -220,8 +218,8 @@ def amplitude_encode(x, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     if norm == 0:
         raise ZeroVector("cannot normalize an all-zero vector")
     n = max(1, math.ceil(math.log2(arr.size)))
-    if n > max_qubits:
-        raise QubitCapExceeded(f"{n} qubits exceeds cap {max_qubits}")
+    if n > MAX_QUBITS:
+        raise QubitCapExceeded(f"{n} qubits exceeds cap {MAX_QUBITS}")
     amps = np.zeros(1 << n, dtype=complex)
     amps[: arr.size] = arr / norm
     if abs(np.sum(np.abs(amps) ** 2) - 1.0) > qsim._NORM_TOL:  # a subnormal squared norm
@@ -232,20 +230,15 @@ def amplitude_encode(x, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
 # --- quantizer for continuous basis encoding ----------------------------------------
 
 class Quantizer:
-    """Train-fitted min-max scaler that emits fixed-point bits per feature.
+    """Train-fitted min-max scaler to [0, 1].
 
-    Each feature is scaled to [0, 1] by the training minimum and range
-    (out-of-range test values clip), then rounded to bits_per_feature
-    fixed-point bits, concatenated in feature order, most significant bit
-    first.  Also serves as the [0, 1] normalizer for angle encoding.
+    Each feature is scaled by the training minimum and range; out-of-range
+    test values clip.  It is the [0, 1] normalizer of angle encoding, and
+    `bits_for_row` turns its output into the bits of basis encoding.
     """
 
-    def __init__(self, bits_per_feature: int = 4):
-        if bits_per_feature < 1:
-            raise InvalidScheme("bits_per_feature must be a count >= 1")
-        self.bits_per_feature = bits_per_feature
-        self.lo: np.ndarray | None = None
-        self.span: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    span: np.ndarray | None = None
 
     def fit(self, X) -> "Quantizer":
         X = np.asarray(X, dtype=float)
@@ -257,29 +250,30 @@ class Quantizer:
         self.span = X.max(axis=0) - self.lo
         return self
 
-    def _require_fitted(self, width: int) -> None:
-        if self.lo is None:
-            raise MissingQuantizer("quantizer must be fitted before use")
-        if width != self.lo.size:
-            raise LengthMismatch(
-                f"fitted on {self.lo.size} features, got {width}"
-            )
-
     def normalize(self, X) -> np.ndarray:
         """Min-max scale rows to [0, 1] with clipping; constant features map to 0."""
         X = np.asarray(X, dtype=float)
-        self._require_fitted(X.shape[-1])
+        if self.lo is None:
+            raise MissingQuantizer("quantizer must be fitted before use")
+        if X.shape[-1] != self.lo.size:
+            raise LengthMismatch(f"fitted on {self.lo.size} features, got {X.shape[-1]}")
         if not np.all(np.isfinite(X)):
             raise NonFiniteInput("values must be finite")
         span = np.where(self.span == 0, 1.0, self.span)
         return np.clip((X - self.lo) / span, 0.0, 1.0)
 
-    def bits_for_row(self, x) -> np.ndarray:
-        """Fixed-point bit expansion of one row (of each row of a matrix), feature by feature."""
-        x01 = self.normalize(x)
-        levels = np.rint(x01 * ((1 << self.bits_per_feature) - 1)).astype(int)
-        shifts = np.arange(self.bits_per_feature - 1, -1, -1)
-        return ((levels[..., None] >> shifts) & 1).reshape(x01.shape[:-1] + (-1,))
+
+def bits_for_row(quantizer: Quantizer, x, scheme: EncodingScheme) -> np.ndarray:
+    """Fixed-point bits of one row (of each row of a matrix), feature by feature.
+
+    Each normalized feature is rounded to the scheme's bits_per_feature
+    bits, most significant first, and the features are concatenated in order.
+    """
+    x01 = quantizer.normalize(x)
+    bits = scheme.bits_per_feature
+    levels = np.rint(x01 * ((1 << bits) - 1)).astype(int)
+    shifts = np.arange(bits - 1, -1, -1)
+    return ((levels[..., None] >> shifts) & 1).reshape(x01.shape[:-1] + (-1,))
 
 
 # --- readout and batch embedding -----------------------------------------------------
@@ -307,10 +301,7 @@ def readout_features(state: StateVector, mode: str) -> np.ndarray:
 
 
 def embed_sample(
-    x,
-    scheme: EncodingScheme,
-    quantizer: Quantizer | None = None,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
+    x, scheme: EncodingScheme, quantizer: Quantizer | None = None
 ) -> EmbeddedSample:
     """Encode one feature vector under a scheme and read it back out.
 
@@ -319,12 +310,12 @@ def embed_sample(
     form (it consumes an explicit bitstring set), so it is rejected here.
     """
     if scheme.kind == ANGLE:
-        state = angle_encode(x, scheme, max_qubits)
+        state = angle_encode(x, scheme)
     elif scheme.kind == AMPLITUDE:
-        state = amplitude_encode(x, max_qubits)
+        state = amplitude_encode(x)
     elif scheme.kind == BASIS:
         if quantizer is not None:
-            bits = quantizer.bits_for_row(x)
+            bits = bits_for_row(quantizer, x, scheme)
         else:
             arr = np.asarray(x, dtype=float)
             if arr.size and not np.all(np.isin(arr, (0.0, 1.0))):
@@ -332,7 +323,7 @@ def embed_sample(
                     "continuous features need a fitted quantizer for basis encoding"
                 )
             bits = arr.astype(int)
-        state = basis_encode(bits, max_qubits)
+        state = basis_encode(bits)
     else:
         raise InvalidScheme(
             "superposition encoding takes an explicit bitstring set; "
@@ -355,7 +346,8 @@ def _product_factors(data, scheme, quantizer):
     give them, and the rows embed_sample rejects."""
     if scheme.kind == BASIS:
         if quantizer is not None:
-            return np.eye(2, dtype=complex)[quantizer.bits_for_row(data)], np.zeros(len(data), bool)
+            bits = bits_for_row(quantizer, data, scheme)
+            return np.eye(2, dtype=complex)[bits], np.zeros(len(data), bool)
         bad = ~np.isin(data, (0.0, 1.0)).all(axis=1)  # raw features must be bits
         return np.eye(2, dtype=complex)[(data == 1) * 1], bad
     thetas, bad = data, np.zeros(len(data), bool)  # a FeatureMatrix holds finite values
@@ -381,10 +373,7 @@ def _dense_readout(amps, mode) -> np.ndarray:
 
 
 def embed_matrix(
-    X: FeatureMatrix,
-    scheme: EncodingScheme,
-    quantizer: Quantizer | None = None,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
+    X: FeatureMatrix, scheme: EncodingScheme, quantizer: Quantizer | None = None
 ) -> FeatureMatrix:
     """Encode and read out all rows at once, equal to stacking embed_sample rows.
 
@@ -398,7 +387,7 @@ def embed_matrix(
 
     def encode_row(i):
         try:
-            embed_sample(data[i], scheme, quantizer, max_qubits)
+            embed_sample(data[i], scheme, quantizer)
         except QembedError as exc:
             raise RowEncodeError(i, exc) from exc
 

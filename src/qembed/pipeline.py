@@ -75,20 +75,6 @@ class Dataset:
     def feature_specs(self) -> list[ColumnSpec]:
         return [c for c in self.schema if c.kind in (CATEGORICAL, NUMERIC)]
 
-    def spec_of(self, name: str) -> ColumnSpec:
-        for c in self.schema:
-            if c.name == name:
-                return c
-        raise UnknownColumn(f"column {name!r} not in schema")
-
-    def drop_columns(self, names) -> "Dataset":
-        names = set(names)
-        for name in names:
-            self.spec_of(name)
-        schema = tuple(c for c in self.schema if c.name not in names)
-        columns = {k: v for k, v in self.columns.items() if k not in names}
-        return dataclasses.replace(self, schema=schema, columns=columns)
-
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -291,50 +277,42 @@ def _codes(values) -> tuple[list[str], np.ndarray]:
     return list(index), codes
 
 
-def ordinal_matrix(dataset: Dataset) -> FeatureMatrix:
-    """Feature columns as numbers: categories coded by first appearance.
+def ordinal_matrix(dataset: Dataset) -> tuple[FeatureMatrix, dict[str, list[str]]]:
+    """Every feature column as numbers, each categorical column coded once.
 
-    Used for the VIF stage, which needs one numeric column per feature
-    before any one-hot expansion.
+    Categories are coded by first appearance.  Returns the matrix, in
+    schema order, and each categorical column's vocabulary in code order:
+    the drop stages work on the codes, and `one_hot` expands them.
     """
     labels, _ = binary_labels(dataset)
-    cols, names = [], []
+    cols, names, vocabularies = [], [], {}
     for spec in dataset.feature_specs():
         if spec.kind == NUMERIC:
             cols.append(np.asarray(dataset.columns[spec.name], dtype=float))
         else:
-            cols.append(_codes(dataset.columns[spec.name])[1].astype(float))
+            vocabularies[spec.name], codes = _codes(dataset.columns[spec.name])
+            cols.append(codes.astype(float))
         names.append(spec.name)
-    return FeatureMatrix(np.column_stack(cols), tuple(names), labels)
+    return FeatureMatrix(np.column_stack(cols), tuple(names), labels), vocabularies
 
 
-def one_hot(dataset: Dataset, columns) -> FeatureMatrix:
-    """Expand the listed categorical columns into full-vocabulary indicators.
+def one_hot(matrix: FeatureMatrix, vocabularies) -> FeatureMatrix:
+    """Expand every coded categorical column into full-vocabulary indicators.
 
-    No category is dropped as a reference level.  Column order follows the
-    schema; categories appear in first-appearance order with names like
-    "Contract=Month-to-month".  Numeric feature columns pass through.
+    No category is dropped as a reference level.  Each column with a
+    vocabulary becomes one indicator per category, in place and in code
+    order, named like "Contract=Month-to-month"; other columns pass through.
     """
-    columns = list(columns)
-    for name in columns:
-        if dataset.spec_of(name).kind != CATEGORICAL:
-            raise UnknownColumn(f"column {name!r} is not categorical")
-    listed = set(columns)
-    labels, _ = binary_labels(dataset)
     cols, names = [], []
-    for spec in dataset.feature_specs():
-        if spec.name in listed:
-            vocabulary, codes = _codes(dataset.columns[spec.name])
-            cols.append((codes[:, None] == np.arange(len(vocabulary))).astype(float))
-            names.extend(f"{spec.name}={cat}" for cat in vocabulary)
-        elif spec.kind == NUMERIC:
-            cols.append(np.asarray(dataset.columns[spec.name], dtype=float))
-            names.append(spec.name)
+    for j, name in enumerate(matrix.column_names):
+        if name in vocabularies:
+            vocabulary = vocabularies[name]
+            cols.append((matrix.data[:, j, None] == np.arange(len(vocabulary))).astype(float))
+            names.extend(f"{name}={cat}" for cat in vocabulary)
         else:
-            raise UnknownColumn(
-                f"categorical column {spec.name!r} must be listed for one-hot"
-            )
-    return FeatureMatrix(np.column_stack(cols), tuple(names), labels)
+            cols.append(matrix.data[:, j])
+            names.append(name)
+    return FeatureMatrix(np.column_stack(cols), tuple(names), matrix.labels)
 
 
 # --- balancing and splitting ------------------------------------------------------
@@ -555,47 +533,45 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
 
     The stages run in a fixed order: drop ids, prune one of each highly
     correlated numeric pair, drop high-VIF columns (on ordinal-coded
-    features), one-hot the surviving categoricals, undersample to balance,
-    standardize, fit PCA, keep components up to the elbow, then split.
+    features), drop `extra_drops`, one-hot the surviving categoricals,
+    undersample to balance, standardize, fit PCA, keep components up to the
+    elbow, then split.  Categorical columns are coded once: every drop stage
+    works on the one `ordinal_matrix`, and `one_hot` expands its codes.
     Balancing and PCA both happen before the split; the report notes it.
     """
     report = PreprocessReport(blank_numeric_cells=dict(dataset.blank_counts))
-
-    for spec in dataset.schema:
-        if spec.kind == ID:
-            report.dropped.append(DroppedColumn(spec.name, "id", 0.0))
-    dataset = dataset.drop_columns([d.name for d in report.dropped])
+    report.dropped = [DroppedColumn(c.name, "id", 0.0) for c in dataset.schema if c.kind == ID]
+    report.label_mapping = dict(binary_labels(dataset)[1])
+    matrix, vocabularies = ordinal_matrix(dataset)  # id columns are not features
 
     # correlated numeric pairs: later column of each offending pair goes
-    numeric = [c.name for c in dataset.feature_specs() if c.kind == NUMERIC]
+    numeric = [j for j, name in enumerate(matrix.column_names) if name not in vocabularies]
     to_drop: dict[str, float] = {}
-    for i in range(len(numeric)):
-        for j in range(i + 1, len(numeric)):
-            if numeric[i] in to_drop or numeric[j] in to_drop:
+    for i, a in enumerate(numeric):
+        for b in numeric[i + 1:]:
+            name_a, name_b = matrix.column_names[a], matrix.column_names[b]
+            if name_a in to_drop or name_b in to_drop:
                 continue
-            r = pearson_corr(dataset.columns[numeric[i]], dataset.columns[numeric[j]])
+            r = pearson_corr(matrix.data[:, a], matrix.data[:, b])
             if abs(r) >= options.corr_threshold:
-                to_drop[numeric[j]] = r
+                to_drop[name_b] = r
     for name, r in to_drop.items():
         report.dropped.append(DroppedColumn(name, "correlation", r))
-    dataset = dataset.drop_columns(list(to_drop))
+    matrix = matrix.drop_columns(to_drop)
 
-    coded = ordinal_matrix(dataset)
-    pruned, iterations, vif_dropped = iterative_vif_prune(coded, options.vif_threshold)
-    report.vif_iterations = iterations
+    matrix, report.vif_iterations, vif_dropped = iterative_vif_prune(
+        matrix, options.vif_threshold
+    )
     for entry in vif_dropped:
         report.dropped.append(DroppedColumn(entry.column, "vif", entry.vif))
-    dataset = dataset.drop_columns([e.column for e in vif_dropped])
 
     for name in options.extra_drops:
-        dataset.spec_of(name)
+        if name not in matrix.column_names:
+            raise UnknownColumn(f"extra_drops: {name!r} is not a feature column left to drop")
         report.dropped.append(DroppedColumn(name, "config", 0.0))
-    dataset = dataset.drop_columns(list(options.extra_drops))
+    matrix = matrix.drop_columns(options.extra_drops)
 
-    _, mapping = binary_labels(dataset)
-    report.label_mapping = dict(mapping)
-    categorical = [c.name for c in dataset.feature_specs() if c.kind == CATEGORICAL]
-    matrix = one_hot(dataset, categorical)
+    matrix = one_hot(matrix, vocabularies)
     report.one_hot_columns = matrix.n_cols
 
     report.class_counts_before = _class_counts(matrix.labels)

@@ -20,7 +20,7 @@ from .errors import (
     QubitCapExceeded,
 )
 
-DEFAULT_MAX_QUBITS = 24
+MAX_QUBITS = 24  # the largest state the simulator builds
 
 DENSE = "dense"
 PRODUCT = "product"
@@ -89,10 +89,10 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits}, layout={self.layout!r})"
 
 
-def new_zero_state(n_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def new_zero_state(n_qubits: int) -> StateVector:
     """All-qubits-|0> state in product layout."""
-    if not 1 <= n_qubits <= max_qubits:
-        raise QubitCapExceeded(f"n_qubits={n_qubits} outside [1, {max_qubits}]")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise QubitCapExceeded(f"n_qubits={n_qubits} outside [1, {MAX_QUBITS}]")
     factors = np.zeros((n_qubits, 2), dtype=complex)
     factors[:, 0] = 1.0
     return StateVector(n_qubits, factors, PRODUCT)
@@ -288,13 +288,11 @@ def expectation_z(state: StateVector, qubit: int) -> float:
     return float(marg[0] - marg[1])
 
 
-def tensor_product(
-    a: StateVector, b: StateVector, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> StateVector:
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Combined state with a's qubits above b's: amps[(i << n_b) | j] = a[i] b[j]."""
     n = a.n_qubits + b.n_qubits
-    if n > max_qubits:
-        raise QubitCapExceeded(f"combined {n} qubits exceeds cap {max_qubits}")
+    if n > MAX_QUBITS:
+        raise QubitCapExceeded(f"combined {n} qubits exceeds cap {MAX_QUBITS}")
     if a.layout == PRODUCT and b.layout == PRODUCT:
         return StateVector(n, np.vstack([b._data, a._data]), PRODUCT)
     return StateVector(n, np.kron(a.amps, b.amps), DENSE)

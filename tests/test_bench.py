@@ -650,6 +650,15 @@ class TestCli:
         )
         assert cli.main(["bench", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("name", ["Churn", "customerID", "TotalCharges", "Colour"])
+    def test_extra_drop_of_no_remaining_feature_is_data_error(self, tmp_path, capsys, name):
+        # the target, the id, a correlation-stage drop, a name not in the schema
+        cfg_path = self.write_config(tmp_path, preprocess={"extra_drops": [name]})
+        assert cli.main(["preprocess", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "pre")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and repr(name) in err
+
     def test_preprocess_writes_report(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         out_dir = tmp_path / "pre"

@@ -55,7 +55,6 @@ class TestBasisEncode:
     def test_cap(self):
         with pytest.raises(QubitCapExceeded):
             enc.basis_encode([0] * 25)
-        enc.basis_encode([0] * 25, max_qubits=25)
 
     def test_brute_force_all_3bit_inputs(self):
         for idx in range(8):
@@ -292,23 +291,23 @@ class TestSchemeValidation:
 
 class TestQuantizer:
     def test_bit_patterns(self):
-        q = enc.Quantizer(bits_per_feature=4).fit([[0.0], [10.0]])
-        assert list(q.bits_for_row([0.0])) == [0, 0, 0, 0]
-        assert list(q.bits_for_row([10.0])) == [1, 1, 1, 1]
-        assert list(q.bits_for_row([-5.0])) == [0, 0, 0, 0]  # clipped
-        assert list(q.bits_for_row([99.0])) == [1, 1, 1, 1]
+        q, scheme = enc.Quantizer().fit([[0.0], [10.0]]), enc.basis_scheme(4)
+        assert list(enc.bits_for_row(q, [0.0], scheme)) == [0, 0, 0, 0]
+        assert list(enc.bits_for_row(q, [10.0], scheme)) == [1, 1, 1, 1]
+        assert list(enc.bits_for_row(q, [-5.0], scheme)) == [0, 0, 0, 0]  # clipped
+        assert list(enc.bits_for_row(q, [99.0], scheme)) == [1, 1, 1, 1]
 
     def test_concatenation_order(self):
-        q = enc.Quantizer(bits_per_feature=2).fit([[0.0, 0.0], [1.0, 1.0]])
-        assert list(q.bits_for_row([1.0, 0.0])) == [1, 1, 0, 0]
+        q = enc.Quantizer().fit([[0.0, 0.0], [1.0, 1.0]])
+        assert list(enc.bits_for_row(q, [1.0, 0.0], enc.basis_scheme(2))) == [1, 1, 0, 0]
 
     def test_roundtrip_error_bound(self):
         rng = np.random.default_rng(37)
         X = rng.uniform(-3, 5, size=(100, 4))
-        q = enc.Quantizer(bits_per_feature=6).fit(X)
+        q = enc.Quantizer().fit(X)
         levels = (1 << 6) - 1
         for row in X[:20]:
-            bits = q.bits_for_row(row).reshape(4, 6)
+            bits = enc.bits_for_row(q, row, enc.basis_scheme(6)).reshape(4, 6)
             weights = 2.0 ** np.arange(5, -1, -1)
             recon = bits @ weights / levels
             assert np.max(np.abs(recon - q.normalize(row))) <= 0.5 / levels + 1e-12
@@ -319,20 +318,28 @@ class TestQuantizer:
 
     def test_unfitted_and_width_errors(self):
         with pytest.raises(MissingQuantizer):
-            enc.Quantizer().bits_for_row([1.0])
+            enc.bits_for_row(enc.Quantizer(), [1.0], enc.basis_scheme())
         q = enc.Quantizer().fit([[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(LengthMismatch):
-            q.bits_for_row([1.0, 2.0, 3.0])
+            enc.bits_for_row(q, [1.0, 2.0, 3.0], enc.basis_scheme())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         # NaN used to round to an arbitrary level and encode as bits 0
-        q = enc.Quantizer(2).fit([[0.0, 0.0], [1.0, 1.0]])
-        for call in (q.normalize, q.bits_for_row):
+        q, scheme = enc.Quantizer().fit([[0.0, 0.0], [1.0, 1.0]]), enc.basis_scheme(2)
+        for call in (q.normalize, lambda x: enc.bits_for_row(q, x, scheme)):
             with pytest.raises(NonFiniteInput):
                 call([bad, 0.3])
         with pytest.raises(NonFiniteInput):
             enc.embed_sample([bad, 0.3], enc.basis_scheme(2, enc.Z_EXPECTATIONS), q)
+
+    def test_scheme_sets_the_bit_count(self):
+        # one bit per feature, whatever the quantizer was built with before
+        q = enc.Quantizer().fit([[0.0, 0.0], [1.0, 1.0]])
+        scheme = enc.basis_scheme(1, enc.Z_EXPECTATIONS)
+        assert enc.embed_sample([1.0, 0.2], scheme, q).state.n_qubits == 2
+        got = enc.embed_matrix(matrix_of([[1.0, 0.2], [0.0, 0.9]]), scheme, q)
+        assert got.data.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
 
 
 class TestEmbedSample:
@@ -358,7 +365,7 @@ class TestEmbedSample:
             enc.embed_sample([0.3, 0.7], enc.basis_scheme())
 
     def test_basis_with_quantizer(self):
-        q = enc.Quantizer(bits_per_feature=2).fit([[0.0], [1.0]])
+        q = enc.Quantizer().fit([[0.0], [1.0]])
         out = enc.embed_sample([1.0], enc.basis_scheme(bits_per_feature=2), q)
         assert out.state.n_qubits == 2
         assert np.argmax(out.features) == 3  # both bits set
@@ -473,7 +480,7 @@ class TestEmbedMatrixEqualsOracle:
             if scheme.readout != enc.Z_EXPECTATIONS and n_qubits > 12:
                 continue  # 2^n-wide readouts stop at 12 qubits; Z covers widths 1-8
             X = oracle_rows(rng, scheme, quantized, width)
-            q = enc.Quantizer(scheme.bits_per_feature).fit(X) if quantized else None
+            q = enc.Quantizer().fit(X) if quantized else None
             got = enc.embed_matrix(matrix_of(X), scheme, q).data
             want = np.vstack([enc.embed_sample(x, scheme, q).features for x in X])
             assert got.shape == want.shape
@@ -497,16 +504,16 @@ class TestEmbedMatrixEqualsOracle:
         with pytest.raises(cause):
             enc.embed_sample(X[3], scheme)
 
-    @pytest.mark.parametrize("scheme, max_qubits, cause", [
-        (enc.angle_scheme(), 2, QubitCapExceeded),
+    @pytest.mark.parametrize("scheme, width, cause", [
+        (enc.angle_scheme(), 25, QubitCapExceeded),  # one qubit past the cap
         (enc.superposition_scheme(), 24, InvalidScheme),
     ])
-    def test_width_and_scheme_failures_are_row_0(self, scheme, max_qubits, cause):
+    def test_width_and_scheme_failures_are_row_0(self, scheme, width, cause):
         # these do not depend on the values, so the first row already fails
-        X = np.full((4, 3), 0.5)
+        X = np.full((4, width), 0.5)
         with pytest.raises(RowEncodeError) as exc_info:
-            enc.embed_matrix(matrix_of(X), scheme, max_qubits=max_qubits)
+            enc.embed_matrix(matrix_of(X), scheme)
         assert exc_info.value.row == 0
         assert type(exc_info.value.cause) is cause
         with pytest.raises(cause):
-            enc.embed_sample(X[0], scheme, max_qubits=max_qubits)
+            enc.embed_sample(X[0], scheme)

@@ -208,17 +208,17 @@ class TestOneHot:
         ColumnSpec("label", pl.TARGET),
     )
 
-    def make(self):
-        rows = [
+    def make(self, rows=None):
+        rows = rows or [
             ("red", "S", 1.0, "No"),
             ("blue", "M", 2.0, "Yes"),
             ("red", "M", 3.0, "No"),
             ("green", "S", 4.0, "Yes"),
         ]
-        return make_dataset(rows, self.schema)
+        return pl.one_hot(*pl.ordinal_matrix(make_dataset(rows, self.schema)))
 
     def test_full_vocabulary_first_appearance(self):
-        m = pl.one_hot(self.make(), ["color", "size"])
+        m = self.make()
         assert m.column_names == (
             "color=red", "color=blue", "color=green", "size=S", "size=M", "amount",
         )
@@ -226,28 +226,31 @@ class TestOneHot:
         assert np.allclose(m.data[:, 5], [1, 2, 3, 4])
 
     def test_indicator_groups_sum_to_one(self):
-        m = pl.one_hot(self.make(), ["color", "size"])
+        m = self.make()
         assert np.allclose(m.data[:, 0:3].sum(axis=1), 1.0)
         assert np.allclose(m.data[:, 3:5].sum(axis=1), 1.0)
 
     def test_labels_sorted_mapping(self):
-        m = pl.one_hot(self.make(), ["color", "size"])
+        m = self.make()
         assert list(m.labels) == [0, 1, 0, 1]  # No=0, Yes=1
 
     def test_single_category_column(self):
-        rows = [("red", "S", 1.0, "No"), ("red", "M", 2.0, "Yes")]
-        ds = make_dataset(rows, self.schema)
-        m = pl.one_hot(ds, ["color", "size"])
+        m = self.make([("red", "S", 1.0, "No"), ("red", "M", 2.0, "Yes")])
         assert np.allclose(m.data[:, m.column_index("color=red")], 1.0)
 
-    def test_unknown_and_unlisted(self):
-        ds = self.make()
-        with pytest.raises(UnknownColumn):
-            pl.one_hot(ds, ["shape"])
-        with pytest.raises(UnknownColumn):
-            pl.one_hot(ds, ["amount"])  # numeric is not one-hot-able
-        with pytest.raises(UnknownColumn):
-            pl.one_hot(ds, ["color"])  # size left unlisted
+    def test_ordinal_codes_and_vocabularies(self):
+        rows = [("red", "S", 1.5, "No"), ("blue", "M", 2.0, "Yes"), ("red", "M", 3.0, "No")]
+        matrix, vocabularies = pl.ordinal_matrix(make_dataset(rows, self.schema))
+        assert matrix.column_names == ("color", "size", "amount")
+        assert matrix.data.tolist() == [[0, 0, 1.5], [1, 1, 2.0], [0, 1, 3.0]]
+        assert vocabularies == {"color": ["red", "blue"], "size": ["S", "M"]}
+
+    def test_dropped_categorical_is_not_expanded(self):
+        matrix, vocabularies = pl.ordinal_matrix(make_dataset(
+            [("red", "S", 1.0, "No"), ("blue", "M", 2.0, "Yes")], self.schema
+        ))
+        m = pl.one_hot(matrix.drop_columns(["color"]), vocabularies)
+        assert m.column_names == ("size=S", "size=M", "amount")
 
 
 class TestUndersample:
@@ -493,6 +496,31 @@ class TestRunPreprocess:
         reasons = {d.name: d.reason for d in result.report.dropped}
         assert reasons["spend"] == "config"
         assert result.train.n_cols == 3
+
+    def test_each_categorical_column_coded_once(self, monkeypatch):
+        coded = []
+        real_codes = pl._codes
+
+        def counting_codes(values):
+            coded.append(values)
+            return real_codes(values)
+
+        monkeypatch.setattr(pl, "_codes", counting_codes)
+        ds = synthetic_dataset()
+        pl.run_preprocess(ds, pl.PreprocessOptions(seed=3))
+        categorical = [c.name for c in ds.feature_specs() if c.kind == pl.CATEGORICAL]
+        assert len(coded) == len(categorical) == 2
+
+    @pytest.mark.parametrize("name", [
+        "churn",  # the target
+        "uid",  # an id column
+        "usage_total",  # dropped by the correlation stage
+        "plan_typo",  # not in the schema
+    ])
+    def test_extra_drops_must_name_a_remaining_feature(self, name):
+        opts = pl.PreprocessOptions(seed=2, extra_drops=(name,))
+        with pytest.raises(UnknownColumn, match=repr(name)):
+            pl.run_preprocess(synthetic_dataset(), opts)
 
     def test_report_serializes(self):
         import json

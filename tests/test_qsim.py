@@ -42,7 +42,6 @@ class TestStateConstruction:
             new_zero_state(25)
         with pytest.raises(QubitCapExceeded):
             new_zero_state(0)
-        new_zero_state(25, max_qubits=30)  # configurable
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
