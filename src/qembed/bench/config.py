@@ -137,7 +137,7 @@ def _parse_preprocess(obj, seed: int) -> PreprocessOptions:
 def _parse_encoding(obj, path: str) -> EncodingEntry:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     builder = SCHEME_BUILDERS.get(kind) if isinstance(kind, str) else None
-    if builder is None and kind != CLASSICAL:  # superposition has no per-sample form
+    if builder is None and kind != CLASSICAL:  # superposition is an encode-command scheme
         raise ConfigError(f"{path}.kind: {kind!r} is not one of "
                           f"{[CLASSICAL, *SCHEME_BUILDERS]}; try the encode command")
     params = inspect.signature(builder).parameters.values() if builder else ()
@@ -206,7 +206,7 @@ def config_to_dict(cfg: BenchConfig) -> dict:
 
 def load_raw(path) -> dict:
     """Read a config file as a dict; a persisted results file (with an
-    embedded manifest) is accepted too, enabling exact re-runs."""
+    embedded manifest object) is accepted too, enabling exact re-runs."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -216,8 +216,9 @@ def load_raw(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    if "manifest" in raw and "config" in raw.get("manifest", {}):
-        raw = raw["manifest"]["config"]
+    manifest = raw.get("manifest")
+    if isinstance(manifest, dict) and "config" in manifest:
+        raw = manifest["config"]
     return raw
 
 

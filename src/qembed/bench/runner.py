@@ -1,10 +1,10 @@
 """Benchmark runner: one preprocessing pass feeding an encoding x model grid.
 
 Every cell sees the identical train/test split (checksummed into each
-result), quantizers and normalizers are fitted on the train split only,
-and a failing cell is recorded without aborting the rest of the matrix.
-The classical baseline bypasses encoding entirely, so its encode time is
-exactly zero by construction.
+result), the [0, 1] scaling of basis and linear_pi inputs is fitted on
+the train split only, and a failing cell is recorded without aborting the
+rest of the matrix.  The classical baseline bypasses encoding entirely,
+so its encode time is exactly zero by construction.
 """
 from __future__ import annotations
 
@@ -17,8 +17,10 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from ..encoding import BASIS, LINEAR_PI, Quantizer, embed_matrix
-from ..errors import QembedError
+import numpy as np
+
+from ..encoding import BASIS, LINEAR_PI, embed_matrix
+from ..errors import EmptyInput, QembedError
 from ..metrics import MetricReport, compute_report
 from ..models import fit
 from ..pipeline import (
@@ -89,24 +91,29 @@ def load_dataset(config: BenchConfig) -> Dataset:
 def encode_split(
     entry: EncodingEntry, train: FeatureMatrix, test: FeatureMatrix
 ) -> tuple[FeatureMatrix, FeatureMatrix, float]:
-    """Embed both splits under one scheme; fit any scaler on train only.
+    """Embed both splits under one scheme.
 
-    Returns (encoded train, encoded test, encode milliseconds); the
-    classical passthrough reports exactly 0.0 ms.
+    Basis and linear_pi angle encoding take features in [0, 1]: both splits
+    are min-max scaled by the train split's minimum and range, test values
+    outside it clip, and a constant train column maps to 0.  Returns
+    (encoded train, encoded test, encode milliseconds); the classical
+    passthrough reports exactly 0.0 ms.
     """
     scheme = entry.scheme
     if scheme is None:
         return train, test, 0.0
     t0 = time.perf_counter()
-    quantizer = None
     if scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:
-        quantizer = Quantizer().fit(train.data)
-    if scheme.angle_map == LINEAR_PI:  # angles of features scaled to [0, 1]
+        if train.n_rows == 0:
+            raise EmptyInput("scaling to [0, 1] needs a nonempty train split")
+        lo = train.data.min(axis=0)
+        span = train.data.max(axis=0) - lo
+        span = np.where(span == 0, 1.0, span)
         train, test = (
-            FeatureMatrix(quantizer.normalize(p.data), p.column_names, p.labels)
+            FeatureMatrix(np.clip((p.data - lo) / span, 0.0, 1.0), p.column_names, p.labels)
             for p in (train, test)
         )
-    enc_train, enc_test = (embed_matrix(p, scheme, quantizer) for p in (train, test))
+    enc_train, enc_test = (embed_matrix(p, scheme) for p in (train, test))
     return enc_train, enc_test, (time.perf_counter() - t0) * 1e3
 
 

@@ -1,11 +1,13 @@
 """Classical-to-quantum data encodings and their classical readout.
 
-Four schemes: basis (bitstrings to basis states), superposition (uniform
-combinations of listed basis states), angle (one rotated qubit per
-feature), amplitude (values as normalized amplitudes).  A readout mode
-turns the encoded state back into a real feature vector for downstream
-classifiers.  Written kets follow the usual convention: the leftmost bit
-of |b_{n-1}...b_0> is the highest qubit index.
+Three schemes: basis (features in [0, 1], rounded to bits, to basis
+states), angle (one rotated qubit per feature), amplitude (values as
+normalized amplitudes).  A readout mode turns the encoded state back into
+a real feature vector for downstream classifiers.  `superposition_encode`
+(uniform combinations of listed bitstrings) takes an explicit bitstring
+set rather than a feature vector, so it is no scheme.  Written kets
+follow the usual convention: the leftmost bit of |b_{n-1}...b_0> is the
+highest qubit index.
 
 `embed_matrix` (the production path) encodes all rows as one batch and
 equals the oracle, `embed_sample` on `qsim` states, bit for bit: Z readouts
@@ -26,7 +28,6 @@ from .errors import (
     EmptyInput,
     EncodingError,
     InvalidScheme,
-    MissingQuantizer,
     NonAsciiCharacter,
     NonBinaryInput,
     NonFiniteInput,
@@ -41,10 +42,9 @@ from .pipeline import FeatureMatrix
 from .qsim import MAX_QUBITS, StateVector
 
 BASIS = "basis"
-SUPERPOSITION = "superposition"
 ANGLE = "angle"
 AMPLITUDE = "amplitude"
-KINDS = (BASIS, SUPERPOSITION, ANGLE, AMPLITUDE)
+KINDS = (BASIS, ANGLE, AMPLITUDE)
 
 PROBABILITY_VECTOR = "probability_vector"
 Z_EXPECTATIONS = "z_expectations"
@@ -104,10 +104,6 @@ def basis_scheme(bits_per_feature: int = 4, readout: str | None = None):
     return EncodingScheme(
         BASIS, readout or default_readout(BASIS), bits_per_feature=bits_per_feature
     )
-
-
-def superposition_scheme(readout: str | None = None):
-    return EncodingScheme(SUPERPOSITION, readout or default_readout(SUPERPOSITION))
 
 
 def amplitude_scheme(readout: str | None = None):
@@ -227,53 +223,15 @@ def amplitude_encode(x) -> StateVector:
     return StateVector(n, amps, qsim.DENSE)
 
 
-# --- quantizer for continuous basis encoding ----------------------------------------
+def bits_for_row(x01, bits: int) -> np.ndarray:
+    """Fixed-point bits of one [0, 1] row (of each row of a matrix), feature by feature.
 
-class Quantizer:
-    """Train-fitted min-max scaler to [0, 1].
-
-    Each feature is scaled by the training minimum and range; out-of-range
-    test values clip.  It is the [0, 1] normalizer of angle encoding, and
-    `bits_for_row` turns its output into the bits of basis encoding.
+    Each feature is rounded to `bits` bits, most significant first, and the
+    features are concatenated in order.
     """
-
-    lo: np.ndarray | None = None
-    span: np.ndarray | None = None
-
-    def fit(self, X) -> "Quantizer":
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.size == 0:
-            raise EmptyInput("fit needs a nonempty 2-D matrix")
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteInput("fit matrix must be finite")
-        self.lo = X.min(axis=0)
-        self.span = X.max(axis=0) - self.lo
-        return self
-
-    def normalize(self, X) -> np.ndarray:
-        """Min-max scale rows to [0, 1] with clipping; constant features map to 0."""
-        X = np.asarray(X, dtype=float)
-        if self.lo is None:
-            raise MissingQuantizer("quantizer must be fitted before use")
-        if X.shape[-1] != self.lo.size:
-            raise LengthMismatch(f"fitted on {self.lo.size} features, got {X.shape[-1]}")
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteInput("values must be finite")
-        span = np.where(self.span == 0, 1.0, self.span)
-        return np.clip((X - self.lo) / span, 0.0, 1.0)
-
-
-def bits_for_row(quantizer: Quantizer, x, scheme: EncodingScheme) -> np.ndarray:
-    """Fixed-point bits of one row (of each row of a matrix), feature by feature.
-
-    Each normalized feature is rounded to the scheme's bits_per_feature
-    bits, most significant first, and the features are concatenated in order.
-    """
-    x01 = quantizer.normalize(x)
-    bits = scheme.bits_per_feature
-    levels = np.rint(x01 * ((1 << bits) - 1)).astype(int)
+    levels = np.rint(np.asarray(x01, dtype=float) * ((1 << bits) - 1)).astype(int)
     shifts = np.arange(bits - 1, -1, -1)
-    return ((levels[..., None] >> shifts) & 1).reshape(x01.shape[:-1] + (-1,))
+    return ((levels[..., None] >> shifts) & 1).reshape(levels.shape[:-1] + (-1,))
 
 
 # --- readout and batch embedding -----------------------------------------------------
@@ -300,35 +258,23 @@ def readout_features(state: StateVector, mode: str) -> np.ndarray:
     raise InvalidScheme(f"unknown readout {mode!r}")
 
 
-def embed_sample(
-    x, scheme: EncodingScheme, quantizer: Quantizer | None = None
-) -> EmbeddedSample:
+def embed_sample(x, scheme: EncodingScheme) -> EmbeddedSample:
     """Encode one feature vector under a scheme and read it back out.
 
-    Basis encoding takes raw 0/1 features directly; continuous features
-    need a fitted Quantizer.  Superposition encoding has no per-sample
-    form (it consumes an explicit bitstring set), so it is rejected here.
+    Basis features lie in [0, 1] and each is rounded to the scheme's
+    bits_per_feature bits.
     """
     if scheme.kind == ANGLE:
         state = angle_encode(x, scheme)
     elif scheme.kind == AMPLITUDE:
         state = amplitude_encode(x)
-    elif scheme.kind == BASIS:
-        if quantizer is not None:
-            bits = bits_for_row(quantizer, x, scheme)
-        else:
-            arr = np.asarray(x, dtype=float)
-            if arr.size and not np.all(np.isin(arr, (0.0, 1.0))):
-                raise MissingQuantizer(
-                    "continuous features need a fitted quantizer for basis encoding"
-                )
-            bits = arr.astype(int)
-        state = basis_encode(bits)
     else:
-        raise InvalidScheme(
-            "superposition encoding takes an explicit bitstring set; "
-            "use superposition_encode directly"
-        )
+        arr = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteInput("features must be finite")
+        if np.any(arr < 0) or np.any(arr > 1):
+            raise OutOfRangeFeature("basis features must lie in [0, 1]")
+        state = basis_encode(bits_for_row(arr, scheme.bits_per_feature))
     return EmbeddedSample(state, readout_features(state, scheme.readout), scheme)
 
 
@@ -341,23 +287,17 @@ def _feature_names(mode: str, width: int) -> tuple[str, ...]:
     return tuple(f"re{i}" for i in range(half)) + tuple(f"im{i}" for i in range(half))
 
 
-def _product_factors(data, scheme, quantizer):
+def _product_factors(data, scheme):
     """(m, n, 2) qubit factors in feature order, signed zeros as the scalar gates
-    give them, and the rows embed_sample rejects."""
+    give them."""
     if scheme.kind == BASIS:
-        if quantizer is not None:
-            bits = bits_for_row(quantizer, data, scheme)
-            return np.eye(2, dtype=complex)[bits], np.zeros(len(data), bool)
-        bad = ~np.isin(data, (0.0, 1.0)).all(axis=1)  # raw features must be bits
-        return np.eye(2, dtype=complex)[(data == 1) * 1], bad
-    thetas, bad = data, np.zeros(len(data), bool)  # a FeatureMatrix holds finite values
-    if scheme.angle_map == LINEAR_PI:
-        thetas, bad = math.pi * data, ((data < 0) | (data > 1)).any(axis=1)
+        return np.eye(2, dtype=complex)[bits_for_row(data, scheme.bits_per_feature)]
+    thetas = math.pi * data if scheme.angle_map == LINEAR_PI else data
     if scheme.axis == "Z":
         pair = np.exp(-0.5j * thetas), np.zeros_like(thetas)
     else:
         pair = np.cos(thetas / 2), (-1j if scheme.axis == "X" else 1) * np.sin(thetas / 2)
-    return np.stack(pair, axis=-1).astype(complex), bad
+    return np.stack(pair, axis=-1).astype(complex)
 
 
 def _dense_readout(amps, mode) -> np.ndarray:
@@ -372,14 +312,12 @@ def _dense_readout(amps, mode) -> np.ndarray:
     return np.stack([p[:, 0] - p[:, 1] for p in margs], axis=1)
 
 
-def embed_matrix(
-    X: FeatureMatrix, scheme: EncodingScheme, quantizer: Quantizer | None = None
-) -> FeatureMatrix:
+def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
     """Encode and read out all rows at once, equal to stacking embed_sample rows.
 
     Row 0 runs through embed_sample first, to check what depends only on the
-    width and scheme (qubit cap, quantizer fit); so does the first row the
-    batch masks flag.  A failure is RowEncodeError(row, typed per-row cause).
+    width and scheme (the qubit cap); so does the first row the batch masks
+    flag.  A failure is RowEncodeError(row, typed per-row cause).
     """
     data, (m, d) = X.data, X.data.shape
     if m == 0:
@@ -387,27 +325,30 @@ def embed_matrix(
 
     def encode_row(i):
         try:
-            embed_sample(data[i], scheme, quantizer)
+            embed_sample(data[i], scheme)
         except QembedError as exc:
             raise RowEncodeError(i, exc) from exc
 
     encode_row(0)
-    factors = None
+    bad = np.zeros(m, bool)  # a FeatureMatrix holds finite values
     if scheme.kind == AMPLITUDE:
         amps = np.zeros((m, 1 << max(1, math.ceil(math.log2(d)))), dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             amps[:, :d] = data / np.sqrt(data[:, None, :] @ data[:, :, None])[:, 0]
         # a zero, overflowing or underflowing norm fails the state's norm check
         bad = ~(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0) <= qsim._NORM_TOL)
-    else:
-        factors, bad = _product_factors(data, scheme, quantizer)
+    elif scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:  # features in [0, 1]
+        bad = ((data < 0) | (data > 1)).any(axis=1)
     if bad.any():
         encode_row(int(bad.argmax()))
         raise AssertionError("a batch check rejects a row that embed_sample encodes")
+    factors = None if scheme.kind == AMPLITUDE else _product_factors(data, scheme)
     if scheme.readout == Z_EXPECTATIONS and factors is not None:
         # scalar abs() of a complex is hypot; array np.abs differs in the last bit
-        mag = np.hypot(factors.real, factors.imag)
-        out = np.float_power(mag[..., 0], 2) - np.float_power(mag[..., 1], 2)
+        # squared one column at a time, so no (m, n, 2) magnitude array is held
+        p0, p1 = (np.float_power(np.hypot(f.real, f.imag), 2)
+                  for f in factors.transpose(2, 0, 1))
+        out = p0 - p1
     else:
         if factors is not None:  # expand each product state as StateVector.amps does
             amps = factors[:, 0]

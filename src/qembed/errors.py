@@ -50,7 +50,7 @@ class DuplicateString(EncodingError):
 
 
 class OutOfRangeFeature(EncodingError):
-    """linear_pi angle map requires features in [0, 1]."""
+    """Basis and linear_pi angle encoding require features in [0, 1]."""
 
 
 class ZeroVector(EncodingError):
@@ -59,10 +59,6 @@ class ZeroVector(EncodingError):
 
 class NonFiniteInput(EncodingError):
     pass
-
-
-class MissingQuantizer(EncodingError):
-    """Basis encoding of continuous features needs a fitted quantizer."""
 
 
 class InvalidScheme(EncodingError):

@@ -73,18 +73,10 @@ def f1(c: ConfusionCounts) -> float | None:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the mean rank of their group."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    """1-based ranks with ties assigned the mean rank of their group: a group
+    of c equal values ending at rank r has midrank r - (c - 1) / 2."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def roc_auc(y_true, scores) -> float:

@@ -138,7 +138,8 @@ def load_csv(path, schema) -> Dataset:
 
     Extra file columns are ignored; schema columns must all be present.
     Blank or whitespace-only numeric cells parse as 0.0 and are counted
-    per column in the returned Dataset.
+    per column in the returned Dataset; any other numeric cell that is not a
+    finite number raises UnparsableCell.
     """
     schema = tuple(schema)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -169,7 +170,9 @@ def load_csv(path, schema) -> Dataset:
                 try:
                     values[i] = float(text)
                 except ValueError:
-                    raise UnparsableCell(i, spec.name, cell) from None
+                    values[i] = math.nan
+                if not math.isfinite(values[i]):  # also nan, inf and 1e400
+                    raise UnparsableCell(i, spec.name, cell)
             columns[spec.name] = values
             if n_blank:
                 blanks[spec.name] = n_blank

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from qembed.bench import cli, config, data, report, runner
-from qembed.errors import ConfigError, EmptyResults
+from qembed.encoding import RAW, amplitude_scheme, angle_scheme, basis_scheme
+from qembed.errors import ConfigError, EmptyInput, EmptyResults
 from qembed.metrics import MetricReport
 from qembed.models import MODEL_KINDS
-from qembed.pipeline import pearson_corr
+from qembed.pipeline import NUMERIC, FeatureMatrix, pearson_corr
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -348,6 +349,29 @@ class TestRunner:
         for cell in classical_cells:
             assert cell.error is None
 
+    def test_scaling_fitted_on_train_only(self, monkeypatch):
+        # columns: a ranged one, a constant one, and one the test split overshoots
+        monkeypatch.setattr(runner, "embed_matrix", lambda X, scheme: X)
+        names, labels = ("a", "b", "c"), np.array([0, 1])
+        train = FeatureMatrix(np.array([[0.0, 5.0, -1.0], [4.0, 5.0, 1.0]]), names, labels)
+        test = FeatureMatrix(np.array([[2.0, 5.0, -3.0], [8.0, 7.0, 0.5]]), names, labels)
+        for scheme in (basis_scheme(2), angle_scheme(axis="Y")):
+            got_train, got_test, _ = runner.encode_split(
+                config.EncodingEntry("e", scheme), train, test)
+            assert got_train.data.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
+            assert got_test.data.tolist() == [[0.5, 0.0, 0.0], [1.0, 1.0, 0.75]]
+        for scheme in (angle_scheme(angle_map=RAW), amplitude_scheme(), None):
+            got_train, got_test, _ = runner.encode_split(
+                config.EncodingEntry("e", scheme), train, test)
+            assert got_train.data.tolist() == train.data.tolist()
+            assert got_test.data.tolist() == test.data.tolist()
+
+    def test_scaling_needs_train_rows(self):
+        empty = FeatureMatrix(np.zeros((0, 2)), ("a", "b"), np.zeros(0, dtype=int))
+        test = FeatureMatrix(np.ones((2, 2)), ("a", "b"), np.array([0, 1]))
+        with pytest.raises(EmptyInput):
+            runner.encode_split(config.EncodingEntry("basis", basis_scheme()), empty, test)
+
     def test_repeat_keeps_metrics(self):
         cfg = small_config(
             encodings=[{"kind": "classical"}], models=[{"kind": "knn"}]
@@ -643,6 +667,29 @@ class TestCli:
         bad.write_text(header + "\n" + row + "\n")
         cfg_path = self.write_config(tmp_path, dataset={"path": str(bad)})
         assert cli.main(["bench", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_bench_non_finite_csv_cell_names_the_cell(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        numeric = {c.name for c in config.TELCO_SCHEMA if c.kind == NUMERIC}
+        row = [cell if c.name == "MonthlyCharges" else "1" if c.name in numeric else "x"
+               for c in config.TELCO_SCHEMA]
+        bad.write_text(",".join(c.name for c in config.TELCO_SCHEMA) + "\n"
+                       + ",".join(row) + "\n")
+        cfg_path = self.write_config(tmp_path, dataset={"path": str(bad)})
+        assert cli.main(["bench", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: row 0, column 'MonthlyCharges'")
+        assert repr(cell) in err
+
+    @pytest.mark.parametrize("manifest", [5, "config"])
+    def test_non_object_manifest_is_config_error(self, tmp_path, capsys, manifest):
+        # only a results file's manifest object is unwrapped to its config
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"manifest": manifest}))
+        assert cli.main(["bench", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "unknown key manifest" in capsys.readouterr().err
 
     def test_bench_missing_dataset_is_data_error(self, tmp_path, capsys):
         cfg_path = self.write_config(

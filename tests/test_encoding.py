@@ -11,7 +11,6 @@ from qembed.errors import (
     EncodingError,
     InvalidScheme,
     LengthMismatch,
-    MissingQuantizer,
     NonAsciiCharacter,
     NonBinaryInput,
     NonFiniteInput,
@@ -290,56 +289,40 @@ class TestSchemeValidation:
 
 
 class TestQuantizer:
+    """Basis encoding rounds each [0, 1] feature to the scheme's bit count."""
+
     def test_bit_patterns(self):
-        q, scheme = enc.Quantizer().fit([[0.0], [10.0]]), enc.basis_scheme(4)
-        assert list(enc.bits_for_row(q, [0.0], scheme)) == [0, 0, 0, 0]
-        assert list(enc.bits_for_row(q, [10.0], scheme)) == [1, 1, 1, 1]
-        assert list(enc.bits_for_row(q, [-5.0], scheme)) == [0, 0, 0, 0]  # clipped
-        assert list(enc.bits_for_row(q, [99.0], scheme)) == [1, 1, 1, 1]
+        assert list(enc.bits_for_row([0.0], 4)) == [0, 0, 0, 0]
+        assert list(enc.bits_for_row([1.0], 4)) == [1, 1, 1, 1]
+        assert list(enc.bits_for_row([0.2], 4)) == [0, 0, 1, 1]  # level 3 of 15
+        assert list(enc.bits_for_row([0.5], 1)) == [0]  # 0.5 ties to the even level
+        assert enc.bits_for_row([[0.0], [1.0]], 2).tolist() == [[0, 0], [1, 1]]
 
     def test_concatenation_order(self):
-        q = enc.Quantizer().fit([[0.0, 0.0], [1.0, 1.0]])
-        assert list(enc.bits_for_row(q, [1.0, 0.0], enc.basis_scheme(2))) == [1, 1, 0, 0]
+        assert list(enc.bits_for_row([1.0, 0.0], 2)) == [1, 1, 0, 0]
 
     def test_roundtrip_error_bound(self):
         rng = np.random.default_rng(37)
-        X = rng.uniform(-3, 5, size=(100, 4))
-        q = enc.Quantizer().fit(X)
+        X = rng.uniform(0, 1, size=(20, 4))
         levels = (1 << 6) - 1
-        for row in X[:20]:
-            bits = enc.bits_for_row(q, row, enc.basis_scheme(6)).reshape(4, 6)
-            weights = 2.0 ** np.arange(5, -1, -1)
-            recon = bits @ weights / levels
-            assert np.max(np.abs(recon - q.normalize(row))) <= 0.5 / levels + 1e-12
-
-    def test_constant_feature(self):
-        q = enc.Quantizer().fit([[5.0], [5.0]])
-        assert np.allclose(q.normalize([[5.0]]), 0.0)
-
-    def test_unfitted_and_width_errors(self):
-        with pytest.raises(MissingQuantizer):
-            enc.bits_for_row(enc.Quantizer(), [1.0], enc.basis_scheme())
-        q = enc.Quantizer().fit([[0.0, 1.0], [1.0, 2.0]])
-        with pytest.raises(LengthMismatch):
-            enc.bits_for_row(q, [1.0, 2.0, 3.0], enc.basis_scheme())
+        weights = 2.0 ** np.arange(5, -1, -1)
+        for row in X:
+            recon = enc.bits_for_row(row, 6).reshape(4, 6) @ weights / levels
+            assert np.max(np.abs(recon - row)) <= 0.5 / levels + 1e-12
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        # NaN used to round to an arbitrary level and encode as bits 0
-        q, scheme = enc.Quantizer().fit([[0.0, 0.0], [1.0, 1.0]]), enc.basis_scheme(2)
-        for call in (q.normalize, lambda x: enc.bits_for_row(q, x, scheme)):
-            with pytest.raises(NonFiniteInput):
-                call([bad, 0.3])
+        # NaN would round to an arbitrary level and encode as bits
         with pytest.raises(NonFiniteInput):
-            enc.embed_sample([bad, 0.3], enc.basis_scheme(2, enc.Z_EXPECTATIONS), q)
+            enc.embed_sample([bad, 0.3], enc.basis_scheme(2, enc.Z_EXPECTATIONS))
 
     def test_scheme_sets_the_bit_count(self):
-        # one bit per feature, whatever the quantizer was built with before
-        q = enc.Quantizer().fit([[0.0, 0.0], [1.0, 1.0]])
         scheme = enc.basis_scheme(1, enc.Z_EXPECTATIONS)
-        assert enc.embed_sample([1.0, 0.2], scheme, q).state.n_qubits == 2
-        got = enc.embed_matrix(matrix_of([[1.0, 0.2], [0.0, 0.9]]), scheme, q)
+        assert enc.embed_sample([1.0, 0.2], scheme).state.n_qubits == 2
+        got = enc.embed_matrix(matrix_of([[1.0, 0.2], [0.0, 0.9]]), scheme)
         assert got.data.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
+        # 0/1 features are [0, 1] features too: four bits each
+        assert enc.embed_sample([1, 0, 1], enc.basis_scheme(4)).state.n_qubits == 12
 
 
 class TestEmbedSample:
@@ -355,24 +338,27 @@ class TestEmbedSample:
         assert np.allclose(out.features, expected, atol=1e-12)
 
     def test_basis_bits(self):
-        out = enc.embed_sample([1, 0, 1], enc.basis_scheme())
+        out = enc.embed_sample([1, 0, 1], enc.basis_scheme(1))
         expected = np.zeros(8)
         expected[5] = 1
         assert np.allclose(out.features, expected)
 
-    def test_basis_continuous_needs_quantizer(self):
-        with pytest.raises(MissingQuantizer):
-            enc.embed_sample([0.3, 0.7], enc.basis_scheme())
+    def test_basis_out_of_range(self):
+        with pytest.raises(OutOfRangeFeature):
+            enc.embed_sample([1.0, 1.5], enc.basis_scheme())
+        with pytest.raises(OutOfRangeFeature):
+            enc.embed_sample([-0.01], enc.basis_scheme())
 
-    def test_basis_with_quantizer(self):
-        q = enc.Quantizer().fit([[0.0], [1.0]])
-        out = enc.embed_sample([1.0], enc.basis_scheme(bits_per_feature=2), q)
+    def test_basis_two_bits(self):
+        out = enc.embed_sample([1.0], enc.basis_scheme(bits_per_feature=2))
         assert out.state.n_qubits == 2
         assert np.argmax(out.features) == 3  # both bits set
 
     def test_superposition_rejected(self):
+        # a bitstring set, not a feature vector: no scheme for embed_sample
         with pytest.raises(InvalidScheme):
-            enc.embed_sample([0.1], enc.superposition_scheme())
+            enc.embed_sample([0.1], enc.EncodingScheme("superposition",
+                                                       enc.PROBABILITY_VECTOR))
 
     def test_readout_lengths(self):
         x = [0.2, 0.8, 0.5]
@@ -439,7 +425,7 @@ class TestEmbedMatrix:
 
 
 def oracle_cases():
-    """Every (scheme, quantized) pair embed_matrix accepts, for each readout."""
+    """Every (scheme, binary rows) pair embed_matrix accepts, for each readout."""
     for readout in enc.READOUTS:
         for axis in "XYZ":
             for angle_map in (enc.LINEAR_PI, enc.RAW):
@@ -447,20 +433,23 @@ def oracle_cases():
                 yield pytest.param(scheme, False, id=f"angle-{axis}-{angle_map}-{readout}")
         for bits in (1, 2, 3):
             scheme = enc.basis_scheme(bits, readout)
-            yield pytest.param(scheme, True, id=f"basis-{bits}bit-{readout}")
-        scheme = enc.basis_scheme(1, readout)  # raw 0/1 features
-        yield pytest.param(scheme, False, id=f"basis-raw-{readout}")
+            yield pytest.param(scheme, False, id=f"basis-{bits}bit-{readout}")
+        scheme = enc.basis_scheme(1, readout)  # only 0/1 features
+        yield pytest.param(scheme, True, id=f"basis-raw-{readout}")
         yield pytest.param(enc.amplitude_scheme(readout), False, id=f"amplitude-{readout}")
 
 
-def oracle_rows(rng, scheme, quantized, width, m=24):
+def oracle_rows(rng, scheme, binary, width, m=24):
     """Rows of the values the scheme accepts, with exact 0s and 1s and ties."""
-    if scheme.kind == enc.BASIS and not quantized:
+    if binary:
         return rng.integers(0, 2, size=(m, width)).astype(float)
-    if scheme.kind == enc.ANGLE and scheme.angle_map == enc.LINEAR_PI:
+    if scheme.kind == enc.BASIS or scheme.angle_map == enc.LINEAR_PI:
         X = rng.uniform(0, 1, size=(m, width))
     else:
         X = rng.normal(size=(m, width)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    if scheme.kind == enc.BASIS:  # rounding ties: 0.5, and half a level above 0
+        X[rng.uniform(size=X.shape) < 0.2] = 0.5
+        X[rng.uniform(size=X.shape) < 0.2] = 0.5 / ((1 << scheme.bits_per_feature) - 1)
     X[rng.uniform(size=X.shape) < 0.2] = 0.0
     X[rng.uniform(size=X.shape) < 0.2] = 1.0
     X[1] = X[0]  # tied rows
@@ -472,17 +461,16 @@ def oracle_rows(rng, scheme, quantized, width, m=24):
 class TestEmbedMatrixEqualsOracle:
     """The batch path gives the bytes of embed_sample, row by row."""
 
-    @pytest.mark.parametrize("scheme, quantized", oracle_cases())
-    def test_bytes_equal_embed_sample(self, scheme, quantized):
+    @pytest.mark.parametrize("scheme, binary", oracle_cases())
+    def test_bytes_equal_embed_sample(self, scheme, binary):
         rng = np.random.default_rng(47)
         for width in range(1, 9):
             n_qubits = width * (scheme.bits_per_feature or 1)
             if scheme.readout != enc.Z_EXPECTATIONS and n_qubits > 12:
                 continue  # 2^n-wide readouts stop at 12 qubits; Z covers widths 1-8
-            X = oracle_rows(rng, scheme, quantized, width)
-            q = enc.Quantizer().fit(X) if quantized else None
-            got = enc.embed_matrix(matrix_of(X), scheme, q).data
-            want = np.vstack([enc.embed_sample(x, scheme, q).features for x in X])
+            X = oracle_rows(rng, scheme, binary, width)
+            got = enc.embed_matrix(matrix_of(X), scheme).data
+            want = np.vstack([enc.embed_sample(x, scheme).features for x in X])
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -490,7 +478,7 @@ class TestEmbedMatrixEqualsOracle:
     @pytest.mark.parametrize("scheme, bad_row, cause", [
         (enc.amplitude_scheme(), [1e200, 1e200], NonFiniteInput),
         (enc.angle_scheme(), [0.5, 1.5], OutOfRangeFeature),
-        (enc.basis_scheme(1), [1.0, 0.5], MissingQuantizer),  # non-binary, no quantizer
+        (enc.basis_scheme(1), [1.0, 1.5], OutOfRangeFeature),
         (enc.amplitude_scheme(), [0.0, 0.0], ZeroVector),
         (enc.amplitude_scheme(), [1e-160, 1e-160], EncodingError),
     ])
@@ -506,7 +494,7 @@ class TestEmbedMatrixEqualsOracle:
 
     @pytest.mark.parametrize("scheme, width, cause", [
         (enc.angle_scheme(), 25, QubitCapExceeded),  # one qubit past the cap
-        (enc.superposition_scheme(), 24, InvalidScheme),
+        (enc.basis_scheme(2), 13, QubitCapExceeded),  # 26 qubits
     ])
     def test_width_and_scheme_failures_are_row_0(self, scheme, width, cause):
         # these do not depend on the values, so the first row already fails

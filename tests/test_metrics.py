@@ -163,6 +163,19 @@ class TestRocAuc:
         with pytest.raises(SingleClass):
             mt.roc_auc([1, 1, 1], [0.1, 0.5, 0.9])
 
+    def test_midranks_equal_mean_position_among_equals(self):
+        # the definition: the mean 1-based sorted position of the equal values
+        rng = np.random.default_rng(59)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            if trial % 2:  # heavy ties, -0.0 equal to 0.0
+                x = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=n)
+            else:
+                x = np.round(rng.normal(size=n), 1)
+            ranked = np.sort(x)
+            want = [np.flatnonzero(ranked == v).mean() + 1 for v in x]
+            assert mt._midranks(x).tolist() == want
+
 
 class TestKappa:
     def test_perfect_agreement(self):

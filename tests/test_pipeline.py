@@ -75,6 +75,16 @@ class TestLoadCsv:
         assert info.value.column == "amount"
         assert info.value.row == 0
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_unparsable(self, tmp_path, cell):
+        # float() accepts each of these; a feature matrix holds finite values only
+        p = tmp_path / "d.csv"
+        write_csv(p, ["id", "color", "amount", "label"],
+                  [["a", "red", "1", "No"], ["b", "red", cell, "Yes"]])
+        with pytest.raises(UnparsableCell) as info:
+            pl.load_csv(p, SCHEMA)
+        assert (info.value.row, info.value.column, info.value.value) == (1, "amount", cell)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["id", "color", "amount", "label"], [])
