@@ -7,7 +7,6 @@ usage problems (including unknown flags) and 2 for data problems.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -129,15 +128,12 @@ def _cmd_preprocess(args) -> int:
     out_dir = runner_mod.resolve_output_dir(config, args.out)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "preprocess.json")
-    payload = {
+    runner_mod.write_json(path, {
         "report": result.report.to_dict(),
         "train_rows": result.train.n_rows,
         "test_rows": result.test.n_rows,
         "n_components": result.report.n_components,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
     dropped = ", ".join(d.name for d in result.report.dropped) or "none"
     print(f"rows: {dataset.n_rows} -> train {result.train.n_rows}, test {result.test.n_rows}")
     print(f"dropped columns: {dropped}")

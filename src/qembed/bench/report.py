@@ -12,7 +12,6 @@ import io
 import os
 
 from ..errors import EmptyResults
-from ..metrics import MetricReport
 from .runner import RunResult
 
 COLUMNS = (
@@ -49,15 +48,10 @@ def _cell(value) -> str:
 
 
 def _row_cells(result: dict) -> list[str]:
-    report = result.get("report")
-    cells = [result["encoding"], result["model"]]
-    for name in MetricReport.METRIC_NAMES:
-        cells.append(_cell(report[name] if report is not None else None))
-    for name in ("encode_ms", "fit_ms", "predict_ms"):
-        cells.append(_cell(result[name]))
-    cells.append(_cell(result.get("converged")))
-    cells.append(result.get("error") or "")
-    return cells
+    """Each column read off the cell, a metric off its report (NA when the
+    cell has none), and an empty error column when the cell succeeded."""
+    values = {**result, **(result.get("report") or {}), "error": result.get("error") or ""}
+    return [_cell(values.get(name)) for name in COLUMNS]
 
 
 def emit_report(results, fmt: str = "csv") -> str:

@@ -39,27 +39,30 @@ DEFAULT_OUTPUT_DIR = "qembed_out"
 
 @dataclass
 class RunResult:
-    """Outcome of one (encoding, model) cell."""
+    """Outcome of one (encoding, model) cell.
+
+    A failed cell sets `error` and keeps the defaults of every scored
+    field: no report, zero timings, `dim_out` 0, no solver iterations and
+    `converged` None.
+    """
 
     encoding: str
     model: str
-    report: MetricReport | None
-    error: str | None
-    encode_ms: float
-    fit_ms: float
-    predict_ms: float
-    dim_in: int
-    dim_out: int
-    seed: int
-    split_checksum: str
-    timestamp: str
+    report: MetricReport | None = None
+    error: str | None = None
+    encode_ms: float = 0.0
+    fit_ms: float = 0.0
+    predict_ms: float = 0.0
+    dim_in: int = 0
+    dim_out: int = 0
+    seed: int = 0
+    split_checksum: str = ""
+    timestamp: str = ""
     iterations: int = 0
     converged: bool | None = None
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["report"] = self.report.to_dict() if self.report is not None else None
-        return out
+        return dataclasses.asdict(self)
 
 
 def _now() -> str:
@@ -117,69 +120,46 @@ def encode_split(
     return enc_train, enc_test, (time.perf_counter() - t0) * 1e3
 
 
-def _failed_cell(entry, spec, message, dim_in, seed, checksum) -> RunResult:
-    return RunResult(
-        encoding=entry.name,
-        model=spec.kind,
-        report=None,
-        error=message,
-        encode_ms=0.0,
-        fit_ms=0.0,
-        predict_ms=0.0,
-        dim_in=dim_in,
-        dim_out=0,
-        seed=seed,
-        split_checksum=checksum,
-        timestamp=_now(),
-    )
-
-
 def _run_once(config: BenchConfig, pre: PreprocessResult, checksum: str) -> list[RunResult]:
     train, test = pre.train, pre.test
     results: list[RunResult] = []
     for entry in config.encodings:
+        encode_error = None
         try:
             enc_train, enc_test, encode_ms = encode_split(entry, train, test)
         except QembedError as exc:
-            for spec in config.models:
-                results.append(
-                    _failed_cell(
-                        entry, spec, f"encode: {exc}", train.n_cols, config.seed, checksum
-                    )
-                )
-            continue
+            encode_error = f"encode: {exc}"
         for spec in config.models:
-            try:
-                t0 = time.perf_counter()
-                model = fit(spec, enc_train)
-                fit_ms = (time.perf_counter() - t0) * 1e3
-                t0 = time.perf_counter()
-                scores = model.predict_proba(enc_test)
-                predict_ms = (time.perf_counter() - t0) * 1e3
-                report = compute_report(enc_test.labels, scores)
-            except QembedError as exc:
-                results.append(
-                    _failed_cell(
-                        entry, spec, f"fit: {exc}", train.n_cols, config.seed, checksum
+            error, scored = encode_error, {}
+            if error is None:
+                try:
+                    t0 = time.perf_counter()
+                    model = fit(spec, enc_train)
+                    fit_ms = (time.perf_counter() - t0) * 1e3
+                    t0 = time.perf_counter()
+                    scores = model.predict_proba(enc_test)
+                    predict_ms = (time.perf_counter() - t0) * 1e3
+                    scored = dict(
+                        report=compute_report(enc_test.labels, scores),
+                        encode_ms=encode_ms,
+                        fit_ms=fit_ms,
+                        predict_ms=predict_ms,
+                        dim_out=enc_train.n_cols,
+                        iterations=int(model.meta.iterations),
+                        converged=bool(model.meta.converged),
                     )
-                )
-                continue
+                except QembedError as exc:
+                    error = f"fit: {exc}"
             results.append(
                 RunResult(
                     encoding=entry.name,
                     model=spec.kind,
-                    report=report,
-                    error=None,
-                    encode_ms=encode_ms,
-                    fit_ms=fit_ms,
-                    predict_ms=predict_ms,
+                    error=error,
                     dim_in=train.n_cols,
-                    dim_out=enc_train.n_cols,
                     seed=config.seed,
                     split_checksum=checksum,
                     timestamp=_now(),
-                    iterations=int(model.meta.iterations),
-                    converged=bool(model.meta.converged),
+                    **scored,
                 )
             )
     return results
@@ -193,10 +173,7 @@ class BenchRun:
     results: list[RunResult]
 
     def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest,
-            "results": [r.to_dict() for r in self.results],
-        }
+        return dataclasses.asdict(self)
 
 
 def run_matrix(config: BenchConfig, repeat: int = 1) -> BenchRun:
@@ -246,6 +223,13 @@ def resolve_output_dir(config: BenchConfig, cli_out: str | None = None) -> str:
     return os.environ.get(ENV_OUTPUT_DIR) or DEFAULT_OUTPUT_DIR
 
 
+def write_json(path: str, payload) -> None:
+    """Write payload as 2-space indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def persist_run(run: BenchRun, out_dir: str) -> str:
     """Write results.json, manifest.json and one JSON file per cell.
 
@@ -254,17 +238,11 @@ def persist_run(run: BenchRun, out_dir: str) -> str:
     runs_dir = os.path.join(out_dir, "runs")
     os.makedirs(runs_dir, exist_ok=True)
     combined = os.path.join(out_dir, "results.json")
-    with open(combined, "w", encoding="utf-8") as fh:
-        json.dump(run.to_dict(), fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(run.manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(combined, run.to_dict())
+    write_json(os.path.join(out_dir, "manifest.json"), run.manifest)
     for i, cell in enumerate(run.results):
         name = f"{i:03d}_{cell.encoding}_{cell.model}.json"
-        with open(os.path.join(runs_dir, name), "w", encoding="utf-8") as fh:
-            json.dump(cell.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(os.path.join(runs_dir, name), cell.to_dict())
     return combined
 
 

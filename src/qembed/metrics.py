@@ -6,7 +6,7 @@ benchmark cells stay visible in reports.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -124,9 +124,7 @@ class MetricReport:
         return getattr(self, name) is not None
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self.METRIC_NAMES}
-        out["threshold"] = self.threshold
-        return out
+        return asdict(self)
 
 
 def compute_report(y_true, scores, threshold: float = DEFAULT_THRESHOLD) -> MetricReport:

@@ -280,14 +280,19 @@ def _codes(values) -> tuple[list[str], np.ndarray]:
     return list(index), codes
 
 
-def ordinal_matrix(dataset: Dataset) -> tuple[FeatureMatrix, dict[str, list[str]]]:
+def ordinal_matrix(
+    dataset: Dataset, labels: np.ndarray | None = None
+) -> tuple[FeatureMatrix, dict[str, list[str]]]:
     """Every feature column as numbers, each categorical column coded once.
 
     Categories are coded by first appearance.  Returns the matrix, in
     schema order, and each categorical column's vocabulary in code order:
-    the drop stages work on the codes, and `one_hot` expands them.
+    the drop stages work on the codes, and `one_hot` expands them.  The
+    matrix carries `labels`, or the `binary_labels` of the target when
+    none are given.
     """
-    labels, _ = binary_labels(dataset)
+    if labels is None:
+        labels, _ = binary_labels(dataset)
     cols, names, vocabularies = [], [], {}
     for spec in dataset.feature_specs():
         if spec.kind == NUMERIC:
@@ -342,7 +347,10 @@ def undersample(matrix: FeatureMatrix, seed: int) -> FeatureMatrix:
 def train_test_split(
     matrix: FeatureMatrix, ratio: float, seed: int
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Seeded stratified split; each class contributes floor(m*ratio) to train."""
+    """Seeded stratified split; each class contributes floor(m*ratio) to train.
+
+    Raises ClassTooSmall when a class would leave either split without a row.
+    """
     if not 0 < ratio < 1:
         raise ValueError("split ratio must be in (0, 1)")
     labels = matrix.labels
@@ -350,10 +358,14 @@ def train_test_split(
     in_train = np.zeros(matrix.n_rows, dtype=bool)
     for cls in (0, 1):
         members = perm[labels[perm] == cls]
-        if members.size < 2:
-            raise ClassTooSmall(f"class {cls} has {members.size} rows")
         # epsilon guards floor against float products landing just under an integer
         n_train = int(math.floor(members.size * ratio + 1e-9))
+        if n_train in (0, members.size):
+            empty = "train" if n_train == 0 else "test"
+            raise ClassTooSmall(
+                f"class {cls} has {members.size} rows, so split_ratio {ratio} "
+                f"puts none of them in the {empty} split"
+            )
         in_train[members[:n_train]] = True
     train_idx = perm[in_train[perm]]
     test_idx = perm[~in_train[perm]]
@@ -544,8 +556,8 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     """
     report = PreprocessReport(blank_numeric_cells=dict(dataset.blank_counts))
     report.dropped = [DroppedColumn(c.name, "id", 0.0) for c in dataset.schema if c.kind == ID]
-    report.label_mapping = dict(binary_labels(dataset)[1])
-    matrix, vocabularies = ordinal_matrix(dataset)  # id columns are not features
+    labels, report.label_mapping = binary_labels(dataset)
+    matrix, vocabularies = ordinal_matrix(dataset, labels)  # id columns are not features
 
     # correlated numeric pairs: later column of each offending pair goes
     numeric = [j for j, name in enumerate(matrix.column_names) if name not in vocabularies]

@@ -75,11 +75,6 @@ class StateVector:
         amps.setflags(write=False)
         return amps
 
-    @property
-    def factors(self) -> np.ndarray | None:
-        """(n, 2) per-qubit factors, or None for dense layout."""
-        return self._data if self.layout == PRODUCT else None
-
     def to_dense(self) -> "StateVector":
         if self.layout == DENSE:
             return self

@@ -349,6 +349,25 @@ class TestRunner:
         for cell in classical_cells:
             assert cell.error is None
 
+    def test_failing_fit_isolated(self):
+        # 8 rows at seed 6 leave one train row per class, so every fit fails
+        cfg = small_config(
+            dataset={"path": None, "synthetic_rows": 8}, seed=6, preprocess={}
+        )
+        run = runner.run_matrix(cfg)
+        assert [(r.encoding, r.model) for r in run.results] == [
+            ("classical", "logreg"),
+            ("classical", "knn"),
+            ("angle", "logreg"),
+            ("angle", "knn"),
+        ]
+        for cell in run.results:
+            assert cell.error == "fit: need at least two samples per class"
+            assert cell.report is None
+            assert (cell.encode_ms, cell.fit_ms, cell.predict_ms) == (0.0, 0.0, 0.0)
+            assert (cell.dim_out, cell.iterations, cell.converged) == (0, 0, None)
+            assert cell.dim_in == run.manifest["n_components"]
+
     def test_scaling_fitted_on_train_only(self, monkeypatch):
         # columns: a ranged one, a constant one, and one the test split overshoots
         monkeypatch.setattr(runner, "embed_matrix", lambda X, scheme: X)
@@ -705,6 +724,18 @@ class TestCli:
                          "--out", str(tmp_path / "pre")]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and repr(name) in err
+
+    def test_split_leaving_a_class_out_of_train_is_data_error(self, tmp_path, capsys):
+        cfg_path = self.write_config(
+            tmp_path, dataset={"path": None, "synthetic_rows": 60}, seed=0,
+            preprocess={"split_ratio": 0.01},
+        )
+        assert cli.main(["preprocess", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "pre")]) == 2
+        assert capsys.readouterr().err == (
+            "data error: class 0 has 19 rows, so split_ratio 0.01 "
+            "puts none of them in the train split\n"
+        )
 
     def test_preprocess_writes_report(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)

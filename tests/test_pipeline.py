@@ -340,6 +340,12 @@ class TestSplit:
         with pytest.raises(ClassTooSmall):
             pl.train_test_split(X, 0.5, seed=0)
 
+    def test_class_without_test_row(self):
+        # the floor's epsilon rounds 5 * (1 - 1e-12) up to all five rows
+        X = matrix_of(np.zeros((10, 1)), labels=np.array([0, 1] * 5))
+        with pytest.raises(ClassTooSmall, match="none of them in the test split"):
+            pl.train_test_split(X, 1 - 1e-12, seed=0)
+
     def test_bad_ratio(self):
         X = matrix_of(np.zeros((4, 1)), labels=np.array([0, 0, 1, 1]))
         with pytest.raises(ValueError):
@@ -520,6 +526,30 @@ class TestRunPreprocess:
         pl.run_preprocess(ds, pl.PreprocessOptions(seed=3))
         categorical = [c.name for c in ds.feature_specs() if c.kind == pl.CATEGORICAL]
         assert len(coded) == len(categorical) == 2
+
+    def test_target_coded_once(self, monkeypatch):
+        calls = []
+        real_binary_labels = pl.binary_labels
+
+        def counting_binary_labels(dataset):
+            calls.append(dataset)
+            return real_binary_labels(dataset)
+
+        monkeypatch.setattr(pl, "binary_labels", counting_binary_labels)
+        result = pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(seed=3))
+        assert len(calls) == 1
+        assert result.report.label_mapping == {"No": 0, "Yes": 1}
+
+    def test_split_leaving_a_class_out_of_train(self):
+        ds = synthetic_dataset()
+        # undersampling leaves each class with the minority's rows
+        n_min = min(ds.columns["churn"].count(v) for v in ("No", "Yes"))
+        opts = pl.PreprocessOptions(seed=0, split_ratio=0.001)
+        with pytest.raises(ClassTooSmall, match=(
+            f"class 0 has {n_min} rows, so split_ratio 0.001 "
+            "puts none of them in the train split"
+        )):
+            pl.run_preprocess(ds, opts)
 
     @pytest.mark.parametrize("name", [
         "churn",  # the target
