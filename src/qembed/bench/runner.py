@@ -252,4 +252,9 @@ def load_results(path) -> list[dict]:
         payload = json.load(fh)
     if not (isinstance(payload, dict) and isinstance(payload.get("results"), list)):
         raise ValueError(f"{path} is not a results file: no \"results\" list")
+    for i, cell in enumerate(payload["results"]):
+        if not (isinstance(cell, dict) and {"encoding", "model"} <= cell.keys()
+                and isinstance(cell.get("report") or {}, dict)):
+            raise ValueError(f"{path}: results entry {i} is not a cell object with "
+                             "\"encoding\", \"model\" and an object or null \"report\"")
     return payload["results"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -136,49 +137,53 @@ class FeatureMatrix:
 def load_csv(path, schema) -> Dataset:
     """Load a comma-delimited, quoted, header-first CSV against a schema.
 
-    Extra file columns are ignored; schema columns must all be present.
-    Blank or whitespace-only numeric cells parse as 0.0 and are counted
-    per column in the returned Dataset; any other numeric cell that is not a
-    finite number raises UnparsableCell.
+    Extra file columns are ignored; schema columns must all be present, and
+    a repeated header name reads its last column.  Blank lines are skipped.
+    Blank, whitespace-only or missing numeric cells parse as 0.0 and are
+    counted per column in the returned Dataset; any other numeric cell that
+    is not a finite number raises UnparsableCell.
     """
     schema = tuple(schema)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyFile(f"{path}: no header row")
-        present = set(reader.fieldnames)
+        where = {name: j for j, name in enumerate(header)}
         for spec in schema:
-            if spec.name not in present:
+            if spec.name not in where:
                 raise MissingColumn(f"{path}: column {spec.name!r} not in header")
-        raw_rows = list(reader)
-    if not raw_rows:
+        rows = [row for row in reader if row]
+    if not rows:
         raise EmptyFile(f"{path}: no data rows")
+    # the header on top keeps every header column when all rows are short
+    file_columns = list(itertools.zip_longest(header, *rows, fillvalue=""))
 
     columns: dict[str, object] = {}
     blanks: dict[str, int] = {}
     for spec in schema:
-        cells = [row[spec.name] for row in raw_rows]
-        if spec.kind == NUMERIC:
-            values = np.empty(len(cells))
-            n_blank = 0
-            for i, cell in enumerate(cells):
-                text = (cell or "").strip()
-                if not text:
-                    values[i] = 0.0
-                    n_blank += 1
-                    continue
+        cells = file_columns[where[spec.name]][1:]
+        text = tuple(map(str.strip, cells))
+        if spec.kind != NUMERIC:
+            columns[spec.name] = text
+            continue
+        if n_blank := text.count(""):
+            blanks[spec.name] = n_blank
+            text = [t or "0" for t in text]
+        try:
+            values = np.fromiter(map(float, text), float, len(text))
+        except ValueError:  # cell by cell; from the first unparsable cell on, values stay nan
+            values = np.full(len(text), math.nan)
+            for i, t in enumerate(text):
                 try:
-                    values[i] = float(text)
+                    values[i] = float(t)
                 except ValueError:
-                    values[i] = math.nan
-                if not math.isfinite(values[i]):  # also nan, inf and 1e400
-                    raise UnparsableCell(i, spec.name, cell)
-            columns[spec.name] = values
-            if n_blank:
-                blanks[spec.name] = n_blank
-        else:
-            columns[spec.name] = tuple((cell or "").strip() for cell in cells)
-    return Dataset(schema, columns, len(raw_rows), blanks)
+                    break
+        bad = np.flatnonzero(~np.isfinite(values))  # also nan, inf and 1e400
+        if bad.size:
+            raise UnparsableCell(int(bad[0]), spec.name, cells[bad[0]])
+        columns[spec.name] = values
+    return Dataset(schema, columns, len(rows), blanks)
 
 
 def binary_labels(dataset: Dataset) -> tuple[np.ndarray, dict[str, int]]:
@@ -223,27 +228,28 @@ def compute_vif(matrix: FeatureMatrix) -> list[VifEntry]:
     """Variance inflation factor per column.
 
     VIF_j = 1/(1 - R^2_j) from an intercept-included least-squares fit of
-    column j on the others.  Near-perfect fits (R^2 > 1 - 1e-12) are
-    reported as infinite and flagged rather than raised.
+    column j on the others, solved on the columns' correlation matrix C:
+    R^2_j = C[j, o] @ lstsq(C[o, o], C[o, j]) with o the other columns.
+    Near-perfect fits (R^2 > 1 - 1e-12) are reported as infinite and
+    flagged rather than raised.
     """
     X = matrix.data
     if X.shape[1] < 2:
         raise LengthMismatch("VIF needs at least two columns")
+    constant = np.ptp(X, axis=0) == 0
+    if constant.any():
+        raise ZeroVariance(f"column {matrix.column_names[constant.argmax()]!r} is constant")
+    centred = X - X.mean(axis=0)
+    cov = centred.T @ centred  # the only pass over the rows
+    scale = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(scale, scale)
     entries = []
-    for j in range(X.shape[1]):
-        y = X[:, j]
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        if ss_tot == 0:
-            raise ZeroVariance(f"column {matrix.column_names[j]!r} is constant")
-        others = np.delete(X, j, axis=1)
-        design = np.column_stack([np.ones(X.shape[0]), others])
-        coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-        ss_res = float(np.sum((y - design @ coef) ** 2))
-        r2 = max(0.0, 1.0 - ss_res / ss_tot)
-        if r2 > 1.0 - 1e-12:
-            entries.append(VifEntry(matrix.column_names[j], math.inf, True))
-        else:
-            entries.append(VifEntry(matrix.column_names[j], 1.0 / (1.0 - r2), False))
+    for j, name in enumerate(matrix.column_names):
+        others = np.arange(X.shape[1]) != j
+        coef, _, _, _ = np.linalg.lstsq(corr[np.ix_(others, others)], corr[others, j], rcond=None)
+        r2 = max(0.0, float(corr[j, others] @ coef))
+        infinite = r2 > 1.0 - 1e-12
+        entries.append(VifEntry(name, math.inf if infinite else 1.0 / (1.0 - r2), infinite))
     return entries
 
 
@@ -275,9 +281,8 @@ def iterative_vif_prune(
 
 def _codes(values) -> tuple[list[str], np.ndarray]:
     """Categories in first-appearance order, and each value's index among them."""
-    index: dict[str, int] = {}
-    codes = np.array([index.setdefault(v, len(index)) for v in values], dtype=np.intp)
-    return list(index), codes
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 def ordinal_matrix(
@@ -560,16 +565,15 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     matrix, vocabularies = ordinal_matrix(dataset, labels)  # id columns are not features
 
     # correlated numeric pairs: later column of each offending pair goes
-    numeric = [j for j, name in enumerate(matrix.column_names) if name not in vocabularies]
+    names = matrix.column_names
+    numeric = [j for j, name in enumerate(names) if name not in vocabularies]
     to_drop: dict[str, float] = {}
-    for i, a in enumerate(numeric):
-        for b in numeric[i + 1:]:
-            name_a, name_b = matrix.column_names[a], matrix.column_names[b]
-            if name_a in to_drop or name_b in to_drop:
-                continue
-            r = pearson_corr(matrix.data[:, a], matrix.data[:, b])
-            if abs(r) >= options.corr_threshold:
-                to_drop[name_b] = r
+    for a, b in itertools.combinations(numeric, 2):
+        if names[a] in to_drop or names[b] in to_drop:
+            continue
+        r = pearson_corr(matrix.data[:, a], matrix.data[:, b])
+        if abs(r) >= options.corr_threshold:
+            to_drop[names[b]] = r
     for name, r in to_drop.items():
         report.dropped.append(DroppedColumn(name, "correlation", r))
     matrix = matrix.drop_columns(to_drop)

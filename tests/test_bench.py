@@ -772,6 +772,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(path) in err
 
+    @pytest.mark.parametrize("cells, bad", [
+        ([1], 0),
+        ([{"encoding": "basis", "model": "tree"}, "cell"], 1),
+        ([{"encoding": "basis"}], 0),
+        ([{"encoding": "basis", "model": "tree", "report": [1]}], 0),
+    ])
+    def test_report_on_malformed_entry_is_data_error(self, tmp_path, capsys, cells, bad):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"results": cells}))
+        assert cli.main(["report", "--results", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"results entry {bad} " in err
+
     def test_report_missing_results_is_data_error(self, tmp_path, capsys):
         assert cli.main(["report", "--results",
                          str(tmp_path / "nope.json")]) == 2

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from qembed.errors import (
     UnparsableCell,
     ZeroVariance,
 )
+from qembed.bench.data import synthetic_telco
+from qembed.bench.runner import split_checksum
 from qembed.pipeline import ColumnSpec, FeatureMatrix
 
 
@@ -99,6 +102,88 @@ class TestLoadCsv:
         assert "junk" not in ds.columns
 
 
+def reference_load_csv(path, schema):
+    """The loader before the column-wise parse: csv.DictReader and one float() per cell."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptyFile(f"{path}: no header row")
+        for spec in schema:
+            if spec.name not in reader.fieldnames:
+                raise MissingColumn(f"{path}: column {spec.name!r} not in header")
+        raw_rows = list(reader)
+    if not raw_rows:
+        raise EmptyFile(f"{path}: no data rows")
+    columns, blanks = {}, {}
+    for spec in schema:
+        cells = [row[spec.name] for row in raw_rows]
+        if spec.kind != pl.NUMERIC:
+            columns[spec.name] = tuple((cell or "").strip() for cell in cells)
+            continue
+        values = np.empty(len(cells))
+        for i, cell in enumerate(cells):
+            text = (cell or "").strip()
+            if not text:
+                values[i] = 0.0
+                blanks[spec.name] = blanks.get(spec.name, 0) + 1
+                continue
+            try:
+                values[i] = float(text)
+            except ValueError:
+                values[i] = math.nan
+            if not math.isfinite(values[i]):
+                raise UnparsableCell(i, spec.name, cell)
+        columns[spec.name] = values
+    return pl.Dataset(tuple(schema), columns, len(raw_rows), blanks)
+
+
+PARITY_SCHEMA = SCHEMA + (ColumnSpec("count", pl.NUMERIC),)
+PARITY_HEADER = "id,color,amount,label,count\n"
+PARITY_FILES = {
+    "bom": "\ufeff" + PARITY_HEADER + "a,red,1.5,No,2\nb,blue,2,Yes,3\n",
+    "quoted commas": PARITY_HEADER + 'a,"red, dark",1,No,"4"\nb,"x ""y"", z",2,Yes,5\n',
+    "blank lines": "\n".join([PARITY_HEADER[:-1], "", "a,red,1,No,2", "", "", "b,red,2,Yes,3", ""]),
+    "crlf and blank lines":
+        PARITY_HEADER.replace("\n", "\r\n") + "a,red,1,No,2\r\n\r\nb,red,2,Yes,3\r\n",
+    "short and long rows": PARITY_HEADER + "a,red,1\nb,blue,2,Yes,3,extra,more\nc\n",
+    "all rows short": PARITY_HEADER + "a,red\nb,blue\n",
+    "duplicated header": "id,amount,color,amount,label,count\na,9,red,1,No,2\nb,x,blue,2,Yes\n",
+    "padded and underscore numbers":
+        PARITY_HEADER + "a,red, 1.5 ,No,1_000\nb,red,\t-2e3 ,Yes, +7 \n",
+    "blank and whitespace cells": PARITY_HEADER + 'a, red ,,No,  \nb,,"  ",Yes,\t\nc,blue,3,No,4\n',
+    "quoted blank line": PARITY_HEADER + '""\na,red,1,No,2\n',
+    "nan": PARITY_HEADER + "a,red,1,No,2\nb,red,nan,Yes,3\n",
+    "inf after abc": PARITY_HEADER + "a,red,1,No,abc\nb,red,2,Yes,inf\n",
+    "1e400 before abc": PARITY_HEADER + "a,red,1,No,1e400\nb,red,2,Yes,abc\n",
+    "abc in the second numeric column": PARITY_HEADER + "a,red,1,No,2\nb,red,2,Yes, abc \n",
+    "bad cells in two columns": PARITY_HEADER + "a,red,1,No,abc\nb,red,-inf,Yes,3\n",
+    "header only": PARITY_HEADER,
+    "only blank lines": PARITY_HEADER + "\n\n",
+    "empty file": "",
+    "blank first line": "\n" + PARITY_HEADER + "a,red,1,No,2\n",
+    "missing column": "id,color,amount,count\na,red,1,2\n",
+}
+
+
+def _load_outcome(loader, path):
+    try:
+        ds = loader(path, PARITY_SCHEMA)
+    except UnparsableCell as exc:
+        return "UnparsableCell", exc.row, exc.column, exc.value
+    except (EmptyFile, MissingColumn) as exc:
+        return type(exc).__name__, str(exc)
+    columns = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in ds.columns.items()}
+    return ds.n_rows, columns, ds.blank_counts
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_FILES))
+def test_load_csv_matches_reference_loader(tmp_path, case):
+    path = tmp_path / "d.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(PARITY_FILES[case])
+    assert _load_outcome(pl.load_csv, path) == _load_outcome(reference_load_csv, path)
+
+
 class TestPearson:
     def test_identical(self):
         a = np.array([1.0, 2.0, 5.0, 7.0])
@@ -130,6 +215,29 @@ def matrix_of(data, names=None, labels=None):
     names = names or tuple(f"c{i}" for i in range(data.shape[1]))
     labels = np.zeros(data.shape[0], dtype=int) if labels is None else labels
     return FeatureMatrix(data, names, labels)
+
+
+def reference_vif(matrix):
+    """VIFs as computed before the correlation-matrix form: one lstsq fit per column."""
+    X = matrix.data
+    entries = []
+    for j, name in enumerate(matrix.column_names):
+        y = X[:, j]
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        design = np.column_stack([np.ones(X.shape[0]), np.delete(X, j, axis=1)])
+        coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+        r2 = max(0.0, 1.0 - float(np.sum((y - design @ coef) ** 2)) / ss_tot)
+        infinite = r2 > 1.0 - 1e-12
+        entries.append(pl.VifEntry(name, math.inf if infinite else 1.0 / (1.0 - r2), infinite))
+    return entries
+
+
+def assert_vifs_match(got, want):
+    """Same columns and infinite flags; finite VIFs equal to 1e-9 relative."""
+    assert [(e.column, e.infinite) for e in got] == [(e.column, e.infinite) for e in want]
+    for g, w in zip(got, want):
+        if not w.infinite:
+            assert g.vif == pytest.approx(w.vif, rel=1e-9)
 
 
 class TestVif:
@@ -168,8 +276,34 @@ class TestVif:
         entries = pl.compute_vif(X)
         assert all(e.infinite and math.isinf(e.vif) for e in entries)
 
+    def test_duplicated_pair_beside_a_free_column(self):
+        # only the pair is collinear; b's fit sees a singular block of a1 and a2
+        rng = np.random.default_rng(23)
+        a, b = rng.normal(size=(2, 300))
+        X = matrix_of(np.column_stack([a, a, 0.3 * a + b]), names=("a1", "a2", "b"))
+        entries = pl.compute_vif(X)
+        assert [e.infinite for e in entries] == [True, True, False]
+        assert_vifs_match(entries, reference_vif(X))
+
+    def test_near_collinear_matches_reference(self):
+        # VIFs near 3e4; the correlation-matrix form loses about eps * VIF^2
+        # relative, so 1e-9 holds up to VIFs of about 1e6
+        rng = np.random.default_rng(29)
+        base = rng.normal(size=(2000, 5))
+        base[:, 4] = base[:, 0] + base[:, 1] - base[:, 2] + 0.01 * base[:, 4]
+        entries = pl.compute_vif(matrix_of(base))
+        assert max(e.vif for e in entries) > 1e4
+        assert_vifs_match(entries, reference_vif(matrix_of(base)))
+
     def test_constant_column(self):
         X = matrix_of([[1.0, 3.0], [1.0, 4.0], [1.0, 5.0]])
+        with pytest.raises(ZeroVariance):
+            pl.compute_vif(X)
+
+    @pytest.mark.parametrize("value, rows", [(0.1, 28172), (0.3, 500)])
+    def test_constant_column_whose_mean_is_inexact(self, value, rows):
+        # the column mean is not exactly `value`, so centring leaves ~1e-17 noise
+        X = matrix_of(np.column_stack([np.full(rows, value), np.arange(rows) % 7]))
         with pytest.raises(ZeroVariance):
             pl.compute_vif(X)
 
@@ -196,6 +330,19 @@ class TestIterativeVifPrune:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             pl.iterative_vif_prune(matrix_of(np.eye(3)), 1.0)
+
+    @pytest.mark.parametrize("rows", [500, 7043, 28172])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_telco_preprocess_matches_reference_vif(self, monkeypatch, rows, seed):
+        dataset, options = synthetic_telco(rows, seed), pl.PreprocessOptions(seed=seed)
+        got = pl.run_preprocess(dataset, options)
+        monkeypatch.setattr(pl, "compute_vif", reference_vif)
+        want = pl.run_preprocess(dataset, options)
+        assert split_checksum(got.train, got.test) == split_checksum(want.train, want.test)
+        assert got.report.dropped == want.report.dropped
+        assert len(got.report.vif_iterations) == len(want.report.vif_iterations)
+        for g, w in zip(got.report.vif_iterations, want.report.vif_iterations):
+            assert_vifs_match(g, w)
 
 
 def make_dataset(rows, schema):
