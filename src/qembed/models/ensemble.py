@@ -28,11 +28,12 @@ def fit_adaboost(X: np.ndarray, y: np.ndarray, n_rounds: int) -> dict:
     """
     m = X.shape[0]
     w = np.full(m, 1.0 / m)
-    order = presort(X)
+    presorted = presort(X)
     stumps: list[Tree] = []
     alphas: list[float] = []
     for _ in range(n_rounds):
-        stump = grow_classifier(X, y, sample_weight=w, max_depth=1, min_leaf=1, order=order)
+        stump = grow_classifier(
+            X, y, sample_weight=w, max_depth=1, min_leaf=1, presorted=presorted)
         stump.value = (stump.value >= 0.5).astype(float)
         miss = stump.predict(X) != y
         err = float(np.dot(w, miss))
@@ -71,15 +72,16 @@ def fit_gbt(
     p_bar = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     f0 = math.log(p_bar / (1.0 - p_bar))
     scores = np.full(X.shape[0], f0)
-    order = presort(X)
+    presorted = presort(X)
     trees: list[Tree] = []
     losses: list[float] = []
+    p = sigmoid(scores)
     for _ in range(n_rounds):
-        p = sigmoid(scores)
-        tree = grow_regression(X, y - p, p * (1 - p), max_depth, min_leaf, order)
+        tree = grow_regression(X, y - p, p * (1 - p), max_depth, min_leaf, presorted)
         trees.append(tree)
         scores = scores + lr * tree.predict(X)
-        pc = np.clip(sigmoid(scores), 1e-15, 1 - 1e-15)
+        p = sigmoid(scores)
+        pc = np.clip(p, 1e-15, 1 - 1e-15)
         losses.append(-float(np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
     return {
         "trees": trees, "weights": np.full(n_rounds, lr), "offset": f0, "scale": 1.0,

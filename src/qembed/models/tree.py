@@ -5,31 +5,45 @@ child ids `left` and `right` (feature and ids -1 at leaves), `value`, row
 count `n`.  A depth-first grower serves weighted Gini (tree, AdaBoost) and
 the Newton gain on gradient/hessian sums (gbt).  `grow_forest` grows a
 forest's trees together, level by level: faster on many small trees, half
-as fast on one large tree.  Depth-first, `presort` sorts each column once,
-stably, into a (d + 1, m) int32 array whose last row is 0..m-1.  Each node
-owns one segment [lo, hi) of every row, and a split partitions the segment
-stably in place, left rows first.  So at every node row j of the segment
-lists the node's rows by column j with ties in row order, exactly what a
-mergesort of the node's column gives, and the last row lists them in row
-order, so node totals add the same numbers in the same order as a per-node
-subset would.  A split whose children reach the depth limit partitions
-only that last row, since leaves need no more.
+as fast on one large tree.
 
-A node scores its candidate features in (features, rows) blocks of at
+Depth-first, `presort` sorts X's columns once per tree (once per fit for
+the boosters) into three kinds.  A constant column has no cut and is
+never sorted, scored or partitioned.  A two-valued column has at most one
+cut at any node, its lower value left of the threshold between its two
+values; that cut is scored in closed form from the node's rows: integer
+counts for unweighted Gini, otherwise sums that add the low side's values
+one at a time in row order, as a prefix sum over the sorted column would.
+Every other column is scanned: sorted once, stably (a SIMD quicksort, or
+a stable sort when the column has a tie), into a (s + 1, m) int32 array
+whose last row is 0..m-1.  Each node owns one segment [lo, hi) of every
+row, and a split partitions the segment stably in place, left rows first.
+So at every node each scanned column's row of the segment lists the
+node's rows by that column with ties in row order, exactly what a
+mergesort of the node's column gives, and the last row lists them in row
+order, so node totals add the same numbers in the same order as a
+per-node subset would.  A split whose children reach the depth limit
+partitions only that last row, since leaves need no more.  A node visits
+its features in index order, as runs of one kind, so its trees are the
+ones a scan of every cut of every sorted column gives, bit for bit.
+
+A node scores its scanned features in (features, rows) blocks of at
 most `_BLOCK` elements: prefix sums along the rows, the criterion at each
-cut, the best cut per feature.  The budget stops a wide node (thousands
-of rows by dozens of columns) from allocating several full-size float
-temporaries at once; partitions go in blocks of the same size.  In both
-growers thresholds are midpoints between distinct neighbors, or the lower
-neighbor where the midpoint rounds up to the upper one (adjacent floats)
-or overflows, so both children keep rows.  A later feature wins only by
-more than `_EPS`, so ties break toward the lower feature, then the lower
-threshold.
+cut, the best cut per feature; two-valued features and partitions go in
+blocks of the same size.  The budget stops a wide node (thousands of rows
+by dozens of columns) from allocating several full-size float
+temporaries at once.  In both growers thresholds are midpoints between
+distinct neighbors, or the lower neighbor where the midpoint rounds up to
+the upper one (adjacent floats) or overflows, so both children keep rows.
+A later feature wins only by more than `_EPS`, so ties break toward the
+lower feature, then the lower threshold.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,14 +96,56 @@ class Tree:
         return Tree(**{f.name: np.asarray(rec[f.name]) for f in fields(Tree)})
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """Stable column orders of X plus the identity, as a (d + 1, m) int32 array."""
-    m, d = X.shape
-    order = np.empty((d + 1, m), dtype=np.int32)
-    for j in range(d):
-        order[j] = np.argsort(X[:, j], kind="mergesort")
-    order[d] = np.arange(m)
+CONSTANT, TWO_VALUED, SCANNED = 0, 1, 2  # column kinds
+
+
+class Presorted(NamedTuple):
+    """`presort(X)`: what the depth-first grower needs of X's columns."""
+
+    # the non-constant columns in index order, as runs of one kind:
+    # (kind, column indices, their rows of `order`, used by scanned runs)
+    runs: list[tuple[int, np.ndarray, np.ndarray]]
+    cut: np.ndarray  # per two-valued column its one threshold (else unused)
+    order: np.ndarray  # (s + 1, m) int32: each scanned column's stable order, then 0..m-1
+
+
+def _stable_argsort(col):
+    """Stable order of a column: a SIMD quicksort, unless the column has a
+    tie, which only a stable sort orders by row."""
+    col = np.ascontiguousarray(col)
+    order = np.argsort(col, kind="quicksort")
+    ranked = col.take(order)
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(col, kind="stable")
     return order
+
+
+def presort(X: np.ndarray) -> Presorted:
+    """X's columns told apart by kind, the two-valued ones' cuts and the
+    scanned ones' orders."""
+    m, d = X.shape
+    kind, cut = np.full(d, SCANNED, dtype=np.int8), np.zeros(d)
+    for j in range(d):
+        col = np.ascontiguousarray(X[:, j])
+        low, high = col.min(), col.max()
+        if low == high:
+            kind[j] = CONSTANT
+        elif np.count_nonzero(col == low) + np.count_nonzero(col == high) == m:
+            kind[j] = TWO_VALUED
+            with np.errstate(over="ignore"):  # a midpoint of huge values
+                cut[j] = _threshold(low, high)
+    scanned = np.flatnonzero(kind == SCANNED)
+    order = np.empty((scanned.size + 1, m), dtype=np.int32)
+    for r, j in enumerate(scanned):
+        order[r] = _stable_argsort(X[:, j])
+    order[-1] = np.arange(m)
+    order_row = np.cumsum(kind == SCANNED) - 1
+    runs = []
+    for k, group in itertools.groupby(range(d), kind.__getitem__):
+        features = np.fromiter(group, dtype=np.intp)
+        if k != CONSTANT:
+            runs.append((k, features, order_row[features]))
+    return Presorted(runs, cut, order)
 
 
 def _gini(wl, pl, total_w, total_pos):
@@ -105,8 +161,16 @@ def _threshold(below, above):
     return np.where(mid < above, mid, below)
 
 
-def _best_split(X, seg, scores, totals, min_leaf, best):
-    """Best (feature, threshold) whose score beats `best` by more than _EPS.
+def _left_sum(left, v):
+    """Per row of the mask `left`, the sum of v over its True entries, added
+    in order: the prefix sum a scan of the sorted column reaches at the cut,
+    since a stable sort lists the low side's rows first, in row order."""
+    return np.where(left, v, 0.0).cumsum(axis=1)[:, -1]
+
+
+def _best_split(X, seg, features, at, scores, totals, min_leaf, best):
+    """Best (score, feature, threshold) among scanned `features`, whose
+    orders are rows `at` of seg, if it beats `best` by more than _EPS.
 
     Cut i puts sorted positions 0..i on the left; only cuts that leave
     min_leaf rows on each side and fall between distinct values count.
@@ -115,9 +179,9 @@ def _best_split(X, seg, scores, totals, min_leaf, best):
     cuts = slice(min_leaf - 1, n - min_leaf)
     step = max(1, _BLOCK // n)
     best_j, best_thr = -1, 0.0
-    for start in range(0, X.shape[1], step):
-        block = np.arange(start, min(start + step, X.shape[1]))
-        sorted_rows = seg[block]
+    for start in range(0, features.size, step):
+        block = features[start:start + step]
+        sorted_rows = seg[at[start:start + step]]
         sc = X[sorted_rows, block[:, None]]
         below, above = sc[:, cuts], sc[:, min_leaf:n - min_leaf + 1]
         score = np.where(above > below, scores(sorted_rows, cuts, totals), np.inf)
@@ -129,7 +193,27 @@ def _best_split(X, seg, scores, totals, min_leaf, best):
             cut = score[won].argmin()  # the first, lowest-threshold cut of the best
             best_j = int(block[won])
             best_thr = float(_threshold(below[won, cut], above[won, cut]))
-    return best_j, best_thr
+    return best, best_j, best_thr
+
+
+def _best_cut(X, rows, features, cut, cut_scores, totals, min_leaf, best):
+    """`_best_split` for two-valued `features`: each has one cut, `cut[j]`,
+    scored in closed form from the node's rows, in row order."""
+    n = rows.size
+    step = max(1, _BLOCK // n)
+    won = -1
+    for start in range(0, features.size, step):
+        block = features[start:start + step]
+        left = X[rows, block[:, None]] <= cut[block, None]
+        n_left = left.sum(axis=1)
+        ok = (n_left >= min_leaf) & (n_left <= n - min_leaf)
+        score = np.where(ok, cut_scores(left, n_left, rows, totals), np.inf)
+        for r, s in enumerate(score.tolist()):
+            if s < best - _EPS:
+                best, won = s, start + r
+    if won < 0:
+        return best, -1, 0.0
+    return best, int(features[won]), float(cut[features[won]])
 
 
 def _partition(seg, go_left, n_left):
@@ -145,12 +229,17 @@ def _partition(seg, go_left, n_left):
         part[:, n_left:] = rights.reshape(part.shape[0], n - n_left)
 
 
-def _grow(X, node, scores, best0, max_depth, min_leaf, order=None):
+def _grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, presorted=None):
     """Depth-first preorder growth: node(rows) gives (value, splittable, totals),
-    scores(sorted_rows, cuts, totals) a score per cut (lower is better)."""
-    m, d = X.shape
+    scores(sorted_rows, cuts, totals) a score per cut of scanned columns and
+    cut_scores(left, n_left, rows, totals) one per two-valued column (lower
+    is better)."""
+    m = X.shape[0]
     limit = np.inf if max_depth is None else max_depth
-    order = presort(X) if order is None else order.copy()
+    if presorted is None:
+        runs, cut, order = presort(X)
+    else:
+        runs, cut, order = presorted.runs, presorted.cut, presorted.order.copy()
     go_left = np.zeros(m, dtype=bool)
     nodes = []  # [feature, threshold, left, right, value, n] per node
     stack = [(0, m, 0, None, 2)]  # segment, depth, parent node, child slot
@@ -160,19 +249,27 @@ def _grow(X, node, scores, best0, max_depth, min_leaf, order=None):
             if parent is not None:
                 parent[slot] = len(nodes)
             seg = order[:, lo:hi]
-            rows = seg[d]
+            rows = seg[-1]
             val, splittable, totals = node(rows)
             nodes.append(rec := [-1, 0.0, -1, -1, val, hi - lo])
             if not splittable or hi - lo < 2 * min_leaf or depth >= limit:
                 continue
-            j, thr = _best_split(X, seg, scores, totals, min_leaf, best0)
+            best, j, thr = best0, -1, 0.0
+            for k, features, at in runs:
+                found = (
+                    _best_split(X, seg, features, at, scores, totals, min_leaf, best)
+                    if k == SCANNED else
+                    _best_cut(X, rows, features, cut, cut_scores, totals, min_leaf, best)
+                )
+                if found[1] >= 0:
+                    best, j, thr = found
             if j < 0:
                 continue
             rec[:2] = j, thr
             go_left[rows] = goes = X[rows, j] <= thr
             n_left = int(np.count_nonzero(goes))
             # children at the depth limit are leaves and need only their rows
-            _partition(seg[d:] if depth + 1 >= limit else seg, go_left, n_left)
+            _partition(seg[-1:] if depth + 1 >= limit else seg, go_left, n_left)
             stack.append((lo + n_left, hi, depth + 1, rec, 3))
             stack.append((lo, lo + n_left, depth + 1, rec, 2))
     return Tree(*map(np.array, zip(*nodes)))
@@ -180,16 +277,17 @@ def _grow(X, node, scores, best0, max_depth, min_leaf, order=None):
 
 def grow_classifier(
     X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None,
-    max_depth: int | None = 8, min_leaf: int = 2, order: np.ndarray | None = None,
+    max_depth: int | None = 8, min_leaf: int = 2, presorted: Presorted | None = None,
 ) -> Tree:
     """Weighted-Gini CART on binary labels; leaves hold P(class 1).
 
     A zero-decrease split is still taken when one exists (pure nodes and
     size/depth limits stop growth), so distinct rows always separate at
-    unlimited depth.  `order` is `presort(X)`, for callers that grow many
-    trees on the same X; it is not modified.  Without sample weights every
-    weight sum is a row count and every weighted label sum an integer, both
-    exact in float64, so counting gives the same bits as summing ones.
+    unlimited depth.  `presorted` is `presort(X)`, for callers that grow
+    many trees on the same X; it is not modified.  Without sample weights
+    every weight sum is a row count and every weighted label sum an
+    integer, both exact in float64, so counting gives the same bits as
+    summing ones.
     """
     w = None if sample_weight is None else np.asarray(sample_weight, float)
     wy = y if w is None else w * y
@@ -203,22 +301,30 @@ def grow_classifier(
             wsum, pos = wr.sum(), float(np.dot(wr, yr))
         return pos / wsum if wsum > 0 else 0.5, yr.min() != yr.max(), (wsum, pos)
 
-    def scores(sorted_rows, cuts, totals):  # impurity after each cut
+    def impurity(wl, pl, totals):
         total_w, total_pos = totals
+        imp = _gini(wl, pl, total_w, total_pos)
+        return imp if w is None else np.where((wl > 0) & (total_w - wl > 0), imp, np.inf)
+
+    def scores(sorted_rows, cuts, totals):  # impurity after each cut
         pl = wy.take(sorted_rows).cumsum(axis=1)[:, cuts]
         if w is None:
             wl = np.arange(1.0, sorted_rows.shape[1])[cuts]
         else:
             wl = w.take(sorted_rows).cumsum(axis=1)[:, cuts]
-        imp = _gini(wl, pl, total_w, total_pos)
-        return imp if w is None else np.where((wl > 0) & (total_w - wl > 0), imp, np.inf)
+        return impurity(wl, pl, totals)
 
-    return _grow(X, node, scores, np.inf, max_depth, min_leaf, order)
+    def cut_scores(left, n_left, rows, totals):
+        if w is None:
+            return impurity(n_left, (left & (y.take(rows) != 0)).sum(axis=1), totals)
+        return impurity(_left_sum(left, w.take(rows)), _left_sum(left, wy.take(rows)), totals)
+
+    return _grow(X, node, scores, cut_scores, np.inf, max_depth, min_leaf, presorted)
 
 
 def grow_regression(
     X: np.ndarray, grad: np.ndarray, hess: np.ndarray, max_depth: int | None = 3,
-    min_leaf: int = 2, order: np.ndarray | None = None,
+    min_leaf: int = 2, presorted: Presorted | None = None,
 ) -> Tree:
     """Regression tree on gradient/hessian sums; leaves take a Newton step G/(H+eps).
 
@@ -231,13 +337,19 @@ def grow_regression(
         g, h = grad.take(rows).sum(), hess.take(rows).sum()
         return float(g / (h + _EPS)), True, (g, h, g**2 / (h + _EPS))
 
-    def scores(sorted_rows, cuts, totals):  # negated gain after each cut
+    def loss(gl, hl, totals):  # negated gain
         total_g, total_h, parent = totals
-        gl = grad.take(sorted_rows).cumsum(axis=1)[:, cuts]
-        hl = hess.take(sorted_rows).cumsum(axis=1)[:, cuts]
         return -(gl**2 / (hl + _EPS) + (total_g - gl) ** 2 / (total_h - hl + _EPS) - parent)
 
-    return _grow(X, node, scores, -0.0, max_depth, min_leaf, order=order)
+    def scores(sorted_rows, cuts, totals):
+        gl = grad.take(sorted_rows).cumsum(axis=1)[:, cuts]
+        hl = hess.take(sorted_rows).cumsum(axis=1)[:, cuts]
+        return loss(gl, hl, totals)
+
+    def cut_scores(left, n_left, rows, totals):
+        return loss(_left_sum(left, grad.take(rows)), _left_sum(left, hess.take(rows)), totals)
+
+    return _grow(X, node, scores, cut_scores, -0.0, max_depth, min_leaf, presorted)
 
 
 def _runs(size, budget=_RUN):
@@ -307,7 +419,8 @@ def grow_forest(
     frac = feature_fraction if feature_fraction is not None else 1 / math.sqrt(d)
     k, limit = max(1, min(d, int(round(frac * d)))), np.inf if max_depth is None else max_depth
     rank = np.empty((m, d), dtype=np.int32)  # rank[i, j]: place of row i in column j
-    rank[presort(X)[:d], np.arange(d)[:, None]] = np.arange(m, dtype=np.int32)
+    for j in range(d):
+        rank[_stable_argsort(X[:, j]), j] = np.arange(m, dtype=np.int32)
     idx, cnt, pos = [], [], []
     for _ in range(n_trees):
         c = np.bincount(rng.integers(0, m, size=m), minlength=m) if bootstrap else np.ones(m, int)

@@ -208,13 +208,11 @@ def pearson_corr(a, b) -> float:
         raise LengthMismatch("columns must be 1-D and equal length")
     if a.size < 2:
         raise LengthMismatch("need at least two observations")
+    if np.ptp(a) == 0 or np.ptp(b) == 0:
+        raise ZeroVariance("constant column has no correlation")
     da = a - a.mean()
     db = b - b.mean()
-    va = np.dot(da, da)
-    vb = np.dot(db, db)
-    if va == 0 or vb == 0:
-        raise ZeroVariance("constant column has no correlation")
-    return float(np.dot(da, db) / math.sqrt(va * vb))
+    return float(np.dot(da, db) / math.sqrt(np.dot(da, da) * np.dot(db, db)))
 
 
 @dataclass(frozen=True)
@@ -567,6 +565,9 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     # correlated numeric pairs: later column of each offending pair goes
     names = matrix.column_names
     numeric = [j for j, name in enumerate(names) if name not in vocabularies]
+    for j in numeric:
+        if np.ptp(matrix.data[:, j]) == 0:
+            raise ZeroVariance(f"column {names[j]!r} is constant")
     to_drop: dict[str, float] = {}
     for a, b in itertools.combinations(numeric, 2):
         if names[a] in to_drop or names[b] in to_drop:

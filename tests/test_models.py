@@ -19,7 +19,11 @@ from qembed.errors import (
 from qembed.models import KernelFn, ModelSpec, ensemble, kernel_eval
 from qembed.models.linear import log_loss_gradient, log_loss_l2
 from qembed.models.svm import decision_values, fit_smo, gram
-from qembed.models.tree import grow_classifier, grow_forest
+from qembed.models import tree as tree_module
+from qembed.models.tree import (
+    _BLOCK, _EPS, SCANNED, TWO_VALUED, Tree, _left_sum, _partition, _threshold,
+    grow_classifier, grow_forest, grow_regression, presort,
+)
 
 
 def blobs(seed, n=60, d=3, spread=1.0):
@@ -280,6 +284,97 @@ class TestSvm:
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
 
+def _reference_best_split(X, seg, scores, totals, min_leaf, best):
+    """Every cut of every column scanned, in (features, rows) blocks."""
+    n = seg.shape[1]
+    cuts = slice(min_leaf - 1, n - min_leaf)
+    step = max(1, _BLOCK // n)
+    best_j, best_thr = -1, 0.0
+    for start in range(0, X.shape[1], step):
+        block = np.arange(start, min(start + step, X.shape[1]))
+        sorted_rows = seg[block]
+        sc = X[sorted_rows, block[:, None]]
+        below, above = sc[:, cuts], sc[:, min_leaf:n - min_leaf + 1]
+        score = np.where(above > below, scores(sorted_rows, cuts, totals), np.inf)
+        won = -1
+        for r, s in enumerate(score.min(axis=1).tolist()):
+            if s < best - _EPS:
+                best, won = s, r
+        if won >= 0:
+            cut = score[won].argmin()
+            best_j = int(block[won])
+            best_thr = float(_threshold(below[won, cut], above[won, cut]))
+    return best_j, best_thr
+
+
+def reference_grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, presorted=None):
+    """The depth-first grower before columns were told apart by kind: every
+    column mergesorted and partitioned, every cut of every column scanned.
+    It stands in for `tree._grow`; `cut_scores` and `presorted` go unused."""
+    m, d = X.shape
+    limit = np.inf if max_depth is None else max_depth
+    order = np.empty((d + 1, m), dtype=np.int32)
+    for j in range(d):
+        order[j] = np.argsort(X[:, j], kind="mergesort")
+    order[d] = np.arange(m)
+    go_left = np.zeros(m, dtype=bool)
+    nodes = []
+    stack = [(0, m, 0, None, 2)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while stack:
+            lo, hi, depth, parent, slot = stack.pop()
+            if parent is not None:
+                parent[slot] = len(nodes)
+            seg = order[:, lo:hi]
+            rows = seg[d]
+            val, splittable, totals = node(rows)
+            nodes.append(rec := [-1, 0.0, -1, -1, val, hi - lo])
+            if not splittable or hi - lo < 2 * min_leaf or depth >= limit:
+                continue
+            j, thr = _reference_best_split(X, seg, scores, totals, min_leaf, best0)
+            if j < 0:
+                continue
+            rec[:2] = j, thr
+            go_left[rows] = goes = X[rows, j] <= thr
+            n_left = int(np.count_nonzero(goes))
+            _partition(seg[d:] if depth + 1 >= limit else seg, go_left, n_left)
+            stack.append((lo + n_left, hi, depth + 1, rec, 3))
+            stack.append((lo, lo + n_left, depth + 1, rec, 2))
+    return Tree(*map(np.array, zip(*nodes)))
+
+
+KIND_CASES = ("two_valued", "constant", "interleaved", "signed_zero")
+
+
+def kind_data(case, m=150, seed=7):
+    """Columns of the kinds the grower tells apart: tied scanned columns,
+    +-1 columns, constant ones, and two-valued columns whose low or high
+    side mixes -0.0 and 0.0; labels follow a few of them, plus a probe."""
+    rng = np.random.default_rng(seed)
+    scanned = np.round(rng.normal(size=(m, 3)) * 2) / 2
+    two = rng.choice([-1.0, 1.0], size=(m, 3))
+    const = np.full((m, 2), 0.1)
+    zeros = np.column_stack([rng.choice([-0.0, 0.0, 1.0], size=m),
+                             rng.choice([-1.0, -0.0, 0.0], size=m)])
+    cols = {
+        "two_valued": [two, zeros],
+        "constant": [const[:, :1], scanned, const[:, 1:]],
+        "interleaved": [scanned[:, :1], two[:, :1], const[:, :1], two[:, 1:], scanned[:, 1:2],
+                        zeros[:, :1], const[:, 1:], scanned[:, 2:], zeros[:, 1:]],
+        "signed_zero": [zeros, rng.choice([-0.0, 0.0, 0.5, 2.0], size=(m, 1))],
+    }[case]
+    X = np.column_stack(cols)
+    signal = two[:, 0] + zeros[:, 0] - zeros[:, 1] + scanned[:, 0] + two[:, 1]
+    y = (signal + rng.normal(scale=1.5, size=m) > np.median(signal)).astype(int)
+    probe = np.vstack([X, np.round(rng.normal(size=(40, X.shape[1])) * 2) / 2, -X])
+    return X, y, probe
+
+
+def tree_bytes(t):
+    return [getattr(t, name).tobytes() for name in
+            ("feature", "threshold", "left", "right", "value", "n")]
+
+
 class TestTree:
     def test_distinct_rows_memorized_at_unlimited_depth(self):
         rng = np.random.default_rng(10)
@@ -327,16 +422,92 @@ class TestTree:
         # and per-node temporaries capped by a fixed element budget.  4 MiB
         # leaves room for those, but not for a second copy of X (3.2 MB), a
         # 64-bit index array (3.3 MB) or full-width float blocks at the root.
+        # The second matrix is two-valued, as basis encoding's output is: its
+        # columns are cut in closed form and hold only the identity row.
         rng = np.random.default_rng(5)
         X = rng.normal(size=(12568, 32))
         y = (X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=12568) > 0).astype(int)
-        tracemalloc.start()
-        try:
-            grow_classifier(X, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        for data in (X, np.sign(X)):
+            tracemalloc.start()
+            try:
+                grow_classifier(data, y)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    @pytest.mark.parametrize("case", KIND_CASES)
+    def test_grower_matches_reference(self, case, min_leaf, monkeypatch):
+        # Constant columns skipped and two-valued ones cut in closed form give
+        # the bits of scanning every cut of every sorted column.
+        X, y, probe = kind_data(case)
+        w = np.random.default_rng(min_leaf).random(y.size)
+        fits = {
+            "tree": lambda: models.fit(ModelSpec("tree", params={
+                "max_depth": None, "min_leaf": min_leaf}), X, y).state["trees"],
+            "weighted": lambda: [grow_classifier(X, y, w, max_depth=None, min_leaf=min_leaf)],
+            "adaboost": lambda: models.fit(ModelSpec("adaboost"), X, y).state["trees"],
+            "gbt": lambda: models.fit(ModelSpec("gbt", params={
+                "n_rounds": 10, "max_depth": None, "min_leaf": min_leaf}), X, y).state["trees"],
+            "gbt_depth_3": lambda: models.fit(ModelSpec("gbt", params={
+                "n_rounds": 10, "min_leaf": min_leaf}), X, y).state["trees"],
+        }
+        got = {name: fit() for name, fit in fits.items()}
+        monkeypatch.setattr(tree_module, "_grow", reference_grow)
+        for name, fit in fits.items():
+            want = fit()
+            assert [tree_bytes(t) for t in got[name]] == [tree_bytes(t) for t in want], name
+            assert [t.predict(probe).tobytes() for t in got[name]] == \
+                [t.predict(probe).tobytes() for t in want], name
+        assert any(t.feature[0] >= 0 for t in got["tree"])
+
+    def test_grower_matches_reference_on_wide_nodes(self, monkeypatch):
+        # Nodes of more than _BLOCK rows take one column per block, so the
+        # closed-form sums run over several blocks.
+        X, y, probe = kind_data("interleaved", m=_BLOCK + 900)
+        w = np.random.default_rng(0).random(y.size)
+        grad, hess = w - 0.5, w * (1 - w)
+        fits = (
+            lambda: grow_classifier(X, y, max_depth=3),
+            lambda: grow_classifier(X, y, w, max_depth=3, min_leaf=5),
+            lambda: grow_regression(X, grad, hess, max_depth=3, min_leaf=1),
+        )
+        got = [fit() for fit in fits]
+        monkeypatch.setattr(tree_module, "_grow", reference_grow)
+        for tree, fit in zip(got, fits):
+            assert tree_bytes(tree) == tree_bytes(fit())
+
+    def test_closed_form_sums_are_prefix_sums(self):
+        # A two-valued column's left sums add the low side's values in row
+        # order, one at a time, as the scan's prefix sum over the sorted
+        # column does; a pairwise sum would differ in the last bits.
+        rng = np.random.default_rng(8)
+        v = rng.normal(size=500) * 10.0 ** rng.integers(-8, 8, size=500)
+        left = rng.random((6, 500)) < 0.6
+        for mask, got in zip(left, _left_sum(left, v).tolist()):
+            assert got == np.cumsum(v[mask])[-1]
+
+    def test_presort_kinds_and_orders(self):
+        # Tied scanned columns (signed zeros included) and an untied one get
+        # a per-column mergesort's order; the others get no order row.
+        X, _, _ = kind_data("interleaved")
+        rng = np.random.default_rng(3)
+        X = np.column_stack([X, rng.normal(size=X.shape[0]),
+                             rng.choice([-0.0, 0.0, 1.0, 2.0], size=X.shape[0])])
+        runs, cut, order = presort(X)
+        assert [(k, f.tolist()) for k, f, _ in runs] == [
+            (SCANNED, [0]), (TWO_VALUED, [1]), (TWO_VALUED, [3, 4]), (SCANNED, [5]),
+            (TWO_VALUED, [6]), (SCANNED, [8]), (TWO_VALUED, [9]), (SCANNED, [10, 11])]
+        scanned = np.concatenate([f for k, f, _ in runs if k == SCANNED])
+        assert np.concatenate([at for k, _, at in runs if k == SCANNED]).tolist() == \
+            list(range(scanned.size))
+        assert order.shape == (scanned.size + 1, X.shape[0]) and order.dtype == np.int32
+        for r, j in enumerate(scanned):
+            assert np.array_equal(order[r], np.argsort(X[:, j], kind="mergesort"))
+        assert np.array_equal(order[-1], np.arange(X.shape[0]))
+        for j in np.concatenate([f for k, f, _ in runs if k == TWO_VALUED]):
+            assert cut[j] == _threshold(X[:, j].min(), X[:, j].max())
 
     def test_leaf_probabilities_are_class_fractions(self):
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])

@@ -209,6 +209,14 @@ class TestPearson:
         with pytest.raises(LengthMismatch):
             pl.pearson_corr([1.0], [2.0])
 
+    def test_constant_column_whose_mean_is_inexact(self):
+        # the mean of 28,172 copies of 0.1 is not 0.1, so the centred column
+        # is not exactly zero; equal values still make it constant
+        with pytest.raises(ZeroVariance):
+            pl.pearson_corr(np.full(28172, 0.1), np.arange(28172) % 7)
+        with pytest.raises(ZeroVariance):
+            pl.pearson_corr(np.arange(28172) % 7, np.full(28172, 0.1))
+
 
 def matrix_of(data, names=None, labels=None):
     data = np.asarray(data, dtype=float)
@@ -686,6 +694,13 @@ class TestRunPreprocess:
         result = pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(seed=3))
         assert len(calls) == 1
         assert result.report.label_mapping == {"No": 0, "Yes": 1}
+
+    @pytest.mark.parametrize("value", [0.0, 0.1])
+    def test_constant_numeric_column_is_named(self, value):
+        ds = synthetic_telco(500, 0)
+        ds.columns["MonthlyCharges"] = np.full(500, value)
+        with pytest.raises(ZeroVariance, match="'MonthlyCharges' is constant"):
+            pl.run_preprocess(ds, pl.PreprocessOptions())
 
     def test_split_leaving_a_class_out_of_train(self):
         ds = synthetic_dataset()
