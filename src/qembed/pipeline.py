@@ -565,9 +565,6 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     # correlated numeric pairs: later column of each offending pair goes
     names = matrix.column_names
     numeric = [j for j, name in enumerate(names) if name not in vocabularies]
-    for j in numeric:
-        if np.ptp(matrix.data[:, j]) == 0:
-            raise ZeroVariance(f"column {names[j]!r} is constant")
     to_drop: dict[str, float] = {}
     for a, b in itertools.combinations(numeric, 2):
         if names[a] in to_drop or names[b] in to_drop:
