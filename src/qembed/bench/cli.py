@@ -77,37 +77,45 @@ def _print_state(state, readout: str) -> None:
     print(f"readout ({readout}): {_fmt(features)}")
 
 
+# The flags each encode mode reads besides --readout, its input first; --scheme
+# picks every mode but text.  Any other flag given is a usage error, never ignored.
+_ENCODE_FLAGS = {
+    "text": ("text",),
+    "basis": ("bits", "scheme"),
+    "superposition": ("strings", "scheme"),
+    "angle": ("vector", "scheme", "axis", "map", "degrees"),
+    "amplitude": ("vector", "scheme"),
+}
+
+
 def _cmd_encode(args) -> int:
-    if args.text is not None:
-        for ch, state in zip(args.text, enc.basis_encode_text(args.text)):
+    mode = "text" if args.text is not None else args.scheme or "basis"
+    for flag in ("scheme", "vector", "bits", "strings", "axis", "map", "degrees"):
+        if getattr(args, flag) not in (None, False) and flag not in _ENCODE_FLAGS[mode]:
+            raise ConfigError(f"--{flag} is not read by {mode} encoding")
+    source = _ENCODE_FLAGS[mode][0]
+    if (given := getattr(args, source)) is None:
+        raise ConfigError(f"{mode} encoding needs --{source}")
+
+    if mode == "text":
+        for ch, state in zip(given, enc.basis_encode_text(given)):
             print(f"char {ch!r} (code {ord(ch)}):")
             _print_state(state, args.readout or enc.default_readout(enc.BASIS))
         return EXIT_OK
-
-    if args.scheme == "basis":
-        if args.bits is None:
-            raise ConfigError("basis encoding needs --bits or --text")
-        state = enc.basis_encode(_parse_bits(args.bits))
-    elif args.scheme == "superposition":
-        if not args.strings:
-            raise ConfigError("superposition encoding needs --strings")
-        state = enc.superposition_encode(args.strings.split(","))
-    elif args.scheme == "angle":
-        if args.vector is None:
-            raise ConfigError("angle encoding needs --vector")
-        values = _parse_floats(args.vector)
+    if mode == "basis":
+        state = enc.basis_encode(_parse_bits(given))
+    elif mode == "superposition":
+        state = enc.superposition_encode(given.split(","))
+    elif mode == "angle":
+        values = _parse_floats(given)
         if args.degrees:
             values, args.map = list(np.radians(values)), enc.RAW
-        given = {"axis": args.axis, "angle_map": args.map}
-        scheme = enc.angle_scheme(**{k: v for k, v in given.items() if v is not None})
+        options = {"axis": args.axis, "angle_map": args.map}
+        scheme = enc.angle_scheme(**{k: v for k, v in options.items() if v is not None})
         state = enc.angle_encode(values, scheme)
-    elif args.scheme == "amplitude":
-        if args.vector is None:
-            raise ConfigError("amplitude encoding needs --vector")
-        state = enc.amplitude_encode(_parse_floats(args.vector))
     else:
-        raise ConfigError(f"unknown scheme {args.scheme!r}")
-    _print_state(state, args.readout or enc.default_readout(args.scheme))
+        state = enc.amplitude_encode(_parse_floats(given))
+    _print_state(state, args.readout or enc.default_readout(mode))
     return EXIT_OK
 
 
@@ -169,17 +177,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_enc = sub.add_parser("encode", help="encode one vector, bitstring or text")
-    p_enc.add_argument("--scheme", default="basis",
+    p_enc.add_argument("--scheme", help="default basis",
                        choices=("basis", "superposition", "angle", "amplitude"))
     p_enc.add_argument("--vector", help="comma-separated numbers")
     p_enc.add_argument("--bits", help="bitstring such as 101")
     p_enc.add_argument("--strings", help="comma-separated bitstrings to superpose")
     p_enc.add_argument("--text", help="ASCII text, one 7-qubit state per character")
     p_enc.add_argument("--axis", choices=("X", "Y", "Z"))
-    p_enc.add_argument("--map", choices=("linear_pi", "raw"),
-                       help="angle map for --scheme angle")
-    p_enc.add_argument("--degrees", action="store_true",
-                       help="treat --vector entries as rotation angles in degrees")
+    angle_map = p_enc.add_mutually_exclusive_group()
+    angle_map.add_argument("--map", choices=("linear_pi", "raw"),
+                           help="angle map for --scheme angle")
+    angle_map.add_argument("--degrees", action="store_true",
+                           help="treat --vector entries as rotation angles in degrees")
     p_enc.add_argument("--readout",
                        choices=("probability_vector", "z_expectations", "amplitude_parts"))
     p_enc.set_defaults(func=_cmd_encode)

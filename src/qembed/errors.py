@@ -23,6 +23,10 @@ class DuplicateQubitIndex(QembedError):
     """A multi-qubit operation names the same qubit twice."""
 
 
+class NonUnitaryGate(QembedError):
+    """A single-qubit gate is not a finite 2x2 unitary matrix."""
+
+
 # --- encoding ----------------------------------------------------------------
 
 class EncodingError(QembedError):

@@ -127,6 +127,14 @@ def _matrix_data(X) -> np.ndarray:
     return np.asarray(X, dtype=float)
 
 
+def _check_finite(data: np.ndarray, what: str) -> None:
+    """Raise on a non-finite feature of a 2-D array, naming its row."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        row = finite.all(axis=1).argmin()
+        raise NonFiniteFeature(f"{what} row {row} has a non-finite feature")
+
+
 @dataclass(eq=False)
 class TrainedModel:
     """Fitted classifier: spec, fit metadata and the kind's fitted state.
@@ -145,12 +153,13 @@ class TrainedModel:
     state: dict
 
     def predict_proba(self, X) -> np.ndarray:
-        """P(class=1) per row."""
+        """P(class=1) per row; every feature must be finite."""
         data = _matrix_data(X)
         if data.ndim != 2 or data.shape[1] != self.n_features:
             raise DimensionMismatch(
                 f"expected {self.n_features} features, got shape {data.shape}"
             )
+        _check_finite(data, "scored")
         return _PROBA[self.spec.kind](self.spec.params, self.state, data)
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
@@ -198,8 +207,7 @@ def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
     y = np.asarray(y)
     if data.ndim != 2 or y.shape != (data.shape[0],):
         raise DimensionMismatch("X must be 2-D with one label per row")
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteFeature("training features must be finite")
+    _check_finite(data, "training")
     if not np.isin(y, (0, 1)).all():
         raise InvalidLabel("labels must be 0 or 1")
     y = y.astype(int)

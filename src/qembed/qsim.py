@@ -17,6 +17,7 @@ from .errors import (
     DuplicateQubitIndex,
     IndexOutOfRange,
     NonFiniteAngle,
+    NonUnitaryGate,
     QubitCapExceeded,
 )
 
@@ -141,7 +142,7 @@ def s_gate() -> np.ndarray:
 
 def is_unitary(gate: np.ndarray, tol: float = 1e-9) -> bool:
     gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2, 2):
+    if gate.shape != (2, 2) or not np.all(np.isfinite(gate)):
         return False
     return bool(np.all(np.abs(gate @ gate.conj().T - np.eye(2)) <= tol))
 
@@ -153,21 +154,38 @@ CNOT = "cnot"
 SWAP = "swap"
 TOFFOLI = "toffoli"
 
+# The two slices of the amplitudes each gate acts on, by the bits of its
+# qubits: a single-qubit gate mixes them, cnot/swap/toffoli exchange them.
+_SLICE_BITS = {
+    SINGLE: ((0,), (1,)),
+    CNOT: ((1, 0), (1, 1)),
+    SWAP: ((0, 1), (1, 0)),
+    TOFFOLI: ((1, 1, 0), (1, 1, 1)),
+}
+
 
 @dataclass(frozen=True)
 class CircuitOp:
-    """One gate application: a 1-qubit unitary or cnot/swap/toffoli."""
+    """One gate application: a 1-qubit unitary or cnot/swap/toffoli.  Construction rejects
+    an unknown kind, a wrong qubit count, a repeated qubit and a gate `is_unitary` rejects."""
 
     kind: str
     qubits: tuple[int, ...]
     gate: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind not in _SLICE_BITS:
+            raise ValueError(f"unknown op kind {self.kind!r}")
+        if len(self.qubits) != len(_SLICE_BITS[self.kind][0]):
+            raise ValueError(f"wrong qubit count for {self.kind}: {self.qubits}")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise DuplicateQubitIndex(f"duplicate qubit index in {self.qubits}")
+        if self.kind == SINGLE and not is_unitary(self.gate):
+            raise NonUnitaryGate("single-qubit gate must be a finite 2x2 unitary matrix")
+
     @staticmethod
     def single(gate: np.ndarray, target: int) -> "CircuitOp":
-        gate = np.asarray(gate, dtype=complex)
-        if gate.shape != (2, 2):
-            raise ValueError("single-qubit gate must be a 2x2 matrix")
-        return CircuitOp(SINGLE, (target,), gate)
+        return CircuitOp(SINGLE, (target,), np.asarray(gate, dtype=complex))
 
     @staticmethod
     def cnot(control: int, target: int) -> "CircuitOp":
@@ -182,40 +200,11 @@ class CircuitOp:
         return CircuitOp(TOFFOLI, (control1, control2, target))
 
 
-def _check_qubits(op: CircuitOp, n_qubits: int) -> None:
-    for q in op.qubits:
-        if not 0 <= q < n_qubits:
-            raise IndexOutOfRange(f"qubit {q} out of range for {n_qubits}-qubit state")
-    if len(set(op.qubits)) != len(op.qubits):
-        raise DuplicateQubitIndex(f"duplicate qubit index in {op.qubits}")
-
-
-def _axis(n_qubits: int, qubit: int) -> int:
-    # reshape([2]*n) puts the most significant bit on axis 0
-    return n_qubits - 1 - qubit
-
-
-def _apply_single_dense(amps: np.ndarray, gate: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    # Pairs (i, i | 1<<qubit) with the qubit bit clear/set are mixed by the
-    # 2x2 matrix; the reshape exposes those pairs as two slices of one axis.
-    psi = amps.reshape([2] * n)
-    axis = _axis(n, qubit)
-    lo = np.take(psi, 0, axis=axis)
-    hi = np.take(psi, 1, axis=axis)
-    out = np.empty_like(psi)
-    sel0 = [slice(None)] * n
-    sel1 = [slice(None)] * n
-    sel0[axis] = 0
-    sel1[axis] = 1
-    out[tuple(sel0)] = gate[0, 0] * lo + gate[0, 1] * hi
-    out[tuple(sel1)] = gate[1, 0] * lo + gate[1, 1] * hi
-    return out.reshape(-1)
-
-
-def _slices(n: int, assignments: dict[int, int]) -> tuple:
+def _slices(n: int, bits: dict[int, int]) -> tuple:
+    """Index into amplitudes reshaped to [2] * n: the slice where qubit q has bits[q]."""
     sel = [slice(None)] * n
-    for axis, bit in assignments.items():
-        sel[axis] = bit
+    for q, bit in bits.items():
+        sel[n - 1 - q] = bit  # reshape([2]*n) puts the most significant bit on axis 0
     return tuple(sel)
 
 
@@ -223,39 +212,27 @@ def apply(state: StateVector, op: CircuitOp) -> StateVector:
     """Apply one operation, returning a new state.
 
     Single-qubit gates keep a product-layout state in product layout;
-    cnot/swap/toffoli force dense layout first.
+    cnot/swap/toffoli force dense layout first.  On dense amplitudes every
+    gate is one update of the two slices `_SLICE_BITS` names.
     """
     n = state.n_qubits
-    _check_qubits(op, n)
+    for q in op.qubits:
+        if not 0 <= q < n:
+            raise IndexOutOfRange(f"qubit {q} out of range for {n}-qubit state")
+    if op.kind == SINGLE and state.layout == PRODUCT:
+        factors = state._data.copy()
+        factors[op.qubits[0]] = op.gate @ factors[op.qubits[0]]
+        return StateVector(n, factors, PRODUCT)
 
+    psi = state.amps.reshape([2] * n)
+    a, b = (_slices(n, dict(zip(op.qubits, bits))) for bits in _SLICE_BITS[op.kind])
+    out = psi.copy()
     if op.kind == SINGLE:
-        target = op.qubits[0]
-        if state.layout == PRODUCT:
-            factors = state._data.copy()
-            factors[target] = op.gate @ factors[target]
-            return StateVector(n, factors, PRODUCT)
-        return StateVector(n, _apply_single_dense(state.amps, op.gate, target, n), DENSE)
-
-    amps = state.amps.copy()
-    psi = amps.reshape([2] * n)
-    if op.kind == CNOT:
-        c, t = (_axis(n, q) for q in op.qubits)
-        a = psi[_slices(n, {c: 1, t: 0})].copy()
-        psi[_slices(n, {c: 1, t: 0})] = psi[_slices(n, {c: 1, t: 1})]
-        psi[_slices(n, {c: 1, t: 1})] = a
-    elif op.kind == SWAP:
-        a_ax, b_ax = (_axis(n, q) for q in op.qubits)
-        tmp = psi[_slices(n, {a_ax: 0, b_ax: 1})].copy()
-        psi[_slices(n, {a_ax: 0, b_ax: 1})] = psi[_slices(n, {a_ax: 1, b_ax: 0})]
-        psi[_slices(n, {a_ax: 1, b_ax: 0})] = tmp
-    elif op.kind == TOFFOLI:
-        c1, c2, t = (_axis(n, q) for q in op.qubits)
-        tmp = psi[_slices(n, {c1: 1, c2: 1, t: 0})].copy()
-        psi[_slices(n, {c1: 1, c2: 1, t: 0})] = psi[_slices(n, {c1: 1, c2: 1, t: 1})]
-        psi[_slices(n, {c1: 1, c2: 1, t: 1})] = tmp
+        (g00, g01), (g10, g11) = op.gate
+        out[a], out[b] = g00 * psi[a] + g01 * psi[b], g10 * psi[a] + g11 * psi[b]
     else:
-        raise ValueError(f"unknown op kind {op.kind!r}")
-    return StateVector(n, amps, DENSE)
+        out[a], out[b] = psi[b], psi[a]
+    return StateVector(n, out.reshape(-1), DENSE)
 
 
 # --- readout ------------------------------------------------------------------
@@ -278,7 +255,7 @@ def expectation_z(state: StateVector, qubit: int) -> float:
         return float(abs(f[0]) ** 2 - abs(f[1]) ** 2)
     n = state.n_qubits
     probs = (np.abs(state.amps) ** 2).reshape([2] * n)
-    axis = _axis(n, qubit)
+    axis = n - 1 - qubit  # as in _slices
     marg = probs.sum(axis=tuple(a for a in range(n) if a != axis))
     return float(marg[0] - marg[1])
 

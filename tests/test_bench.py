@@ -597,6 +597,30 @@ class TestCli:
     def test_encode_missing_input_is_config_error(self, capsys):
         assert cli.main(["encode", "--scheme", "angle"]) == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--scheme", "amplitude", "--vector", "90,0", "--degrees"], "--degrees"),
+        (["--scheme", "amplitude", "--vector", "1,0", "--axis", "Y"], "--axis"),
+        (["--scheme", "basis", "--bits", "101", "--axis", "Y"], "--axis"),
+        (["--scheme", "basis", "--bits", "101", "--vector", "3"], "--vector"),
+        (["--bits", "101", "--map", "raw"], "--map"),
+        (["--scheme", "superposition", "--strings", "01,10", "--bits", "1"], "--bits"),
+        (["--scheme", "angle", "--vector", "1", "--strings", "01"], "--strings"),
+        (["--text", "hi", "--scheme", "basis"], "--scheme"),
+        (["--text", "hi", "--vector", "1"], "--vector"),
+    ])
+    def test_encode_flag_the_scheme_does_not_read_exits_one(self, capsys, argv, flag):
+        assert cli.main(["encode", *argv]) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+    def test_encode_degrees_with_a_map_is_usage_error(self, capsys):
+        # --degrees sets the raw map; it must not silently override --map linear_pi
+        with pytest.raises(SystemExit) as err:
+            cli.main(["encode", "--scheme", "angle", "--vector", "90",
+                      "--map", "linear_pi", "--degrees"])
+        assert err.value.code == 1
+        assert "--degrees: not allowed with argument --map" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert cli.main(["bench", "--config", "no_such_file.json"]) == 1
 

@@ -124,6 +124,16 @@ class TestFitValidation:
         with pytest.raises(DimensionMismatch):
             model.predict_proba(np.zeros((5, 4)))
 
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_non_finite_row_on_predict_is_named(self, kind):
+        X, y = blobs(0, n=20, d=3)
+        model = models.fit(ModelSpec(kind, params=_small_params(kind)), X, y)
+        for bad in (math.nan, math.inf, -math.inf):
+            rows = np.zeros((6, 3))
+            rows[3, 1] = rows[5, 0] = bad
+            with pytest.raises(NonFiniteFeature, match="row 3 "):
+                model.predict_proba(rows)
+
 
 class TestLogreg:
     def test_symmetric_pair(self):
@@ -611,6 +621,16 @@ class TestAdaboost:
         proba = model.predict_proba(X)
         assert np.all(proba[y == 1] > 0.5)
         assert np.all(proba[y == 0] < 0.5)
+
+    def test_no_stump_better_than_chance_scores_one_half(self):
+        # a constant feature cannot split balanced labels: the first stump's
+        # weighted error is 0.5, so training stops with no stump
+        X = np.ones((8, 1))
+        y = np.array([0, 1] * 4)
+        model = models.fit(ModelSpec("adaboost"), X, y)
+        assert model.state["trees"] == [] and model.meta.iterations == 0
+        assert np.array_equal(model.predict_proba(np.array([[0.0], [1.0], [5.0]])),
+                              [0.5, 0.5, 0.5])
 
     def test_improves_over_stump_on_hard_data(self):
         X, y = blobs(16, n=120, d=4, spread=2.8)

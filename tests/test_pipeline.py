@@ -702,6 +702,16 @@ class TestRunPreprocess:
         with pytest.raises(ZeroVariance):
             pl.run_preprocess(ds, pl.PreprocessOptions())
 
+    def test_components_past_numerical_rank_are_noted(self):
+        # at 500 rows the one-hot telco matrix has numerical rank 22
+        note = "requested components exceed numerical rank"
+        ds = synthetic_telco(500, 0)
+        default = pl.run_preprocess(ds, pl.PreprocessOptions())
+        assert note not in default.report.notes
+        result = pl.run_preprocess(ds, pl.PreprocessOptions(n_components=40))
+        assert note in result.report.notes
+        assert result.train.n_cols == 40
+
     def test_split_leaving_a_class_out_of_train(self):
         ds = synthetic_dataset()
         # undersampling leaves each class with the minority's rows

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from qembed.errors import (
     DuplicateQubitIndex,
     IndexOutOfRange,
     NonFiniteAngle,
+    NonUnitaryGate,
     QubitCapExceeded,
 )
 from qembed.qsim import CircuitOp, apply, new_zero_state, states_equal_up_to_phase
@@ -46,6 +48,10 @@ class TestStateConstruction:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             qsim.StateVector(1, np.array([1.0, 1.0]), qsim.DENSE)
+
+    def test_to_dense_of_dense_state_is_itself(self):
+        s = random_dense_state(np.random.default_rng(1), 3)
+        assert s.to_dense() is s
 
     def test_immutable(self):
         s = new_zero_state(2)
@@ -101,6 +107,20 @@ class TestGates:
                 qsim.ry_gate(bad)
             with pytest.raises(NonFiniteAngle):
                 qsim.rz_gate(bad)
+
+    @pytest.mark.parametrize("gate", [
+        [[1, 1], [0, 1]],  # a shear: maps |0> to |0>, so a norm check on that state passes
+        [[math.nan, 0], [0, 1]],
+        [[math.inf, 0], [0, 1]],
+        [[1, 0], [0, 2]],
+        np.eye(3),
+        [1, 0],
+    ])
+    def test_non_unitary_gate_rejected(self, gate):
+        with pytest.raises(NonUnitaryGate):
+            CircuitOp.single(gate, 0)
+        with pytest.raises(NonUnitaryGate):
+            CircuitOp(qsim.SINGLE, (0,), np.asarray(gate, dtype=complex))
 
     def test_unitarity_1000_random_angles(self):
         rng = np.random.default_rng(11)
@@ -172,6 +192,17 @@ class TestApply:
             apply(s, CircuitOp.cnot(1, 1))
         with pytest.raises(DuplicateQubitIndex):
             apply(apply(s, CircuitOp.single(qsim.hadamard(), 0)), CircuitOp.swap(0, 0))
+
+    def test_malformed_ops_rejected_on_construction(self):
+        # no state is needed to see these; apply is never reached
+        with pytest.raises(ValueError, match="unknown op kind"):
+            CircuitOp("rotate", (0,))
+        with pytest.raises(ValueError, match="wrong qubit count"):
+            CircuitOp(qsim.CNOT, (0,))
+        with pytest.raises(ValueError, match="wrong qubit count"):
+            CircuitOp(qsim.TOFFOLI, (0, 1))
+        with pytest.raises(DuplicateQubitIndex):
+            CircuitOp.toffoli(0, 1, 0)
 
     def test_h_twice_restores_random_state(self):
         rng = np.random.default_rng(3)
@@ -338,3 +369,84 @@ def test_states_equal_up_to_phase():
     assert states_equal_up_to_phase(s, shifted, tol=1e-12)
     other = random_dense_state(rng, 3)
     assert not states_equal_up_to_phase(s, other)
+
+
+def pinned_op(rng, n):
+    """One random op of any kind; toffoli only where three qubits exist."""
+    kind = int(rng.integers(0, 9 if n >= 3 else 8))
+    if kind <= 5:
+        theta = rng.uniform(-math.pi, math.pi)
+        gate = (qsim.hadamard(), qsim.pauli_x(), qsim.s_gate(), qsim.rx_gate(theta),
+                qsim.ry_gate(theta), qsim.rz_gate(theta))[kind]
+        return CircuitOp.single(gate, int(rng.integers(0, n)))
+    qs = [int(q) for q in rng.choice(n, size=min(n, 3), replace=False)]
+    if kind == 6:
+        return CircuitOp.cnot(qs[0], qs[1])
+    if kind == 7:
+        return CircuitOp.swap(qs[0], qs[1])
+    return CircuitOp.toffoli(qs[0], qs[1], qs[2])
+
+
+class TestPinnedCircuits:
+    """sha256 over the amplitude bytes after every op of seeded random circuits.
+
+    Each circuit starts from |0...0> in product layout (single-qubit gates
+    stay product until the first entangling op) or from a random dense
+    state, so both layouts and every gate kind are pinned.  numpy's complex
+    kernels differ with and without AVX2 (FMA), so each circuit has one
+    digest per choice.
+    """
+
+    PINS = {
+        ('product', 2): {
+            "4cb794d5090b7195bc62b9a939e01b06ec2d6e8727d5e8cc212255cd7e59cb11",
+            "84173547d9589d36fc8a25340193fc7f0d282641faf2d379e346691578d3f15d",
+        },
+        ('product', 3): {
+            "1b975887582b10f2d00a0ed31ae6006aebf74b3846c1ec920fec9b29b9521aad",
+            "1f9d6ef63c8ca2db9b25a283b038d66b8e6b303a95f2322f4e33d4c1e745b220",
+        },
+        ('product', 4): {
+            "b2c6f5b1b02075f9bfd3dd2c9c83f9c44e494c43933b5b5a2e67b8a56b96bb12",
+            "c74c93f53094f6a8079b81935dde3b949da30409953ec53a27ecaee3041d3ea4",
+        },
+        ('product', 5): {
+            "e85f8590216766f172ce15cfe565556afd2d46bb8f6f918c8557c9cf0fc3399e",
+            "081b0bf809e458c0b6406738f8fbface44e5e8519575ed0a1cc4bbfbc52b071a",
+        },
+        ('product', 6): {
+            "3dd1ed94c515a9edf2d8522b6167d7f4e3f2d2bbcdb87bf63a7e3154fb36ae22",
+            "50dc2fc8a0c76c8832c4901fb4389712d9ae2703850ae450a1f8d14e51501431",
+        },
+        ('dense', 2): {
+            "b732ac22c1be0558f08f9d37bbb15d16e0fd6580ed91d14333935e8fe628b325",
+            "a59c7456ca5c90314583f3cab370e05a458c917208faeef2f637022f818df07b",
+        },
+        ('dense', 3): {
+            "dabcd51684ed2df43e7c6cbbee69a29fb6c58ecee80fc1bcae6d8549657a96b5",
+            "23319bc79e9a81c684a4136deaef4b62f5152a4313c3bcc2194fac0108045ce3",
+        },
+        ('dense', 4): {
+            "1a574f17aadf3254660195b84f6123f6ddcdf83a45eca7f82bf0ce69359633a9",
+            "0801f325c4a3999fff2578306c23a1ad44d0d90f273f1aad90fbcf47e2fac1e5",
+        },
+        ('dense', 5): {
+            "8a8c73462c87e4326c12f2fce419d7ae5f2c493a583cf8657fb55a58e178aced",
+            "6cae3f660142365e0562de08549b1c1a6f3f06d33c6c0f57e01eaf07cece0443",
+        },
+        ('dense', 6): {
+            "e0da5238a32b044010900b7fc000d9cec9eff6d4c56dabfd7b50532b48c56260",
+            "f44d89cd4ac173f71edd1571a0c080cb2ab9b27f0c07873cdb31118161a96554",
+        },
+    }
+
+    @pytest.mark.parametrize("start", ["product", "dense"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_digest(self, n, start):
+        rng = np.random.default_rng(100 * n + (start == "dense"))
+        state = new_zero_state(n) if start == "product" else random_dense_state(rng, n)
+        digest = hashlib.sha256()
+        for _ in range(40):
+            state = apply(state, pinned_op(rng, n))
+            digest.update(state.amps.tobytes())
+        assert digest.hexdigest() in self.PINS[(start, n)]
