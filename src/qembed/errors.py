@@ -16,7 +16,7 @@ class NonFiniteAngle(QembedError):
 
 
 class IndexOutOfRange(QembedError):
-    """Qubit index does not exist on the target state."""
+    """Qubit index is not an integer, or does not exist on the target state."""
 
 
 class DuplicateQubitIndex(QembedError):
@@ -110,6 +110,10 @@ class UnknownColumn(PipelineError):
 
 class SingleClass(PipelineError):
     pass
+
+
+class NonBinaryTarget(PipelineError):
+    """The target column holds more than two distinct values."""
 
 
 class ClassTooSmall(PipelineError):

@@ -27,22 +27,17 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def _binary_pair(y_true, y_other, what: str) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(y_true, dtype=int)
-    p = np.asarray(y_other, dtype=int)
-    if t.ndim != 1 or t.shape != p.shape:
-        raise LengthMismatch(f"{what}: vectors must be 1-D and equal length")
-    if t.size == 0:
-        raise EmptyInput(f"{what}: need at least one sample")
-    for v in (t, p):
-        if not np.all((v == 0) | (v == 1)):
-            raise ValueError(f"{what}: entries must be 0 or 1")
-    return t, p
-
-
 def confusion(y_true, y_pred) -> ConfusionCounts:
     """Standard binary confusion counts with class 1 as positive."""
-    t, p = _binary_pair(y_true, y_pred, "confusion")
+    t = np.asarray(y_true, dtype=int)
+    p = np.asarray(y_pred, dtype=int)
+    if t.ndim != 1 or t.shape != p.shape:
+        raise LengthMismatch("confusion: vectors must be 1-D and equal length")
+    if t.size == 0:
+        raise EmptyInput("confusion: need at least one sample")
+    for v in (t, p):
+        if not np.all((v == 0) | (v == 1)):
+            raise ValueError("confusion: entries must be 0 or 1")
     return ConfusionCounts(
         tp=int(np.sum((t == 1) & (p == 1))),
         fp=int(np.sum((t == 0) & (p == 1))),
@@ -95,12 +90,13 @@ def roc_auc(y_true, scores) -> float:
     return (r_pos - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
-def cohen_kappa(y_true, y_pred) -> float | None:
-    """Chance-corrected agreement; None when expected agreement is total."""
-    t, p = _binary_pair(y_true, y_pred, "cohen_kappa")
-    n = t.size
-    p_o = float(np.mean(t == p))
-    p_e = sum(np.mean(t == c) * np.mean(p == c) for c in (0, 1))
+def cohen_kappa(c: ConfusionCounts) -> float | None:
+    """Chance-corrected agreement; None when expected agreement is total or n is 0."""
+    n = c.total
+    if not n:
+        return None
+    p_o = (c.tp + c.tn) / n
+    p_e = ((c.tn + c.fp) / n) * ((c.tn + c.fn) / n) + ((c.tp + c.fn) / n) * ((c.tp + c.fp) / n)
     if p_e >= 1.0:
         return None
     return (p_o - p_e) / (1 - p_e)
@@ -146,6 +142,6 @@ def compute_report(y_true, scores, threshold: float = DEFAULT_THRESHOLD) -> Metr
         recall=recall(c),
         f1=f1(c),
         roc_auc=auc,
-        kappa=cohen_kappa(y_true, y_pred),
+        kappa=cohen_kappa(c),
         threshold=threshold,
     )

@@ -60,12 +60,16 @@ def _real(test):
         and not isinstance(v, bool) and math.isfinite(v) and test(v)
 
 
-_INT = ("an integer >= 1", lambda v: isinstance(v, (int, np.integer))
-        and not isinstance(v, bool) and v >= 1)
+def _integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+_INT = ("an integer >= 1", lambda v: _integer(v) and v >= 1)
 _POSITIVE = ("a finite real number > 0", _real(lambda v: v > 0))
 # What each hyperparameter must be, and the test; the same key means the
 # same in every kind.  KernelFn checks the kernel and its degree.
 _RULES = {
+    "bootstrap": ("true or false", lambda v: isinstance(v, bool)),
     "l2": ("a finite real number >= 0", _real(lambda v: v >= 0)),
     "C": _POSITIVE, "gamma": _POSITIVE, "tol": _POSITIVE, "lr": _POSITIVE,
     "coef0": ("a finite real number", _real(lambda v: True)),
@@ -97,6 +101,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidHyperparameter(f"unknown model kind {self.kind!r}")
+        if not (_integer(self.seed) and self.seed >= 0):
+            raise InvalidHyperparameter(f"seed must be an integer >= 0, got {self.seed!r}")
         defaults = DEFAULT_PARAMS[self.kind]
         unknown = set(self.params) - set(defaults)
         if unknown:

@@ -20,6 +20,7 @@ from .errors import (
     EmptyFile,
     LengthMismatch,
     MissingColumn,
+    NonBinaryTarget,
     NonIncreasingRatios,
     SingleClass,
     TooFewComponents,
@@ -188,31 +189,33 @@ def load_csv(path, schema) -> Dataset:
 
 def binary_labels(dataset: Dataset) -> tuple[np.ndarray, dict[str, int]]:
     """Map the two target values to 0/1 in sorted order (e.g. No=0, Yes=1)."""
-    raw = dataset.columns[dataset.target_name]
+    name = dataset.target_name
+    raw = dataset.columns[name]
     values = sorted(set(raw))
     if len(values) < 2:
-        raise SingleClass(f"target has a single value {values[0]!r}")
+        raise SingleClass(f"target column {name!r} has a single value {values[0]!r}")
     if len(values) > 2:
-        raise ValueError(f"binary target expected, got {len(values)} values")
+        raise NonBinaryTarget(f"target column {name!r} has {len(values)} values, not 2")
     mapping = {values[0]: 0, values[1]: 1}
     return np.array([mapping[v] for v in raw], dtype=int), mapping
 
 
 # --- column statistics ----------------------------------------------------------
 
-def pearson_corr(a, b) -> float:
-    """Sample Pearson correlation of two equal-length columns."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch("columns must be 1-D and equal length")
-    if a.size < 2:
-        raise LengthMismatch("need at least two observations")
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise ZeroVariance("constant column has no correlation")
-    da = a - a.mean()
-    db = b - b.mean()
-    return float(np.dot(da, db) / math.sqrt(np.dot(da, da) * np.dot(db, db)))
+def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
+    """Pearson correlation C[a, b] of every pair of columns, from one centred product.
+
+    A column of equal values raises ZeroVariance naming it; the test is on
+    the values, since centring by an inexact mean need not leave exact zeros.
+    """
+    X = matrix.data
+    constant = np.ptp(X, axis=0) == 0
+    if constant.any():
+        raise ZeroVariance(f"column {matrix.column_names[constant.argmax()]!r} is constant")
+    centred = X - X.mean(axis=0)
+    cov = centred.T @ centred
+    scale = np.sqrt(np.diag(cov))
+    return cov / np.outer(scale, scale)
 
 
 @dataclass(frozen=True)
@@ -231,19 +234,12 @@ def compute_vif(matrix: FeatureMatrix) -> list[VifEntry]:
     Near-perfect fits (R^2 > 1 - 1e-12) are reported as infinite and
     flagged rather than raised.
     """
-    X = matrix.data
-    if X.shape[1] < 2:
+    if matrix.n_cols < 2:
         raise LengthMismatch("VIF needs at least two columns")
-    constant = np.ptp(X, axis=0) == 0
-    if constant.any():
-        raise ZeroVariance(f"column {matrix.column_names[constant.argmax()]!r} is constant")
-    centred = X - X.mean(axis=0)
-    cov = centred.T @ centred  # the only pass over the rows
-    scale = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(scale, scale)
+    corr = correlation_matrix(matrix)
     entries = []
     for j, name in enumerate(matrix.column_names):
-        others = np.arange(X.shape[1]) != j
+        others = np.arange(matrix.n_cols) != j
         coef, _, _, _ = np.linalg.lstsq(corr[np.ix_(others, others)], corr[others, j], rcond=None)
         r2 = max(0.0, float(corr[j, others] @ coef))
         infinite = r2 > 1.0 - 1e-12
@@ -563,15 +559,16 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     matrix, vocabularies = ordinal_matrix(dataset, labels)  # id columns are not features
 
     # correlated numeric pairs: later column of each offending pair goes
-    names = matrix.column_names
-    numeric = [j for j, name in enumerate(names) if name not in vocabularies]
+    numeric = matrix.drop_columns(vocabularies)
+    names = numeric.column_names
     to_drop: dict[str, float] = {}
-    for a, b in itertools.combinations(numeric, 2):
-        if names[a] in to_drop or names[b] in to_drop:
-            continue
-        r = pearson_corr(matrix.data[:, a], matrix.data[:, b])
-        if abs(r) >= options.corr_threshold:
-            to_drop[names[b]] = r
+    if len(names) >= 2:  # a lone numeric column has no pair, constant or not
+        corr = correlation_matrix(numeric)
+        for a, b in itertools.combinations(range(len(names)), 2):
+            if names[a] in to_drop or names[b] in to_drop:
+                continue
+            if abs(corr[a, b]) >= options.corr_threshold:
+                to_drop[names[b]] = float(corr[a, b])
     for name, r in to_drop.items():
         report.dropped.append(DroppedColumn(name, "correlation", r))
     matrix = matrix.drop_columns(to_drop)

@@ -164,10 +164,16 @@ _SLICE_BITS = {
 }
 
 
+def _is_index(q) -> bool:
+    """A qubit index is an int or a numpy integer, never a bool."""
+    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
+
+
 @dataclass(frozen=True)
 class CircuitOp:
     """One gate application: a 1-qubit unitary or cnot/swap/toffoli.  Construction rejects
-    an unknown kind, a wrong qubit count, a repeated qubit and a gate `is_unitary` rejects."""
+    an unknown kind, a wrong qubit count, a qubit index that is not an integer, a repeated
+    qubit and a gate `is_unitary` rejects."""
 
     kind: str
     qubits: tuple[int, ...]
@@ -178,6 +184,8 @@ class CircuitOp:
             raise ValueError(f"unknown op kind {self.kind!r}")
         if len(self.qubits) != len(_SLICE_BITS[self.kind][0]):
             raise ValueError(f"wrong qubit count for {self.kind}: {self.qubits}")
+        if not all(map(_is_index, self.qubits)):
+            raise IndexOutOfRange(f"qubit indices must be integers, got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise DuplicateQubitIndex(f"duplicate qubit index in {self.qubits}")
         if self.kind == SINGLE and not is_unitary(self.gate):
@@ -248,8 +256,8 @@ def expectation_z(state: StateVector, qubit: int) -> float:
     O(1) per qubit in product layout; dense layout marginalizes the
     probability array.
     """
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexOutOfRange(f"qubit {qubit} out of range")
+    if not (_is_index(qubit) and 0 <= qubit < state.n_qubits):
+        raise IndexOutOfRange(f"qubit {qubit!r} out of range")
     if state.layout == PRODUCT:
         f = state._data[qubit]
         return float(abs(f[0]) ** 2 - abs(f[1]) ** 2)

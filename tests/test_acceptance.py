@@ -25,12 +25,12 @@ from qembed.pipeline import (
     FeatureMatrix,
     PreprocessOptions,
     compute_vif,
+    correlation_matrix,
     find_elbow,
     load_csv,
     pca_fit,
     pca_inverse_transform,
     pca_transform,
-    pearson_corr,
     run_preprocess,
     train_test_split,
 )
@@ -208,7 +208,8 @@ def test_criterion_06_churn_pipeline_reproduction():
     dataset = load_csv(_telco_path(), TELCO_SCHEMA)
     assert dataset.n_rows == 7043
 
-    r = pearson_corr(dataset.columns["tenure"], dataset.columns["TotalCharges"])
+    pair = np.column_stack([dataset.columns["tenure"], dataset.columns["TotalCharges"]])
+    r = correlation_matrix(FeatureMatrix(pair, ("tenure", "TotalCharges"), np.zeros(7043, int)))[0, 1]
     assert abs(r - 0.83) <= 0.02
 
     options = PreprocessOptions(extra_drops=("PhoneService",))

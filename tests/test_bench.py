@@ -12,7 +12,7 @@ from qembed.encoding import RAW, amplitude_scheme, angle_scheme, basis_scheme
 from qembed.errors import ConfigError, EmptyInput, EmptyResults
 from qembed.metrics import MetricReport
 from qembed.models import MODEL_KINDS
-from qembed.pipeline import NUMERIC, FeatureMatrix, pearson_corr
+from qembed.pipeline import NUMERIC, FeatureMatrix, correlation_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -259,8 +259,9 @@ class TestSyntheticData:
         # mirrors the public dataset, where this pair sits near 0.83
         for seed in range(5):
             ds = data.synthetic_telco(500, seed=seed)
-            r = pearson_corr(ds.columns["tenure"], ds.columns["TotalCharges"])
-            assert r >= 0.8
+            pair = np.column_stack([ds.columns["tenure"], ds.columns["TotalCharges"]])
+            names = ("tenure", "TotalCharges")
+            assert correlation_matrix(FeatureMatrix(pair, names, np.zeros(500, int)))[0, 1] >= 0.8
 
     def test_internet_addons_consistent(self):
         ds = data.synthetic_telco(200, seed=5)
@@ -733,6 +734,15 @@ class TestCli:
         assert cli.main(["bench", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 1
         assert "unknown key manifest" in capsys.readouterr().err
+
+    def test_non_binary_target_is_data_error_naming_the_column(self, tmp_path, capsys):
+        csv_path = tmp_path / "grades.csv"
+        csv_path.write_text("x,grade\n1,a\n2,b\n3,c\n")
+        schema = [{"name": "x", "kind": "numeric"}, {"name": "grade", "kind": "target"}]
+        cfg_path = self.write_config(tmp_path, dataset={"path": str(csv_path), "schema": schema})
+        assert cli.main(["preprocess", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "pre")]) == 2
+        assert capsys.readouterr().err == "data error: target column 'grade' has 3 values, not 2\n"
 
     def test_bench_missing_dataset_is_data_error(self, tmp_path, capsys):
         cfg_path = self.write_config(

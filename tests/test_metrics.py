@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qembed import metrics as mt
-from qembed.errors import EmptyInput, LengthMismatch, SingleClass
+from qembed.errors import EmptyInput, LengthMismatch, NonFiniteInput, SingleClass
 
 
 def brute_confusion(y, p):
@@ -163,6 +163,15 @@ class TestRocAuc:
         with pytest.raises(SingleClass):
             mt.roc_auc([1, 1, 1], [0.1, 0.5, 0.9])
 
+    def test_errors(self):
+        with pytest.raises(LengthMismatch):
+            mt.roc_auc([0, 1, 1], [0.1, 0.5])
+        with pytest.raises(LengthMismatch):
+            mt.roc_auc([[0, 1]], [[0.1, 0.5]])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NonFiniteInput):
+                mt.roc_auc([0, 1, 1], [0.1, bad, 0.9])
+
     def test_midranks_equal_mean_position_among_equals(self):
         # the definition: the mean 1-based sorted position of the equal values
         rng = np.random.default_rng(59)
@@ -179,25 +188,40 @@ class TestRocAuc:
 
 class TestKappa:
     def test_perfect_agreement(self):
-        assert mt.cohen_kappa([1, 0, 1, 0], [1, 0, 1, 0]) == pytest.approx(1.0)
+        assert mt.cohen_kappa(mt.confusion([1, 0, 1, 0], [1, 0, 1, 0])) == pytest.approx(1.0)
 
     def test_perfect_disagreement(self):
-        assert mt.cohen_kappa([1, 0, 1, 0], [0, 1, 0, 1]) == pytest.approx(-1.0)
+        assert mt.cohen_kappa(mt.confusion([1, 0, 1, 0], [0, 1, 0, 1])) == pytest.approx(-1.0)
 
     def test_constant_prediction_balanced_truth(self):
-        assert mt.cohen_kappa([0, 1, 0, 1], [1, 1, 1, 1]) == pytest.approx(0.0)
+        assert mt.cohen_kappa(mt.confusion([0, 1, 0, 1], [1, 1, 1, 1])) == pytest.approx(0.0)
 
     def test_total_chance_agreement_undefined(self):
-        assert mt.cohen_kappa([1, 1, 1], [1, 1, 1]) is None
+        assert mt.cohen_kappa(mt.confusion([1, 1, 1], [1, 1, 1])) is None
 
     def test_range(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             y = rng.integers(0, 2, size=20)
             p = rng.integers(0, 2, size=20)
-            k = mt.cohen_kappa(y, p)
+            k = mt.cohen_kappa(mt.confusion(y, p))
             if k is not None:
                 assert -1.0 - 1e-12 <= k <= 1.0 + 1e-12
+
+    def test_no_samples_undefined(self):
+        assert mt.cohen_kappa(mt.ConfusionCounts(0, 0, 0, 0)) is None
+
+    def test_counts_match_label_means_bit_for_bit(self):
+        # the label-vector form the counts replaced: class shares as np.mean
+        rng = np.random.default_rng(31)
+        for _ in range(5000):
+            n = int(rng.integers(1, 200))
+            y = rng.integers(0, 2, size=n)
+            p = rng.integers(0, 2, size=n) if rng.uniform() < 0.8 else np.ones(n, int)
+            p_o = float(np.mean(y == p))
+            p_e = sum(np.mean(y == c) * np.mean(p == c) for c in (0, 1))
+            want = None if p_e >= 1.0 else float((p_o - p_e) / (1 - p_e))
+            assert repr(mt.cohen_kappa(mt.confusion(y, p))) == repr(want)  # -0.0 too
 
 
 def brute_kappa(y, p):
@@ -224,7 +248,7 @@ class TestOracleEquivalence:
                 assert mt.precision(c) == pytest.approx(tp / (tp + fp), abs=1e-12)
             else:
                 assert mt.precision(c) is None
-            got, want = mt.cohen_kappa(y, p), brute_kappa(y, p)
+            got, want = mt.cohen_kappa(mt.confusion(y, p)), brute_kappa(y, p)
             if want is None:
                 assert got is None
             else:

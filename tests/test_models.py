@@ -16,7 +16,7 @@ from qembed.errors import (
     NonFiniteFeature,
     SingleClass,
 )
-from qembed.models import KernelFn, ModelSpec, ensemble, kernel_eval
+from qembed.models import KernelFn, ModelSpec, ensemble, kernel_eval, linear
 from qembed.models.linear import log_loss_gradient, log_loss_l2
 from qembed.models.svm import decision_values, fit_smo, gram
 from qembed.models import tree as tree_module
@@ -90,6 +90,30 @@ class TestModelSpec:
         ]:
             with pytest.raises(InvalidHyperparameter, match="finite real"):
                 ModelSpec(kind, params=params)
+
+    def test_unknown_kernel(self):
+        # the family is named "polynomial"; "poly" is not an alias
+        with pytest.raises(InvalidHyperparameter, match="unknown kernel 'poly'"):
+            ModelSpec("svm", params={"kernel": "poly"})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        # the forest seeds numpy's generator, which rejects these only at fit
+        with pytest.raises(InvalidHyperparameter, match="seed must be an integer >= 0"):
+            ModelSpec("forest", seed=seed)
+        assert ModelSpec("forest", seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_bootstrap_must_be_a_bool(self, value):
+        # a truthy string would switch bootstrapping on
+        with pytest.raises(InvalidHyperparameter, match="bootstrap must be true or false"):
+            ModelSpec("forest", params={"bootstrap": value})
+        assert ModelSpec("forest", params={"bootstrap": False}).params["bootstrap"] is False
+
+    @pytest.mark.parametrize("value", [True, False, 0, 2.0])
+    def test_degree_must_be_an_integer_not_a_bool(self, value):
+        with pytest.raises(InvalidHyperparameter, match="degree must be an integer >= 1"):
+            ModelSpec("svm", params={"kernel": "polynomial", "degree": value})
 
     def test_roundtrip(self):
         spec = ModelSpec("svm", seed=7, params={"kernel": "linear", "C": 2.0})
@@ -181,6 +205,25 @@ class TestLogreg:
         assert weights[-1] == 0.0
         grad_w, grad_b = log_loss_gradient(X, y, weights, bias, 0.0)
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
+
+    def test_step_halves_until_the_loss_falls_enough(self, monkeypatch):
+        # a small near-separable problem where one full Newton step fails the
+        # Armijo test; every other iteration evaluates the loss twice
+        X = np.array([[-2.05, 8.54], [14.13, -4.51], [-7.34, 10.59], [10.25, 4.06],
+                      [-1.0, 4.84], [-10.68, 15.93], [-9.79, -11.92]])
+        y = np.array([0, 1, 0, 0, 0, 0, 1])
+        calls = []
+        real_loss = linear.log_loss_l2
+
+        def counting_loss(*args):
+            calls.append(args)
+            return real_loss(*args)
+
+        monkeypatch.setattr(linear, "log_loss_l2", counting_loss)
+        model = models.fit(ModelSpec("logreg"), X, y)
+        assert model.meta.converged
+        assert len(calls) == 2 * model.meta.iterations + 1
+        assert train_accuracy(model, X, y) == 1.0
 
     def test_convergence_flag(self):
         X, y = blobs(3, n=30)

@@ -10,6 +10,7 @@ from qembed.errors import (
     EmptyFile,
     LengthMismatch,
     MissingColumn,
+    NonBinaryTarget,
     NonIncreasingRatios,
     SingleClass,
     TooFewComponents,
@@ -184,45 +185,51 @@ def test_load_csv_matches_reference_loader(tmp_path, case):
     assert _load_outcome(pl.load_csv, path) == _load_outcome(reference_load_csv, path)
 
 
-class TestPearson:
-    def test_identical(self):
-        a = np.array([1.0, 2.0, 5.0, 7.0])
-        assert pl.pearson_corr(a, a) == pytest.approx(1.0)
-
-    def test_negated(self):
-        a = np.array([1.0, 2.0, 5.0, 7.0])
-        assert pl.pearson_corr(a, -a) == pytest.approx(-1.0)
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a, b = rng.normal(size=(2, 30))
-            assert pl.pearson_corr(a, b) == pytest.approx(
-                np.corrcoef(a, b)[0, 1], abs=1e-12
-            )
-
-    def test_errors(self):
-        with pytest.raises(ZeroVariance):
-            pl.pearson_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(LengthMismatch):
-            pl.pearson_corr([1.0, 2.0], [1.0, 2.0, 3.0])
-        with pytest.raises(LengthMismatch):
-            pl.pearson_corr([1.0], [2.0])
-
-    def test_constant_column_whose_mean_is_inexact(self):
-        # the mean of 28,172 copies of 0.1 is not 0.1, so the centred column
-        # is not exactly zero; equal values still make it constant
-        with pytest.raises(ZeroVariance):
-            pl.pearson_corr(np.full(28172, 0.1), np.arange(28172) % 7)
-        with pytest.raises(ZeroVariance):
-            pl.pearson_corr(np.arange(28172) % 7, np.full(28172, 0.1))
-
-
 def matrix_of(data, names=None, labels=None):
     data = np.asarray(data, dtype=float)
     names = names or tuple(f"c{i}" for i in range(data.shape[1]))
     labels = np.zeros(data.shape[0], dtype=int) if labels is None else labels
     return FeatureMatrix(data, names, labels)
+
+
+def pearson(a, b):
+    """The Pearson correlation of two columns, read off correlation_matrix."""
+    return pl.correlation_matrix(matrix_of(np.column_stack([a, b])))[0, 1]
+
+
+class TestPearson:
+    def test_identical(self):
+        a = np.array([1.0, 2.0, 5.0, 7.0])
+        assert pearson(a, a) == pytest.approx(1.0)
+
+    def test_negated(self):
+        a = np.array([1.0, 2.0, 5.0, 7.0])
+        assert pearson(a, -a) == pytest.approx(-1.0)
+
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            X = rng.normal(size=(30, 4))
+            C = pl.correlation_matrix(matrix_of(X))
+            assert np.allclose(C, np.corrcoef(X.T), rtol=0, atol=1e-12)
+            assert np.array_equal(C, C.T)
+
+    def test_errors(self):
+        # the error names the constant column; one row leaves every column constant
+        with pytest.raises(ZeroVariance, match="'c0' is constant"):
+            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ZeroVariance, match="'b' is constant"):
+            pl.correlation_matrix(matrix_of([[1.0, 4.0], [2.0, 4.0]], names=("a", "b")))
+        with pytest.raises(ZeroVariance):
+            pearson([1.0], [2.0])
+
+    def test_constant_column_whose_mean_is_inexact(self):
+        # the mean of 28,172 copies of 0.1 is not 0.1, so the centred column
+        # is not exactly zero; equal values still make it constant
+        with pytest.raises(ZeroVariance):
+            pearson(np.full(28172, 0.1), np.arange(28172) % 7)
+        with pytest.raises(ZeroVariance):
+            pearson(np.arange(28172) % 7, np.full(28172, 0.1))
 
 
 def reference_vif(matrix):
@@ -262,7 +269,7 @@ class TestVif:
         a = rng.normal(size=400)
         b = 0.6 * a + rng.normal(size=400)
         X = matrix_of(np.column_stack([a, b]))
-        r = pl.pearson_corr(a, b)
+        r = pearson(a, b)
         expected = 1.0 / (1.0 - r * r)
         for entry in pl.compute_vif(X):
             assert entry.vif == pytest.approx(expected, rel=1e-9)
@@ -699,7 +706,24 @@ class TestRunPreprocess:
     def test_constant_numeric_column_raises(self, value):
         ds = synthetic_telco(500, 0)
         ds.columns["MonthlyCharges"] = np.full(500, value)
-        with pytest.raises(ZeroVariance):
+        with pytest.raises(ZeroVariance, match="column 'MonthlyCharges' is constant"):
+            pl.run_preprocess(ds, pl.PreprocessOptions())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_correlation_drops_read_the_correlation_matrix(self, seed):
+        ds = synthetic_telco(500, seed)
+        numeric = tuple(c.name for c in ds.feature_specs() if c.kind == pl.NUMERIC)
+        C = pl.correlation_matrix(matrix_of(np.column_stack([ds.columns[n] for n in numeric]),
+                                            names=numeric))
+        report = pl.run_preprocess(ds, pl.PreprocessOptions(seed=seed)).report
+        drops = [(d.name, d.statistic) for d in report.dropped if d.reason == "correlation"]
+        tenure, charges = numeric.index("tenure"), numeric.index("TotalCharges")
+        assert drops == [("TotalCharges", C[tenure, charges])]
+
+    def test_target_with_three_values_names_the_column(self):
+        ds = synthetic_dataset()
+        ds.columns["churn"] = ("Maybe",) + tuple(ds.columns["churn"][1:])
+        with pytest.raises(NonBinaryTarget, match="target column 'churn' has 3 values"):
             pl.run_preprocess(ds, pl.PreprocessOptions())
 
     def test_components_past_numerical_rank_are_noted(self):

@@ -204,6 +204,20 @@ class TestApply:
         with pytest.raises(DuplicateQubitIndex):
             CircuitOp.toffoli(0, 1, 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: CircuitOp.cnot(0, 1.0),
+        lambda: CircuitOp.single(qsim.hadamard(), 1.0),
+        lambda: CircuitOp.swap(True, 0),
+        lambda: CircuitOp.toffoli(0, 1, "2"),
+    ])
+    def test_non_integer_qubit_rejected_on_construction(self, make):
+        with pytest.raises(IndexOutOfRange, match="must be integers"):
+            make()
+
+    def test_numpy_integer_qubits_accepted(self):
+        s = apply(new_zero_state(2), CircuitOp.single(qsim.pauli_x(), np.int64(1)))
+        assert qsim.expectation_z(s, np.int64(1)) == -1.0
+
     def test_h_twice_restores_random_state(self):
         rng = np.random.default_rng(3)
         op = CircuitOp.single(qsim.hadamard(), 0)
@@ -325,6 +339,14 @@ class TestReadout:
     def test_expectation_z_bad_index(self):
         with pytest.raises(IndexOutOfRange):
             qsim.expectation_z(new_zero_state(2), 2)
+
+    @pytest.mark.parametrize("qubit", [True, 1.0, "0"])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_expectation_z_non_integer_index(self, qubit, dense):
+        # the same error in both layouts, where a dense state once read a value
+        s = new_zero_state(2)
+        with pytest.raises(IndexOutOfRange):
+            qsim.expectation_z(s.to_dense() if dense else s, qubit)
 
 
 class TestTensorProduct:
