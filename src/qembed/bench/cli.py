@@ -40,12 +40,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
-
-
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -152,7 +146,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _load_config(args)
-    run = runner_mod.run_matrix(config, repeat=args.repeat)
+    run = runner_mod.run_matrix(config)
     out_dir = runner_mod.resolve_output_dir(config, args.out)
     results_path = runner_mod.persist_run(run, out_dir)
     report_path = report_mod.write_report(run.results, args.format, out_dir)
@@ -204,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int)
     p_bench.add_argument("--out")
     p_bench.add_argument("--format", default="csv", choices=report_mod.FORMATS)
-    p_bench.add_argument("--repeat", type=_positive_int, default=1,
-                         help="rerun the matrix n times, report median timings")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_rep = sub.add_parser("report", help="re-render a saved results file")

@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import statistics
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -176,31 +175,17 @@ class BenchRun:
         return dataclasses.asdict(self)
 
 
-def run_matrix(config: BenchConfig, repeat: int = 1) -> BenchRun:
-    """Run the full grid; with repeat > 1 timings are per-cell medians.
-
-    Metric reports come from the first pass; determinism makes later
-    passes byte-identical anyway, which the manifest re-run check relies on.
-    """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
+def run_matrix(config: BenchConfig) -> BenchRun:
+    """Run the full grid once: preprocess, then every encoding x model cell."""
     dataset = load_dataset(config)
     pre = run_preprocess(dataset, config.preprocess)
     checksum = split_checksum(pre.train, pre.test)
-
-    passes = [_run_once(config, pre, checksum) for _ in range(repeat)]
-    results = passes[0]
-    if repeat > 1:
-        for i, cell in enumerate(results):
-            cell.encode_ms = statistics.median(p[i].encode_ms for p in passes)
-            cell.fit_ms = statistics.median(p[i].fit_ms for p in passes)
-            cell.predict_ms = statistics.median(p[i].predict_ms for p in passes)
+    results = _run_once(config, pre, checksum)
 
     manifest = {
         "config": config_to_dict(config),
         "config_sha256": config_hash(config),
         "seed": config.seed,
-        "repeat": repeat,
         "split_checksum": checksum,
         "created": _now(),
         "rows": {
@@ -231,19 +216,11 @@ def write_json(path: str, payload) -> None:
 
 
 def persist_run(run: BenchRun, out_dir: str) -> str:
-    """Write results.json, manifest.json and one JSON file per cell.
-
-    Returns the path of the combined results file.
-    """
-    runs_dir = os.path.join(out_dir, "runs")
-    os.makedirs(runs_dir, exist_ok=True)
-    combined = os.path.join(out_dir, "results.json")
-    write_json(combined, run.to_dict())
-    write_json(os.path.join(out_dir, "manifest.json"), run.manifest)
-    for i, cell in enumerate(run.results):
-        name = f"{i:03d}_{cell.encoding}_{cell.model}.json"
-        write_json(os.path.join(runs_dir, name), cell.to_dict())
-    return combined
+    """Write results.json (manifest and every cell) into out_dir; return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "results.json")
+    write_json(path, run.to_dict())
+    return path
 
 
 def load_results(path) -> list[dict]:

@@ -147,7 +147,8 @@ class InvalidHyperparameter(ModelError):
 
 
 class InvalidLabel(ModelError):
-    """A training label is not 0 or 1."""
+    """A class label is not 0 or 1: a training label, or a truth or
+    predicted label given to a metric."""
 
 
 # --- bench -------------------------------------------------------------------

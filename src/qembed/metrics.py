@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, NonFiniteInput, SingleClass
+from .errors import EmptyInput, InvalidLabel, LengthMismatch, NonFiniteInput, SingleClass
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -27,17 +27,21 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
+def _binary(v: np.ndarray, what: str) -> np.ndarray:
+    """v as ints; raises InvalidLabel unless every entry is 0 or 1."""
+    if not np.isin(v, (0, 1)).all():
+        raise InvalidLabel(f"{what}: labels must be 0 or 1")
+    return v.astype(int)
+
+
 def confusion(y_true, y_pred) -> ConfusionCounts:
     """Standard binary confusion counts with class 1 as positive."""
-    t = np.asarray(y_true, dtype=int)
-    p = np.asarray(y_pred, dtype=int)
+    t, p = np.asarray(y_true), np.asarray(y_pred)
     if t.ndim != 1 or t.shape != p.shape:
         raise LengthMismatch("confusion: vectors must be 1-D and equal length")
     if t.size == 0:
         raise EmptyInput("confusion: need at least one sample")
-    for v in (t, p):
-        if not np.all((v == 0) | (v == 1)):
-            raise ValueError("confusion: entries must be 0 or 1")
+    t, p = _binary(t, "confusion"), _binary(p, "confusion")
     return ConfusionCounts(
         tp=int(np.sum((t == 1) & (p == 1))),
         fp=int(np.sum((t == 0) & (p == 1))),
@@ -76,12 +80,13 @@ def _midranks(x: np.ndarray) -> np.ndarray:
 
 def roc_auc(y_true, scores) -> float:
     """Rank-based (Mann-Whitney) AUC; ties contribute via midranks."""
-    t = np.asarray(y_true, dtype=int)
+    t = np.asarray(y_true)
     s = np.asarray(scores, dtype=float)
     if t.ndim != 1 or t.shape != s.shape:
         raise LengthMismatch("roc_auc: vectors must be 1-D and equal length")
     if not np.all(np.isfinite(s)):
         raise NonFiniteInput("roc_auc: scores must be finite")
+    t = _binary(t, "roc_auc")
     n_pos = int(np.sum(t == 1))
     n_neg = int(np.sum(t == 0))
     if n_pos == 0 or n_neg == 0:

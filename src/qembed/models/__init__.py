@@ -4,12 +4,11 @@ Seven kinds: logreg, knn, svm, tree, forest, adaboost, gbt.  A ModelSpec
 names the kind, the seed and the hyperparameters (validated against
 per-kind defaults); fit() returns a TrainedModel, one record for every
 kind: the spec, fit metadata and a plain dict of the kind's fitted state.
-It scores new rows through one proba function per kind and round-trips
-through a JSON-safe dict.
+It scores new rows through one proba function per kind.  Models live
+only for the run that fits them; nothing persists them.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from ..errors import (
 from ..pipeline import FeatureMatrix
 from . import ensemble, linear, neighbors, svm, tree
 from .svm import KernelFn, kernel_eval
-from .tree import Tree
 
 MODEL_KINDS = ("logreg", "knn", "svm", "tree", "forest", "adaboost", "gbt")
 
@@ -116,10 +114,6 @@ class ModelSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": dict(self.params)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(d["kind"], d.get("seed", 0), dict(d.get("params", {})))
-
 
 @dataclass
 class TrainMeta:
@@ -174,10 +168,8 @@ class TrainedModel:
 
 def _svm_proba(p, s, data):
     kernel = KernelFn(p["kernel"], s["gamma"], p["degree"], p["coef0"])
-    # an empty support set loses its width in JSON
-    sv_X = s["sv_X"].reshape(-1, data.shape[1])
     return linear.sigmoid(
-        svm.decision_values(sv_X, s["sv_y"], s["sv_alpha"], s["bias"], kernel, data)
+        svm.decision_values(s["sv_X"], s["sv_y"], s["sv_alpha"], s["bias"], kernel, data)
     )
 
 
@@ -280,38 +272,6 @@ _FITTERS = {
 }
 
 
-# --- JSON-safe persistence ------------------------------------------------------
-# Arrays become lists and the `trees` entry tree records, whatever the kind.
-
-def model_to_dict(model: TrainedModel) -> dict:
-    state = {}
-    for key, value in model.state.items():
-        if key == "trees":
-            value = [t.to_record() for t in value]
-        elif isinstance(value, np.ndarray):
-            value = value.tolist()
-        state[key] = value
-    return {
-        "spec": model.spec.to_dict(),
-        "meta": dataclasses.asdict(model.meta),
-        "n_features": model.n_features,
-        "state": state,
-    }
-
-
-def model_from_dict(d: dict) -> TrainedModel:
-    state = {}
-    for key, value in d["state"].items():
-        if key == "trees":
-            value = [Tree.from_record(r) for r in value]
-        elif isinstance(value, list):
-            value = np.asarray(value)
-        state[key] = value
-    return TrainedModel(
-        ModelSpec.from_dict(d["spec"]), TrainMeta(**d["meta"]), d["n_features"], state
-    )
-
-
 __all__ = [
     "ModelSpec",
     "TrainMeta",
@@ -321,6 +281,4 @@ __all__ = [
     "MODEL_KINDS",
     "DEFAULT_PARAMS",
     "fit",
-    "model_to_dict",
-    "model_from_dict",
 ]

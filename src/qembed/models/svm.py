@@ -32,7 +32,8 @@ class KernelFn:
             raise InvalidHyperparameter(f"unknown kernel {self.kind!r}")
         if self.gamma is not None and not self.gamma > 0:
             raise InvalidHyperparameter("gamma must be positive")
-        if isinstance(self.degree, bool) or not (isinstance(self.degree, int) and self.degree >= 1):
+        degree = self.degree
+        if isinstance(degree, bool) or not (isinstance(degree, (int, np.integer)) and degree >= 1):
             raise InvalidHyperparameter("degree must be an integer >= 1")
 
     def resolve(self, n_features: int) -> "KernelFn":

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +58,8 @@ _RUN = 1 << 12  # elements per run of the level-wise search, ~100 bytes each
 @dataclass
 class Tree:
     """Flat tree, root at node 0; `left[i] == -1` marks node i as a leaf.
-    Forest trees number nodes in level order, others in preorder; `predict`,
-    `depth` and the records do not depend on the order."""
+    Forest trees number nodes in level order, others in preorder; `predict`
+    and `depth` do not depend on the order."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -87,13 +87,6 @@ class Tree:
             level = level[self.left[level] >= 0]
             depth += 1
         return depth
-
-    def to_record(self) -> dict:
-        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
-
-    @staticmethod
-    def from_record(rec: dict) -> "Tree":
-        return Tree(**{f.name: np.asarray(rec[f.name]) for f in fields(Tree)})
 
 
 CONSTANT, TWO_VALUED, SCANNED = 0, 1, 2  # column kinds

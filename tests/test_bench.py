@@ -392,35 +392,17 @@ class TestRunner:
         with pytest.raises(EmptyInput):
             runner.encode_split(config.EncodingEntry("basis", basis_scheme()), empty, test)
 
-    def test_repeat_keeps_metrics(self):
-        cfg = small_config(
-            encodings=[{"kind": "classical"}], models=[{"kind": "knn"}]
-        )
-        once = runner.run_matrix(cfg, repeat=1)
-        thrice = runner.run_matrix(cfg, repeat=3)
-        assert once.results[0].report.to_dict() == thrice.results[0].report.to_dict()
-        assert thrice.manifest["repeat"] == 3
-        assert thrice.results[0].fit_ms > 0
-
-    def test_repeat_validation(self):
-        with pytest.raises(ValueError):
-            runner.run_matrix(small_config(), repeat=0)
-
     def test_persist_and_reload(self, tmp_path):
         cfg = small_config()
         run = runner.run_matrix(cfg)
         out = tmp_path / "out"
         path = runner.persist_run(run, str(out))
+        assert path == str(out / "results.json")
+        assert [p.name for p in out.iterdir()] == ["results.json"]
         rows = runner.load_results(path)
         assert rows == [r.to_dict() for r in run.results]
-        per_cell = sorted(p.name for p in (out / "runs").iterdir())
-        assert per_cell == [
-            "000_classical_logreg.json",
-            "001_classical_knn.json",
-            "002_angle_logreg.json",
-            "003_angle_knn.json",
-        ]
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "results.json").read_text())["manifest"]
+        assert manifest == run.manifest
         assert manifest["config_sha256"] == runner.config_hash(cfg)
 
     def test_cells_record_solver_convergence(self, tmp_path):
@@ -675,8 +657,8 @@ class TestCli:
         assert cli.main(["bench", "--config", str(cfg_path),
                          "--out", str(out_b), "--seed", "9"]) == 0
         capsys.readouterr()
-        a = json.loads((out_a / "manifest.json").read_text())
-        b = json.loads((out_b / "manifest.json").read_text())
+        a, b = (json.loads((out / "results.json").read_text())["manifest"]
+                for out in (out_a, out_b))
         assert a["seed"] == 9
         assert a["split_checksum"] == b["split_checksum"]
 
@@ -788,14 +770,6 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
         assert path in capsys.readouterr().err
 
-    @pytest.mark.parametrize("repeat", ["0", "-1"])
-    def test_bench_repeat_below_one_is_usage_error(self, tmp_path, capsys, repeat):
-        cfg_path = self.write_config(tmp_path)
-        with pytest.raises(SystemExit) as err:
-            cli.main(["bench", "--config", str(cfg_path), "--repeat", repeat])
-        assert err.value.code == 1
-        assert "--repeat" in capsys.readouterr().err
-
     @pytest.mark.parametrize("payload", ["config", "array"])
     def test_report_on_non_results_file_is_data_error(self, tmp_path, capsys, payload):
         path = CONFIGS / "synthetic.json"
@@ -823,18 +797,25 @@ class TestCli:
         assert cli.main(["report", "--results",
                          str(tmp_path / "nope.json")]) == 2
 
-    def test_bench_repeat_flag(self, tmp_path, capsys):
-        cfg_path = self.write_config(
-            tmp_path,
-            encodings=[{"kind": "classical"}],
-            models=[{"kind": "knn", "params": {"k": 3}}],
-        )
-        out_dir = tmp_path / "rep"
-        assert cli.main(["bench", "--config", str(cfg_path),
-                         "--out", str(out_dir), "--repeat", "3"]) == 0
+    def test_results_with_repeat_key_reruns(self, tmp_path, capsys):
+        # results files from before --repeat was retired carry "repeat" in
+        # their manifest; re-running one ignores it and gives the same reports
+        cfg_path = self.write_config(tmp_path)
+        out_dir = tmp_path / "old"
+        assert cli.main(["bench", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        old = json.loads((out_dir / "results.json").read_text())
+        old["manifest"]["repeat"] = 3
+        (out_dir / "results.json").write_text(json.dumps(old))
+        assert cli.main(["bench", "--config", str(out_dir / "results.json"),
+                         "--out", str(tmp_path / "new")]) == 0
         capsys.readouterr()
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["repeat"] == 3
+        new = json.loads((tmp_path / "new" / "results.json").read_text())
+        assert [c["report"] for c in new["results"]] == [c["report"] for c in old["results"]]
+        assert "repeat" not in new["manifest"]
+        with pytest.raises(SystemExit) as err:
+            cli.main(["bench", "--config", str(cfg_path), "--repeat", "3"])
+        assert err.value.code == 1
+        assert "--repeat" in capsys.readouterr().err
 
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         cfg_path = self.write_config(

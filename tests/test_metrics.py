@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qembed import metrics as mt
-from qembed.errors import EmptyInput, LengthMismatch, NonFiniteInput, SingleClass
+from qembed.errors import EmptyInput, InvalidLabel, LengthMismatch, NonFiniteInput, SingleClass
 
 
 def brute_confusion(y, p):
@@ -75,8 +75,11 @@ class TestConfusion:
             mt.confusion([1, 0], [1])
         with pytest.raises(EmptyInput):
             mt.confusion([], [])
-        with pytest.raises(ValueError):
-            mt.confusion([1, 2], [0, 1])
+        # truth or prediction, any entry but 0 or 1 (even one an int cast
+        # would round to 0) is a typed label error
+        for y, p in (([1, 2], [0, 1]), ([0, 1], [0, -1]), ([0.5, 1], [0, 1])):
+            with pytest.raises(InvalidLabel):
+                mt.confusion(y, p)
 
 
 class TestRatioMetrics:
@@ -171,6 +174,9 @@ class TestRocAuc:
         for bad in (math.nan, math.inf):
             with pytest.raises(NonFiniteInput):
                 mt.roc_auc([0, 1, 1], [0.1, bad, 0.9])
+        # a row labelled 2 is rejected, not silently left out of both classes
+        with pytest.raises(InvalidLabel):
+            mt.roc_auc([0, 2, 1, 1], [0.1, 0.9, 0.5, 0.6])
 
     def test_midranks_equal_mean_position_among_equals(self):
         # the definition: the mean 1-based sorted position of the equal values

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import tracemalloc
 
@@ -115,9 +114,15 @@ class TestModelSpec:
         with pytest.raises(InvalidHyperparameter, match="degree must be an integer >= 1"):
             ModelSpec("svm", params={"kernel": "polynomial", "degree": value})
 
-    def test_roundtrip(self):
-        spec = ModelSpec("svm", seed=7, params={"kernel": "linear", "C": 2.0})
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+    def test_degree_takes_a_numpy_integer(self):
+        # as k and max_iter do; the fit scores exactly what degree=2 scores
+        X, y = blobs(5, n=30)
+        scores = [
+            models.fit(ModelSpec("svm", params={"kernel": "polynomial", "degree": d}),
+                       X, y).predict_proba(X)
+            for d in (np.int64(2), 2)
+        ]
+        assert np.array_equal(*scores)
 
 
 class TestFitValidation:
@@ -329,6 +334,14 @@ class TestSvm:
         proba = model.predict_proba(X)
         order = np.argsort(dec)
         assert np.all(np.diff(proba[order]) >= -1e-12)
+
+    def test_empty_support_set_scores_a_constant(self):
+        # a tol above the starting violation gap of 2 stops SMO before any
+        # update; the support rows keep the data's width, so scoring works
+        X, y = blobs(37, n=20, d=3)
+        model = models.fit(ModelSpec("svm", params={"tol": 3.0}), X, y)
+        assert model.state["sv_X"].shape == (0, 3)
+        assert np.all(model.predict_proba(X) == model.predict_proba(X[:1])[0])
 
     def test_deterministic(self):
         X, y = blobs(9, n=40)
@@ -727,35 +740,6 @@ def _small_params(kind):
         "adaboost": {"n_rounds": 10},
         "gbt": {"n_rounds": 10},
     }[kind]
-
-
-class TestSerialization:
-    def test_json_roundtrip_preserves_predictions(self):
-        X, y = blobs(33, n=40, d=3, spread=1.5)
-        Xt, _ = blobs(34, n=25, d=3, spread=2.0)
-        for kind in models.MODEL_KINDS:
-            spec = ModelSpec(kind, seed=11, params=_small_params(kind))
-            model = models.fit(spec, X, y)
-            payload = json.dumps(models.model_to_dict(model))
-            clone = models.model_from_dict(json.loads(payload))
-            assert np.array_equal(model.predict_proba(Xt), clone.predict_proba(Xt)), kind
-
-    def test_empty_support_set_roundtrip(self):
-        # a tol above the starting violation gap of 2 stops SMO before any update
-        X, y = blobs(37, n=20, d=3)
-        model = models.fit(ModelSpec("svm", params={"tol": 3.0}), X, y)
-        assert model.state["sv_X"].shape == (0, 3)
-        payload = json.dumps(models.model_to_dict(model))
-        clone = models.model_from_dict(json.loads(payload))
-        assert np.array_equal(model.predict_proba(X), clone.predict_proba(X))
-        assert np.all(clone.predict_proba(X) == model.predict_proba(X[:1])[0])
-
-    def test_meta_survives(self):
-        X, y = blobs(35, n=30)
-        model = models.fit(ModelSpec("logreg", params={"max_iter": 3}), X, y)
-        clone = models.model_from_dict(models.model_to_dict(model))
-        assert clone.meta.iterations == model.meta.iterations
-        assert clone.meta.converged == model.meta.converged
 
 
 class TestDeterminism:
