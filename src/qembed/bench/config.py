@@ -19,6 +19,7 @@ from ..encoding import amplitude_scheme, angle_scheme, basis_scheme
 from ..errors import ConfigError, QembedError
 from ..models import DEFAULT_PARAMS, ModelSpec
 from ..pipeline import CATEGORICAL, ID, NUMERIC, TARGET, ColumnSpec, PreprocessOptions
+from ..pipeline import checked_int
 
 # Column layout of the public churn CSV and the synthetic fallback; a column
 # without an entry in _TELCO_KINDS is categorical.
@@ -69,6 +70,9 @@ class BenchConfig:
     output_dir: str | None
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed", ConfigError))
+        object.__setattr__(self, "synthetic_rows", checked_int(
+            self.synthetic_rows, 1, "dataset.synthetic_rows", ConfigError))
         if not self.encodings:
             raise ConfigError("config needs at least one encoding")
         if not self.models:
@@ -115,22 +119,13 @@ def _build(owner, kwargs, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _int_field(value, name: str, minimum: int) -> int:
-    """An integer >= minimum; bools and floats such as 12.0 are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def _parse_preprocess(obj, seed: int) -> PreprocessOptions:
     types = {k: _json_types(f.default, f.type) for k, f in _PREPROCESS_FIELDS.items()}
     kwargs = dict(_typed(obj, types, "preprocess"), seed=seed)
     if kwargs.get("n_components") is not None:
-        _int_field(kwargs["n_components"], "preprocess.n_components", 1)
-    for key in obj:
-        default = _PREPROCESS_FIELDS[key].default
-        if isinstance(default, (float, tuple)):  # 12 -> 12.0, a list -> a tuple
-            kwargs[key] = type(default)(kwargs[key])
+        checked_int(kwargs["n_components"], 1, "preprocess.n_components", ConfigError)
+    if "extra_drops" in kwargs:
+        kwargs["extra_drops"] = tuple(kwargs["extra_drops"])
     return _build(PreprocessOptions, kwargs, "preprocess")
 
 
@@ -157,14 +152,14 @@ def _parse_model(obj, path: str, default_seed: int) -> ModelSpec:
     kwargs = dict(_typed(obj, _MODEL_KEYS, path))
     types = {k: _json_types(v) for k, v in DEFAULT_PARAMS[kind].items()}
     _typed(kwargs.get("params", {}), types, f"{path}.params")
-    kwargs["seed"] = _int_field(kwargs.get("seed", default_seed), f"{path}.seed", 0)
+    kwargs["seed"] = checked_int(kwargs.get("seed", default_seed), 0, f"{path}.seed", ConfigError)
     return _build(ModelSpec, kwargs, path)
 
 
 def config_from_dict(raw: dict) -> BenchConfig:
     """Build and validate a BenchConfig; all failures raise ConfigError."""
     raw = _typed(raw, _TOP_KEYS, "")
-    seed = _int_field(raw.get("seed", 0), "seed", 0)
+    seed = checked_int(raw.get("seed", 0), 0, "seed", ConfigError)
     dataset = _typed(raw.get("dataset", {}), _DATASET_KEYS, "dataset")
     schema = [_build(ColumnSpec, c, f"dataset.schema[{i}]")
               for i, c in enumerate(dataset.get("schema", ()))]
@@ -174,7 +169,7 @@ def config_from_dict(raw: dict) -> BenchConfig:
     return BenchConfig(
         dataset_path=dataset.get("path"),
         schema=tuple(schema) if "schema" in dataset else TELCO_SCHEMA,
-        synthetic_rows=_int_field(dataset.get("synthetic_rows", 500), "dataset.synthetic_rows", 1),
+        synthetic_rows=dataset.get("synthetic_rows", 500),
         preprocess=_parse_preprocess(raw.get("preprocess", {}), seed),
         seed=seed,
         encodings=tuple(encodings),

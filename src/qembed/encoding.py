@@ -38,7 +38,7 @@ from .errors import (
     RowEncodeError,
     ZeroVector,
 )
-from .pipeline import FeatureMatrix
+from .pipeline import FeatureMatrix, checked_int
 from .qsim import MAX_QUBITS, StateVector
 
 BASIS = "basis"
@@ -89,9 +89,8 @@ class EncodingScheme:
         elif self.axis is not None or self.angle_map is not None:
             raise InvalidScheme("axis/angle_map are angle-encoding parameters")
         if self.kind == BASIS:
-            bits = self.bits_per_feature
-            if isinstance(bits, bool) or not isinstance(bits, int) or bits < 1:
-                raise InvalidScheme("bits_per_feature must be a count >= 1")
+            object.__setattr__(self, "bits_per_feature", checked_int(
+                self.bits_per_feature, 1, "bits_per_feature", InvalidScheme))
         elif self.bits_per_feature is not None:
             raise InvalidScheme("bits_per_feature is a basis-encoding parameter")
 

@@ -1,11 +1,12 @@
 """From-scratch classifiers behind a single fit/predict interface.
 
-Seven kinds: logreg, knn, svm, tree, forest, adaboost, gbt.  A ModelSpec
-names the kind, the seed and the hyperparameters (validated against
-per-kind defaults); fit() returns a TrainedModel, one record for every
-kind: the spec, fit metadata and a plain dict of the kind's fitted state.
-It scores new rows through one proba function per kind.  Models live
-only for the run that fits them; nothing persists them.
+Seven kinds: logreg, knn, svm, tree, forest, adaboost, gbt.  A kind is
+registered in two places: its hyperparameter defaults in DEFAULT_PARAMS
+and its (fit, score) pair in _KINDS.  A ModelSpec names the kind, the seed
+and the hyperparameters (validated against the defaults); fit() returns a
+TrainedModel, one record for every kind: the spec, fit metadata and a
+plain dict of the kind's fitted state, which the kind's score function
+reads.  Models live only for the run that fits them; nothing persists them.
 """
 from __future__ import annotations
 
@@ -22,11 +23,52 @@ from ..errors import (
     NonFiniteFeature,
     SingleClass,
 )
-from ..pipeline import FeatureMatrix
+from ..pipeline import FeatureMatrix, checked_int
 from . import ensemble, linear, neighbors, svm, tree
 from .svm import KernelFn, kernel_eval
 
-MODEL_KINDS = ("logreg", "knn", "svm", "tree", "forest", "adaboost", "gbt")
+
+@dataclass
+class TrainMeta:
+    iterations: int = 0
+    converged: bool = True
+
+
+def _fit_logreg(p, seed, data, y):
+    weights, bias, iters, ok = linear.fit_logreg(data, y, p["l2"], p["max_iter"])
+    return TrainMeta(iters, ok), {"weights": weights, "bias": bias}
+
+
+def _fit_svm(p, seed, data, y):
+    kernel = KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"]).resolve(data.shape[1])
+    alpha, bias, iters, ok = svm.fit_smo(data, y, kernel, p["C"], p["tol"], p["max_iter"])
+    support = alpha > 0
+    return TrainMeta(iters, ok), {
+        "kernel": kernel, "sv_X": data[support], "sv_y": y[support],
+        "sv_alpha": alpha[support], "bias": bias,
+    }
+
+
+def _fit_tree(p, seed, data, y):
+    grown = tree.grow_classifier(data, y, max_depth=p["max_depth"], min_leaf=p["min_leaf"])
+    return TrainMeta(), {"trees": [grown], "weights": np.ones(1), "offset": 0.0, "scale": 1.0}
+
+
+def _fit_forest(p, seed, data, y):
+    trees = tree.grow_forest(data, y, p["n_trees"], p["feature_fraction"], p["max_depth"],
+                             p["min_leaf"], p["bootstrap"], np.random.default_rng(seed))
+    return _rounds({"trees": trees, "weights": np.ones(len(trees)), "offset": 0.0,
+                    "scale": len(trees)})
+
+
+def _rounds(state):
+    """A tree-sum state, with one iteration per tree."""
+    return TrainMeta(len(state["trees"])), state
+
+
+def _tree_sum(p, s, data):
+    return ensemble.tree_sum(s, data)
+
 
 DEFAULT_PARAMS: dict[str, dict] = {
     "logreg": {"l2": 1e-4, "max_iter": 100},
@@ -52,17 +94,34 @@ DEFAULT_PARAMS: dict[str, dict] = {
     "gbt": {"n_rounds": 100, "lr": 0.1, "max_depth": 3, "min_leaf": 2},
 }
 
+# kind: (fit(params, seed, X, y) -> (TrainMeta, state),
+#        score(params, state, X) -> P(class=1) per row)
+_KINDS = {
+    "logreg": (_fit_logreg,
+               lambda p, s, data: linear.sigmoid(data @ s["weights"] + s["bias"])),
+    "knn": (lambda p, seed, data, y: (TrainMeta(), {"X": data.copy(), "y": y.copy()}),
+            lambda p, s, data: neighbors.knn_proba(
+                s["X"], s["y"], min(p["k"], len(s["y"])), data)),
+    "svm": (_fit_svm, lambda p, s, data: linear.sigmoid(svm.decision_values(
+        s["sv_X"], s["sv_y"], s["sv_alpha"], s["bias"], s["kernel"], data))),
+    "tree": (_fit_tree, _tree_sum),
+    "forest": (_fit_forest, _tree_sum),
+    "adaboost": (lambda p, seed, data, y: _rounds(
+        ensemble.fit_adaboost(data, y, p["n_rounds"])), _tree_sum),
+    "gbt": (lambda p, seed, data, y: _rounds(ensemble.fit_gbt(
+                data, y, p["n_rounds"], p["lr"], p["max_depth"], p["min_leaf"])),
+            lambda p, s, data: linear.sigmoid(ensemble.tree_sum(s, data))),
+}
+MODEL_KINDS = tuple(DEFAULT_PARAMS)
+
 
 def _real(test):
     return lambda v: isinstance(v, (int, float, np.integer, np.floating)) \
         and not isinstance(v, bool) and math.isfinite(v) and test(v)
 
 
-def _integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-_INT = ("an integer >= 1", lambda v: _integer(v) and v >= 1)
+_INT = ("an integer >= 1",
+        lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1)
 _POSITIVE = ("a finite real number > 0", _real(lambda v: v > 0))
 # What each hyperparameter must be, and the test; the same key means the
 # same in every kind.  KernelFn checks the kernel and its degree.
@@ -78,29 +137,29 @@ _RULES = {
 _NULLABLE = ("gamma", "feature_fraction", "max_depth")
 
 
-def _validate_params(kind: str, p: dict) -> None:
+def _validate_params(p: dict) -> None:
     for key, value in p.items():
         if key in _RULES and not (value is None and key in _NULLABLE):
             what, ok = _RULES[key]
             if not ok(value):
                 raise InvalidHyperparameter(f"{key} must be {what}")
-    if kind == "svm":
+    if "kernel" in p:
         KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"])
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model kind, seed and hyperparameters (missing ones take defaults)."""
+    """Model kind, seed and hyperparameters (missing ones take defaults);
+    a numpy scalar is stored as the Python number it holds."""
 
     kind: str
     seed: int = 0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in DEFAULT_PARAMS:
             raise InvalidHyperparameter(f"unknown model kind {self.kind!r}")
-        if not (_integer(self.seed) and self.seed >= 0):
-            raise InvalidHyperparameter(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed", InvalidHyperparameter))
         defaults = DEFAULT_PARAMS[self.kind]
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -108,17 +167,13 @@ class ModelSpec:
                 f"{self.kind}: unknown hyperparameters {sorted(unknown)}"
             )
         merged = {**defaults, **self.params}
-        _validate_params(self.kind, merged)
-        object.__setattr__(self, "params", merged)
+        _validate_params(merged)
+        object.__setattr__(self, "params", {
+            k: v.item() if isinstance(v, np.generic) else v for k, v in merged.items()
+        })
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": dict(self.params)}
-
-
-@dataclass
-class TrainMeta:
-    iterations: int = 0
-    converged: bool = True
 
 
 def _matrix_data(X) -> np.ndarray:
@@ -139,10 +194,11 @@ def _check_finite(data: np.ndarray, what: str) -> None:
 class TrainedModel:
     """Fitted classifier: spec, fit metadata and the kind's fitted state.
 
-    `state` is a plain dict of arrays and numbers:
+    `state` is a plain dict:
       logreg   weights, bias
       knn      X, y (the training rows)
-      svm      gamma (resolved), sv_X, sv_y, sv_alpha, bias
+      svm      kernel (the KernelFn with gamma resolved), sv_X, sv_y,
+               sv_alpha, bias
       tree, forest, adaboost, gbt
                trees, weights, offset, scale (see `ensemble`); gbt adds losses
     """
@@ -160,34 +216,10 @@ class TrainedModel:
                 f"expected {self.n_features} features, got shape {data.shape}"
             )
         _check_finite(data, "scored")
-        return _PROBA[self.spec.kind](self.spec.params, self.state, data)
+        return _KINDS[self.spec.kind][1](self.spec.params, self.state, data)
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(int)
-
-
-def _svm_proba(p, s, data):
-    kernel = KernelFn(p["kernel"], s["gamma"], p["degree"], p["coef0"])
-    return linear.sigmoid(
-        svm.decision_values(s["sv_X"], s["sv_y"], s["sv_alpha"], s["bias"], kernel, data)
-    )
-
-
-def _tree_sum(p, s, data):
-    return ensemble.tree_sum(s, data)
-
-
-_PROBA = {
-    "logreg": lambda p, s, data: linear.sigmoid(data @ s["weights"] + s["bias"]),
-    "knn": lambda p, s, data: neighbors.knn_proba(
-        s["X"], s["y"], min(p["k"], len(s["y"])), data
-    ),
-    "svm": _svm_proba,
-    "tree": _tree_sum,
-    "forest": _tree_sum,
-    "adaboost": _tree_sum,
-    "gbt": lambda p, s, data: linear.sigmoid(ensemble.tree_sum(s, data)),
-}
 
 
 def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
@@ -214,62 +246,8 @@ def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
         raise SingleClass("training data must contain both classes")
     if counts.min() < 2:
         raise ClassTooSmall("need at least two samples per class")
-    meta, state = _FITTERS[spec.kind](spec.params, spec.seed, data, y)
+    meta, state = _KINDS[spec.kind][0](spec.params, spec.seed, data, y)
     return TrainedModel(spec, meta, data.shape[1], state)
-
-
-def _fit_logreg(p, seed, data, y):
-    weights, bias, iters, ok = linear.fit_logreg(data, y, p["l2"], p["max_iter"])
-    return TrainMeta(iters, ok), {"weights": weights, "bias": bias}
-
-
-def _fit_knn(p, seed, data, y):
-    return TrainMeta(), {"X": data.copy(), "y": y.copy()}
-
-
-def _fit_svm(p, seed, data, y):
-    kernel = KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"]).resolve(
-        data.shape[1]
-    )
-    alpha, bias, iters, ok = svm.fit_smo(data, y, kernel, p["C"], p["tol"], p["max_iter"])
-    support = alpha > 0
-    return TrainMeta(iters, ok), {
-        "gamma": kernel.gamma, "sv_X": data[support], "sv_y": y[support],
-        "sv_alpha": alpha[support], "bias": bias,
-    }
-
-
-def _fit_tree(p, seed, data, y):
-    grown = tree.grow_classifier(data, y, max_depth=p["max_depth"], min_leaf=p["min_leaf"])
-    return TrainMeta(), {"trees": [grown], "weights": np.ones(1), "offset": 0.0, "scale": 1.0}
-
-
-def _fit_forest(p, seed, data, y):
-    trees = tree.grow_forest(data, y, p["n_trees"], p["feature_fraction"], p["max_depth"],
-                             p["min_leaf"], p["bootstrap"], np.random.default_rng(seed))
-    n = len(trees)
-    return TrainMeta(n), {"trees": trees, "weights": np.ones(n), "offset": 0.0, "scale": n}
-
-
-def _fit_adaboost(p, seed, data, y):
-    state = ensemble.fit_adaboost(data, y, p["n_rounds"])
-    return TrainMeta(len(state["trees"])), state
-
-
-def _fit_gbt(p, seed, data, y):
-    state = ensemble.fit_gbt(data, y, p["n_rounds"], p["lr"], p["max_depth"], p["min_leaf"])
-    return TrainMeta(len(state["trees"])), state
-
-
-_FITTERS = {
-    "logreg": _fit_logreg,
-    "knn": _fit_knn,
-    "svm": _fit_svm,
-    "tree": _fit_tree,
-    "forest": _fit_forest,
-    "adaboost": _fit_adaboost,
-    "gbt": _fit_gbt,
-}
 
 
 __all__ = [

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidHyperparameter, LengthMismatch
+from ..pipeline import checked_int
 from .neighbors import sq_distances
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
@@ -20,7 +21,8 @@ KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
 
 @dataclass(frozen=True)
 class KernelFn:
-    """Kernel family plus its parameters; gamma=None resolves to 1/d at fit."""
+    """Kernel family plus its parameters; gamma=None resolves to 1/d, for d
+    features, in `resolve`, which the fit and `gram` call."""
 
     kind: str
     gamma: float | None = None
@@ -32,9 +34,8 @@ class KernelFn:
             raise InvalidHyperparameter(f"unknown kernel {self.kind!r}")
         if self.gamma is not None and not self.gamma > 0:
             raise InvalidHyperparameter("gamma must be positive")
-        degree = self.degree
-        if isinstance(degree, bool) or not (isinstance(degree, (int, np.integer)) and degree >= 1):
-            raise InvalidHyperparameter("degree must be an integer >= 1")
+        object.__setattr__(self, "degree",
+                           checked_int(self.degree, 1, "degree", InvalidHyperparameter))
 
     def resolve(self, n_features: int) -> "KernelFn":
         if self.gamma is not None or self.kind == "linear":
@@ -54,7 +55,7 @@ def gram(kernel: KernelFn, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kernel matrix K[i, j] = k(A[i], B[j])."""
     if kernel.kind == "linear":
         return A @ B.T
-    g = kernel.gamma if kernel.gamma is not None else 1.0 / A.shape[1]
+    g = kernel.resolve(A.shape[1]).gamma
     if kernel.kind == "polynomial":
         return (g * (A @ B.T) + kernel.coef0) ** kernel.degree
     if kernel.kind == "sigmoid":

@@ -37,6 +37,14 @@ ID = "id"
 COLUMN_KINDS = (CATEGORICAL, NUMERIC, TARGET, ID)
 
 
+def checked_int(value, minimum: int, name: str, error=ValueError) -> int:
+    """value as a Python int, if it is an integer >= minimum; a numpy
+    integer passes, a bool or a float such as 12.0 raises `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Declared name and kind of one CSV column."""
@@ -480,7 +488,8 @@ def find_elbow(ratios) -> int:
 
 @dataclass(frozen=True)
 class PreprocessOptions:
-    """Knobs for run_preprocess; defaults match the telco churn benchmark."""
+    """Knobs for run_preprocess; defaults match the telco churn benchmark.
+    Thresholds are stored as Python floats, counts as Python ints."""
 
     corr_threshold: float = 0.8
     vif_threshold: float = 12.0
@@ -491,6 +500,16 @@ class PreprocessOptions:
     n_components: int | None = None  # None: pick by elbow
 
     def __post_init__(self):
+        for name in ("corr_threshold", "vif_threshold", "split_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed"))
+        if self.n_components is not None:
+            object.__setattr__(self, "n_components",
+                               checked_int(self.n_components, 1, "n_components"))
         if not 0 < self.split_ratio < 1:
             raise ValueError("split_ratio must be in (0, 1)")
         if not 0 < self.corr_threshold <= 1:

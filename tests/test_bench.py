@@ -11,8 +11,8 @@ from qembed.bench import cli, config, data, report, runner
 from qembed.encoding import RAW, amplitude_scheme, angle_scheme, basis_scheme
 from qembed.errors import ConfigError, EmptyInput, EmptyResults
 from qembed.metrics import MetricReport
-from qembed.models import MODEL_KINDS
-from qembed.pipeline import NUMERIC, FeatureMatrix, correlation_matrix
+from qembed.models import MODEL_KINDS, ModelSpec
+from qembed.pipeline import NUMERIC, FeatureMatrix, PreprocessOptions, correlation_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -430,6 +430,29 @@ class TestRunner:
         resumed = config.load_config(path)
         assert runner.config_hash(resumed) == runner.config_hash(cfg)
 
+    def test_numpy_integer_config_matches_json_config(self, tmp_path):
+        # every record stores a numpy integer as a Python int, so a config
+        # built in Python hashes, runs and persists as the one read from JSON
+        from_json = small_config(
+            encodings=[{"kind": "classical"}, {"kind": "basis", "bits_per_feature": 2}],
+            models=[{"kind": "knn", "seed": 1, "params": {"k": 3}}],
+        )
+        i = np.int64
+        built = config.BenchConfig(
+            dataset_path=None, schema=config.TELCO_SCHEMA, synthetic_rows=i(200),
+            preprocess=PreprocessOptions(seed=i(3), n_components=i(6)), seed=i(3),
+            encodings=(config.EncodingEntry("classical", None),
+                       config.EncodingEntry("basis", basis_scheme(i(2)))),
+            models=(ModelSpec("knn", seed=i(1), params={"k": i(3)}),),
+            output_dir=None,
+        )
+        assert runner.config_hash(built) == runner.config_hash(from_json)
+        run = runner.run_matrix(built)
+        assert [cell.error for cell in run.results] == [None, None]
+        path = runner.persist_run(run, str(tmp_path))
+        manifest = json.loads(Path(path).read_text())["manifest"]
+        assert manifest["config_sha256"] == runner.config_hash(from_json)
+
     def test_output_dir_priority(self, monkeypatch):
         cfg = small_config()
         monkeypatch.delenv(runner.ENV_OUTPUT_DIR, raising=False)
@@ -647,6 +670,16 @@ class TestCli:
         saved = (out_dir / "report.csv").read_text()
         assert report_out == saved
         assert saved in bench_out
+
+    def test_report_out_writes_the_report_bench_wrote(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        first, again = tmp_path / "out", tmp_path / "again"
+        assert cli.main(["bench", "--config", str(cfg_path), "--out", str(first)]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", "--results", str(first / "results.json"),
+                         "--out", str(again)]) == 0
+        assert capsys.readouterr().out == f"wrote {again / 'report.csv'}\n"
+        assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
 
     def test_bench_seed_override(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)

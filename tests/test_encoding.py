@@ -287,6 +287,12 @@ class TestSchemeValidation:
         with pytest.raises(InvalidScheme):  # True is an int to isinstance
             enc.basis_scheme(bits_per_feature=True)
 
+    def test_basis_bits_take_a_numpy_integer(self):
+        # stored as a Python int, so the scheme echoes as JSON
+        scheme = enc.basis_scheme(np.int64(2))
+        assert type(scheme.bits_per_feature) is int
+        assert scheme == enc.basis_scheme(2)
+
 
 class TestQuantizer:
     """Basis encoding rounds each [0, 1] feature to the scheme's bit count."""

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -123,6 +124,15 @@ class TestModelSpec:
             for d in (np.int64(2), 2)
         ]
         assert np.array_equal(*scores)
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        # so the spec echoes as JSON, as a config's manifest does
+        spec = ModelSpec("svm", seed=np.int64(4), params={
+            "max_iter": np.int64(50), "degree": np.int32(2), "C": np.float32(0.5)})
+        assert spec == ModelSpec("svm", seed=4, params={"max_iter": 50, "degree": 2, "C": 0.5})
+        assert [type(v) for v in (spec.seed, spec.params["max_iter"], spec.params["degree"],
+                                  spec.params["C"])] == [int, int, int, float]
+        assert json.loads(json.dumps(spec.to_dict())) == spec.to_dict()
 
 
 class TestFitValidation:
@@ -342,6 +352,16 @@ class TestSvm:
         model = models.fit(ModelSpec("svm", params={"tol": 3.0}), X, y)
         assert model.state["sv_X"].shape == (0, 3)
         assert np.all(model.predict_proba(X) == model.predict_proba(X[:1])[0])
+
+    def test_state_keeps_the_fitted_kernel(self):
+        # gamma=None resolves once, at fit, to 1/d; scoring reads that kernel
+        X, y = blobs(10, n=30, d=4)
+        model = models.fit(ModelSpec("svm", params={"kernel": "sigmoid", "coef0": 0.5}), X, y)
+        assert "gamma" not in model.state
+        assert model.state["kernel"] == KernelFn("sigmoid", 0.25, 3, 0.5)
+        # gram resolves an unset gamma the same way
+        assert np.array_equal(gram(KernelFn("sigmoid", coef0=0.5), X, X),
+                              gram(model.state["kernel"], X, X))
 
     def test_deterministic(self):
         X, y = blobs(9, n=40)

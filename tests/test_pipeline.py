@@ -646,6 +646,27 @@ def synthetic_dataset(seed=0, n=300):
     return make_dataset(rows, schema)
 
 
+class TestPreprocessOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("n_components", 2.5), ("n_components", True), ("n_components", 0),
+        ("n_components", "3"), ("corr_threshold", True), ("split_ratio", "0.5"),
+        ("seed", -1),
+    ])
+    def test_rejected_when_built(self, field, value):
+        # typed, at construction: not a TypeError inside run_preprocess, and
+        # never True run as 1 or 1.0
+        with pytest.raises(ValueError, match=f"{field} must be .*, got"):
+            pl.PreprocessOptions(**{field: value})
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        opts = pl.PreprocessOptions(seed=np.int64(2), n_components=np.int64(3),
+                                    corr_threshold=np.float32(0.5), vif_threshold=12)
+        assert opts == pl.PreprocessOptions(seed=2, n_components=3, corr_threshold=0.5,
+                                             vif_threshold=12.0)
+        assert [type(v) for v in (opts.seed, opts.n_components, opts.corr_threshold,
+                                  opts.vif_threshold)] == [int, int, float, float]
+
+
 class TestRunPreprocess:
     def test_end_to_end(self):
         ds = synthetic_dataset()
