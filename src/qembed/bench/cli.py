@@ -2,13 +2,15 @@
 
 Subcommands: encode (one-off vectors, bitstrings or text), preprocess,
 bench and report.  Exit status is 0 on success, 1 for configuration or
-usage problems (including unknown flags) and 2 for data problems.
+usage problems (including unknown flags) and 2 for data problems or an
+array too large for memory.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -114,8 +116,6 @@ def _cmd_encode(args) -> int:
 
 
 def _load_config(args):
-    if not args.config:
-        raise ConfigError("--config is required")
     raw = load_raw(args.config)
     if getattr(args, "seed", None) is not None:
         raw = dict(raw)
@@ -131,7 +131,7 @@ def _cmd_preprocess(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "preprocess.json")
     runner_mod.write_json(path, {
-        "report": result.report.to_dict(),
+        "report": asdict(result.report),
         "train_rows": result.train.n_rows,
         "test_rows": result.test.n_rows,
         "n_components": result.report.n_components,
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidScheme, InvalidHyperparameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QembedError, OSError, ValueError) as exc:
+    except (QembedError, OSError, ValueError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -124,8 +124,6 @@ def _parse_preprocess(obj, seed: int) -> PreprocessOptions:
     kwargs = dict(_typed(obj, types, "preprocess"), seed=seed)
     if kwargs.get("n_components") is not None:
         checked_int(kwargs["n_components"], 1, "preprocess.n_components", ConfigError)
-    if "extra_drops" in kwargs:
-        kwargs["extra_drops"] = tuple(kwargs["extra_drops"])
     return _build(PreprocessOptions, kwargs, "preprocess")
 
 

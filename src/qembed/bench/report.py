@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from dataclasses import asdict
 
 from ..errors import EmptyResults
 from .runner import RunResult
@@ -37,7 +38,7 @@ _EXTENSIONS = {"csv": "csv", "markdown": "md"}
 
 def _as_dict(result) -> dict:
     if isinstance(result, RunResult):
-        return result.to_dict()
+        return asdict(result)
     return result
 
 

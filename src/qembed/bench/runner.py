@@ -8,12 +8,11 @@ so its encode time is exactly zero by construction.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -59,9 +58,6 @@ class RunResult:
     timestamp: str = ""
     iterations: int = 0
     converged: bool | None = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _now() -> str:
@@ -126,7 +122,7 @@ def _run_once(config: BenchConfig, pre: PreprocessResult, checksum: str) -> list
         encode_error = None
         try:
             enc_train, enc_test, encode_ms = encode_split(entry, train, test)
-        except QembedError as exc:
+        except (QembedError, MemoryError) as exc:
             encode_error = f"encode: {exc}"
         for spec in config.models:
             error, scored = encode_error, {}
@@ -147,7 +143,7 @@ def _run_once(config: BenchConfig, pre: PreprocessResult, checksum: str) -> list
                         iterations=int(model.meta.iterations),
                         converged=bool(model.meta.converged),
                     )
-                except QembedError as exc:
+                except (QembedError, MemoryError) as exc:
                     error = f"fit: {exc}"
             results.append(
                 RunResult(
@@ -171,9 +167,6 @@ class BenchRun:
     manifest: dict
     results: list[RunResult]
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def run_matrix(config: BenchConfig) -> BenchRun:
     """Run the full grid once: preprocess, then every encoding x model cell."""
@@ -194,7 +187,7 @@ def run_matrix(config: BenchConfig) -> BenchRun:
             "test": pre.test.n_rows,
         },
         "n_components": pre.report.n_components,
-        "preprocess_report": pre.report.to_dict(),
+        "preprocess_report": asdict(pre.report),
     }
     return BenchRun(manifest, results)
 
@@ -219,7 +212,7 @@ def persist_run(run: BenchRun, out_dir: str) -> str:
     """Write results.json (manifest and every cell) into out_dir; return its path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "results.json")
-    write_json(path, run.to_dict())
+    write_json(path, asdict(run))
     return path
 
 

@@ -241,7 +241,6 @@ class EmbeddedSample:
 
     state: StateVector
     features: np.ndarray
-    scheme: EncodingScheme
 
 
 def readout_features(state: StateVector, mode: str) -> np.ndarray:
@@ -274,7 +273,7 @@ def embed_sample(x, scheme: EncodingScheme) -> EmbeddedSample:
         if np.any(arr < 0) or np.any(arr > 1):
             raise OutOfRangeFeature("basis features must lie in [0, 1]")
         state = basis_encode(bits_for_row(arr, scheme.bits_per_feature))
-    return EmbeddedSample(state, readout_features(state, scheme.readout), scheme)
+    return EmbeddedSample(state, readout_features(state, scheme.readout))
 
 
 def _feature_names(mode: str, width: int) -> tuple[str, ...]:

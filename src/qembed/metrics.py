@@ -121,9 +121,6 @@ class MetricReport:
 
     METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc", "kappa")
 
-    def defined(self, name: str) -> bool:
-        return getattr(self, name) is not None
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -489,7 +489,7 @@ def find_elbow(ratios) -> int:
 @dataclass(frozen=True)
 class PreprocessOptions:
     """Knobs for run_preprocess; defaults match the telco churn benchmark.
-    Thresholds are stored as Python floats, counts as Python ints."""
+    Thresholds are stored as Python floats, counts as Python ints, names as a tuple."""
 
     corr_threshold: float = 0.8
     vif_threshold: float = 12.0
@@ -516,8 +516,12 @@ class PreprocessOptions:
             raise ValueError("corr_threshold must be in (0, 1]")
         if not self.vif_threshold > 1:
             raise ValueError("vif_threshold must exceed 1")
-        if not all(isinstance(name, str) for name in self.extra_drops):
-            raise ValueError(f"extra_drops must list column names, got {self.extra_drops!r}")
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
+        if isinstance(self.extra_drops, str) or not all(
+                isinstance(name, str) for name in self.extra_drops):
+            raise ValueError(f"extra_drops must be column names, got {self.extra_drops!r}")
+        object.__setattr__(self, "extra_drops", tuple(self.extra_drops))
 
 
 @dataclass
@@ -543,16 +547,12 @@ class PreprocessReport:
     n_components: int = 0
     notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class PreprocessResult:
     train: FeatureMatrix
     test: FeatureMatrix
     pca: PcaModel
-    standardizer: Standardizer | None
     report: PreprocessReport
 
 
@@ -611,10 +611,8 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     matrix = undersample(matrix, options.seed)
     report.class_counts_after = _class_counts(matrix.labels)
 
-    standardizer = None
     if options.standardize:
-        standardizer = Standardizer.fit(matrix)
-        matrix = standardizer.transform(matrix)
+        matrix = Standardizer.fit(matrix).transform(matrix)
 
     full = pca_fit(matrix, min(matrix.n_rows - 1, matrix.n_cols))
     elbow = find_elbow(full.explained_variance_ratio)
@@ -624,7 +622,7 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     )
     k = options.n_components if options.n_components is not None else max(elbow, 1)
     if not 1 <= k <= full.n_components:
-        raise ValueError(f"n_components={k} outside [1, {full.n_components}]")
+        raise TooFewComponents(f"n_components={k} outside [1, {full.n_components}]")
     model = dataclasses.replace(full, components=full.components[:k])  # same SVD
     report.n_components = k
     if model.rank_deficient:
@@ -635,4 +633,4 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     scores = pca_transform(model, matrix)
 
     train, test = train_test_split(scores, options.split_ratio, options.seed)
-    return PreprocessResult(train, test, model, standardizer, report)
+    return PreprocessResult(train, test, model, report)

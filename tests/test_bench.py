@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,33 @@ class TestRunner:
             assert (cell.dim_out, cell.iterations, cell.converged) == (0, 0, None)
             assert cell.dim_in == run.manifest["n_components"]
 
+    @pytest.mark.parametrize("stage, failed", [
+        ("encode", {("angle", "logreg"), ("angle", "knn")}),
+        ("fit", {("classical", "knn"), ("angle", "knn")}),
+    ])
+    def test_out_of_memory_cell_isolated(self, monkeypatch, tmp_path, stage, failed):
+        # numpy raises MemoryError for an array the host cannot hold, such as a
+        # probability readout of a basis encoding on 20 or more qubits
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 3.31 GiB")
+
+        if stage == "encode":
+            monkeypatch.setattr(runner, "embed_matrix", out_of_memory)
+        else:
+            real_fit = runner.fit
+            monkeypatch.setattr(runner, "fit", lambda spec, X: (
+                out_of_memory() if spec.kind == "knn" else real_fit(spec, X)))
+        run = runner.run_matrix(small_config())
+        assert len(run.results) == 4
+        for cell in run.results:
+            if (cell.encoding, cell.model) in failed:
+                assert cell.error == f"{stage}: Unable to allocate 3.31 GiB"
+                assert cell.report is None
+            else:
+                assert cell.error is None and cell.report is not None
+        rows = runner.load_results(runner.persist_run(run, str(tmp_path)))
+        assert rows == [asdict(r) for r in run.results]
+
     def test_scaling_fitted_on_train_only(self, monkeypatch):
         # columns: a ranged one, a constant one, and one the test split overshoots
         monkeypatch.setattr(runner, "embed_matrix", lambda X, scheme: X)
@@ -400,7 +428,7 @@ class TestRunner:
         assert path == str(out / "results.json")
         assert [p.name for p in out.iterdir()] == ["results.json"]
         rows = runner.load_results(path)
-        assert rows == [r.to_dict() for r in run.results]
+        assert rows == [asdict(r) for r in run.results]
         manifest = json.loads((out / "results.json").read_text())["manifest"]
         assert manifest == run.manifest
         assert manifest["config_sha256"] == runner.config_hash(cfg)
@@ -718,6 +746,16 @@ class TestCli:
         assert cli.main(["preprocess", "--config", str(cfg_path),
                          "--out", str(tmp_path / "pre")]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_out_of_memory_outside_a_cell_is_data_error(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(dataset, options):
+            raise MemoryError("Unable to allocate 3.31 GiB")
+
+        monkeypatch.setattr(runner, "run_preprocess", out_of_memory)
+        cfg_path = self.write_config(tmp_path)
+        assert cli.main(["bench", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "data error: Unable to allocate 3.31 GiB\n"
 
     def test_bench_unparsable_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

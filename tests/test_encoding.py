@@ -159,6 +159,10 @@ class TestAngleEncode:
         with pytest.raises(OutOfRangeFeature):
             enc.angle_encode([-0.01], enc.angle_scheme())
 
+    def test_non_finite(self):
+        with pytest.raises(NonFiniteInput, match="features must be finite"):
+            enc.angle_encode([0.5, math.nan], enc.angle_scheme())
+
     def test_cap_and_empty(self):
         with pytest.raises(QubitCapExceeded):
             enc.angle_encode([0.5] * 25, enc.angle_scheme())
@@ -262,6 +266,10 @@ class TestSchemeValidation:
     def test_kind_checked(self):
         with pytest.raises(InvalidScheme):
             enc.EncodingScheme("fourier", enc.PROBABILITY_VECTOR)
+
+    def test_readout_checked(self):
+        with pytest.raises(InvalidScheme, match="unknown readout 'phase'"):
+            enc.EncodingScheme(enc.AMPLITUDE, "phase")
 
     def test_angle_fields_only_for_angle(self):
         with pytest.raises(InvalidScheme):

@@ -292,7 +292,6 @@ class TestComputeReport:
         report = mt.compute_report([1, 1, 1], [0.9, 0.8, 0.7])
         assert report.roc_auc is None
         assert report.accuracy == 1.0
-        assert not report.defined("roc_auc")
 
     def test_to_dict(self):
         report = mt.compute_report([0, 1], [0.1, 0.9])

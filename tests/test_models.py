@@ -290,6 +290,10 @@ class TestKernels:
         with pytest.raises(LengthMismatch):
             kernel_eval(KernelFn("linear"), [1.0], [1.0, 2.0])
 
+    def test_gamma_must_be_positive(self):
+        with pytest.raises(InvalidHyperparameter, match="gamma must be positive"):
+            KernelFn("rbf", gamma=0.0)
+
     def test_rbf_gram_psd(self):
         rng = np.random.default_rng(5)
         k = KernelFn("rbf", gamma=0.7)

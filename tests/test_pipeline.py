@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -315,6 +316,10 @@ class TestVif:
         with pytest.raises(ZeroVariance):
             pl.compute_vif(X)
 
+    def test_needs_two_columns(self):
+        with pytest.raises(LengthMismatch, match="at least two columns"):
+            pl.compute_vif(matrix_of([[1.0], [2.0], [4.0]]))
+
     @pytest.mark.parametrize("value, rows", [(0.1, 28172), (0.3, 500)])
     def test_constant_column_whose_mean_is_inexact(self, value, rows):
         # the column mean is not exactly `value`, so centring leaves ~1e-17 noise
@@ -370,6 +375,12 @@ def make_dataset(rows, schema):
         else:
             columns[spec.name] = tuple(str(c) for c in cells)
     return pl.Dataset(tuple(schema), columns, len(rows))
+
+
+class TestFeatureMatrix:
+    def test_drop_unknown_column(self):
+        with pytest.raises(UnknownColumn, match="column 'nope' not in matrix"):
+            matrix_of([[1.0, 2.0]]).drop_columns(["nope"])
 
 
 class TestOneHot:
@@ -650,7 +661,7 @@ class TestPreprocessOptions:
     @pytest.mark.parametrize("field, value", [
         ("n_components", 2.5), ("n_components", True), ("n_components", 0),
         ("n_components", "3"), ("corr_threshold", True), ("split_ratio", "0.5"),
-        ("seed", -1),
+        ("seed", -1), ("standardize", "no"), ("extra_drops", "gender"),
     ])
     def test_rejected_when_built(self, field, value):
         # typed, at construction: not a TypeError inside run_preprocess, and
@@ -665,6 +676,12 @@ class TestPreprocessOptions:
                                              vif_threshold=12.0)
         assert [type(v) for v in (opts.seed, opts.n_components, opts.corr_threshold,
                                   opts.vif_threshold)] == [int, int, float, float]
+
+    def test_extra_drops_stored_as_a_tuple(self):
+        # a list would leave the frozen record unhashable
+        opts = pl.PreprocessOptions(extra_drops=["tenure"])
+        assert opts.extra_drops == ("tenure",)
+        assert hash(opts) == hash(pl.PreprocessOptions(extra_drops=("tenure",)))
 
 
 class TestRunPreprocess:
@@ -741,6 +758,12 @@ class TestRunPreprocess:
         tenure, charges = numeric.index("tenure"), numeric.index("TotalCharges")
         assert drops == [("TotalCharges", C[tenure, charges])]
 
+    def test_target_with_one_value_names_the_column(self):
+        ds = synthetic_telco(50, 0)
+        ds.columns["Churn"] = ("No",) * 50
+        with pytest.raises(SingleClass, match="target column 'Churn' has a single value 'No'"):
+            pl.run_preprocess(ds, pl.PreprocessOptions())
+
     def test_target_with_three_values_names_the_column(self):
         ds = synthetic_dataset()
         ds.columns["churn"] = ("Maybe",) + tuple(ds.columns["churn"][1:])
@@ -756,6 +779,11 @@ class TestRunPreprocess:
         result = pl.run_preprocess(ds, pl.PreprocessOptions(n_components=40))
         assert note in result.report.notes
         assert result.train.n_cols == 40
+
+    def test_too_many_components_is_typed(self):
+        # the bound depends on the data, so it is checked here, not in the options
+        with pytest.raises(TooFewComponents, match=r"n_components=500 outside \[1, \d+\]"):
+            pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(n_components=500))
 
     def test_split_leaving_a_class_out_of_train(self):
         ds = synthetic_dataset()
@@ -783,5 +811,5 @@ class TestRunPreprocess:
         import json
 
         result = pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(seed=1))
-        text = json.dumps(result.report.to_dict())
+        text = json.dumps(asdict(result.report))
         assert "elbow_index" in text
