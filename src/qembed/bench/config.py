@@ -192,7 +192,7 @@ def config_to_dict(cfg: BenchConfig) -> dict:
         "seed": cfg.seed,
         "preprocess": preprocess,
         "encodings": encodings,
-        "models": [m.to_dict() for m in cfg.models],
+        "models": [asdict(m) for m in cfg.models],
         "output_dir": cfg.output_dir,
     }
 

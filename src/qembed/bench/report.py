@@ -4,6 +4,7 @@ Row order is exactly the order the runner produced (encoding-major, config
 order), values are emitted with full float precision so a rendered CSV
 reparses to the same numbers, and undefined metrics print as NA.  The
 `converged` column echoes the cell's solver flag (NA for a failed cell).
+A markdown cell escapes each `|` with a backslash; a CSV cell keeps it.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import os
 from dataclasses import asdict
 
 from ..errors import EmptyResults
-from .runner import RunResult
 
 COLUMNS = (
     "encoding",
@@ -36,12 +36,6 @@ FORMATS = ("csv", "markdown")
 _EXTENSIONS = {"csv": "csv", "markdown": "md"}
 
 
-def _as_dict(result) -> dict:
-    if isinstance(result, RunResult):
-        return asdict(result)
-    return result
-
-
 def _cell(value) -> str:
     if value is None:
         return "NA"
@@ -59,7 +53,7 @@ def emit_report(results, fmt: str = "csv") -> str:
     """Render the result rows; raises EmptyResults when there are none."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
-    rows = [_row_cells(_as_dict(r)) for r in results]
+    rows = [_row_cells(r if isinstance(r, dict) else asdict(r)) for r in results]
     if not rows:
         raise EmptyResults("no results to report")
     if fmt == "csv":
@@ -73,7 +67,7 @@ def emit_report(results, fmt: str = "csv") -> str:
         "| " + " | ".join("---" for _ in COLUMNS) + " |",
     ]
     for cells in rows:
-        lines.append("| " + " | ".join(cells) + " |")
+        lines.append("| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
     if any(r[1] == "gbt" for r in rows):
         lines.append("")
         lines.append("gbt stands in for the boosted-tree family (LightGBM, CatBoost).")

@@ -207,17 +207,18 @@ def amplitude_encode(x) -> StateVector:
         raise EmptyInput("value vector must be 1-D and nonempty")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("values must be finite")
-    norm = np.linalg.norm(arr)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr)
     if not np.isfinite(norm):
         raise NonFiniteInput("values overflow the norm")
-    if norm == 0:
+    if not arr.any():
         raise ZeroVector("cannot normalize an all-zero vector")
     n = max(1, math.ceil(math.log2(arr.size)))
     if n > MAX_QUBITS:
         raise QubitCapExceeded(f"{n} qubits exceeds cap {MAX_QUBITS}")
     amps = np.zeros(1 << n, dtype=complex)
-    amps[: arr.size] = arr / norm
-    if abs(np.sum(np.abs(amps) ** 2) - 1.0) > qsim._NORM_TOL:  # a subnormal squared norm
+    amps[: arr.size] = arr / norm if norm else 0.0
+    if abs(np.sum(np.abs(amps) ** 2) - 1.0) > qsim._NORM_TOL:  # a zero or subnormal squared norm
         raise EncodingError("values underflow the norm")
     return StateVector(n, amps, qsim.DENSE)
 

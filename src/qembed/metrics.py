@@ -6,7 +6,7 @@ benchmark cells stay visible in reports.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,9 +120,6 @@ class MetricReport:
     threshold: float
 
     METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc", "kappa")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compute_report(y_true, scores, threshold: float = DEFAULT_THRESHOLD) -> MetricReport:

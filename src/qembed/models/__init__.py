@@ -25,7 +25,7 @@ from ..errors import (
 )
 from ..pipeline import FeatureMatrix, checked_int
 from . import ensemble, linear, neighbors, svm, tree
-from .svm import KernelFn, kernel_eval
+from .svm import KernelFn
 
 
 @dataclass
@@ -172,9 +172,6 @@ class ModelSpec:
             k: v.item() if isinstance(v, np.generic) else v for k, v in merged.items()
         })
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed, "params": dict(self.params)}
-
 
 def _matrix_data(X) -> np.ndarray:
     if isinstance(X, FeatureMatrix):
@@ -225,7 +222,8 @@ class TrainedModel:
 def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
     """Train one model; y defaults to the FeatureMatrix labels.
 
-    Requires finite features, 0/1 labels and at least two samples of each class.
+    Requires at least one feature column, finite features, 0/1 labels and
+    at least two samples of each class.
     Non-convergence (logreg Newton-step cap, SMO pair-update cap) is
     flagged in the metadata, never raised.
     """
@@ -235,8 +233,8 @@ def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
             raise ValueError("labels required when X is a bare array")
         y = X.labels
     y = np.asarray(y)
-    if data.ndim != 2 or y.shape != (data.shape[0],):
-        raise DimensionMismatch("X must be 2-D with one label per row")
+    if data.ndim != 2 or y.shape != (data.shape[0],) or data.shape[1] == 0:
+        raise DimensionMismatch("X must be 2-D, with a feature column and one label per row")
     _check_finite(data, "training")
     if not np.isin(y, (0, 1)).all():
         raise InvalidLabel("labels must be 0 or 1")
@@ -255,7 +253,6 @@ __all__ = [
     "TrainMeta",
     "TrainedModel",
     "KernelFn",
-    "kernel_eval",
     "MODEL_KINDS",
     "DEFAULT_PARAMS",
     "fit",

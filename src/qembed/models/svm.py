@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidHyperparameter, LengthMismatch
+from ..errors import InvalidHyperparameter
 from ..pipeline import checked_int
 from .neighbors import sq_distances
 
@@ -41,14 +41,6 @@ class KernelFn:
         if self.gamma is not None or self.kind == "linear":
             return self
         return KernelFn(self.kind, 1.0 / n_features, self.degree, self.coef0)
-
-
-def kernel_eval(kernel: KernelFn, a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch("kernel arguments must be equal-length vectors")
-    return float(gram(kernel, a[None, :], b[None, :])[0, 0])
 
 
 def gram(kernel: KernelFn, A: np.ndarray, B: np.ndarray) -> np.ndarray:

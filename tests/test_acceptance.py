@@ -9,6 +9,7 @@ synthetic pipeline checks of criterion 7 stand in as the required gate.
 import math
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ import pytest
 from qembed import encoding as enc
 from qembed import metrics as mt
 from qembed import models, qsim
-from qembed.bench import config_from_dict, load_config, run_matrix
-from qembed.bench.config import TELCO_SCHEMA
+from qembed.bench.config import TELCO_SCHEMA, config_from_dict, load_config
+from qembed.bench.runner import run_matrix
 from qembed.models import ModelSpec
 from qembed.models.linear import log_loss_gradient, log_loss_l2
 from qembed.pipeline import (
@@ -456,8 +457,8 @@ def test_criterion_10_full_benchmark_matrix():
 
     resumed = config_from_dict(run.manifest["config"])
     rerun = run_matrix(resumed)
-    assert [r.report.to_dict() for r in run.results] == [
-        r.report.to_dict() for r in rerun.results
+    assert [asdict(r.report) for r in run.results] == [
+        asdict(r.report) for r in rerun.results
     ]
 
     elapsed = time.perf_counter() - t0

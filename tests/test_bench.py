@@ -321,7 +321,7 @@ class TestRunner:
         first = runner.run_matrix(cfg)
         second = runner.run_matrix(cfg)
         for a, b in zip(first.results, second.results):
-            assert a.report.to_dict() == b.report.to_dict()
+            assert asdict(a.report) == asdict(b.report)
         assert first.manifest["split_checksum"] == second.manifest["split_checksum"]
 
     def test_manifest_rerun_reproduces_reports(self):
@@ -329,8 +329,8 @@ class TestRunner:
         run = runner.run_matrix(cfg)
         resumed = config.config_from_dict(run.manifest["config"])
         rerun = runner.run_matrix(resumed)
-        assert [r.report.to_dict() for r in run.results] == [
-            r.report.to_dict() for r in rerun.results
+        assert [asdict(r.report) for r in run.results] == [
+            asdict(r.report) for r in rerun.results
         ]
 
     def test_failing_encoding_isolated(self):
@@ -552,6 +552,21 @@ class TestReport:
         assert lines[0].startswith("| encoding | model |")
         assert set(lines[1].replace("|", "").split()) == {"---"}
         assert "gbt stands in for the boosted-tree family" in text
+
+    def test_markdown_escapes_pipes(self):
+        # an encoding name and an error string may hold `|`; only markdown escapes it
+        failed = runner.RunResult(
+            encoding="a|b", model="svm", report=None, error="encode: x | y",
+            encode_ms=0.0, fit_ms=0.0, predict_ms=0.0, dim_in=6, dim_out=0,
+            seed=0, split_checksum="x", timestamp="t",
+        )
+        lines = report.emit_report([failed], "markdown").splitlines()
+        unescaped = [len(re.findall(r"(?<!\\)\|", line)) for line in lines]
+        assert unescaped == [len(report.COLUMNS) + 1] * 3
+        assert lines[2].startswith("| a\\|b | svm |")
+        assert lines[2].endswith("| encode: x \\| y |")
+        row = list(csv.reader(io.StringIO(report.emit_report([failed], "csv"))))[1]
+        assert (row[0], row[-1]) == ("a|b", "encode: x | y")
 
     def test_markdown_footnote_only_with_gbt(self):
         cfg = small_config(

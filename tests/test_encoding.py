@@ -224,16 +224,17 @@ class TestAmplitudeEncode:
         with pytest.raises(QubitCapExceeded):
             enc.amplitude_encode(np.ones(1 << 25))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_norm_overflow_is_typed(self):
         # the squared norm overflows to inf, so every amplitude would be 0
         with pytest.raises(NonFiniteInput):
             enc.amplitude_encode([1e200, 1e200])
 
     def test_norm_underflow_is_typed(self):
-        # the squared norm is subnormal, so the amplitudes miss unit norm
-        with pytest.raises(EncodingError):
-            enc.amplitude_encode([1e-160, 1e-160])
+        # the squared norm is subnormal or exactly 0, so the amplitudes miss
+        # unit norm; no value is 0, so this is no ZeroVector
+        for x in ([1e-160, 1e-160], [1e-200, 1e-200]):
+            with pytest.raises(EncodingError, match="values underflow the norm"):
+                enc.amplitude_encode(x)
 
     def test_scale_invariance_trials(self):
         rng = np.random.default_rng(19)
@@ -488,13 +489,13 @@ class TestEmbedMatrixEqualsOracle:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("scheme, bad_row, cause", [
         (enc.amplitude_scheme(), [1e200, 1e200], NonFiniteInput),
         (enc.angle_scheme(), [0.5, 1.5], OutOfRangeFeature),
         (enc.basis_scheme(1), [1.0, 1.5], OutOfRangeFeature),
         (enc.amplitude_scheme(), [0.0, 0.0], ZeroVector),
         (enc.amplitude_scheme(), [1e-160, 1e-160], EncodingError),
+        (enc.amplitude_scheme(), [1e-200, 1e-200], EncodingError),
     ])
     def test_first_bad_row_carries_oracle_cause(self, scheme, bad_row, cause):
         X = np.array([[0.0, 1.0], [1.0, 1.0]] * 3)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -293,9 +294,9 @@ class TestComputeReport:
         assert report.roc_auc is None
         assert report.accuracy == 1.0
 
-    def test_to_dict(self):
+    def test_asdict(self):
         report = mt.compute_report([0, 1], [0.1, 0.9])
-        d = report.to_dict()
+        d = asdict(report)
         assert d["accuracy"] == 1.0
         assert d["threshold"] == 0.5
         assert set(mt.MetricReport.METRIC_NAMES) <= set(d)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from qembed.errors import (
     DimensionMismatch,
     InvalidHyperparameter,
     InvalidLabel,
-    LengthMismatch,
     NonFiniteFeature,
     SingleClass,
 )
-from qembed.models import KernelFn, ModelSpec, ensemble, kernel_eval, linear
+from qembed.models import KernelFn, ModelSpec, ensemble, linear
 from qembed.models.linear import log_loss_gradient, log_loss_l2
 from qembed.models.svm import decision_values, fit_smo, gram
 from qembed.models import tree as tree_module
@@ -132,7 +132,7 @@ class TestModelSpec:
         assert spec == ModelSpec("svm", seed=4, params={"max_iter": 50, "degree": 2, "C": 0.5})
         assert [type(v) for v in (spec.seed, spec.params["max_iter"], spec.params["degree"],
                                   spec.params["C"])] == [int, int, int, float]
-        assert json.loads(json.dumps(spec.to_dict())) == spec.to_dict()
+        assert json.loads(json.dumps(asdict(spec))) == asdict(spec)
 
 
 class TestFitValidation:
@@ -156,6 +156,12 @@ class TestFitValidation:
         X = np.arange(6.0)[:, None]
         with pytest.raises(InvalidLabel):
             models.fit(ModelSpec("tree"), X, np.array([0, 1, bad, 1, 0, 0]))
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_no_feature_columns(self, kind):
+        # forest and svm would divide by the zero width; the rest scored constants
+        with pytest.raises(DimensionMismatch, match="a feature column"):
+            models.fit(ModelSpec(kind), np.zeros((6, 0)), np.array([0, 1, 0, 1, 0, 1]))
 
     def test_dimension_mismatch_on_predict(self):
         X, y = blobs(0, n=20, d=3)
@@ -267,28 +273,29 @@ class TestKnn:
         assert model.predict_proba(np.array([[1.0]]))[0] == 1.0  # row 0 wins
 
 
+def _kernel(k: KernelFn, a, b) -> float:
+    """k(a, b) for two vectors, read off a one-row gram."""
+    return gram(k, np.array([a], dtype=float), np.array([b], dtype=float))[0, 0]
+
+
 class TestKernels:
     def test_rbf_self_is_one(self):
         k = KernelFn("rbf", gamma=1.0)
         a = np.array([0.3, -0.7, 2.0])
-        assert kernel_eval(k, a, a) == pytest.approx(1.0)
+        assert _kernel(k, a, a) == pytest.approx(1.0)
 
     def test_linear_orthogonal(self):
         k = KernelFn("linear")
-        assert kernel_eval(k, [1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert _kernel(k, [1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_polynomial_example(self):
         k = KernelFn("polynomial", gamma=1.0, degree=2, coef0=0.0)
-        assert kernel_eval(k, [1.0, 2.0], [3.0, 4.0]) == pytest.approx(121.0)
+        assert _kernel(k, [1.0, 2.0], [3.0, 4.0]) == pytest.approx(121.0)
 
     def test_sigmoid_formula(self):
         k = KernelFn("sigmoid", gamma=0.5, coef0=0.1)
         a, b = np.array([1.0, 2.0]), np.array([0.5, -1.0])
-        assert kernel_eval(k, a, b) == pytest.approx(math.tanh(0.5 * (-1.5) + 0.1))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            kernel_eval(KernelFn("linear"), [1.0], [1.0, 2.0])
+        assert _kernel(k, a, b) == pytest.approx(math.tanh(0.5 * (-1.5) + 0.1))
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(InvalidHyperparameter, match="gamma must be positive"):
