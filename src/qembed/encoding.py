@@ -316,11 +316,23 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
 
     Row 0 runs through embed_sample first, to check what depends only on the
     width and scheme (the qubit cap); so does the first row the batch masks
-    flag.  A failure is RowEncodeError(row, typed per-row cause).
+    flag.  A failure is RowEncodeError(row, typed per-row cause).  Before
+    that, a (rows, 2^qubits) amplitude array over qsim.MAX_DENSE_BYTES
+    raises QubitCapExceeded, so it is never allocated.
     """
     data, (m, d) = X.data, X.data.shape
     if m == 0:
         return FeatureMatrix(np.zeros((0, 0)), (), X.labels)
+    if scheme.kind == AMPLITUDE:
+        n = max(1, (d - 1).bit_length())  # ceil(log2(d)) qubits
+    else:
+        n = d * (scheme.bits_per_feature or 1)
+    dense_bytes = m * np.dtype(complex).itemsize << n
+    if ((scheme.kind == AMPLITUDE or scheme.readout != Z_EXPECTATIONS)
+            and n <= MAX_QUBITS and dense_bytes > qsim.MAX_DENSE_BYTES):
+        raise QubitCapExceeded(
+            f"{m} rows x 2^{n} amplitudes ({n} qubits) take {dense_bytes} bytes, "
+            f"over the {qsim.MAX_DENSE_BYTES}-byte budget")
 
     def encode_row(i):
         try:
@@ -331,7 +343,7 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
     encode_row(0)
     bad = np.zeros(m, bool)  # a FeatureMatrix holds finite values
     if scheme.kind == AMPLITUDE:
-        amps = np.zeros((m, 1 << max(1, math.ceil(math.log2(d)))), dtype=complex)
+        amps = np.zeros((m, 1 << n), dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             amps[:, :d] = data / np.sqrt(data[:, None, :] @ data[:, :, None])[:, 0]
         # a zero, overflowing or underflowing norm fails the state's norm check

@@ -8,7 +8,7 @@ class QembedError(Exception):
 # --- simulator ---------------------------------------------------------------
 
 class QubitCapExceeded(QembedError):
-    """Requested qubit count is outside the configured cap."""
+    """Requested qubit count, or the dense array it needs, is outside the configured cap."""
 
 
 class NonFiniteAngle(QembedError):

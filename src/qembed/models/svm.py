@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidHyperparameter
+from ..errors import DimensionMismatch, InvalidHyperparameter
 from ..pipeline import checked_int
 from .neighbors import sq_distances
 
@@ -40,6 +40,9 @@ class KernelFn:
     def resolve(self, n_features: int) -> "KernelFn":
         if self.gamma is not None or self.kind == "linear":
             return self
+        if n_features < 1:
+            raise DimensionMismatch(
+                f"{self.kind} kernel: gamma=1/d needs a feature column, got d=0")
         return KernelFn(self.kind, 1.0 / n_features, self.degree, self.coef0)
 
 

@@ -143,6 +143,9 @@ class FeatureMatrix:
 
 # --- CSV loading --------------------------------------------------------------
 
+LOAD_BLOCK_ROWS = 1024  # records read, transposed and parsed at a time
+
+
 def load_csv(path, schema) -> Dataset:
     """Load a comma-delimited, quoted, header-first CSV against a schema.
 
@@ -150,49 +153,67 @@ def load_csv(path, schema) -> Dataset:
     a repeated header name reads its last column.  Blank lines are skipped.
     Blank, whitespace-only or missing numeric cells parse as 0.0 and are
     counted per column in the returned Dataset; any other numeric cell that
-    is not a finite number raises UnparsableCell.
+    is not a finite number raises UnparsableCell, for the first such cell of
+    the first schema column that has one.
+
+    The file is read LOAD_BLOCK_ROWS records at a time, so only one block
+    of row lists is alive at once, and each non-numeric column holds one
+    string object per distinct value.
     """
     schema = tuple(schema)
+    kinds = {spec.name: spec.kind for spec in schema}  # a repeated name keeps its last kind
+    texts = {name: [] for name, kind in kinds.items() if kind != NUMERIC}
+    distinct = {name: {} for name in texts}
+    parts = {name: [] for name, kind in kinds.items() if kind == NUMERIC}
+    blanks = dict.fromkeys(parts, 0)
+    first_bad: dict[str, UnparsableCell] = {}
+    n_rows = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise EmptyFile(f"{path}: no header row")
         where = {name: j for j, name in enumerate(header)}
-        for spec in schema:
-            if spec.name not in where:
-                raise MissingColumn(f"{path}: column {spec.name!r} not in header")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise EmptyFile(f"{path}: no data rows")
-    # the header on top keeps every header column when all rows are short
-    file_columns = list(itertools.zip_longest(header, *rows, fillvalue=""))
-
-    columns: dict[str, object] = {}
-    blanks: dict[str, int] = {}
-    for spec in schema:
-        cells = file_columns[where[spec.name]][1:]
-        text = tuple(map(str.strip, cells))
-        if spec.kind != NUMERIC:
-            columns[spec.name] = text
-            continue
-        if n_blank := text.count(""):
-            blanks[spec.name] = n_blank
-            text = [t or "0" for t in text]
-        try:
-            values = np.fromiter(map(float, text), float, len(text))
-        except ValueError:  # cell by cell; from the first unparsable cell on, values stay nan
-            values = np.full(len(text), math.nan)
-            for i, t in enumerate(text):
+        for name in kinds:
+            if name not in where:
+                raise MissingColumn(f"{path}: column {name!r} not in header")
+        while block := list(itertools.islice(reader, LOAD_BLOCK_ROWS)):
+            rows = [row for row in block if row]
+            # the header on top keeps every header column when all rows are short
+            file_columns = list(itertools.zip_longest(header, *rows, fillvalue=""))
+            for name in kinds:
+                cells = file_columns[where[name]][1:]
+                text = list(map(str.strip, cells))
+                if name in texts:
+                    texts[name].extend(map(distinct[name].setdefault, text, text))
+                    continue
+                if n_blank := text.count(""):
+                    blanks[name] += n_blank
+                    text = [t or "0" for t in text]
                 try:
-                    values[i] = float(t)
-                except ValueError:
-                    break
-        bad = np.flatnonzero(~np.isfinite(values))  # also nan, inf and 1e400
-        if bad.size:
-            raise UnparsableCell(int(bad[0]), spec.name, cells[bad[0]])
-        columns[spec.name] = values
-    return Dataset(schema, columns, len(rows), blanks)
+                    values = np.fromiter(map(float, text), float, len(text))
+                except ValueError:  # cell by cell; from the first bad cell on, values stay nan
+                    values = np.full(len(text), math.nan)
+                    for i, t in enumerate(text):
+                        try:
+                            values[i] = float(t)
+                        except ValueError:
+                            break
+                bad = np.flatnonzero(~np.isfinite(values))  # also nan, inf and 1e400
+                if bad.size and name not in first_bad:
+                    first_bad[name] = UnparsableCell(n_rows + int(bad[0]), name, cells[bad[0]])
+                parts[name].append(values)
+            n_rows += len(rows)
+            del block, rows, file_columns  # freed before the next block is read
+    if not n_rows:
+        raise EmptyFile(f"{path}: no data rows")
+    for name in kinds:  # a bad cell in a later block of an earlier column wins
+        if name in first_bad:
+            raise first_bad[name]
+    del distinct  # then each list goes as soon as its tuple is built
+    columns = {name: np.concatenate(parts.pop(name)) if name in parts else tuple(texts.pop(name))
+               for name in kinds}
+    return Dataset(schema, columns, n_rows, {name: n for name, n in blanks.items() if n})
 
 
 def binary_labels(dataset: Dataset) -> tuple[np.ndarray, dict[str, int]]:

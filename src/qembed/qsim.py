@@ -22,6 +22,7 @@ from .errors import (
 )
 
 MAX_QUBITS = 24  # the largest state the simulator builds
+MAX_DENSE_BYTES = 1 << 30  # the largest (rows, 2^qubits) complex array a batch builds
 
 DENSE = "dense"
 PRODUCT = "product"

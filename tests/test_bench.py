@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -396,6 +397,28 @@ class TestRunner:
                 assert cell.error is None and cell.report is not None
         rows = runner.load_results(runner.persist_run(run, str(tmp_path)))
         assert rows == [asdict(r) for r in run.results]
+
+    def test_dense_readout_over_budget_fails_its_cell(self):
+        # 24 qubits on 212 train rows would be a 57 GB amplitude array
+        cfg = small_config(
+            dataset={"path": None, "synthetic_rows": 500},
+            seed=0,
+            preprocess={"n_components": 12},
+            encodings=[{"kind": "basis", "bits_per_feature": 2,
+                        "readout": "probability_vector"}],
+            models=[{"kind": "tree"}],
+        )
+        tracemalloc.start()
+        try:
+            run = runner.run_matrix(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (cell,) = run.results
+        assert cell.error == (
+            "encode: 212 rows x 2^24 amplitudes (24 qubits) take 56908316672 bytes, "
+            "over the 1073741824-byte budget")
+        assert peak < 64 << 20
 
     def test_scaling_fitted_on_train_only(self, monkeypatch):
         # columns: a ranged one, a constant one, and one the test split overshoots

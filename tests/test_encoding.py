@@ -432,6 +432,21 @@ class TestEmbedMatrix:
         assert exc_info.value.row == 1
         assert isinstance(exc_info.value.cause, OutOfRangeFeature)
 
+    @pytest.mark.parametrize("scheme", [
+        enc.angle_scheme(readout=enc.PROBABILITY_VECTOR),
+        enc.angle_scheme(readout=enc.AMPLITUDE_PARTS),
+        enc.basis_scheme(2, enc.PROBABILITY_VECTOR),
+    ], ids=["angle-probability", "angle-parts", "basis-2bit-probability"])
+    def test_dense_readout_over_budget_fails_before_allocating(self, monkeypatch, scheme):
+        monkeypatch.setattr(qsim, "MAX_DENSE_BYTES", 1 << 20)
+        bits = scheme.bits_per_feature or 1
+        # 212 x 2^8 complex amplitudes are 868,352 bytes: under 1 MiB
+        X = matrix_of(np.full((212, 8 // bits), 0.5))
+        assert enc.embed_matrix(X, scheme).n_rows == 212
+        X = matrix_of(np.full((212, 10 // bits), 0.5))
+        with pytest.raises(QubitCapExceeded, match=r"212 rows x 2\^10 .*10 qubits.* 3473408 bytes"):
+            enc.embed_matrix(X, scheme)
+
     def test_labels_preserved(self):
         labels = np.array([1, 0, 1])
         X = matrix_of([[0.1], [0.5], [0.9]], labels)

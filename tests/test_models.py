@@ -301,6 +301,12 @@ class TestKernels:
         with pytest.raises(InvalidHyperparameter, match="gamma must be positive"):
             KernelFn("rbf", gamma=0.0)
 
+    @pytest.mark.parametrize("kind", ["rbf", "polynomial", "sigmoid"])
+    def test_default_gamma_needs_a_feature(self, kind):
+        # gamma=None resolves to 1/d, so zero feature columns have no gamma
+        with pytest.raises(DimensionMismatch, match="d=0"):
+            gram(KernelFn(kind), np.zeros((2, 0)), np.zeros((2, 0)))
+
     def test_rbf_gram_psd(self):
         rng = np.random.default_rng(5)
         k = KernelFn("rbf", gamma=0.7)

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -104,6 +105,40 @@ class TestLoadCsv:
         assert "junk" not in ds.columns
 
 
+@pytest.fixture(scope="module")
+def telco_csv(tmp_path_factory):
+    """A 20,000-row synthetic churn table written as CSV, and the table."""
+    dataset = synthetic_telco(20_000, 0)
+    path = tmp_path_factory.mktemp("telco") / "telco.csv"
+    columns = [np.asarray(dataset.columns[c.name]).tolist() for c in dataset.schema]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([c.name for c in dataset.schema])
+        writer.writerows(zip(*columns))
+    return path, dataset
+
+
+class TestLoadCsvScale:
+    def test_one_string_object_per_distinct_value(self, telco_csv):
+        path, dataset = telco_csv  # 20 blocks, so values are shared across blocks
+        ds = pl.load_csv(path, dataset.schema)
+        for spec in ds.schema:
+            if spec.kind != pl.NUMERIC:
+                col = ds.columns[spec.name]
+                assert len({id(v) for v in col}) == len(set(col)), spec.name
+
+    def test_peak_memory_bounded_by_file_size(self, telco_csv):
+        path, dataset = telco_csv
+        tracemalloc.start()
+        try:
+            pl.load_csv(path, dataset.schema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a whole-file row list with one string per cell peaks near 12x the file
+        assert peak < 4 * path.stat().st_size
+
+
 def reference_load_csv(path, schema):
     """The loader before the column-wise parse: csv.DictReader and one float() per cell."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -178,8 +213,13 @@ def _load_outcome(loader, path):
     return ds.n_rows, columns, ds.blank_counts
 
 
-@pytest.mark.parametrize("case", sorted(PARITY_FILES))
-def test_load_csv_matches_reference_loader(tmp_path, case):
+@pytest.mark.parametrize("case, block_rows", [
+    pytest.param(case, rows, id=case if rows is None else f"{case}, {rows}-row blocks")
+    for case in sorted(PARITY_FILES) for rows in (None, 1, 2)
+])
+def test_load_csv_matches_reference_loader(tmp_path, monkeypatch, case, block_rows):
+    if block_rows is not None:  # blocks of blank lines only, and errors across blocks
+        monkeypatch.setattr(pl, "LOAD_BLOCK_ROWS", block_rows)
     path = tmp_path / "d.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(PARITY_FILES[case])
