@@ -55,6 +55,7 @@ LINEAR_PI = "linear_pi"
 RAW = "raw"
 
 _AXIS_GATES = {"X": qsim.rx_gate, "Y": qsim.ry_gate, "Z": qsim.rz_gate}
+EMBED_BLOCK_ROWS = 1024  # rows embed_matrix expands to amplitudes and reads out at a time
 
 
 def default_readout(kind: str) -> str:
@@ -316,54 +317,65 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
 
     Row 0 runs through embed_sample first, to check what depends only on the
     width and scheme (the qubit cap); so does the first row the batch masks
-    flag.  A failure is RowEncodeError(row, typed per-row cause).  Before
-    that, a (rows, 2^qubits) amplitude array over qsim.MAX_DENSE_BYTES
-    raises QubitCapExceeded, so it is never allocated.
+    flag.  A failure is RowEncodeError(row, typed per-row cause).  Z readouts
+    of product states come from each qubit's factor; the others are read off
+    amplitudes built at most EMBED_BLOCK_ROWS rows at a time.  Unless the
+    readout (at most the amplitudes' size), a block row (3 rows of amplitudes
+    and 256 bytes a qubit), the names (10 rows) and 64 KiB fit in
+    qsim.MAX_DENSE_BYTES, QubitCapExceeded is raised before any is allocated.
     """
     data, (m, d) = X.data, X.data.shape
     if m == 0:
         return FeatureMatrix(np.zeros((0, 0)), (), X.labels)
-    if scheme.kind == AMPLITUDE:
-        n = max(1, (d - 1).bit_length())  # ceil(log2(d)) qubits
-    else:
-        n = d * (scheme.bits_per_feature or 1)
-    dense_bytes = m * np.dtype(complex).itemsize << n
-    if ((scheme.kind == AMPLITUDE or scheme.readout != Z_EXPECTATIONS)
-            and n <= MAX_QUBITS and dense_bytes > qsim.MAX_DENSE_BYTES):
+    n = (max(1, (d - 1).bit_length()) if scheme.kind == AMPLITUDE  # ceil(log2(d)) qubits
+         else d * (scheme.bits_per_feature or 1))
+    dense = scheme.kind == AMPLITUDE or scheme.readout != Z_EXPECTATIONS
+    row_bytes, budget = np.dtype(complex).itemsize << n, qsim.MAX_DENSE_BYTES
+    block_row, reserve = 3 * row_bytes + 256 * n, 10 * row_bytes + (64 << 10)
+    if dense and n <= MAX_QUBITS and (need := m * row_bytes + reserve + block_row) > budget:
+        held = "" if m * row_bytes > budget else f" ({need} in all)"
         raise QubitCapExceeded(
-            f"{m} rows x 2^{n} amplitudes ({n} qubits) take {dense_bytes} bytes, "
-            f"over the {qsim.MAX_DENSE_BYTES}-byte budget")
+            f"{m} rows x 2^{n} amplitudes ({n} qubits) take {m * row_bytes} bytes{held}, "
+            f"over the {budget}-byte budget")
 
     def encode_row(i):
         try:
             embed_sample(data[i], scheme)
         except QembedError as exc:
             raise RowEncodeError(i, exc) from exc
+    def check(bad, start=0):  # the first row a batch mask flags, through embed_sample
+        if bad.any():
+            encode_row(start + int(bad.argmax()))
+            raise AssertionError("a batch check rejects a row that embed_sample encodes")
 
     encode_row(0)
-    bad = np.zeros(m, bool)  # a FeatureMatrix holds finite values
-    if scheme.kind == AMPLITUDE:
-        amps = np.zeros((m, 1 << n), dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            amps[:, :d] = data / np.sqrt(data[:, None, :] @ data[:, :, None])[:, 0]
-        # a zero, overflowing or underflowing norm fails the state's norm check
-        bad = ~(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0) <= qsim._NORM_TOL)
-    elif scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:  # features in [0, 1]
-        bad = ((data < 0) | (data > 1)).any(axis=1)
-    if bad.any():
-        encode_row(int(bad.argmax()))
-        raise AssertionError("a batch check rejects a row that embed_sample encodes")
-    factors = None if scheme.kind == AMPLITUDE else _product_factors(data, scheme)
-    if scheme.readout == Z_EXPECTATIONS and factors is not None:
-        # scalar abs() of a complex is hypot; array np.abs differs in the last bit
-        # squared one column at a time, so no (m, n, 2) magnitude array is held
-        p0, p1 = (np.float_power(np.hypot(f.real, f.imag), 2)
-                  for f in factors.transpose(2, 0, 1))
-        out = p0 - p1
-    else:
-        if factors is not None:  # expand each product state as StateVector.amps does
+    if scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:  # features in [0, 1]
+        check(((data < 0) | (data > 1)).any(axis=1))
+    if not dense:  # P(0) - P(1) of each factor f, as expectation_z squares hypot(f)
+        if scheme.kind == BASIS:  # factors (1, 0) and (0, 1)
+            out = 1.0 - 2.0 * bits_for_row(data, scheme.bits_per_feature)
+        elif scheme.axis == "Z":  # factors (exp(-i theta / 2), 0)
+            f = _product_factors(data, scheme)[..., 0]
+            out = np.float_power(np.hypot(f.real, f.imag), 2)
+        else:  # (cos, -i sin) or (cos, sin); hypot(x, +-0) = |x|, pow(-x, 2) = pow(x, 2)
+            half = (math.pi * data if scheme.angle_map == LINEAR_PI else data) / 2
+            out = np.float_power(np.cos(half), 2) - np.float_power(np.sin(half), 2)
+        return FeatureMatrix(out, _feature_names(scheme.readout, n), X.labels)
+    widths = {PROBABILITY_VECTOR: 1 << n, AMPLITUDE_PARTS: 2 << n, Z_EXPECTATIONS: n}
+    out = np.empty((m, widths[scheme.readout]))
+    step = min(EMBED_BLOCK_ROWS, (budget - out.nbytes - reserve) // block_row)
+    for start in range(0, m, step):
+        rows = data[start:start + step]
+        if scheme.kind == AMPLITUDE:
+            amps = np.zeros((len(rows), 1 << n), dtype=complex)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                amps[:, :d] = rows / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+            # a zero, overflowing or underflowing norm fails the state's norm check
+            check(~(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0) <= qsim._NORM_TOL), start)
+        else:  # expand each product state as StateVector.amps does
+            factors = _product_factors(rows, scheme)
             amps = factors[:, 0]
-            for i in range(1, factors.shape[1]):
-                amps = (amps[:, :, None] * factors[:, None, i]).reshape(m, -1)
-        out = _dense_readout(amps, scheme.readout)
+            for i in range(1, n):
+                amps = (amps[:, :, None] * factors[:, None, i]).reshape(len(rows), -1)
+        out[start:start + step] = _dense_readout(amps, scheme.readout)
     return FeatureMatrix(out, _feature_names(scheme.readout, out.shape[1]), X.labels)

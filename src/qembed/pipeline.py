@@ -1,7 +1,7 @@
 """Tabular ingestion and preprocessing for the churn benchmark.
 
 Stages: typed CSV loading, correlation pruning, iterative VIF elimination,
-full-vocabulary one-hot encoding, seeded balanced undersampling, optional
+seeded balanced undersampling, full-vocabulary one-hot encoding, optional
 z-score standardization, PCA with elbow-based component selection, and a
 stratified train/test split.  Every stage is deterministic given a seed.
 """
@@ -101,11 +101,11 @@ class FeatureMatrix:
             raise ValueError("data must be 2-D")
         if data.shape[1] != len(self.column_names):
             raise ValueError("one name per column required")
-        if not np.all(np.isfinite(data)):
+        if data.size and not np.isfinite([data.min(), data.max()]).all():  # min, max keep nan, inf
             raise ValueError("matrix entries must be finite")
         if labels.shape != (data.shape[0],):
             raise ValueError("label length must equal row count")
-        if labels.size and not np.all((labels == 0) | (labels == 1)):
+        if labels.size and not 0 <= labels.min() <= labels.max() <= 1:
             raise ValueError("labels must be 0/1")
         data.setflags(write=False)
         labels.setflags(write=False)
@@ -131,7 +131,7 @@ class FeatureMatrix:
         drop = {self.column_index(n) for n in names}
         keep = [j for j in range(self.n_cols) if j not in drop]
         return FeatureMatrix(
-            self.data[:, keep],
+            self.data.take(keep, axis=1),  # C order: data[:, keep] is F order, copied again
             tuple(self.column_names[j] for j in keep),
             self.labels,
         )
@@ -339,16 +339,14 @@ def one_hot(matrix: FeatureMatrix, vocabularies) -> FeatureMatrix:
     vocabulary becomes one indicator per category, in place and in code
     order, named like "Contract=Month-to-month"; other columns pass through.
     """
-    cols, names = [], []
-    for j, name in enumerate(matrix.column_names):
-        if name in vocabularies:
-            vocabulary = vocabularies[name]
-            cols.append((matrix.data[:, j, None] == np.arange(len(vocabulary))).astype(float))
-            names.extend(f"{name}={cat}" for cat in vocabulary)
-        else:
-            cols.append(matrix.data[:, j])
-            names.append(name)
-    return FeatureMatrix(np.column_stack(cols), tuple(names), matrix.labels)
+    groups = [[f"{name}={cat}" for cat in vocabularies[name]] if name in vocabularies else [name]
+              for name in matrix.column_names]
+    data = np.empty((matrix.n_rows, sum(map(len, groups))))
+    stops = itertools.accumulate(map(len, groups))
+    for j, (name, width, stop) in enumerate(zip(matrix.column_names, map(len, groups), stops)):
+        column = matrix.data[:, j, None]
+        data[:, stop - width:stop] = column == np.arange(width) if name in vocabularies else column
+    return FeatureMatrix(data, tuple(itertools.chain.from_iterable(groups)), matrix.labels)
 
 
 # --- balancing and splitting ------------------------------------------------------
@@ -402,6 +400,9 @@ def train_test_split(
 
 # --- standardization and PCA -------------------------------------------------------
 
+PCA_BLOCK_ROWS = 1024  # centered rows folded into pca_fit's running R factor at a time
+
+
 @dataclass(frozen=True)
 class Standardizer:
     """Column-wise z-score parameters fitted on one matrix."""
@@ -417,9 +418,9 @@ class Standardizer:
         return Standardizer(mean, scale)
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        return FeatureMatrix(
-            (matrix.data - self.mean) / self.scale, matrix.column_names, matrix.labels
-        )
+        data = matrix.data - self.mean
+        data /= self.scale  # in place: one matrix-sized temporary, not two
+        return FeatureMatrix(data, matrix.column_names, matrix.labels)
 
 
 @dataclass(frozen=True)
@@ -446,18 +447,23 @@ class PcaModel:
 
 
 def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
-    """Top-k principal directions of the centered matrix via SVD.
+    """Top-k principal directions of the centered matrix X, from the SVD of its R factor.
 
-    Sign convention: the largest-magnitude entry of each component is
-    positive.  k past the numerical rank is allowed; the model is flagged
-    rank-deficient and trailing ratios are ~0.
+    X^T X = R^T R, so the R of X = QR has the singular values and right singular
+    vectors of X.  It is built PCA_BLOCK_ROWS centered rows at a time (TSQR): the
+    running R is stacked on each block and reduced to the R of the stack.  The
+    largest-magnitude entry of each component is positive.  k past the numerical
+    rank is allowed; the model is flagged rank-deficient and trailing ratios are ~0.
     """
     X = matrix.data
     m, d = X.shape
     if not 1 <= k <= min(m - 1, d):
         raise ValueError(f"k={k} outside [1, min(rows-1, cols)={min(m - 1, d)}]")
     mean = X.mean(axis=0)
-    _, sing, vt = np.linalg.svd(X - mean, full_matrices=False)
+    r = np.empty((0, d))
+    for start in range(0, m, PCA_BLOCK_ROWS):
+        r = np.linalg.qr(np.vstack([r, X[start:start + PCA_BLOCK_ROWS] - mean]), mode="r")
+    _, sing, vt = np.linalg.svd(r, full_matrices=False)
     total = float(np.sum(sing**2))
     ratios = np.zeros(d)
     if total > 0:
@@ -587,10 +593,11 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
 
     The stages run in a fixed order: drop ids, prune one of each highly
     correlated numeric pair, drop high-VIF columns (on ordinal-coded
-    features), drop `extra_drops`, one-hot the surviving categoricals,
-    undersample to balance, standardize, fit PCA, keep components up to the
+    features), drop `extra_drops`, undersample to balance, one-hot the
+    surviving categoricals, standardize, fit PCA, keep components up to the
     elbow, then split.  Categorical columns are coded once: every drop stage
-    works on the one `ordinal_matrix`, and `one_hot` expands its codes.
+    and the undersample work on the one `ordinal_matrix`, and `one_hot`
+    expands the kept rows' codes (it works row by row, so the order is moot).
     Balancing and PCA both happen before the split; the report notes it.
     """
     report = PreprocessReport(blank_numeric_cells=dict(dataset.blank_counts))
@@ -613,9 +620,7 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
         report.dropped.append(DroppedColumn(name, "correlation", r))
     matrix = matrix.drop_columns(to_drop)
 
-    matrix, report.vif_iterations, vif_dropped = iterative_vif_prune(
-        matrix, options.vif_threshold
-    )
+    matrix, report.vif_iterations, vif_dropped = iterative_vif_prune(matrix, options.vif_threshold)
     for entry in vif_dropped:
         report.dropped.append(DroppedColumn(entry.column, "vif", entry.vif))
 
@@ -625,12 +630,12 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
         report.dropped.append(DroppedColumn(name, "config", 0.0))
     matrix = matrix.drop_columns(options.extra_drops)
 
+    report.class_counts_before = _class_counts(matrix.labels)
+    matrix = undersample(matrix, options.seed)  # on the codes: one_hot then expands fewer rows
+    report.class_counts_after = _class_counts(matrix.labels)
+
     matrix = one_hot(matrix, vocabularies)
     report.one_hot_columns = matrix.n_cols
-
-    report.class_counts_before = _class_counts(matrix.labels)
-    matrix = undersample(matrix, options.seed)
-    report.class_counts_after = _class_counts(matrix.labels)
 
     if options.standardize:
         matrix = Standardizer.fit(matrix).transform(matrix)
@@ -638,9 +643,7 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     full = pca_fit(matrix, min(matrix.n_rows - 1, matrix.n_cols))
     elbow = find_elbow(full.explained_variance_ratio)
     report.elbow_index = elbow
-    report.cumulative_at_elbow = float(
-        np.cumsum(full.explained_variance_ratio)[elbow]
-    )
+    report.cumulative_at_elbow = float(np.cumsum(full.explained_variance_ratio)[elbow])
     k = options.n_components if options.n_components is not None else max(elbow, 1)
     if not 1 <= k <= full.n_components:
         raise TooFewComponents(f"n_components={k} outside [1, {full.n_components}]")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,60 @@ class TestEmbedMatrix:
         with pytest.raises(QubitCapExceeded, match=r"212 rows x 2\^10 .*10 qubits.* 3473408 bytes"):
             enc.embed_matrix(X, scheme)
 
+    @pytest.mark.parametrize("scheme", [
+        enc.angle_scheme("X", readout=enc.PROBABILITY_VECTOR),
+        enc.angle_scheme("Y", readout=enc.AMPLITUDE_PARTS),
+        enc.basis_scheme(2, enc.PROBABILITY_VECTOR),
+        enc.amplitude_scheme(),
+        enc.amplitude_scheme(enc.AMPLITUDE_PARTS),
+        enc.amplitude_scheme(enc.Z_EXPECTATIONS),
+    ], ids=["angle-probability", "angle-parts", "basis-2bit-probability",
+            "amplitude-probability", "amplitude-parts", "amplitude-z"])
+    @pytest.mark.parametrize("n_qubits", [2, 8])
+    def test_dense_readout_under_budget_peaks_under_it(self, monkeypatch, scheme, n_qubits):
+        budget = 1 << 20
+        monkeypatch.setattr(qsim, "MAX_DENSE_BYTES", budget)
+        if scheme.kind == enc.AMPLITUDE:
+            width = 1 << n_qubits
+        else:
+            width = n_qubits // (scheme.bits_per_feature or 1)
+        rng = np.random.default_rng(n_qubits)
+        # from as many rows as the budget holds amplitudes for, down to the first accepted
+        for m in range(budget // (16 << n_qubits), 0, -1):
+            X = matrix_of(rng.uniform(0.1, 1.0, size=(m, width)))
+            tracemalloc.start()
+            try:
+                enc.embed_matrix(X, scheme)
+                _, peak = tracemalloc.get_traced_memory()
+                break
+            except QubitCapExceeded:
+                continue
+            finally:
+                tracemalloc.stop()
+        assert peak < budget
+        # one row more still has amplitudes under the budget, so the error says what is over
+        X = matrix_of(rng.uniform(0.1, 1.0, size=(m + 1, width)))
+        with pytest.raises(QubitCapExceeded, match=rf"{m + 1} rows .* bytes \(\d+ in all\), over"):
+            enc.embed_matrix(X, scheme)
+
+    @pytest.mark.parametrize("scheme", [
+        enc.basis_scheme(1, enc.Z_EXPECTATIONS),
+        enc.basis_scheme(2, enc.Z_EXPECTATIONS),
+        enc.angle_scheme("X"),
+        enc.angle_scheme("Y"),
+        enc.angle_scheme("X", enc.RAW),
+    ], ids=["basis-1bit", "basis-2bit", "angle-X", "angle-Y", "angle-X-raw"])
+    def test_z_readout_peak_memory(self, scheme):
+        X = matrix_of(np.random.default_rng(48).uniform(size=(12_626, 12)))
+        tracemalloc.start()
+        try:
+            enc.embed_matrix(X, scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # (rows, qubits, 2) complex factors and their copy took 7-14x the input
+        assert peak < 6 * X.data.nbytes
+
     def test_labels_preserved(self):
         labels = np.array([1, 0, 1])
         X = matrix_of([[0.1], [0.5], [0.9]], labels)
@@ -521,6 +576,23 @@ class TestEmbedMatrixEqualsOracle:
         assert type(exc_info.value.cause) is cause
         with pytest.raises(cause):
             enc.embed_sample(X[3], scheme)
+
+    @pytest.mark.parametrize("scheme, binary", oracle_cases())
+    def test_row_blocks_give_the_same_bytes(self, monkeypatch, scheme, binary):
+        X = matrix_of(oracle_rows(np.random.default_rng(49), scheme, binary, 3))
+        want = enc.embed_matrix(X, scheme).data
+        monkeypatch.setattr(enc, "EMBED_BLOCK_ROWS", 5)  # 24 rows in five blocks
+        assert enc.embed_matrix(X, scheme).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("readout", enc.READOUTS)
+    def test_first_bad_row_in_a_later_block(self, monkeypatch, readout):
+        monkeypatch.setattr(enc, "EMBED_BLOCK_ROWS", 2)
+        X = np.array([[0.0, 1.0], [1.0, 1.0]] * 3)
+        X[3] = X[5] = [0.0, 0.0]
+        with pytest.raises(RowEncodeError) as exc_info:
+            enc.embed_matrix(matrix_of(X), enc.amplitude_scheme(readout))
+        assert exc_info.value.row == 3
+        assert type(exc_info.value.cause) is ZeroVector
 
     @pytest.mark.parametrize("scheme, width, cause", [
         (enc.angle_scheme(), 25, QubitCapExceeded),  # one qubit past the cap

@@ -637,6 +637,51 @@ class TestPca:
             pl.pca_fit(X, 5)
 
 
+def well_separated(rng, m, d):
+    """An m x d matrix whose centered singular values are r, r-1, ..., 1 (r = min(m-1, d))."""
+    r = min(m - 1, d)
+    q, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, r))]))
+    v, _ = np.linalg.qr(rng.normal(size=(d, r)))
+    return q[:, 1:] * np.arange(r, 0, -1.0) @ v.T + rng.normal(size=d)  # columns of q[:, 1:] sum to 0
+
+
+class TestPcaBlockedQr:
+    @pytest.mark.parametrize("block_rows, m, d", [
+        (1, 7, 12), (2, 7, 12), (None, 7, 12),  # fewer rows than columns
+        (1, 37, 6), (2, 37, 6), (None, 2500, 9),  # rows not a multiple of the block
+    ])
+    def test_matches_the_full_svd(self, monkeypatch, block_rows, m, d):
+        if block_rows is not None:
+            monkeypatch.setattr(pl, "PCA_BLOCK_ROWS", block_rows)
+        data = well_separated(np.random.default_rng(m * d), m, d)
+        k = min(m - 1, d)
+        model = pl.pca_fit(matrix_of(data), k)
+        _, sing, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+        ratios = np.zeros(d)
+        ratios[: sing.size] = sing**2 / np.sum(sing**2)
+        assert np.max(np.abs(model.explained_variance_ratio - ratios)) < 1e-12
+        want = vt[:k] * np.sign(vt[:k][np.arange(k), np.argmax(np.abs(vt[:k]), axis=1)])[:, None]
+        assert np.max(np.abs(model.components - want)) < 1e-9
+        assert model.rank == k
+
+    @pytest.mark.parametrize("rows", [500, 7043])
+    def test_rank_on_the_one_hot_telco_matrix(self, rows):
+        # eigh of X^T X squares the condition number and reports 33-35 here
+        result = pl.run_preprocess(synthetic_telco(rows, 0), pl.PreprocessOptions())
+        assert (result.report.one_hot_columns, result.pca.rank) == (44, 22)
+
+    def test_peak_memory_a_fraction_of_the_matrix(self):
+        X = matrix_of(np.random.default_rng(17).normal(size=(15_552, 44)))
+        tracemalloc.start()
+        try:
+            pl.pca_fit(X, 43)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a full SVD of the centered copy holds it and U, twice the matrix
+        assert peak < 0.5 * X.data.nbytes
+
+
 class TestElbow:
     def test_hand_oracle(self):
         assert pl.find_elbow([0.7, 0.2, 0.05, 0.03, 0.02]) == 1
@@ -695,6 +740,33 @@ def synthetic_dataset(seed=0, n=300):
             "Yes" if rng.uniform() < 0.3 else "No",
         ))
     return make_dataset(rows, schema)
+
+
+class TestPreprocessWorkingSet:
+    def test_one_hot_and_undersample_commute(self):
+        matrix, vocabularies = pl.ordinal_matrix(synthetic_telco(2000, 1))
+        a = pl.one_hot(pl.undersample(matrix, 5), vocabularies)
+        b = pl.undersample(pl.one_hot(matrix, vocabularies), 5)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert (a.column_names, a.labels.tobytes()) == (b.column_names, b.labels.tobytes())
+
+    def test_one_hot_expands_only_the_undersampled_rows(self, monkeypatch):
+        rows, one_hot = [], pl.one_hot
+        monkeypatch.setattr(pl, "one_hot", lambda m, v: rows.append(m.n_rows) or one_hot(m, v))
+        result = pl.run_preprocess(synthetic_telco(2000, 1), pl.PreprocessOptions(seed=1))
+        assert rows == [sum(result.report.class_counts_after.values())]
+        assert result.report.class_counts_before != result.report.class_counts_after
+
+    def test_preprocess_peak_memory(self):
+        dataset = synthetic_telco(28_172, 3)
+        tracemalloc.start()
+        try:
+            pl.run_preprocess(dataset, pl.PreprocessOptions(seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one-hot before undersampling, and a full SVD, peak near 25 MB
+        assert peak < 18e6
 
 
 class TestPreprocessOptions:
