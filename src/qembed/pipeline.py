@@ -121,21 +121,6 @@ class FeatureMatrix:
     def n_cols(self) -> int:
         return self.data.shape[1]
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.column_names.index(name)
-        except ValueError:
-            raise UnknownColumn(f"column {name!r} not in matrix") from None
-
-    def drop_columns(self, names) -> "FeatureMatrix":
-        drop = {self.column_index(n) for n in names}
-        keep = [j for j in range(self.n_cols) if j not in drop]
-        return FeatureMatrix(
-            self.data.take(keep, axis=1),  # C order: data[:, keep] is F order, copied again
-            tuple(self.column_names[j] for j in keep),
-            self.labels,
-        )
-
     def take_rows(self, idx) -> "FeatureMatrix":
         idx = np.asarray(idx, dtype=int)
         return FeatureMatrix(self.data[idx], self.column_names, self.labels[idx])
@@ -254,21 +239,21 @@ class VifEntry:
     infinite: bool
 
 
-def compute_vif(matrix: FeatureMatrix) -> list[VifEntry]:
-    """Variance inflation factor per column.
+def compute_vif(corr: np.ndarray, names) -> list[VifEntry]:
+    """Variance inflation factor per column, from the columns' correlation matrix C.
 
     VIF_j = 1/(1 - R^2_j) from an intercept-included least-squares fit of
-    column j on the others, solved on the columns' correlation matrix C:
+    column j on the others, solved on C:
     R^2_j = C[j, o] @ lstsq(C[o, o], C[o, j]) with o the other columns.
     Near-perfect fits (R^2 > 1 - 1e-12) are reported as infinite and
     flagged rather than raised.
     """
-    if matrix.n_cols < 2:
-        raise LengthMismatch("VIF needs at least two columns")
-    corr = correlation_matrix(matrix)
+    d = len(names)
+    if d < 2 or corr.shape != (d, d):
+        raise LengthMismatch(f"VIF needs at least two columns and a {d} x {d} C, got {corr.shape}")
     entries = []
-    for j, name in enumerate(matrix.column_names):
-        others = np.arange(matrix.n_cols) != j
+    for j, name in enumerate(names):
+        others = np.arange(d) != j
         coef, _, _, _ = np.linalg.lstsq(corr[np.ix_(others, others)], corr[others, j], rcond=None)
         r2 = max(0.0, float(corr[j, others] @ coef))
         infinite = r2 > 1.0 - 1e-12
@@ -277,27 +262,30 @@ def compute_vif(matrix: FeatureMatrix) -> list[VifEntry]:
 
 
 def iterative_vif_prune(
-    matrix: FeatureMatrix, threshold: float
-) -> tuple[FeatureMatrix, list[list[VifEntry]], list[VifEntry]]:
+    corr: np.ndarray, names, threshold: float
+) -> tuple[list[int], list[list[VifEntry]], list[VifEntry]]:
     """Drop the worst VIF offender and recompute until all fall under threshold.
 
-    Ties (including several infinite entries) break toward the earlier
-    column.  Returns the pruned matrix, the per-iteration VIF tables, and
-    the entries that were dropped, in drop order.
+    Each round reads the block of `corr` (the correlation matrix of the
+    columns `names`) over the columns kept so far.  Ties (including several
+    infinite entries) break toward the earlier column.  Returns the kept
+    column indices, the per-iteration VIF tables, and the entries that
+    were dropped, in drop order.
     """
     if threshold <= 1:
         raise ValueError("VIF threshold must exceed 1")
+    keep = list(range(len(names)))
     iterations: list[list[VifEntry]] = []
     dropped: list[VifEntry] = []
-    while matrix.n_cols >= 2:
-        entries = compute_vif(matrix)
+    while len(keep) >= 2:
+        entries = compute_vif(corr[np.ix_(keep, keep)], [names[j] for j in keep])
         iterations.append(entries)
-        worst = max(enumerate(entries), key=lambda it: (it[1].vif, -it[0]))[1]
+        i, worst = max(enumerate(entries), key=lambda it: (it[1].vif, -it[0]))
         if not worst.infinite and worst.vif <= threshold:
             break
         dropped.append(worst)
-        matrix = matrix.drop_columns([worst.column])
-    return matrix, iterations, dropped
+        del keep[i]
+    return keep, iterations, dropped
 
 
 # --- encoding to numeric matrices ------------------------------------------------
@@ -595,9 +583,10 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     correlated numeric pair, drop high-VIF columns (on ordinal-coded
     features), drop `extra_drops`, undersample to balance, one-hot the
     surviving categoricals, standardize, fit PCA, keep components up to the
-    elbow, then split.  Categorical columns are coded once: every drop stage
-    and the undersample work on the one `ordinal_matrix`, and `one_hot`
-    expands the kept rows' codes (it works row by row, so the order is moot).
+    elbow, then split.  Categorical columns are coded once, into one
+    `ordinal_matrix`: the drop stages pick its columns off one correlation
+    matrix, the matrix is cut to them once, and `undersample` and `one_hot`
+    work on the cut (one-hot works row by row, so their order is moot).
     Balancing and PCA both happen before the split; the report notes it.
     """
     report = PreprocessReport(blank_numeric_cells=dict(dataset.blank_counts))
@@ -605,30 +594,29 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     labels, report.label_mapping = binary_labels(dataset)
     matrix, vocabularies = ordinal_matrix(dataset, labels)  # id columns are not features
 
-    # correlated numeric pairs: later column of each offending pair goes
-    numeric = matrix.drop_columns(vocabularies)
-    names = numeric.column_names
-    to_drop: dict[str, float] = {}
-    if len(names) >= 2:  # a lone numeric column has no pair, constant or not
-        corr = correlation_matrix(numeric)
-        for a, b in itertools.combinations(range(len(names)), 2):
-            if names[a] in to_drop or names[b] in to_drop:
-                continue
-            if abs(corr[a, b]) >= options.corr_threshold:
-                to_drop[names[b]] = float(corr[a, b])
-    for name, r in to_drop.items():
-        report.dropped.append(DroppedColumn(name, "correlation", r))
-    matrix = matrix.drop_columns(to_drop)
-
-    matrix, report.vif_iterations, vif_dropped = iterative_vif_prune(matrix, options.vif_threshold)
-    for entry in vif_dropped:
-        report.dropped.append(DroppedColumn(entry.column, "vif", entry.vif))
+    # one C over every feature column: the correlation stage reads C[a, b] for
+    # numeric pairs (the later column of each offending pair goes), and each
+    # VIF round reads C's block over the columns left
+    names = matrix.column_names
+    keep = list(range(len(names)))  # indices of the ordinal matrix's columns left
+    if len(keep) >= 2:  # a lone column has no pair and no VIF, constant or not
+        corr = correlation_matrix(matrix)
+        for a, b in itertools.combinations([j for j in keep if names[j] not in vocabularies], 2):
+            if a in keep and b in keep and abs(corr[a, b]) >= options.corr_threshold:
+                keep.remove(b)
+                report.dropped.append(DroppedColumn(names[b], "correlation", float(corr[a, b])))
+        kept, report.vif_iterations, vif_dropped = iterative_vif_prune(
+            corr[np.ix_(keep, keep)], [names[j] for j in keep], options.vif_threshold)
+        keep = [keep[i] for i in kept]
+        report.dropped += [DroppedColumn(e.column, "vif", e.vif) for e in vif_dropped]
 
     for name in options.extra_drops:
-        if name not in matrix.column_names:
+        if name not in [names[j] for j in keep]:
             raise UnknownColumn(f"extra_drops: {name!r} is not a feature column left to drop")
         report.dropped.append(DroppedColumn(name, "config", 0.0))
-    matrix = matrix.drop_columns(options.extra_drops)
+    keep = [j for j in keep if names[j] not in options.extra_drops]
+    matrix = FeatureMatrix(matrix.data.take(keep, axis=1),  # one cut; C order, unlike [:, keep]
+                           tuple(names[j] for j in keep), matrix.labels)
 
     report.class_counts_before = _class_counts(matrix.labels)
     matrix = undersample(matrix, options.seed)  # on the codes: one_hot then expands fewer rows

@@ -233,7 +233,7 @@ def test_criterion_06_churn_pipeline_reproduction():
     )
 
 
-def test_criterion_07_synthetic_pipeline_properties():
+def test_criterion_07_synthetic_pipeline_properties(vif_inputs):
     rng = np.random.default_rng(7)
 
     # VIF equals the inverse-correlation-matrix diagonal on random data;
@@ -243,7 +243,7 @@ def test_criterion_07_synthetic_pipeline_properties():
         mix = np.eye(d) + 0.3 * rng.normal(size=(d, d)) / math.sqrt(d)
         X = rng.normal(size=(n, d)) @ mix
         matrix = FeatureMatrix(X, tuple(f"c{j}" for j in range(d)), np.zeros(n, int))
-        got = np.array([e.vif for e in compute_vif(matrix)])
+        got = np.array([e.vif for e in compute_vif(*vif_inputs(matrix))])
         want = np.diag(np.linalg.inv(np.corrcoef(X.T)))
         assert np.max(want) < 100
         assert np.max(np.abs(got - want)) < 1e-9

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from qembed import models
+from qembed import pipeline as pl
+from qembed.bench.data import synthetic_telco
 from qembed.errors import (
     ClassTooSmall,
     DimensionMismatch,
@@ -787,6 +790,39 @@ class TestDeterminism:
             a = models.fit(spec, X, y).predict_proba(X)
             b = models.fit(spec, X, y).predict_proba(X)
             assert np.array_equal(a, b), kind
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_train(seed):
+    """The [0, 1]-scaled PCA train split of the bundled 500-row table, as the
+    bench feeds basis and linear_pi encodings, and its labels."""
+    options = pl.PreprocessOptions(seed=seed, n_components=12)
+    train = pl.run_preprocess(synthetic_telco(500, seed), options).train
+    lo = train.data.min(axis=0)
+    return (train.data - lo) / (train.data.max(axis=0) - lo), train.labels
+
+
+MAPS = {"exp(3u)+u": lambda u: np.exp(3 * u) + u, "cos(pi u)": lambda u: np.cos(np.pi * u)}
+
+
+class TestNullControls:
+    """Rank-based models see only each column's order of values, so a strictly
+    monotone map of every column leaves their train predictions unchanged.
+    Under a decreasing map the order reverses; the tree and AdaBoost still
+    agree, while gbt (seed 3) and the forest can pick the mirrored cut of an
+    equal-gain tie, so only the increasing map is pinned for them."""
+
+    @pytest.mark.parametrize("mapping, kind", [
+        *(("exp(3u)+u", kind) for kind in ("tree", "adaboost", "gbt", "forest")),
+        *(("cos(pi u)", kind) for kind in ("tree", "adaboost")),
+    ])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_train_predictions_unchanged(self, mapping, kind, seed):
+        u, y = scaled_train(seed)
+        v = MAPS[mapping](u)
+        spec = ModelSpec(kind, seed=seed, params={"bootstrap": False} if kind == "forest" else {})
+        before = models.fit(spec, u, y).predict_proba(u)
+        assert before.tobytes() == models.fit(spec, v, y).predict_proba(v).tobytes()
 
 
 def tied_data():

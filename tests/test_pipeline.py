@@ -297,14 +297,14 @@ def assert_vifs_match(got, want):
 
 
 class TestVif:
-    def test_independent_columns_near_one(self):
+    def test_independent_columns_near_one(self, vif_inputs):
         rng = np.random.default_rng(5)
         X = matrix_of(rng.normal(size=(1000, 2)))
-        for entry in pl.compute_vif(X):
+        for entry in pl.compute_vif(*vif_inputs(X)):
             assert 1.0 <= entry.vif <= 1.2
             assert not entry.infinite
 
-    def test_two_column_oracle(self):
+    def test_two_column_oracle(self, vif_inputs):
         # for two columns VIF = 1/(1 - r^2) with r the Pearson correlation
         rng = np.random.default_rng(7)
         a = rng.normal(size=400)
@@ -312,91 +312,124 @@ class TestVif:
         X = matrix_of(np.column_stack([a, b]))
         r = pearson(a, b)
         expected = 1.0 / (1.0 - r * r)
-        for entry in pl.compute_vif(X):
+        for entry in pl.compute_vif(*vif_inputs(X)):
             assert entry.vif == pytest.approx(expected, rel=1e-9)
 
-    def test_inverse_correlation_oracle(self):
+    def test_inverse_correlation_oracle(self, vif_inputs):
         # VIFs are the diagonal of the inverse correlation matrix
         rng = np.random.default_rng(11)
         base = rng.normal(size=(500, 5))
         base[:, 3] = 0.5 * base[:, 0] + 0.4 * base[:, 1] + 0.2 * base[:, 3]
         X = matrix_of(base)
         oracle = np.diag(np.linalg.inv(np.corrcoef(base.T)))
-        got = [e.vif for e in pl.compute_vif(X)]
+        got = [e.vif for e in pl.compute_vif(*vif_inputs(X))]
         assert np.allclose(got, oracle, rtol=1e-6)
 
-    def test_duplicated_column_flagged(self):
+    def test_duplicated_column_flagged(self, vif_inputs):
         rng = np.random.default_rng(13)
         a = rng.normal(size=100)
         X = matrix_of(np.column_stack([a, a]), names=("a1", "a2"))
-        entries = pl.compute_vif(X)
+        entries = pl.compute_vif(*vif_inputs(X))
         assert all(e.infinite and math.isinf(e.vif) for e in entries)
 
-    def test_duplicated_pair_beside_a_free_column(self):
+    def test_duplicated_pair_beside_a_free_column(self, vif_inputs):
         # only the pair is collinear; b's fit sees a singular block of a1 and a2
         rng = np.random.default_rng(23)
         a, b = rng.normal(size=(2, 300))
         X = matrix_of(np.column_stack([a, a, 0.3 * a + b]), names=("a1", "a2", "b"))
-        entries = pl.compute_vif(X)
+        entries = pl.compute_vif(*vif_inputs(X))
         assert [e.infinite for e in entries] == [True, True, False]
         assert_vifs_match(entries, reference_vif(X))
 
-    def test_near_collinear_matches_reference(self):
+    def test_near_collinear_matches_reference(self, vif_inputs):
         # VIFs near 3e4; the correlation-matrix form loses about eps * VIF^2
         # relative, so 1e-9 holds up to VIFs of about 1e6
         rng = np.random.default_rng(29)
         base = rng.normal(size=(2000, 5))
         base[:, 4] = base[:, 0] + base[:, 1] - base[:, 2] + 0.01 * base[:, 4]
-        entries = pl.compute_vif(matrix_of(base))
+        entries = pl.compute_vif(*vif_inputs(matrix_of(base)))
         assert max(e.vif for e in entries) > 1e4
         assert_vifs_match(entries, reference_vif(matrix_of(base)))
 
-    def test_constant_column(self):
+    def test_constant_column(self, vif_inputs):
         X = matrix_of([[1.0, 3.0], [1.0, 4.0], [1.0, 5.0]])
         with pytest.raises(ZeroVariance):
-            pl.compute_vif(X)
+            pl.compute_vif(*vif_inputs(X))
 
     def test_needs_two_columns(self):
         with pytest.raises(LengthMismatch, match="at least two columns"):
-            pl.compute_vif(matrix_of([[1.0], [2.0], [4.0]]))
+            pl.compute_vif(np.ones((1, 1)), ("c0",))
+
+    def test_needs_one_name_per_row_and_column_of_c(self, vif_inputs):
+        corr, names = vif_inputs(matrix_of(np.random.default_rng(31).normal(size=(20, 3))))
+        with pytest.raises(LengthMismatch, match=r"a 2 x 2 C, got \(3, 3\)"):
+            pl.compute_vif(corr, names[:2])
 
     @pytest.mark.parametrize("value, rows", [(0.1, 28172), (0.3, 500)])
-    def test_constant_column_whose_mean_is_inexact(self, value, rows):
+    def test_constant_column_whose_mean_is_inexact(self, vif_inputs, value, rows):
         # the column mean is not exactly `value`, so centring leaves ~1e-17 noise
         X = matrix_of(np.column_stack([np.full(rows, value), np.arange(rows) % 7]))
         with pytest.raises(ZeroVariance):
-            pl.compute_vif(X)
+            pl.compute_vif(*vif_inputs(X))
+
+
+def columns_of(matrix, names):
+    """The named columns of a FeatureMatrix, in the order given."""
+    idx = [matrix.column_names.index(n) for n in names]
+    return FeatureMatrix(matrix.data[:, idx], tuple(names), matrix.labels)
 
 
 class TestIterativeVifPrune:
-    def test_all_under_threshold_unchanged(self):
+    def test_all_under_threshold_unchanged(self, vif_inputs):
         rng = np.random.default_rng(17)
         X = matrix_of(rng.normal(size=(200, 3)))
-        pruned, iters, dropped = pl.iterative_vif_prune(X, 12.0)
-        assert pruned.column_names == X.column_names
+        keep, iters, dropped = pl.iterative_vif_prune(*vif_inputs(X), 12.0)
+        assert keep == [0, 1, 2]
         assert dropped == []
         assert len(iters) == 1
 
-    def test_duplicate_drops_one_copy(self):
+    def test_duplicate_drops_one_copy(self, vif_inputs):
         rng = np.random.default_rng(19)
         a = rng.normal(size=150)
         b = rng.normal(size=150)
         X = matrix_of(np.column_stack([a, a, b]), names=("a1", "a2", "b"))
-        pruned, _, dropped = pl.iterative_vif_prune(X, 12.0)
+        keep, _, dropped = pl.iterative_vif_prune(*vif_inputs(X), 12.0)
         assert [e.column for e in dropped] == ["a1"]  # tie breaks to earlier column
-        assert pruned.column_names == ("a2", "b")
-        assert all(e.vif <= 12.0 for e in pl.compute_vif(pruned))
+        assert keep == [1, 2]
+        pruned = columns_of(X, ("a2", "b"))
+        assert all(e.vif <= 12.0 for e in pl.compute_vif(*vif_inputs(pruned)))
 
-    def test_threshold_validated(self):
+    def test_rounds_read_blocks_of_one_c(self, vif_inputs):
+        # each round's table equals compute_vif on C recomputed over the columns left
+        rng = np.random.default_rng(37)
+        base = rng.normal(size=(300, 6))
+        base[:, 2] = base[:, 0] + base[:, 1] + 0.05 * base[:, 2]
+        base[:, 5] = base[:, 3] - 0.02 * base[:, 5]
+        X = matrix_of(base)
+        keep, iters, dropped = pl.iterative_vif_prune(*vif_inputs(X), 12.0)
+        assert len(dropped) == 2 and len(iters) == 3
+        for table in iters:
+            want = pl.compute_vif(*vif_inputs(columns_of(X, [e.column for e in table])))
+            assert_vifs_match(table, want)
+        assert [X.column_names[j] for j in keep] == [e.column for e in iters[-1]]
+
+    def test_threshold_validated(self, vif_inputs):
         with pytest.raises(ValueError):
-            pl.iterative_vif_prune(matrix_of(np.eye(3)), 1.0)
+            pl.iterative_vif_prune(*vif_inputs(matrix_of(np.eye(3))), 1.0)
 
     @pytest.mark.parametrize("rows", [500, 7043, 28172])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_telco_preprocess_matches_reference_vif(self, monkeypatch, rows, seed):
+        # the reference VIF of each table's columns, fitted on the ordinal matrix,
+        # both as a check on each table and as the pruning's own VIF
         dataset, options = synthetic_telco(rows, seed), pl.PreprocessOptions(seed=seed)
         got = pl.run_preprocess(dataset, options)
-        monkeypatch.setattr(pl, "compute_vif", reference_vif)
+        ordinal, _ = pl.ordinal_matrix(dataset)
+        assert got.report.vif_iterations
+        for table in got.report.vif_iterations:
+            assert_vifs_match(table, reference_vif(columns_of(ordinal, [e.column for e in table])))
+        monkeypatch.setattr(pl, "compute_vif",
+                            lambda corr, names: reference_vif(columns_of(ordinal, names)))
         want = pl.run_preprocess(dataset, options)
         assert split_checksum(got.train, got.test) == split_checksum(want.train, want.test)
         assert got.report.dropped == want.report.dropped
@@ -415,12 +448,6 @@ def make_dataset(rows, schema):
         else:
             columns[spec.name] = tuple(str(c) for c in cells)
     return pl.Dataset(tuple(schema), columns, len(rows))
-
-
-class TestFeatureMatrix:
-    def test_drop_unknown_column(self):
-        with pytest.raises(UnknownColumn, match="column 'nope' not in matrix"):
-            matrix_of([[1.0, 2.0]]).drop_columns(["nope"])
 
 
 class TestOneHot:
@@ -459,7 +486,7 @@ class TestOneHot:
 
     def test_single_category_column(self):
         m = self.make([("red", "S", 1.0, "No"), ("red", "M", 2.0, "Yes")])
-        assert np.allclose(m.data[:, m.column_index("color=red")], 1.0)
+        assert np.allclose(m.data[:, m.column_names.index("color=red")], 1.0)
 
     def test_ordinal_codes_and_vocabularies(self):
         rows = [("red", "S", 1.5, "No"), ("blue", "M", 2.0, "Yes"), ("red", "M", 3.0, "No")]
@@ -472,7 +499,7 @@ class TestOneHot:
         matrix, vocabularies = pl.ordinal_matrix(make_dataset(
             [("red", "S", 1.0, "No"), ("blue", "M", 2.0, "Yes")], self.schema
         ))
-        m = pl.one_hot(matrix.drop_columns(["color"]), vocabularies)
+        m = pl.one_hot(columns_of(matrix, ("size", "amount")), vocabularies)
         assert m.column_names == ("size=S", "size=M", "amount")
 
 
@@ -859,16 +886,32 @@ class TestRunPreprocess:
         with pytest.raises(ZeroVariance, match="column 'MonthlyCharges' is constant"):
             pl.run_preprocess(ds, pl.PreprocessOptions())
 
+    def test_constant_column_error_names_the_first_in_schema_order(self):
+        # every feature column enters one correlation matrix, so a constant
+        # categorical column before a constant numeric one is the one named
+        ds = synthetic_telco(500, 0)
+        ds.columns["gender"] = ("Female",) * 500
+        ds.columns["MonthlyCharges"] = np.full(500, 20.0)
+        with pytest.raises(ZeroVariance, match="column 'gender' is constant"):
+            pl.run_preprocess(ds, pl.PreprocessOptions())
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_correlation_drops_read_the_correlation_matrix(self, seed):
         ds = synthetic_telco(500, seed)
-        numeric = tuple(c.name for c in ds.feature_specs() if c.kind == pl.NUMERIC)
-        C = pl.correlation_matrix(matrix_of(np.column_stack([ds.columns[n] for n in numeric]),
-                                            names=numeric))
+        ordinal, _ = pl.ordinal_matrix(ds)
+        C = pl.correlation_matrix(ordinal)
         report = pl.run_preprocess(ds, pl.PreprocessOptions(seed=seed)).report
         drops = [(d.name, d.statistic) for d in report.dropped if d.reason == "correlation"]
-        tenure, charges = numeric.index("tenure"), numeric.index("TotalCharges")
+        names = ordinal.column_names
+        tenure, charges = names.index("tenure"), names.index("TotalCharges")
         assert drops == [("TotalCharges", C[tenure, charges])]
+
+    def test_one_correlation_matrix_per_run(self, monkeypatch):
+        seen, real = [], pl.correlation_matrix
+        monkeypatch.setattr(pl, "correlation_matrix", lambda m: seen.append(m.n_cols) or real(m))
+        ds = synthetic_telco(500, 0)
+        pl.run_preprocess(ds, pl.PreprocessOptions(extra_drops=("PhoneService",)))
+        assert seen == [len(ds.feature_specs())]
 
     def test_target_with_one_value_names_the_column(self):
         ds = synthetic_telco(50, 0)
