@@ -125,8 +125,7 @@ def _load_config(args):
 
 def _cmd_preprocess(args) -> int:
     config = _load_config(args)
-    dataset = runner_mod.load_dataset(config)
-    result = run_preprocess(dataset, config.preprocess)
+    result = run_preprocess(runner_mod.load_dataset(config), config.preprocess)
     out_dir = runner_mod.resolve_output_dir(config, args.out)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "preprocess.json")
@@ -137,7 +136,8 @@ def _cmd_preprocess(args) -> int:
         "n_components": result.report.n_components,
     })
     dropped = ", ".join(d.name for d in result.report.dropped) or "none"
-    print(f"rows: {dataset.n_rows} -> train {result.train.n_rows}, test {result.test.n_rows}")
+    rows = sum(result.report.class_counts_before.values())
+    print(f"rows: {rows} -> train {result.train.n_rows}, test {result.test.n_rows}")
     print(f"dropped columns: {dropped}")
     print(f"components kept: {result.report.n_components} (elbow {result.report.elbow_index})")
     print(f"wrote {path}")

@@ -170,8 +170,7 @@ class BenchRun:
 
 def run_matrix(config: BenchConfig) -> BenchRun:
     """Run the full grid once: preprocess, then every encoding x model cell."""
-    dataset = load_dataset(config)
-    pre = run_preprocess(dataset, config.preprocess)
+    pre = run_preprocess(load_dataset(config), config.preprocess)  # unnamed: freed once coded
     checksum = split_checksum(pre.train, pre.test)
     results = _run_once(config, pre, checksum)
 
@@ -182,7 +181,7 @@ def run_matrix(config: BenchConfig) -> BenchRun:
         "split_checksum": checksum,
         "created": _now(),
         "rows": {
-            "dataset": dataset.n_rows,
+            "dataset": sum(pre.report.class_counts_before.values()),
             "train": pre.train.n_rows,
             "test": pre.test.n_rows,
         },

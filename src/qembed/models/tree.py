@@ -14,9 +14,9 @@ cut at any node, its lower value left of the threshold between its two
 values; that cut is scored in closed form from the node's rows: integer
 counts for unweighted Gini, otherwise sums that add the low side's values
 one at a time in row order, as a prefix sum over the sorted column would.
-Every other column is scanned: sorted once, stably (a SIMD quicksort, or
-a stable sort when the column has a tie), into a (s + 1, m) int32 array
-whose last row is 0..m-1.  Each node owns one segment [lo, hi) of every
+Every other column is scanned, tied or tie-free: sorted once, stably (a
+SIMD quicksort, or a stable sort when the column has a tie), into a
+(s + 1, m) int32 array whose last row is 0..m-1.  Each node owns one segment [lo, hi) of every
 row, and a split partitions the segment stably in place, left rows first.
 So at every node each scanned column's row of the segment lists the
 node's rows by that column with ties in row order, exactly what a
@@ -29,8 +29,9 @@ ones a scan of every cut of every sorted column gives, bit for bit.
 
 A node scores its scanned features in (features, rows) blocks of at
 most `_BLOCK` elements: prefix sums along the rows, the criterion at each
-cut, the best cut per feature; two-valued features and partitions go in
-blocks of the same size.  The budget stops a wide node (thousands of rows
+cut, the best cut per feature, masking cuts between equal values of tied
+features (a tie-free feature's values are read at its best cut only);
+two-valued features and partitions go in blocks of the same size.  The budget stops a wide node (thousands of rows
 by dozens of columns) from allocating several full-size float
 temporaries at once.  In both growers thresholds are midpoints between
 distinct neighbors, or the lower neighbor where the midpoint rounds up to
@@ -89,7 +90,7 @@ class Tree:
         return depth
 
 
-CONSTANT, TWO_VALUED, SCANNED = 0, 1, 2  # column kinds
+CONSTANT, TWO_VALUED, SCANNED, TIE_FREE = 0, 1, 2, 3  # column kinds; TIE_FREE: scanned, no tie
 
 
 class Presorted(NamedTuple):
@@ -103,16 +104,15 @@ class Presorted(NamedTuple):
 
 
 def _stable_argsort(col):
-    """Stable order of a column: a SIMD quicksort, unless the column has a
-    tie, which only a stable sort orders by row.  Continuous encoded
-    features rarely tie, and untied the quicksort is ~5x faster at 12,000
-    rows; a tied column pays a quicksort and a compare on top."""
+    """Stable order of a column and whether it has a tie: a SIMD quicksort,
+    unless a tie needs a stable sort to order it by row.  Encoded features
+    rarely tie, and untied the quicksort is ~5x faster at 12,000 rows; a
+    tied column pays a quicksort and a compare on top."""
     col = np.ascontiguousarray(col)
     order = np.argsort(col, kind="quicksort")
     ranked = col.take(order)
-    if (ranked[1:] == ranked[:-1]).any():
-        order = np.argsort(col, kind="stable")
-    return order
+    tied = bool((ranked[1:] == ranked[:-1]).any())
+    return (np.argsort(col, kind="stable") if tied else order), tied
 
 
 def presort(X: np.ndarray) -> Presorted:
@@ -132,9 +132,10 @@ def presort(X: np.ndarray) -> Presorted:
     scanned = np.flatnonzero(kind == SCANNED)
     order = np.empty((scanned.size + 1, m), dtype=np.int32)
     for r, j in enumerate(scanned):
-        order[r] = _stable_argsort(X[:, j])
+        order[r], tied = _stable_argsort(X[:, j])
+        kind[j] = SCANNED if tied else TIE_FREE
     order[-1] = np.arange(m)
-    order_row = np.cumsum(kind == SCANNED) - 1
+    order_row = np.cumsum(kind >= SCANNED) - 1
     runs = []
     for k, group in itertools.groupby(range(d), kind.__getitem__):
         features = np.fromiter(group, dtype=np.intp)
@@ -144,10 +145,22 @@ def presort(X: np.ndarray) -> Presorted:
 
 
 def _gini(wl, pl, total_w, total_pos):
-    """Weighted Gini impurity after a cut with left weight wl and left label sum pl."""
+    """Weighted Gini impurity after a cut with left weight wl and left label sum pl,
+    (wl * (2ql * (1 - ql)) + wr * (2qr * (1 - qr))) / total_w, in place on four arrays."""
     ql, wr = pl / wl, total_w - wl
-    qr = (total_pos - pl) / wr
-    return (wl * (2 * ql * (1 - ql)) + wr * (2 * qr * (1 - qr))) / total_w
+    qr = total_pos - pl
+    qr /= wr
+    imp = 1 - ql
+    ql *= 2
+    imp *= ql
+    imp *= wl
+    np.subtract(1, qr, out=ql)  # ql's last use is behind: it takes qr's side
+    qr *= 2
+    ql *= qr
+    ql *= wr
+    imp += ql
+    imp /= total_w
+    return imp
 
 
 def _threshold(below, above):
@@ -163,12 +176,13 @@ def _left_sum(left, v):
     return np.where(left, v, 0.0).cumsum(axis=1)[:, -1]
 
 
-def _best_split(X, seg, features, at, scores, totals, min_leaf, best):
+def _best_split(X, seg, features, at, scores, totals, min_leaf, best, tie_free):
     """Best (score, feature, threshold) among scanned `features`, whose
     orders are rows `at` of seg, if it beats `best` by more than _EPS.
 
     Cut i puts sorted positions 0..i on the left; only cuts that leave
-    min_leaf rows on each side and fall between distinct values count.
+    min_leaf rows on each side and fall between distinct values count.  On
+    `tie_free` columns every cut does, so only the winner's neighbors are read.
     """
     n = seg.shape[1]
     cuts = slice(min_leaf - 1, n - min_leaf)
@@ -176,18 +190,19 @@ def _best_split(X, seg, features, at, scores, totals, min_leaf, best):
     best_j, best_thr = -1, 0.0
     for start in range(0, features.size, step):
         block = features[start:start + step]
-        sorted_rows = seg[at[start:start + step]]
-        sc = X[sorted_rows, block[:, None]]
-        below, above = sc[:, cuts], sc[:, min_leaf:n - min_leaf + 1]
-        score = np.where(above > below, scores(sorted_rows, cuts, totals), np.inf)
+        sorted_rows = seg[at[start]:at[start] + block.size]  # a run's rows are consecutive
+        score = scores(sorted_rows, cuts, totals)
+        if not tie_free:
+            sc = X[sorted_rows, block[:, None]]
+            score[sc[:, min_leaf:n - min_leaf + 1] <= sc[:, cuts]] = np.inf
+        first = score.argmin(axis=1)  # the first, lowest-threshold cut of each min
         won = -1
-        for r, s in enumerate(score.min(axis=1).tolist()):
+        for r, s in enumerate(score[np.arange(block.size), first].tolist()):
             if s < best - _EPS:
                 best, won = s, r
-        if won >= 0:
-            cut = score[won].argmin()  # the first, lowest-threshold cut of the best
-            best_j = int(block[won])
-            best_thr = float(_threshold(below[won, cut], above[won, cut]))
+        if won >= 0:  # the winning cut's two neighbors
+            best_j, cut = int(block[won]), first[won] + cuts.start
+            best_thr = float(_threshold(*X[sorted_rows[won, cut:cut + 2], best_j]))
     return best, best_j, best_thr
 
 
@@ -252,9 +267,10 @@ def _grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, presorted=Non
             best, j, thr = best0, -1, 0.0
             for k, features, at in runs:
                 found = (
-                    _best_split(X, seg, features, at, scores, totals, min_leaf, best)
-                    if k == SCANNED else
                     _best_cut(X, rows, features, cut, cut_scores, totals, min_leaf, best)
+                    if k == TWO_VALUED else
+                    _best_split(X, seg, features, at, scores, totals, min_leaf, best,
+                                k == TIE_FREE)
                 )
                 if found[1] >= 0:
                     best, j, thr = found
@@ -294,7 +310,8 @@ def grow_classifier(
         else:
             wr = w.take(rows)
             wsum, pos = wr.sum(), float(np.dot(wr, yr))
-        return pos / wsum if wsum > 0 else 0.5, yr.min() != yr.max(), (wsum, pos)
+        mixed = 0 < pos < wsum if w is None else yr.min() != yr.max()  # unweighted: 0/1 counts
+        return pos / wsum if wsum > 0 else 0.5, mixed, (wsum, pos)
 
     def impurity(wl, pl, totals):
         total_w, total_pos = totals
@@ -415,7 +432,7 @@ def grow_forest(
     k, limit = max(1, min(d, int(round(frac * d)))), np.inf if max_depth is None else max_depth
     rank = np.empty((m, d), dtype=np.int32)  # rank[i, j]: place of row i in column j
     for j in range(d):
-        rank[_stable_argsort(X[:, j]), j] = np.arange(m, dtype=np.int32)
+        rank[_stable_argsort(X[:, j])[0], j] = np.arange(m, dtype=np.int32)
     idx, cnt, pos = [], [], []
     for _ in range(n_trees):
         c = np.bincount(rng.integers(0, m, size=m), minlength=m) if bootstrap else np.ones(m, int)

@@ -309,15 +309,14 @@ def ordinal_matrix(
     """
     if labels is None:
         labels, _ = binary_labels(dataset)
-    cols, names, vocabularies = [], [], {}
-    for spec in dataset.feature_specs():
+    specs, vocabularies = dataset.feature_specs(), {}
+    data = np.empty((labels.size, len(specs)))  # filled column by column, not stacked
+    for j, spec in enumerate(specs):
         if spec.kind == NUMERIC:
-            cols.append(np.asarray(dataset.columns[spec.name], dtype=float))
+            data[:, j] = dataset.columns[spec.name]
         else:
-            vocabularies[spec.name], codes = _codes(dataset.columns[spec.name])
-            cols.append(codes.astype(float))
-        names.append(spec.name)
-    return FeatureMatrix(np.column_stack(cols), tuple(names), labels), vocabularies
+            vocabularies[spec.name], data[:, j] = _codes(dataset.columns[spec.name])
+    return FeatureMatrix(data, tuple(spec.name for spec in specs), labels), vocabularies
 
 
 def one_hot(matrix: FeatureMatrix, vocabularies) -> FeatureMatrix:
@@ -400,8 +399,12 @@ class Standardizer:
 
     @staticmethod
     def fit(matrix: FeatureMatrix) -> "Standardizer":
-        mean = matrix.data.mean(axis=0)
-        scale = matrix.data.std(axis=0)
+        """Mean and std in blocks of 8-15 columns (one block under 16 columns), so
+        std's centred temporary is a block.  numpy sums a block's columns down the
+        rows as it does the matrix's, except a one-column block, summed pairwise."""
+        blocks = np.array_split(matrix.data, max(1, matrix.n_cols // 8), axis=1)
+        mean = np.concatenate([block.mean(axis=0) for block in blocks])
+        scale = np.concatenate([block.std(axis=0) for block in blocks])
         scale = np.where(scale == 0, 1.0, scale)  # constant columns pass through
         return Standardizer(mean, scale)
 
@@ -467,9 +470,12 @@ def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
 
 def pca_transform(model: PcaModel, matrix: FeatureMatrix) -> FeatureMatrix:
     """Project rows onto the fitted components."""
-    scores = (matrix.data - model.mean) @ model.components.T
+    return _project(model, matrix.data - model.mean, matrix.labels)
+
+
+def _project(model: PcaModel, centred: np.ndarray, labels) -> FeatureMatrix:
     names = tuple(f"pc{i}" for i in range(model.n_components))
-    return FeatureMatrix(scores, names, matrix.labels)
+    return FeatureMatrix(centred @ model.components.T, names, labels)
 
 
 def pca_inverse_transform(model: PcaModel, matrix: FeatureMatrix) -> np.ndarray:
@@ -537,6 +543,8 @@ class PreprocessOptions:
                 isinstance(name, str) for name in self.extra_drops):
             raise ValueError(f"extra_drops must be column names, got {self.extra_drops!r}")
         object.__setattr__(self, "extra_drops", tuple(self.extra_drops))
+        if len(set(self.extra_drops)) < len(self.extra_drops):
+            raise ValueError(f"extra_drops must name each column once, got {self.extra_drops!r}")
 
 
 @dataclass
@@ -584,15 +592,16 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     features), drop `extra_drops`, undersample to balance, one-hot the
     surviving categoricals, standardize, fit PCA, keep components up to the
     elbow, then split.  Categorical columns are coded once, into one
-    `ordinal_matrix`: the drop stages pick its columns off one correlation
-    matrix, the matrix is cut to them once, and `undersample` and `one_hot`
-    work on the cut (one-hot works row by row, so their order is moot).
-    Balancing and PCA both happen before the split; the report notes it.
+    `ordinal_matrix`, and the dataset is let go; the drop stages pick its
+    columns off one correlation matrix and `undersample` its rows, and
+    `one_hot` expands the cut, whose array is standardized and centred in
+    place.  Balancing and PCA both happen before the split; the report notes it.
     """
     report = PreprocessReport(blank_numeric_cells=dict(dataset.blank_counts))
     report.dropped = [DroppedColumn(c.name, "id", 0.0) for c in dataset.schema if c.kind == ID]
     labels, report.label_mapping = binary_labels(dataset)
     matrix, vocabularies = ordinal_matrix(dataset, labels)  # id columns are not features
+    del dataset  # the caller's last reference, when it passed the load straight in
 
     # one C over every feature column: the correlation stage reads C[a, b] for
     # numeric pairs (the later column of each offending pair goes), and each
@@ -615,18 +624,21 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
             raise UnknownColumn(f"extra_drops: {name!r} is not a feature column left to drop")
         report.dropped.append(DroppedColumn(name, "config", 0.0))
     keep = [j for j in keep if names[j] not in options.extra_drops]
+
+    report.class_counts_before = _class_counts(matrix.labels)
+    matrix = undersample(matrix, options.seed)  # rows, then columns: the cut copies fewer rows
+    report.class_counts_after = _class_counts(matrix.labels)
     matrix = FeatureMatrix(matrix.data.take(keep, axis=1),  # one cut; C order, unlike [:, keep]
                            tuple(names[j] for j in keep), matrix.labels)
 
-    report.class_counts_before = _class_counts(matrix.labels)
-    matrix = undersample(matrix, options.seed)  # on the codes: one_hot then expands fewer rows
-    report.class_counts_after = _class_counts(matrix.labels)
-
     matrix = one_hot(matrix, vocabularies)
     report.one_hot_columns = matrix.n_cols
-
-    if options.standardize:
-        matrix = Standardizer.fit(matrix).transform(matrix)
+    data = matrix.data  # one_hot's own array, held here alone: updated in place
+    data.setflags(write=True)
+    if options.standardize:  # Standardizer.transform's arithmetic, without its copy
+        scaler = Standardizer.fit(matrix)
+        data -= scaler.mean
+        data /= scaler.scale
 
     full = pca_fit(matrix, min(matrix.n_rows - 1, matrix.n_cols))
     elbow = find_elbow(full.explained_variance_ratio)
@@ -642,7 +654,9 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     report.notes.append(
         "balancing, standardization and PCA are fitted on the full pre-split data"
     )
-    scores = pca_transform(model, matrix)
+    data -= model.mean  # pca_transform's centring, without its copy
+    scores = _project(model, data, matrix.labels)
+    del matrix, data  # before the split copies the scores
 
     train, test = train_test_split(scores, options.split_ratio, options.seed)
     return PreprocessResult(train, test, model, report)

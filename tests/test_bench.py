@@ -897,6 +897,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and repr(name) in err
 
+    def test_repeated_extra_drop_is_a_config_error(self, tmp_path, capsys):
+        # refused when the config is read, not reported as two drops of one column
+        cfg_path = self.write_config(tmp_path, preprocess={"extra_drops": ["tenure", "tenure"]})
+        assert cli.main(["preprocess", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "pre")]) == 1
+        assert "preprocess: extra_drops must name each column once" in capsys.readouterr().err
+
     def test_split_leaving_a_class_out_of_train_is_data_error(self, tmp_path, capsys):
         cfg_path = self.write_config(
             tmp_path, dataset={"path": None, "synthetic_rows": 60}, seed=0,

@@ -24,7 +24,7 @@ from qembed.models.linear import log_loss_gradient, log_loss_l2
 from qembed.models.svm import decision_values, fit_smo, gram
 from qembed.models import tree as tree_module
 from qembed.models.tree import (
-    _BLOCK, _EPS, SCANNED, TWO_VALUED, Tree, _left_sum, _partition, _threshold,
+    _BLOCK, _EPS, SCANNED, TIE_FREE, TWO_VALUED, Tree, _left_sum, _partition, _threshold,
     grow_classifier, grow_forest, grow_regression, presort,
 )
 
@@ -596,7 +596,8 @@ class TestTree:
 
     def test_presort_kinds_and_orders(self):
         # Tied scanned columns (signed zeros included) and an untied one get
-        # a per-column mergesort's order; the others get no order row.
+        # a per-column mergesort's order; the others get no order row.  The
+        # untied one is a run of its own, tie-free.
         X, _, _ = kind_data("interleaved")
         rng = np.random.default_rng(3)
         X = np.column_stack([X, rng.normal(size=X.shape[0]),
@@ -604,16 +605,48 @@ class TestTree:
         runs, cut, order = presort(X)
         assert [(k, f.tolist()) for k, f, _ in runs] == [
             (SCANNED, [0]), (TWO_VALUED, [1]), (TWO_VALUED, [3, 4]), (SCANNED, [5]),
-            (TWO_VALUED, [6]), (SCANNED, [8]), (TWO_VALUED, [9]), (SCANNED, [10, 11])]
-        scanned = np.concatenate([f for k, f, _ in runs if k == SCANNED])
-        assert np.concatenate([at for k, _, at in runs if k == SCANNED]).tolist() == \
+            (TWO_VALUED, [6]), (SCANNED, [8]), (TWO_VALUED, [9]), (TIE_FREE, [10]),
+            (SCANNED, [11])]
+        scanned = np.concatenate([f for k, f, _ in runs if k != TWO_VALUED])
+        assert np.concatenate([at for k, _, at in runs if k != TWO_VALUED]).tolist() == \
             list(range(scanned.size))
+        for k, f, _ in runs:  # a tie-free column's sorted values all differ
+            tie_free = [np.all(np.diff(np.sort(X[:, j])) > 0) for j in f]
+            assert tie_free == [k == TIE_FREE] * f.size
         assert order.shape == (scanned.size + 1, X.shape[0]) and order.dtype == np.int32
         for r, j in enumerate(scanned):
             assert np.array_equal(order[r], np.argsort(X[:, j], kind="mergesort"))
         assert np.array_equal(order[-1], np.arange(X.shape[0]))
         for j in np.concatenate([f for k, f, _ in runs if k == TWO_VALUED]):
             assert cut[j] == _threshold(X[:, j].min(), X[:, j].max())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tie_free_columns_grow_the_tied_paths_trees(self, seed, monkeypatch):
+        # PCA scores have no tie; the first score's rank in bins of 8 rows, put
+        # first, has many.  Reporting every scanned column as tied sends them
+        # all through the value gather and the distinct-neighbor mask, and
+        # the reference grower scans every cut of every sorted column: no bit
+        # may change.
+        u, y = scaled_train(seed)
+        X = np.column_stack([u[:, 0].argsort().argsort() // 8, u])
+        assert [k for k, _, _ in presort(X).runs] == [SCANNED, TIE_FREE]
+        w = np.random.default_rng(seed).random(y.size)
+        fits = {
+            "tree": lambda: models.fit(ModelSpec("tree"), X, y).state["trees"],
+            "weighted": lambda: [grow_classifier(X, y, w, min_leaf=3)],
+            "adaboost": lambda: models.fit(ModelSpec("adaboost"), X, y).state["trees"],
+            "gbt": lambda: models.fit(ModelSpec("gbt", params={"n_rounds": 20}), X, y).state[
+                "trees"],
+        }
+        got = {name: fit() for name, fit in fits.items()}
+        stable = tree_module._stable_argsort
+        monkeypatch.setattr(tree_module, "_stable_argsort", lambda col: (stable(col)[0], True))
+        assert [k for k, _, _ in presort(X).runs] == [SCANNED]
+        for grow in (tree_module._grow, reference_grow):
+            monkeypatch.setattr(tree_module, "_grow", grow)
+            for name, fit in fits.items():
+                assert [tree_bytes(t) for t in got[name]] == [tree_bytes(t) for t in fit()], name
+        assert any((t.feature == 0).any() for t in got["tree"] + got["gbt"])
 
     def test_leaf_probabilities_are_class_fractions(self):
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])

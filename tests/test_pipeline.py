@@ -1,6 +1,8 @@
 import csv
 import math
+import sys
 import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -21,6 +23,8 @@ from qembed.errors import (
     ZeroVariance,
 )
 from qembed.bench.data import synthetic_telco
+from qembed.bench import runner
+from qembed.bench.config import config_from_dict
 from qembed.bench.runner import split_checksum
 from qembed.pipeline import ColumnSpec, FeatureMatrix
 
@@ -796,6 +800,74 @@ class TestPreprocessWorkingSet:
         assert peak < 18e6
 
 
+class TestPreprocessInPlace:
+    """run_preprocess frees each stage's input and updates one-hot's array in
+    place; the blocked and in-place forms give the one-shot forms' bits."""
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a caller holds its call's arguments until it returns")
+    def test_run_matrix_frees_the_dataset_before_one_hot(self, monkeypatch):
+        refs, alive, load, one_hot = [], [], runner.load_dataset, pl.one_hot
+
+        def loading(config):
+            dataset = load(config)
+            refs.append(weakref.ref(dataset))
+            return dataset
+
+        monkeypatch.setattr(runner, "load_dataset", loading)
+        monkeypatch.setattr(pl, "one_hot", lambda m, v: alive.append(refs[0]() is not None)
+                            or one_hot(m, v))
+        run = runner.run_matrix(config_from_dict({
+            "dataset": {"synthetic_rows": 300}, "encodings": [{"kind": "classical"}],
+            "models": [{"kind": "tree"}]}))
+        assert alive == [False]
+        assert run.manifest["rows"]["dataset"] == 300  # the sum of the class counts
+
+    def test_preprocess_peak_memory_with_the_dataset_held(self):
+        dataset = synthetic_telco(28_172, 3)
+        tracemalloc.start()
+        try:
+            pl.run_preprocess(dataset, pl.PreprocessOptions(seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # stacked ordinal columns, the cut before undersampling, std's centred
+        # copy, a second standardized matrix and pca_transform's centred copy
+        # took it to 13-14 MB
+        assert peak < 11e6
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 500, 1025])
+    def test_column_blocked_standardizer_is_the_one_shot(self, rows):
+        rng = np.random.default_rng(rows)
+        for d in range(1, 51):
+            X = matrix_of(rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-4, 4, size=d))
+            fitted = pl.Standardizer.fit(X)
+            assert fitted.mean.tobytes() == X.data.mean(axis=0).tobytes(), d
+            scale = X.data.std(axis=0)
+            assert fitted.scale.tobytes() == np.where(scale == 0, 1.0, scale).tobytes(), d
+            z = fitted.transform(X)  # still a new matrix; the input is untouched
+            assert z.data is not X.data and not X.data.flags.writeable
+
+    @pytest.mark.parametrize("rows, seed", [(500, 0), (7043, 1), (7043, 2)])
+    def test_in_place_projection_is_pca_transform(self, monkeypatch, rows, seed):
+        seen, fit, split = {}, pl.pca_fit, pl.train_test_split
+
+        def fitting(matrix, k):  # a copy: run_preprocess centres the matrix after the fit
+            seen["matrix"] = FeatureMatrix(matrix.data.copy(), matrix.column_names, matrix.labels)
+            return fit(matrix, k)
+
+        def splitting(scores, ratio, seed):
+            seen["scores"] = scores
+            return split(scores, ratio, seed)
+
+        monkeypatch.setattr(pl, "pca_fit", fitting)
+        monkeypatch.setattr(pl, "train_test_split", splitting)
+        result = pl.run_preprocess(synthetic_telco(rows, seed), pl.PreprocessOptions(seed=seed))
+        want = pl.pca_transform(result.pca, seen["matrix"])
+        assert seen["scores"].data.tobytes() == want.data.tobytes()
+        assert seen["scores"].column_names == want.column_names
+
+
 class TestPreprocessOptions:
     @pytest.mark.parametrize("field, value", [
         ("n_components", 2.5), ("n_components", True), ("n_components", 0),
@@ -815,6 +887,11 @@ class TestPreprocessOptions:
                                              vif_threshold=12.0)
         assert [type(v) for v in (opts.seed, opts.n_components, opts.corr_threshold,
                                   opts.vif_threshold)] == [int, int, float, float]
+
+    def test_repeated_extra_drop_rejected(self):
+        # run_preprocess would report the one drop once per repetition
+        with pytest.raises(ValueError, match="extra_drops must name each column once"):
+            pl.PreprocessOptions(extra_drops=("PhoneService", "gender", "PhoneService"))
 
     def test_extra_drops_stored_as_a_tuple(self):
         # a list would leave the frozen record unhashable
