@@ -89,9 +89,11 @@ class EncodingScheme:
                 raise InvalidScheme(f"unknown angle map {self.angle_map!r}")
         elif self.axis is not None or self.angle_map is not None:
             raise InvalidScheme("axis/angle_map are angle-encoding parameters")
-        if self.kind == BASIS:
-            object.__setattr__(self, "bits_per_feature", checked_int(
-                self.bits_per_feature, 1, "bits_per_feature", InvalidScheme))
+        if self.kind == BASIS:  # one feature alone must fit the simulator
+            bits = checked_int(self.bits_per_feature, 1, "bits_per_feature", InvalidScheme)
+            if bits > MAX_QUBITS:
+                raise InvalidScheme(f"bits_per_feature must be at most {MAX_QUBITS}, got {bits}")
+            object.__setattr__(self, "bits_per_feature", bits)
         elif self.bits_per_feature is not None:
             raise InvalidScheme("bits_per_feature is a basis-encoding parameter")
 
@@ -317,7 +319,8 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
 
     Row 0 runs through embed_sample first, to check what depends only on the
     width and scheme (the qubit cap); so does the first row the batch masks
-    flag.  A failure is RowEncodeError(row, typed per-row cause).  Z readouts
+    flag.  Zero rows give the readout's width and names, under the same
+    cap.  A failure is RowEncodeError(row, typed per-row cause).  Z readouts
     of product states come from each qubit's factor; the others are read off
     amplitudes built at most EMBED_BLOCK_ROWS rows at a time.  Unless the
     readout (at most the amplitudes' size), a block row (3 rows of amplitudes
@@ -325,11 +328,10 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
     qsim.MAX_DENSE_BYTES, QubitCapExceeded is raised before any is allocated.
     """
     data, (m, d) = X.data, X.data.shape
-    if m == 0:
-        return FeatureMatrix(np.zeros((0, 0)), (), X.labels)
     n = (max(1, (d - 1).bit_length()) if scheme.kind == AMPLITUDE  # ceil(log2(d)) qubits
          else d * (scheme.bits_per_feature or 1))
     dense = scheme.kind == AMPLITUDE or scheme.readout != Z_EXPECTATIONS
+    width = {PROBABILITY_VECTOR: 1 << n, AMPLITUDE_PARTS: 2 << n, Z_EXPECTATIONS: n}[scheme.readout]
     row_bytes, budget = np.dtype(complex).itemsize << n, qsim.MAX_DENSE_BYTES
     block_row, reserve = 3 * row_bytes + 256 * n, 10 * row_bytes + (64 << 10)
     if dense and n <= MAX_QUBITS and (need := m * row_bytes + reserve + block_row) > budget:
@@ -337,6 +339,10 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
         raise QubitCapExceeded(
             f"{m} rows x 2^{n} amplitudes ({n} qubits) take {m * row_bytes} bytes{held}, "
             f"over the {budget}-byte budget")
+    if m == 0:  # no row 0 runs through embed_sample, so its qubit cap is checked here
+        if n > MAX_QUBITS:
+            raise QubitCapExceeded(f"{n} qubits exceeds cap {MAX_QUBITS}")
+        return FeatureMatrix(np.zeros((0, width)), _feature_names(scheme.readout, width), X.labels)
 
     def encode_row(i):
         try:
@@ -361,8 +367,7 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
             half = (math.pi * data if scheme.angle_map == LINEAR_PI else data) / 2
             out = np.float_power(np.cos(half), 2) - np.float_power(np.sin(half), 2)
         return FeatureMatrix(out, _feature_names(scheme.readout, n), X.labels)
-    widths = {PROBABILITY_VECTOR: 1 << n, AMPLITUDE_PARTS: 2 << n, Z_EXPECTATIONS: n}
-    out = np.empty((m, widths[scheme.readout]))
+    out = np.empty((m, width))
     step = min(EMBED_BLOCK_ROWS, (budget - out.nbytes - reserve) // block_row)
     for start in range(0, m, step):
         rows = data[start:start + step]

@@ -197,7 +197,7 @@ class TrainedModel:
       svm      kernel (the KernelFn with gamma resolved), sv_X, sv_y,
                sv_alpha, bias
       tree, forest, adaboost, gbt
-               trees, weights, offset, scale (see `ensemble`); gbt adds losses
+               trees, weights, offset, scale (see `ensemble`)
     """
 
     spec: ModelSpec

@@ -2,8 +2,8 @@
 
 Each fit returns a tree-sum state: `trees`, one weight per tree in
 `weights`, `offset` and `scale`, scored by `tree_sum` as
-(offset + sum_t weights[t] * trees[t].predict(X)) / scale.  gbt adds its
-training `losses`.  The single tree and the forest are the same state.
+(offset + sum_t weights[t] * trees[t].predict(X)) / scale.  The single
+tree and the forest are the same state.
 """
 from __future__ import annotations
 
@@ -66,26 +66,20 @@ def fit_gbt(
     """Stagewise regression trees on log-loss gradients with Newton leaves.
 
     The score is the log-odds: offset the constant initial log-odds, every
-    weight lr, scale 1.  `losses` holds the training log-loss after every
-    round.  Columns are sorted once per fit.
+    weight lr, scale 1.  Columns are sorted once per fit.
     """
     p_bar = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     f0 = math.log(p_bar / (1.0 - p_bar))
     scores = np.full(X.shape[0], f0)
     presorted = presort(X)
     trees: list[Tree] = []
-    losses: list[float] = []
-    p = sigmoid(scores)
     for _ in range(n_rounds):
+        p = sigmoid(scores)
         tree = grow_regression(X, y - p, p * (1 - p), max_depth, min_leaf, presorted)
         trees.append(tree)
         scores = scores + lr * tree.predict(X)
-        p = sigmoid(scores)
-        pc = np.clip(p, 1e-15, 1 - 1e-15)
-        losses.append(-float(np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
     return {
         "trees": trees, "weights": np.full(n_rounds, lr), "offset": f0, "scale": 1.0,
-        "losses": np.array(losses),
     }
 
 

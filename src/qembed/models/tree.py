@@ -3,9 +3,9 @@
 A `Tree` is six arrays indexed by node id: split `feature` and `threshold`,
 child ids `left` and `right` (feature and ids -1 at leaves), `value`, row
 count `n`.  A depth-first grower serves weighted Gini (tree, AdaBoost) and
-the Newton gain on gradient/hessian sums (gbt).  `grow_forest` grows a
-forest's trees together, level by level: faster on many small trees, half
-as fast on one large tree.
+the Newton gain on gradient/hessian sums (gbt), one kernel scoring both
+from two per-row arrays.  `grow_forest` grows a forest's trees together,
+level by level: faster on many small trees, half as fast on one large tree.
 
 Depth-first, `presort` sorts X's columns once per tree (once per fit for
 the boosters) into three kinds.  A constant column has no cut and is
@@ -286,6 +286,25 @@ def _grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, presorted=Non
     return Tree(*map(np.array, zip(*nodes)))
 
 
+def _search(a, b, criterion):
+    """`_grow`'s `scores` and `cut_scores` from per-row arrays a and b: each
+    cut scores criterion(al, bl, totals) on the sums of a and of b over its
+    left rows.  a None counts rows, and b then holds 0/1 labels."""
+
+    def scores(sorted_rows, cuts, totals):
+        bl = b.take(sorted_rows).cumsum(axis=1)[:, cuts]
+        if a is None:
+            return criterion(np.arange(1.0, sorted_rows.shape[1])[cuts], bl, totals)
+        return criterion(a.take(sorted_rows).cumsum(axis=1)[:, cuts], bl, totals)
+
+    def cut_scores(left, n_left, rows, totals):
+        if a is None:
+            return criterion(n_left, (left & (b.take(rows) != 0)).sum(axis=1), totals)
+        return criterion(_left_sum(left, a.take(rows)), _left_sum(left, b.take(rows)), totals)
+
+    return scores, cut_scores
+
+
 def grow_classifier(
     X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None,
     max_depth: int | None = 8, min_leaf: int = 2, presorted: Presorted | None = None,
@@ -314,24 +333,10 @@ def grow_classifier(
         return pos / wsum if wsum > 0 else 0.5, mixed, (wsum, pos)
 
     def impurity(wl, pl, totals):
-        total_w, total_pos = totals
-        imp = _gini(wl, pl, total_w, total_pos)
-        return imp if w is None else np.where((wl > 0) & (total_w - wl > 0), imp, np.inf)
+        imp = _gini(wl, pl, *totals)
+        return imp if w is None else np.where((wl > 0) & (totals[0] - wl > 0), imp, np.inf)
 
-    def scores(sorted_rows, cuts, totals):  # impurity after each cut
-        pl = wy.take(sorted_rows).cumsum(axis=1)[:, cuts]
-        if w is None:
-            wl = np.arange(1.0, sorted_rows.shape[1])[cuts]
-        else:
-            wl = w.take(sorted_rows).cumsum(axis=1)[:, cuts]
-        return impurity(wl, pl, totals)
-
-    def cut_scores(left, n_left, rows, totals):
-        if w is None:
-            return impurity(n_left, (left & (y.take(rows) != 0)).sum(axis=1), totals)
-        return impurity(_left_sum(left, w.take(rows)), _left_sum(left, wy.take(rows)), totals)
-
-    return _grow(X, node, scores, cut_scores, np.inf, max_depth, min_leaf, presorted)
+    return _grow(X, node, *_search(w, wy, impurity), np.inf, max_depth, min_leaf, presorted)
 
 
 def grow_regression(
@@ -353,15 +358,7 @@ def grow_regression(
         total_g, total_h, parent = totals
         return -(gl**2 / (hl + _EPS) + (total_g - gl) ** 2 / (total_h - hl + _EPS) - parent)
 
-    def scores(sorted_rows, cuts, totals):
-        gl = grad.take(sorted_rows).cumsum(axis=1)[:, cuts]
-        hl = hess.take(sorted_rows).cumsum(axis=1)[:, cuts]
-        return loss(gl, hl, totals)
-
-    def cut_scores(left, n_left, rows, totals):
-        return loss(_left_sum(left, grad.take(rows)), _left_sum(left, hess.take(rows)), totals)
-
-    return _grow(X, node, scores, cut_scores, -0.0, max_depth, min_leaf, presorted)
+    return _grow(X, node, *_search(grad, hess, loss), -0.0, max_depth, min_leaf, presorted)
 
 
 def _runs(size, budget=_RUN):

@@ -565,8 +565,8 @@ class PreprocessReport:
     one_hot_columns: int = 0
     class_counts_before: dict[str, int] = field(default_factory=dict)
     class_counts_after: dict[str, int] = field(default_factory=dict)
-    elbow_index: int = 0
-    cumulative_at_elbow: float = 0.0
+    elbow_index: int | None = None  # None under three explained-variance ratios
+    cumulative_at_elbow: float | None = None
     n_components: int = 0
     notes: list[str] = field(default_factory=list)
 
@@ -641,10 +641,13 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
         data /= scaler.scale
 
     full = pca_fit(matrix, min(matrix.n_rows - 1, matrix.n_cols))
-    elbow = find_elbow(full.explained_variance_ratio)
-    report.elbow_index = elbow
-    report.cumulative_at_elbow = float(np.cumsum(full.explained_variance_ratio)[elbow])
-    k = options.n_components if options.n_components is not None else max(elbow, 1)
+    ratios, k = full.explained_variance_ratio, options.n_components
+    if ratios.size >= 3:  # fewer ratios have no elbow, and n_components must say
+        report.elbow_index = elbow = find_elbow(ratios)
+        report.cumulative_at_elbow = float(np.cumsum(ratios)[elbow])
+        k = max(elbow, 1) if k is None else k
+    elif k is None:
+        raise TooFewComponents(f"{ratios.size} components have no elbow; set n_components")
     if not 1 <= k <= full.n_components:
         raise TooFewComponents(f"n_components={k} outside [1, {full.n_components}]")
     model = dataclasses.replace(full, components=full.components[:k])  # same SVD

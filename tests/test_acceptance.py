@@ -293,7 +293,7 @@ def test_criterion_07_synthetic_pipeline_properties(vif_inputs):
     _passed(7, "VIF oracle, PCA reconstruction, exact elbows, 500 split checks")
 
 
-def test_criterion_08_model_properties():
+def test_criterion_08_model_properties(gbt_losses):
     t0 = time.perf_counter()
     X, y = blobs(8, n=500, d=10)
 
@@ -371,7 +371,7 @@ def test_criterion_08_model_properties():
 
     # gradient boosting's training loss never increases
     gbt = models.fit(ModelSpec("gbt", params={"n_rounds": 60}), X, y)
-    losses = np.asarray(gbt.state["losses"])
+    losses = gbt_losses(gbt, X, y)
     assert losses.size >= 2
     assert np.all(np.diff(losses) <= 1e-12)
 

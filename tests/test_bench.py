@@ -184,6 +184,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(named)):
             config.config_from_dict(synthetic_raw_with(path, value))
 
+    @pytest.mark.parametrize("path, value, message", [
+        (None, [], "a config must be a JSON object, got []"),
+        ("preprocess", [], "preprocess must be an object, got []"),
+        ("dataset", "telco.csv", "dataset must be an object, got 'telco.csv'"),
+        ("models[0].params", [], "models[0].params must be an object, got []"),
+    ])
+    def test_section_that_is_not_an_object_rejected(self, path, value, message):
+        raw = value if path is None else synthetic_raw_with(path, value)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config.config_from_dict(raw)
+
     def test_valid_variants_accepted(self):
         raw = synthetic_raw_with("models[3].params.max_depth", None)
         raw["models"][2]["params"] = {"C": 2}
@@ -903,6 +914,55 @@ class TestCli:
         assert cli.main(["preprocess", "--config", str(cfg_path),
                          "--out", str(tmp_path / "pre")]) == 1
         assert "preprocess: extra_drops must name each column once" in capsys.readouterr().err
+
+    def write_narrow_csv(self, tmp_path, n_features):
+        """A CSV of n_features numeric columns and a label, and its dataset section."""
+        rng = np.random.default_rng(n_features)
+        X = rng.normal(size=(120, n_features))
+        label = np.where(X.sum(axis=1) + rng.normal(size=120) > 0, "Yes", "No")
+        names = [f"f{j}" for j in range(n_features)]
+        lines = [",".join(names + ["Churn"])]
+        lines += [",".join([*map(repr, row.tolist()), y]) for row, y in zip(X, label)]
+        (tmp_path / "narrow.csv").write_text("\n".join(lines) + "\n")
+        schema = [{"name": n, "kind": "numeric"} for n in names]
+        return {"path": str(tmp_path / "narrow.csv"),
+                "schema": schema + [{"name": "Churn", "kind": "target"}]}
+
+    @pytest.mark.parametrize("n_features", [1, 2])
+    def test_fewer_than_three_columns_bench_with_n_components(self, tmp_path, capsys,
+                                                             n_features):
+        # no elbow under three explained-variance ratios: reported as null
+        dataset = self.write_narrow_csv(tmp_path, n_features)
+        cfg_path = self.write_config(tmp_path, dataset=dataset,
+                                     preprocess={"n_components": n_features})
+        out_dir = tmp_path / "out"
+        assert cli.main(["bench", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        payload = json.loads((out_dir / "results.json").read_text())
+        report = payload["manifest"]["preprocess_report"]
+        assert report["elbow_index"] is None and report["cumulative_at_elbow"] is None
+        assert report["n_components"] == n_features
+        assert all(cell["error"] is None for cell in payload["results"])
+
+    def test_fewer_than_three_columns_without_n_components_is_data_error(self, tmp_path,
+                                                                        capsys):
+        dataset = self.write_narrow_csv(tmp_path, 2)
+        cfg_path = self.write_config(tmp_path, dataset=dataset, preprocess={})
+        assert cli.main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: 2 components have no elbow; set n_components\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bits", [25, 64])
+    def test_basis_bits_over_the_qubit_cap_is_a_config_error(self, tmp_path, capsys, bits):
+        # refused when the config is read: 25 bits failed every cell, and from
+        # 64 up a RuntimeWarning in the bit rounding escaped as a traceback
+        cfg_path = self.write_config(
+            tmp_path, encodings=[{"kind": "classical"},
+                                 {"kind": "basis", "bits_per_feature": bits}])
+        assert cli.main(["bench", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert f"encodings[1]: bits_per_feature must be at most 24, got {bits}" in \
+            capsys.readouterr().err
 
     def test_split_leaving_a_class_out_of_train_is_data_error(self, tmp_path, capsys):
         cfg_path = self.write_config(

@@ -94,6 +94,19 @@ class TestBasisEncodeText:
             enc.basis_encode_text("café")
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: enc.superposition_encode([""]), EmptyInput, "bitstrings must be nonempty"),
+        (lambda: enc.angle_encode([0.5], enc.basis_scheme(1)), InvalidScheme,
+         "angle_encode needs an angle scheme, got 'basis'"),
+        (lambda: enc.readout_features(qsim.new_zero_state(1), "phase"), InvalidScheme,
+         "unknown readout 'phase'"),
+    ], ids=["empty-bitstring", "angle-encode-basis-scheme", "unknown-readout"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+
 class TestSuperpositionEncode:
     def test_three_strings(self):
         s = enc.superposition_encode(["100", "010", "001"])
@@ -296,6 +309,19 @@ class TestSchemeValidation:
             enc.basis_scheme(bits_per_feature=0)
         with pytest.raises(InvalidScheme):  # True is an int to isinstance
             enc.basis_scheme(bits_per_feature=True)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bits", [25, 63, 64, 1000])
+    def test_basis_bits_over_the_qubit_cap_rejected(self, bits):
+        # one feature alone would take more qubits than the simulator holds;
+        # from 64 bits up the fixed-point levels would also overflow int64
+        with pytest.raises(InvalidScheme, match=f"at most {qsim.MAX_QUBITS}, got {bits}"):
+            enc.basis_scheme(bits, enc.Z_EXPECTATIONS)
+
+    def test_basis_bits_at_the_qubit_cap_encode_one_feature(self):
+        scheme = enc.basis_scheme(qsim.MAX_QUBITS, enc.Z_EXPECTATIONS)
+        got = enc.embed_matrix(matrix_of([[1.0], [0.0]]), scheme)
+        assert got.data.tolist() == [[-1.0] * qsim.MAX_QUBITS, [1.0] * qsim.MAX_QUBITS]
 
     def test_basis_bits_take_a_numpy_integer(self):
         # stored as a Python int, so the scheme echoes as JSON
@@ -607,3 +633,25 @@ class TestEmbedMatrixEqualsOracle:
         assert type(exc_info.value.cause) is cause
         with pytest.raises(cause):
             enc.embed_sample(X[0], scheme)
+
+    @pytest.mark.parametrize("scheme, binary", oracle_cases())
+    def test_zero_rows_give_one_rows_columns(self, scheme, binary):
+        X = oracle_rows(np.random.default_rng(3), scheme, binary, 3, m=3)
+        want = enc.embed_matrix(matrix_of(X[:1]), scheme)
+        got = enc.embed_matrix(matrix_of(X[:0]), scheme)
+        assert got.data.shape == (0, want.n_cols)
+        assert got.column_names == want.column_names
+
+    @pytest.mark.parametrize("scheme, width", [
+        (enc.basis_scheme(3, enc.Z_EXPECTATIONS), 9),
+        (enc.basis_scheme(9, enc.PROBABILITY_VECTOR), 3),
+        (enc.angle_scheme("X"), 27),
+        (enc.angle_scheme("Y", readout=enc.AMPLITUDE_PARTS), 27),
+    ], ids=["basis-3bit-z", "basis-9bit-probability", "angle-X-z", "angle-Y-parts"])
+    def test_zero_rows_over_the_qubit_cap_raise(self, scheme, width):
+        # 27 qubits: one row fails on the cap, and so do zero rows
+        with pytest.raises(RowEncodeError) as one_row:
+            enc.embed_matrix(matrix_of(np.full((1, width), 0.5)), scheme)
+        assert isinstance(one_row.value.cause, QubitCapExceeded)
+        with pytest.raises(QubitCapExceeded, match="27 qubits exceeds cap 24"):
+            enc.embed_matrix(matrix_of(np.zeros((0, width))), scheme)

@@ -161,6 +161,12 @@ class TestFitValidation:
             models.fit(ModelSpec("tree"), X, np.array([0, 1, bad, 1, 0, 0]))
 
     @pytest.mark.parametrize("kind", models.MODEL_KINDS)
+    def test_bare_array_needs_labels(self, kind):
+        # only a FeatureMatrix carries its labels
+        with pytest.raises(ValueError, match="labels required when X is a bare array"):
+            models.fit(ModelSpec(kind), np.zeros((6, 2)))
+
+    @pytest.mark.parametrize("kind", models.MODEL_KINDS)
     def test_no_feature_columns(self, kind):
         # forest and svm would divide by the zero width; the rest scored constants
         with pytest.raises(DimensionMismatch, match="a feature column"):
@@ -769,19 +775,19 @@ class TestAdaboost:
 
 
 class TestGbt:
-    def test_training_loss_monotone(self):
+    def test_training_loss_monotone(self, gbt_losses):
         for seed in range(5):
             X, y = blobs(20 + seed, n=60, d=3, spread=2.5)
             model = models.fit(ModelSpec("gbt", params={"n_rounds": 40}), X, y)
-            losses = np.array(model.state["losses"])
+            losses = gbt_losses(model, X, y)
             assert np.all(np.diff(losses) <= 1e-12)
 
-    def test_loss_starts_below_prior(self):
+    def test_loss_starts_below_prior(self, gbt_losses):
         X, y = blobs(26, n=60, spread=2.0)
         model = models.fit(ModelSpec("gbt", params={"n_rounds": 5}), X, y)
         p0 = np.clip(y.mean(), 1e-15, 1 - 1e-15)
         prior_loss = -(y.mean() * math.log(p0) + (1 - y.mean()) * math.log(1 - p0))
-        assert model.state["losses"][0] <= prior_loss + 1e-12
+        assert gbt_losses(model, X, y)[0] <= prior_loss + 1e-12
 
     def test_fits_separable_data(self):
         X, y = blobs(27, n=60, spread=0.6)

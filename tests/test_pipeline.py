@@ -109,6 +109,31 @@ class TestLoadCsv:
         assert "junk" not in ds.columns
 
 
+TARGETS = (ColumnSpec("a", pl.TARGET), ColumnSpec("b", pl.TARGET))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FeatureMatrix(np.zeros(3), ("a",), np.zeros(3)), "data must be 2-D"),
+        (lambda: FeatureMatrix(np.zeros((3, 2)), ("a",), np.zeros(3)),
+         "one name per column required"),
+        (lambda: FeatureMatrix(np.array([[0.0], [math.inf]]), ("a",), np.zeros(2)),
+         "matrix entries must be finite"),
+        (lambda: FeatureMatrix(np.zeros((3, 1)), ("a",), np.zeros(2)),
+         "label length must equal row count"),
+        (lambda: FeatureMatrix(np.zeros((3, 1)), ("a",), [0, 1, 2]), "labels must be 0/1"),
+        (lambda: ColumnSpec("a", "ordinal"), "unknown column kind 'ordinal'"),
+        (lambda: pl.Dataset((ColumnSpec("a", pl.NUMERIC),), {"a": np.zeros(2)}, 2),
+         "exactly one target column"),
+        (lambda: pl.Dataset(TARGETS, {"a": ("x", "y"), "b": ("x", "y")}, 2),
+         "exactly one target column"),
+    ], ids=["1-d", "names", "non-finite", "label-length", "labels-0-1", "column-kind",
+            "no-target", "two-targets"])
+    def test_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 @pytest.fixture(scope="module")
 def telco_csv(tmp_path_factory):
     """A 20,000-row synthetic churn table written as CSV, and the table."""
@@ -921,6 +946,20 @@ class TestRunPreprocess:
         assert np.array_equal(a.train.data, b.train.data)
         assert np.array_equal(a.test.data, b.test.data)
         assert np.array_equal(a.train.labels, b.train.labels)
+
+    @pytest.mark.parametrize("n_features", [1, 2])
+    def test_fewer_than_three_columns_have_no_elbow(self, n_features):
+        # the elbow needs three explained-variance ratios; n_components stands in
+        rng = np.random.default_rng(n_features)
+        schema = tuple(ColumnSpec(f"f{j}", pl.NUMERIC) for j in range(n_features))
+        rows = [(*rng.normal(size=n_features), "Yes" if i % 3 else "No") for i in range(90)]
+        ds = make_dataset(rows, schema + (ColumnSpec("churn", pl.TARGET),))
+        with pytest.raises(TooFewComponents, match=f"^{n_features} components have no elbow; "
+                                                   "set n_components$"):
+            pl.run_preprocess(ds, pl.PreprocessOptions())
+        result = pl.run_preprocess(ds, pl.PreprocessOptions(n_components=n_features))
+        assert result.report.elbow_index is None and result.report.cumulative_at_elbow is None
+        assert result.train.n_cols == n_features
 
     def test_extra_drops_and_fixed_components(self):
         opts = pl.PreprocessOptions(seed=2, extra_drops=("spend",), n_components=3)

@@ -49,6 +49,29 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             qsim.StateVector(1, np.array([1.0, 1.0]), qsim.DENSE)
 
+    @pytest.mark.parametrize("n, data, layout, message", [
+        (1, [math.nan, 1.0], qsim.DENSE, "amplitudes must be finite"),
+        (2, [1.0, 0.0], qsim.DENSE, "dense amplitude count must be 2\\^n_qubits"),
+        (2, [[1.0, 0.0]], qsim.PRODUCT, "one 2-amplitude factor per qubit"),
+        (1, [[1.0, 1.0]], qsim.PRODUCT, "every product factor must be normalized"),
+        (1, [1.0, 0.0], "sparse", "unknown layout 'sparse'"),
+    ], ids=["non-finite", "dense-count", "product-shape", "product-norm", "layout"])
+    def test_malformed_state_rejected(self, n, data, layout, message):
+        with pytest.raises(ValueError, match=message):
+            qsim.StateVector(n, np.array(data), layout)
+
+    def test_repr_names_qubits_and_layout(self):
+        assert repr(new_zero_state(3)) == "StateVector(n_qubits=3, layout='product')"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_states_of_different_widths_never_equal(self, n):
+        # |0...0> on n and on n + 1 qubits: equal amplitudes where both have
+        # them, but no global phase maps one onto the other
+        a, b = new_zero_state(n), new_zero_state(n + 1)
+        assert states_equal_up_to_phase(a, a.to_dense())
+        assert not states_equal_up_to_phase(a, b)
+        assert not states_equal_up_to_phase(b, a)
+
     def test_to_dense_of_dense_state_is_itself(self):
         s = random_dense_state(np.random.default_rng(1), 3)
         assert s.to_dense() is s
