@@ -117,9 +117,10 @@ def _cmd_encode(args) -> int:
 
 def _load_config(args):
     raw = load_raw(args.config)
-    if getattr(args, "seed", None) is not None:
-        raw = dict(raw)
-        raw["seed"] = args.seed
+    if getattr(args, "seed", None) is not None:  # models echo their own seed: set it too
+        raw = dict(raw, seed=args.seed)
+        if isinstance(models := raw.get("models"), list):
+            raw["models"] = [dict(m, seed=args.seed) if isinstance(m, dict) else m for m in models]
     return config_from_dict(raw)
 
 

@@ -77,9 +77,10 @@ class BenchConfig:
             raise ConfigError("config needs at least one encoding")
         if not self.models:
             raise ConfigError("config needs at least one model")
-        names = [e.name for e in self.encodings]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate encoding names: {names}")
+        for what, names in (("encoding", [e.name for e in self.encodings]),
+                            ("dataset.schema column", [c.name for c in self.schema])):
+            if twice := [name for i, name in enumerate(names) if name in names[:i]]:
+                raise ConfigError(f"duplicate {what} names: {twice}")
 
 
 def _json_types(default, annotation="") -> tuple[type, ...]:

@@ -10,8 +10,8 @@ reads.  Models live only for the run that fits them; nothing persists them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from operator import le, lt
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..errors import (
     NonFiniteFeature,
     SingleClass,
 )
-from ..pipeline import FeatureMatrix, checked_int
+from ..pipeline import FeatureMatrix, checked_int, checked_real
 from . import ensemble, linear, neighbors, svm, tree
 from .svm import KernelFn
 
@@ -115,35 +115,27 @@ _KINDS = {
 MODEL_KINDS = tuple(DEFAULT_PARAMS)
 
 
-def _real(test):
-    return lambda v: isinstance(v, (int, float, np.integer, np.floating)) \
-        and not isinstance(v, bool) and math.isfinite(v) and test(v)
-
-
-_INT = ("an integer >= 1",
-        lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1)
-_POSITIVE = ("a finite real number > 0", _real(lambda v: v > 0))
-# What each hyperparameter must be, and the test; the same key means the
-# same in every kind.  KernelFn checks the kernel and its degree.
-_RULES = {
-    "bootstrap": ("true or false", lambda v: isinstance(v, bool)),
-    "l2": ("a finite real number >= 0", _real(lambda v: v >= 0)),
-    "C": _POSITIVE, "gamma": _POSITIVE, "tol": _POSITIVE, "lr": _POSITIVE,
-    "coef0": ("a finite real number", _real(lambda v: True)),
-    "feature_fraction": ("a finite real number in (0, 1]", _real(lambda v: 0 < v <= 1)),
-    "max_iter": _INT, "k": _INT, "max_depth": _INT, "min_leaf": _INT,
-    "n_trees": _INT, "n_rounds": _INT,
-}
-_NULLABLE = ("gamma", "feature_fraction", "max_depth")
+# What each hyperparameter must be, checked by key, the same in every kind: an
+# integer >= 1, a bool, or a finite real number x in its range, below(0, x) and
+# x <= high.  None is allowed for the _NULLABLE keys.
+_INTEGERS = ("max_iter", "k", "max_depth", "min_leaf", "n_trees", "n_rounds")
+_REALS = {"l2": (">= 0", le, np.inf), "C": ("> 0", lt, np.inf), "tol": ("> 0", lt, np.inf),
+          "lr": ("> 0", lt, np.inf), "feature_fraction": ("in (0, 1]", lt, 1)}
+_NULLABLE = ("feature_fraction", "max_depth")
 
 
 def _validate_params(p: dict) -> None:
-    for key, value in p.items():
-        if key in _RULES and not (value is None and key in _NULLABLE):
-            what, ok = _RULES[key]
-            if not ok(value):
-                raise InvalidHyperparameter(f"{key} must be {what}")
-    if "kernel" in p:
+    for key, v in p.items():
+        if v is None and key in _NULLABLE:
+            continue
+        if key in _INTEGERS:
+            checked_int(v, 1, key, InvalidHyperparameter)
+        elif key in _REALS:
+            what, below, high = _REALS[key]
+            checked_real(v, key, what, lambda x: below(0, x) and x <= high, InvalidHyperparameter)
+        elif key == "bootstrap" and not isinstance(v, (bool, np.bool_)):
+            raise InvalidHyperparameter(f"bootstrap must be true or false, got {v!r}")
+    if "kernel" in p:  # KernelFn checks the kernel's own settings: gamma, degree, coef0
         KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"])
 
 
@@ -160,6 +152,8 @@ class ModelSpec:
         if self.kind not in DEFAULT_PARAMS:
             raise InvalidHyperparameter(f"unknown model kind {self.kind!r}")
         object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed", InvalidHyperparameter))
+        if not isinstance(self.params, dict):
+            raise InvalidHyperparameter(f"params must be a dict, got {self.params!r}")
         defaults = DEFAULT_PARAMS[self.kind]
         unknown = set(self.params) - set(defaults)
         if unknown:

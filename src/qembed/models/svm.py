@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionMismatch, InvalidHyperparameter
-from ..pipeline import checked_int
+from ..pipeline import checked_int, checked_real
 from .neighbors import sq_distances
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
@@ -32,8 +32,11 @@ class KernelFn:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidHyperparameter(f"unknown kernel {self.kind!r}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise InvalidHyperparameter("gamma must be positive")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", checked_real(
+                self.gamma, "gamma", "> 0", (0.0).__lt__, InvalidHyperparameter))
+        object.__setattr__(self, "coef0",
+                           checked_real(self.coef0, "coef0", error=InvalidHyperparameter))
         object.__setattr__(self, "degree",
                            checked_int(self.degree, 1, "degree", InvalidHyperparameter))
 

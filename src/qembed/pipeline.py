@@ -45,6 +45,15 @@ def checked_int(value, minimum: int, name: str, error=ValueError) -> int:
     return int(value)
 
 
+def checked_real(value, name: str, what: str = "", ok=math.isfinite, error=ValueError) -> float:
+    """value as a Python float, if it is a finite real number, never a bool, that ok(float)
+    accepts; a numpy number passes, anything else raises `error` naming the range `what`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value) or not ok(float(value))):
+        raise error(f"{name} must be a finite real number {what}".rstrip() + f", got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Declared name and kind of one CSV column."""
@@ -146,7 +155,9 @@ def load_csv(path, schema) -> Dataset:
     string object per distinct value.
     """
     schema = tuple(schema)
-    kinds = {spec.name: spec.kind for spec in schema}  # a repeated name keeps its last kind
+    kinds = {spec.name: spec.kind for spec in schema}
+    if len(kinds) < len(schema):
+        raise ValueError(f"schema names a column twice: {[spec.name for spec in schema]}")
     texts = {name: [] for name, kind in kinds.items() if kind != NUMERIC}
     distinct = {name: {} for name in texts}
     parts = {name: [] for name, kind in kinds.items() if kind == NUMERIC}
@@ -509,8 +520,8 @@ def find_elbow(ratios) -> int:
 
 @dataclass(frozen=True)
 class PreprocessOptions:
-    """Knobs for run_preprocess; defaults match the telco churn benchmark.
-    Thresholds are stored as Python floats, counts as Python ints, names as a tuple."""
+    """Knobs for run_preprocess; defaults match the telco churn benchmark.  Thresholds
+    are stored as Python floats, counts as ints, the flag as a bool, names as a tuple."""
 
     corr_threshold: float = 0.8
     vif_threshold: float = 12.0
@@ -521,25 +532,18 @@ class PreprocessOptions:
     n_components: int | None = None  # None: pick by elbow
 
     def __post_init__(self):
-        for name in ("corr_threshold", "vif_threshold", "split_ratio"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        for name, what, ok in (("corr_threshold", "in (0, 1]", lambda v: 0 < v <= 1),
+                               ("vif_threshold", "> 1", lambda v: v > 1),
+                               ("split_ratio", "in (0, 1)", lambda v: 0 < v < 1)):
+            object.__setattr__(self, name, checked_real(getattr(self, name), name, what, ok))
         object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed"))
         if self.n_components is not None:
             object.__setattr__(self, "n_components",
                                checked_int(self.n_components, 1, "n_components"))
-        if not 0 < self.split_ratio < 1:
-            raise ValueError("split_ratio must be in (0, 1)")
-        if not 0 < self.corr_threshold <= 1:
-            raise ValueError("corr_threshold must be in (0, 1]")
-        if not self.vif_threshold > 1:
-            raise ValueError("vif_threshold must exceed 1")
-        if not isinstance(self.standardize, bool):
+        if not isinstance(self.standardize, (bool, np.bool_)):
             raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
-        if isinstance(self.extra_drops, str) or not all(
+        object.__setattr__(self, "standardize", bool(self.standardize))
+        if not isinstance(self.extra_drops, (list, tuple)) or not all(
                 isinstance(name, str) for name in self.extra_drops):
             raise ValueError(f"extra_drops must be column names, got {self.extra_drops!r}")
         object.__setattr__(self, "extra_drops", tuple(self.extra_drops))

@@ -819,6 +819,44 @@ class TestCli:
         assert a["seed"] == 9
         assert a["split_checksum"] == b["split_checksum"]
 
+    def test_seed_flag_reseeds_the_models_of_a_results_file_rerun(self, tmp_path, capsys):
+        # the echo records each model's seed; a results-file re-run with --seed 7
+        # once kept the forest on the first run's seed, unlike a fresh --seed 7 run
+        cfg_path = self.write_config(tmp_path, models=[
+            {"kind": "forest", "params": {"n_trees": 10}}, {"kind": "knn", "seed": 5}])
+        fresh, first, rerun = tmp_path / "fresh", tmp_path / "first", tmp_path / "rerun"
+        for config_path, out, seed in [(cfg_path, fresh, ["--seed", "7"]), (cfg_path, first, []),
+                                       (first / "results.json", rerun, ["--seed", "7"])]:
+            assert cli.main(["bench", "--config", str(config_path), "--out", str(out), *seed]) == 0
+        capsys.readouterr()
+        a, b = (json.loads((out / "results.json").read_text()) for out in (fresh, rerun))
+        assert [m["seed"] for m in b["manifest"]["config"]["models"]] == [7, 7]
+        assert a["manifest"]["config_sha256"] == b["manifest"]["config_sha256"]
+        assert [c["report"] for c in a["results"]] == [c["report"] for c in b["results"]]
+
+    @pytest.mark.parametrize("models", ["forest", ["forest"]])
+    def test_seed_flag_leaves_malformed_models_to_the_config_check(self, tmp_path, capsys,
+                                                                    models):
+        cfg_path = self.write_config(tmp_path, models=models)
+        errors = []
+        for seed in ([], ["--seed", "7"]):
+            assert cli.main(["bench", "--config", str(cfg_path), *seed]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("name, extra_drops", [("tenure", []), ("Contract", ["Contract"])])
+    def test_schema_naming_a_column_twice_rejected(self, tmp_path, capsys, name, extra_drops):
+        # the column entered the matrix twice: tenure was dropped for correlation
+        # 1.0000000000000007, and Contract reported dropped twice
+        schema = [asdict(c) for c in config.TELCO_SCHEMA]
+        schema.append(next(c for c in schema if c["name"] == name))
+        cfg_path = self.write_config(
+            tmp_path, dataset={"path": None, "synthetic_rows": 200, "schema": schema},
+            preprocess={"n_components": 6, "extra_drops": extra_drops})
+        assert cli.main(["bench", "--config", str(cfg_path)]) == 1
+        assert (f"config error: duplicate dataset.schema column names: [{name!r}]"
+                in capsys.readouterr().err)
+
     def test_bench_negative_seed_rejected(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         assert cli.main(["bench", "--config", str(cfg_path),

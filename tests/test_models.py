@@ -46,6 +46,11 @@ def train_accuracy(model, X, y):
     return float(np.mean(model.predict(X) == y))
 
 
+REJECTED = "rejected"
+# A bool given as a number, NaN, inf and a string: each a typed error in every record
+NOT_A_NUMBER = [True, np.bool_(True), math.nan, math.inf, "1"]
+
+
 class TestModelSpec:
     def test_defaults_merged(self):
         spec = ModelSpec("knn")
@@ -127,6 +132,32 @@ class TestModelSpec:
             for d in (np.int64(2), 2)
         ]
         assert np.array_equal(*scores)
+
+    @pytest.mark.parametrize("kind, key, value, stored", [
+        ("logreg", "l2", np.float32(0.5), 0.5), ("logreg", "max_iter", np.int64(5), 5),
+        ("svm", "C", np.int64(2), 2), ("svm", "gamma", np.float64(0.25), 0.25),
+        ("svm", "coef0", np.int64(-1), -1), ("forest", "bootstrap", np.bool_(False), False),
+        ("forest", "feature_fraction", np.float64(1.0), 1.0),
+        *[(kind, key, bad, REJECTED) for kind, key in [
+            ("logreg", "l2"), ("svm", "C"), ("svm", "gamma"), ("svm", "coef0"), ("svm", "tol"),
+            ("gbt", "lr"), ("forest", "feature_fraction"), ("knn", "k"), ("forest", "n_trees"),
+        ] for bad in NOT_A_NUMBER],
+        ("forest", "bootstrap", 1, REJECTED), ("forest", "bootstrap", np.int64(0), REJECTED),
+    ])
+    def test_shared_rules(self, kind, key, value, stored):
+        # numpy scalars are stored as the Python numbers and bools they hold, as
+        # written (an integer C stays an integer), so the spec echoes as JSON
+        if stored is REJECTED:
+            with pytest.raises(InvalidHyperparameter, match=f"{key} must be .*, got"):
+                ModelSpec(kind, params={key: value})
+            return
+        got = ModelSpec(kind, params={key: value}).params[key]
+        assert (got, type(got)) == (stored, type(stored))
+
+    @pytest.mark.parametrize("params", [None, 3, [("k", 3)]])
+    def test_params_must_be_a_dict(self, params):
+        with pytest.raises(InvalidHyperparameter, match="params must be a dict"):
+            ModelSpec("knn", params=params)
 
     def test_numpy_scalars_stored_as_python_numbers(self):
         # so the spec echoes as JSON, as a config's manifest does
@@ -307,8 +338,25 @@ class TestKernels:
         assert _kernel(k, a, b) == pytest.approx(math.tanh(0.5 * (-1.5) + 0.1))
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(InvalidHyperparameter, match="gamma must be positive"):
+        with pytest.raises(InvalidHyperparameter, match="gamma must be a finite real number > 0"):
             KernelFn("rbf", gamma=0.0)
+
+    @pytest.mark.parametrize("field, value, stored", [
+        ("gamma", np.float32(0.5), 0.5), ("gamma", np.int64(2), 2.0), ("gamma", None, None),
+        ("coef0", np.int64(-1), -1.0), ("coef0", np.float64(0.25), 0.25),
+        ("degree", np.int32(2), 2),
+        *[(field, bad, REJECTED) for field in ("gamma", "coef0", "degree") for bad in NOT_A_NUMBER],
+        ("gamma", -1, REJECTED),
+    ])
+    def test_shared_rules(self, field, value, stored):
+        # KernelFn alone checks the kernel's settings, and stores Python numbers;
+        # a bool gamma ran as 1, and NaN or inf gave a NaN gram
+        if stored is REJECTED:
+            with pytest.raises(InvalidHyperparameter, match=f"{field} must be .*, got"):
+                KernelFn("polynomial", **{field: value})
+            return
+        got = getattr(KernelFn("polynomial", **{field: value}), field)
+        assert (got, type(got)) == (stored, type(stored))
 
     @pytest.mark.parametrize("kind", ["rbf", "polynomial", "sigmoid"])
     def test_default_gamma_needs_a_feature(self, kind):

@@ -101,6 +101,11 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             pl.load_csv(p, SCHEMA)
 
+    def test_schema_naming_a_column_twice_rejected(self, tmp_path):
+        # before the file is opened: the column would enter the matrix twice
+        with pytest.raises(ValueError, match="schema names a column twice"):
+            pl.load_csv(tmp_path / "absent.csv", SCHEMA + (ColumnSpec("amount", pl.NUMERIC),))
+
     def test_extra_columns_ignored(self, tmp_path):
         p = tmp_path / "d.csv"
         write_csv(p, ["junk", "id", "color", "amount", "label"],
@@ -110,6 +115,7 @@ class TestLoadCsv:
 
 
 TARGETS = (ColumnSpec("a", pl.TARGET), ColumnSpec("b", pl.TARGET))
+REJECTED = "rejected"
 
 
 class TestInputChecks:
@@ -904,6 +910,27 @@ class TestPreprocessOptions:
         # never True run as 1 or 1.0
         with pytest.raises(ValueError, match=f"{field} must be .*, got"):
             pl.PreprocessOptions(**{field: value})
+
+    @pytest.mark.parametrize("field, value, stored", [
+        ("corr_threshold", np.float32(0.5), 0.5), ("vif_threshold", np.int64(5), 5.0),
+        ("split_ratio", np.float64(0.5), 0.5), ("seed", np.int32(2), 2),
+        ("n_components", np.int64(3), 3), ("standardize", np.bool_(False), False),
+        *[(field, bad, REJECTED) for field in ("corr_threshold", "vif_threshold", "split_ratio")
+          for bad in (True, np.bool_(True), math.nan, math.inf, -math.inf, "0.5")],
+        ("seed", np.bool_(True), REJECTED), ("n_components", math.nan, REJECTED),
+        ("standardize", 0, REJECTED), ("standardize", np.int64(1), REJECTED),
+        ("extra_drops", None, REJECTED), ("extra_drops", 3, REJECTED),
+    ])
+    def test_shared_rules(self, field, value, stored):
+        # numpy scalars are stored as the Python numbers and bools they hold; a
+        # bool is never a number, a real is finite, and a field of the wrong
+        # container type is a typed error, not a TypeError
+        if stored is REJECTED:
+            with pytest.raises(ValueError, match=f"{field} must be .*, got"):
+                pl.PreprocessOptions(**{field: value})
+            return
+        got = getattr(pl.PreprocessOptions(**{field: value}), field)
+        assert (got, type(got)) == (stored, type(stored))
 
     def test_numpy_scalars_stored_as_python_numbers(self):
         opts = pl.PreprocessOptions(seed=np.int64(2), n_components=np.int64(3),
