@@ -50,20 +50,22 @@ def _fit_svm(p, seed, data, y):
 
 
 def _fit_tree(p, seed, data, y):
-    grown = tree.grow_classifier(data, y, max_depth=p["max_depth"], min_leaf=p["min_leaf"])
-    return TrainMeta(), {"trees": [grown], "weights": np.ones(1), "offset": 0.0, "scale": 1.0}
+    nodes = []
+    tree.grow_classifier(nodes, data, y, max_depth=p["max_depth"], min_leaf=p["min_leaf"])
+    return TrainMeta(), {"tree": tree.Tree.of(nodes, [0]), "weights": np.ones(1),
+                         "offset": 0.0, "scale": 1.0}
 
 
 def _fit_forest(p, seed, data, y):
-    trees = tree.grow_forest(data, y, p["n_trees"], p["feature_fraction"], p["max_depth"],
+    grown = tree.grow_forest(data, y, p["n_trees"], p["feature_fraction"], p["max_depth"],
                              p["min_leaf"], p["bootstrap"], np.random.default_rng(seed))
-    return _rounds({"trees": trees, "weights": np.ones(len(trees)), "offset": 0.0,
-                    "scale": len(trees)})
+    return _rounds({"tree": grown, "weights": np.ones(p["n_trees"]), "offset": 0.0,
+                    "scale": p["n_trees"]})
 
 
 def _rounds(state):
     """A tree-sum state, with one iteration per tree."""
-    return TrainMeta(len(state["trees"])), state
+    return TrainMeta(state["tree"].roots.size), state
 
 
 def _tree_sum(p, s, data):
@@ -191,7 +193,8 @@ class TrainedModel:
       svm      kernel (the KernelFn with gamma resolved), sv_X, sv_y,
                sv_alpha, bias
       tree, forest, adaboost, gbt
-               trees, weights, offset, scale (see `ensemble`)
+               tree (one node table of every tree), weights, offset,
+               scale (see `ensemble`)
     """
 
     spec: ModelSpec

@@ -1,9 +1,10 @@
 """Tree ensembles: SAMME AdaBoost on stumps, gradient boosting.
 
-Each fit returns a tree-sum state: `trees`, one weight per tree in
-`weights`, `offset` and `scale`, scored by `tree_sum` as
-(offset + sum_t weights[t] * trees[t].predict(X)) / scale.  The single
-tree and the forest are the same state.
+Each fit returns a tree-sum state: `tree`, one node table of all trees,
+one weight per tree in `weights`, `offset` and `scale`, scored by
+`tree_sum` as (offset + sum_t weights[t] * tree.predict(X)[t]) / scale.
+The single tree and the forest are the same state.  A fit reads its
+training rows' leaf values off the grower, never walking its trees.
 """
 from __future__ import annotations
 
@@ -23,35 +24,37 @@ def fit_adaboost(X: np.ndarray, y: np.ndarray, n_rounds: int) -> dict:
     sigmoid; margins map linearly).  With no stump better than chance the
     score is 0.5.  Sample weights renormalize to sum 1 after every round.
     A round with weighted error 0 gets a large clamped vote and ends
-    training; a round no better than chance is discarded and ends
-    training.  Columns are sorted once per fit.
+    training; a round no better than chance is discarded, its nodes
+    with it, and ends training.  Columns are sorted once per fit.
     """
     m = X.shape[0]
     w = np.full(m, 1.0 / m)
     presorted = presort(X)
-    stumps: list[Tree] = []
-    alphas: list[float] = []
+    nodes, roots, alphas = [], [], []
     for _ in range(n_rounds):
-        stump = grow_classifier(
-            X, y, sample_weight=w, max_depth=1, min_leaf=1, presorted=presorted)
-        stump.value = (stump.value >= 0.5).astype(float)
-        miss = stump.predict(X) != y
+        root = len(nodes)
+        vote = grow_classifier(
+            nodes, X, y, sample_weight=w, max_depth=1, min_leaf=1, presorted=presorted) >= 0.5
+        miss = vote != y
         err = float(np.dot(w, miss))
         if err >= 0.5:
+            del nodes[root:]
             break
+        for rec in nodes[root:]:  # the stump's nodes hold its 0/1 votes
+            rec[4] = float(rec[4] >= 0.5)
         err = max(err, 1e-10)
         alpha = math.log((1.0 - err) / err)
-        stumps.append(stump)
+        roots.append(root)
         alphas.append(alpha)
         w = w * np.exp(alpha * miss)
         w /= w.sum()
         if err <= 1e-10:
             break
     return {
-        "trees": stumps,
+        "tree": Tree.of(nodes, roots),
         "weights": np.array(alphas),
-        "offset": 0.0 if stumps else 0.5,
-        "scale": sum(alphas) if stumps else 1.0,
+        "offset": 0.0 if roots else 0.5,
+        "scale": sum(alphas) if roots else 1.0,
     }
 
 
@@ -72,20 +75,19 @@ def fit_gbt(
     f0 = math.log(p_bar / (1.0 - p_bar))
     scores = np.full(X.shape[0], f0)
     presorted = presort(X)
-    trees: list[Tree] = []
+    nodes, roots = [], []
     for _ in range(n_rounds):
         p = sigmoid(scores)
-        tree = grow_regression(X, y - p, p * (1 - p), max_depth, min_leaf, presorted)
-        trees.append(tree)
-        scores = scores + lr * tree.predict(X)
-    return {
-        "trees": trees, "weights": np.full(n_rounds, lr), "offset": f0, "scale": 1.0,
-    }
+        roots.append(len(nodes))
+        leaf = grow_regression(nodes, X, y - p, p * (1 - p), max_depth, min_leaf, presorted)
+        scores = scores + lr * leaf
+    return {"tree": Tree.of(nodes, roots), "weights": np.full(n_rounds, lr), "offset": f0,
+            "scale": 1.0}
 
 
 def tree_sum(state: dict, X: np.ndarray) -> np.ndarray:
-    """(offset + sum_t weights[t] * trees[t].predict(X)) / scale, in tree order."""
+    """(offset + sum_t weights[t] * tree.predict(X)[t]) / scale, in tree order."""
     score = np.full(X.shape[0], state["offset"])
-    for weight, tree in zip(state["weights"], state["trees"]):
-        score = score + weight * tree.predict(X)
+    for weight, leaf in zip(state["weights"], state["tree"].predict(X)):
+        score = score + weight * leaf
     return score / state["scale"]

@@ -1,11 +1,15 @@
-"""CART-style binary trees: flat node arrays grown from presorted columns.
+"""CART-style binary trees: one flat node table per model, grown from presorted columns.
 
 A `Tree` is six arrays indexed by node id: split `feature` and `threshold`,
 child ids `left` and `right` (feature and ids -1 at leaves), `value`, row
-count `n`.  A depth-first grower serves weighted Gini (tree, AdaBoost) and
-the Newton gain on gradient/hessian sums (gbt), one kernel scoring both
-from two per-row arrays.  `grow_forest` grows a forest's trees together,
-level by level: faster on many small trees, half as fast on one large tree.
+count `n`; and `roots`, each tree's root id in tree order.  Child ids index
+the whole table, so a model's trees are one table that `predict` walks
+once.  A depth-first grower appends a tree to its caller's node list and
+returns the rows' leaf values; it serves weighted Gini (tree, AdaBoost)
+and the Newton gain on gradient/hessian sums (gbt), one kernel scoring
+both from two per-row arrays.  `grow_forest` grows a forest's trees
+together, level by level: faster on many small trees, half as fast on
+one large tree.
 
 Depth-first, `presort` sorts X's columns once per tree (once per fit for
 the boosters) into three kinds.  A constant column has no cut and is
@@ -27,13 +31,13 @@ partitions only that last row, since leaves need no more.  A node visits
 its features in index order, as runs of one kind, so its trees are the
 ones a scan of every cut of every sorted column gives, bit for bit.
 
-A node scores its scanned features in (features, rows) blocks of at
-most `_BLOCK` elements: prefix sums along the rows, the criterion at each
-cut, the best cut per feature, masking cuts between equal values of tied
+One search serves every run, in (features, rows) blocks of at most
+`_BLOCK` elements: prefix sums along the rows, the criterion at each cut,
+the best cut per feature, masking cuts between equal values of tied
 features (a tie-free feature's values are read at its best cut only);
-two-valued features and partitions go in blocks of the same size.  The budget stops a wide node (thousands of rows
-by dozens of columns) from allocating several full-size float
-temporaries at once.  In both growers thresholds are midpoints between
+two-valued features and partitions go in blocks of the same size.  The
+budget stops a wide node (thousands of rows by dozens of columns) from
+allocating several full-size float temporaries at once.  In both growers thresholds are midpoints between
 distinct neighbors, or the lower neighbor where the midpoint rounds up to
 the upper one (adjacent floats) or overflows, so both children keep rows.
 A later feature wins only by more than `_EPS`, so ties break toward the
@@ -58,9 +62,9 @@ _RUN = 1 << 12  # elements per run of the level-wise search, ~100 bytes each
 
 @dataclass
 class Tree:
-    """Flat tree, root at node 0; `left[i] == -1` marks node i as a leaf.
+    """Flat node table of trees rooted at `roots`; `left[i] == -1` marks node i as a leaf.
     Forest trees number nodes in level order, others in preorder; `predict`
-    and `depth` do not depend on the order."""
+    does not depend on the order."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -68,26 +72,26 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     n: np.ndarray
+    roots: np.ndarray
+
+    @classmethod
+    def of(cls, nodes: list, roots) -> Tree:
+        """The table of a grower's [feature, threshold, left, right, value, n] records."""
+        columns = zip(*nodes) if nodes else [()] * 6
+        dtypes = (int, float, int, int, float, int)
+        return cls(*map(np.array, columns, dtypes), np.array(roots, dtype=int))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value per row (class-1 probability or regression output)."""
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        active = np.flatnonzero(self.left[node] >= 0)  # rows not yet at a leaf
+        """Leaf value (class-1 probability or regression output) per (tree, row)."""
+        m = X.shape[0]
+        node = np.repeat(self.roots, m)  # pair t * m + i: tree t, row i
+        active = np.flatnonzero(self.left[node] >= 0)  # pairs not yet at a leaf
         while active.size:
             at = node[active]
-            go_left = X[active, self.feature[at]] <= self.threshold[at]
+            go_left = X[active % m, self.feature[at]] <= self.threshold[at]
             node[active] = np.where(go_left, self.left[at], self.right[at])
             active = active[self.left[node[active]] >= 0]
-        return self.value[node]
-
-    @property
-    def depth(self) -> int:
-        depth, level = 0, np.flatnonzero(self.left[:1] >= 0)
-        while level.size:
-            level = np.concatenate([self.left[level], self.right[level]])
-            level = level[self.left[level] >= 0]
-            depth += 1
-        return depth
+        return self.value[node].reshape(self.roots.size, m)
 
 
 CONSTANT, TWO_VALUED, SCANNED, TIE_FREE = 0, 1, 2, 3  # column kinds; TIE_FREE: scanned, no tie
@@ -176,54 +180,51 @@ def _left_sum(left, v):
     return np.where(left, v, 0.0).cumsum(axis=1)[:, -1]
 
 
-def _best_split(X, seg, features, at, scores, totals, min_leaf, best, tie_free):
-    """Best (score, feature, threshold) among scanned `features`, whose
-    orders are rows `at` of seg, if it beats `best` by more than _EPS.
+def _best_split(X, seg, run, cut, search, totals, min_leaf, found):
+    """found, a (score, feature, threshold), or the best split among one run
+    of features if it beats found's score by more than _EPS.
 
-    Cut i puts sorted positions 0..i on the left; only cuts that leave
-    min_leaf rows on each side and fall between distinct values count.  On
-    `tie_free` columns every cut does, so only the winner's neighbors are read.
+    The run is (kind, features, their rows of seg); seg's last row lists
+    the node's rows.  A scanned feature's cut i puts sorted positions 0..i
+    on the left; only cuts that leave min_leaf rows on each side and fall
+    between distinct values count.  On a tie-free feature every cut does,
+    so only the winner's neighbors are read.  A two-valued feature j has
+    one cut, cut[j], scored in closed form from the node's rows, in row order.
     """
-    n = seg.shape[1]
+    kind, features, at = run
+    scores, cut_scores = search
+    best, best_j, best_thr = found
+    rows, n = seg[-1], seg.shape[1]
     cuts = slice(min_leaf - 1, n - min_leaf)
     step = max(1, _BLOCK // n)
-    best_j, best_thr = -1, 0.0
     for start in range(0, features.size, step):
         block = features[start:start + step]
-        sorted_rows = seg[at[start]:at[start] + block.size]  # a run's rows are consecutive
-        score = scores(sorted_rows, cuts, totals)
-        if not tie_free:
-            sc = X[sorted_rows, block[:, None]]
-            score[sc[:, min_leaf:n - min_leaf + 1] <= sc[:, cuts]] = np.inf
-        first = score.argmin(axis=1)  # the first, lowest-threshold cut of each min
+        if kind == TWO_VALUED:
+            left = X[rows, block[:, None]] <= cut[block, None]
+            n_left = left.sum(axis=1)
+            ok = (n_left >= min_leaf) & (n_left <= n - min_leaf)
+            score = np.where(ok, cut_scores(left, n_left, rows, totals), np.inf)
+        else:
+            sorted_rows = seg[at[start]:at[start] + block.size]  # a run's rows are consecutive
+            per_cut = scores(sorted_rows, cuts, totals)
+            if kind == SCANNED:
+                sc = X[sorted_rows, block[:, None]]
+                per_cut[sc[:, min_leaf:n - min_leaf + 1] <= sc[:, cuts]] = np.inf
+            first = per_cut.argmin(axis=1)  # the first, lowest-threshold cut of each min
+            score = per_cut[np.arange(block.size), first]
         won = -1
-        for r, s in enumerate(score[np.arange(block.size), first].tolist()):
-            if s < best - _EPS:
-                best, won = s, r
-        if won >= 0:  # the winning cut's two neighbors
-            best_j, cut = int(block[won]), first[won] + cuts.start
-            best_thr = float(_threshold(*X[sorted_rows[won, cut:cut + 2], best_j]))
-    return best, best_j, best_thr
-
-
-def _best_cut(X, rows, features, cut, cut_scores, totals, min_leaf, best):
-    """`_best_split` for two-valued `features`: each has one cut, `cut[j]`,
-    scored in closed form from the node's rows, in row order."""
-    n = rows.size
-    step = max(1, _BLOCK // n)
-    won = -1
-    for start in range(0, features.size, step):
-        block = features[start:start + step]
-        left = X[rows, block[:, None]] <= cut[block, None]
-        n_left = left.sum(axis=1)
-        ok = (n_left >= min_leaf) & (n_left <= n - min_leaf)
-        score = np.where(ok, cut_scores(left, n_left, rows, totals), np.inf)
         for r, s in enumerate(score.tolist()):
             if s < best - _EPS:
-                best, won = s, start + r
-    if won < 0:
-        return best, -1, 0.0
-    return best, int(features[won]), float(cut[features[won]])
+                best, won = s, r
+        if won < 0:
+            continue
+        best_j = int(block[won])
+        if kind == TWO_VALUED:
+            best_thr = float(cut[best_j])
+        else:  # the winning cut's two neighbors
+            c = first[won] + cuts.start
+            best_thr = float(_threshold(*X[sorted_rows[won, c:c + 2], best_j]))
+    return best, best_j, best_thr
 
 
 def _partition(seg, go_left, n_left):
@@ -239,19 +240,18 @@ def _partition(seg, go_left, n_left):
         part[:, n_left:] = rights.reshape(part.shape[0], n - n_left)
 
 
-def _grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, presorted=None):
-    """Depth-first preorder growth: node(rows) gives (value, splittable, totals),
-    scores(sorted_rows, cuts, totals) a score per cut of scanned columns and
-    cut_scores(left, n_left, rows, totals) one per two-valued column (lower
-    is better)."""
+def _grow(nodes, X, node, search, best0, max_depth, min_leaf, presorted=None):
+    """Grow one tree depth-first onto nodes, a list of [feature, threshold,
+    left, right, value, n] records whose child ids count the whole list, in
+    preorder; return each row's leaf value.  node(rows) gives (value,
+    splittable, totals); search is (scores, cut_scores): scores(sorted_rows,
+    cuts, totals) a score per cut of scanned columns and cut_scores(left,
+    n_left, rows, totals) one per two-valued column (lower is better)."""
     m = X.shape[0]
     limit = np.inf if max_depth is None else max_depth
-    if presorted is None:
-        runs, cut, order = presort(X)
-    else:
-        runs, cut, order = presorted.runs, presorted.cut, presorted.order.copy()
-    go_left = np.zeros(m, dtype=bool)
-    nodes = []  # [feature, threshold, left, right, value, n] per node
+    runs, cut, order = presort(X) if presorted is None else presorted
+    order = order if presorted is None else order.copy()  # the caller's stays as it is
+    go_left, leaf = np.zeros(m, dtype=bool), np.empty(m)
     stack = [(0, m, 0, None, 2)]  # segment, depth, parent node, child slot
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while stack:
@@ -262,19 +262,13 @@ def _grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, presorted=Non
             rows = seg[-1]
             val, splittable, totals = node(rows)
             nodes.append(rec := [-1, 0.0, -1, -1, val, hi - lo])
-            if not splittable or hi - lo < 2 * min_leaf or depth >= limit:
-                continue
-            best, j, thr = best0, -1, 0.0
-            for k, features, at in runs:
-                found = (
-                    _best_cut(X, rows, features, cut, cut_scores, totals, min_leaf, best)
-                    if k == TWO_VALUED else
-                    _best_split(X, seg, features, at, scores, totals, min_leaf, best,
-                                k == TIE_FREE)
-                )
-                if found[1] >= 0:
-                    best, j, thr = found
+            found = (best0, -1, 0.0)
+            if splittable and hi - lo >= 2 * min_leaf and depth < limit:
+                for run in runs:
+                    found = _best_split(X, seg, run, cut, search, totals, min_leaf, found)
+            _, j, thr = found
             if j < 0:
+                leaf[rows] = val
                 continue
             rec[:2] = j, thr
             go_left[rows] = goes = X[rows, j] <= thr
@@ -283,11 +277,11 @@ def _grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, presorted=Non
             _partition(seg[-1:] if depth + 1 >= limit else seg, go_left, n_left)
             stack.append((lo + n_left, hi, depth + 1, rec, 3))
             stack.append((lo, lo + n_left, depth + 1, rec, 2))
-    return Tree(*map(np.array, zip(*nodes)))
+    return leaf
 
 
 def _search(a, b, criterion):
-    """`_grow`'s `scores` and `cut_scores` from per-row arrays a and b: each
+    """`_grow`'s search, `scores` and `cut_scores`, from per-row arrays a and b: each
     cut scores criterion(al, bl, totals) on the sums of a and of b over its
     left rows.  a None counts rows, and b then holds 0/1 labels."""
 
@@ -306,10 +300,11 @@ def _search(a, b, criterion):
 
 
 def grow_classifier(
-    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None,
+    nodes: list, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None,
     max_depth: int | None = 8, min_leaf: int = 2, presorted: Presorted | None = None,
-) -> Tree:
-    """Weighted-Gini CART on binary labels; leaves hold P(class 1).
+) -> np.ndarray:
+    """Weighted-Gini CART on binary labels, appended to nodes (see `_grow`);
+    leaves hold P(class 1), and each row's leaf value is returned.
 
     A zero-decrease split is still taken when one exists (pure nodes and
     size/depth limits stop growth), so distinct rows always separate at
@@ -336,14 +331,16 @@ def grow_classifier(
         imp = _gini(wl, pl, *totals)
         return imp if w is None else np.where((wl > 0) & (totals[0] - wl > 0), imp, np.inf)
 
-    return _grow(X, node, *_search(w, wy, impurity), np.inf, max_depth, min_leaf, presorted)
+    return _grow(nodes, X, node, _search(w, wy, impurity), np.inf, max_depth, min_leaf, presorted)
 
 
 def grow_regression(
-    X: np.ndarray, grad: np.ndarray, hess: np.ndarray, max_depth: int | None = 3,
-    min_leaf: int = 2, presorted: Presorted | None = None,
-) -> Tree:
-    """Regression tree on gradient/hessian sums; leaves take a Newton step G/(H+eps).
+    nodes: list, X: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+    max_depth: int | None = 3, min_leaf: int = 2, presorted: Presorted | None = None,
+) -> np.ndarray:
+    """Regression tree on gradient/hessian sums, appended to nodes (see
+    `_grow`); leaves take a Newton step G/(H+eps), and each row's leaf
+    value is returned.
 
     Splits maximize the usual second-order gain G_L^2/H_L + G_R^2/H_R - G^2/H
     and require it positive, so boosting rounds cannot increase the local
@@ -358,7 +355,7 @@ def grow_regression(
         total_g, total_h, parent = totals
         return -(gl**2 / (hl + _EPS) + (total_g - gl) ** 2 / (total_h - hl + _EPS) - parent)
 
-    return _grow(X, node, *_search(grad, hess, loss), -0.0, max_depth, min_leaf, presorted)
+    return _grow(nodes, X, node, _search(grad, hess, loss), -0.0, max_depth, min_leaf, presorted)
 
 
 def _runs(size, budget=_RUN):
@@ -412,8 +409,9 @@ def _pair_splits(X, y, rank, idx, cnt, lo, size, j, n, pos, min_leaf):
 def grow_forest(
     X: np.ndarray, y: np.ndarray, n_trees: int, feature_fraction: float | None,
     max_depth: int | None, min_leaf: int, bootstrap: bool, rng: np.random.Generator,
-) -> list[Tree]:
-    """Bagged Gini CART trees, all grown together level by level from bootstrap counts.
+) -> Tree:
+    """Bagged Gini CART trees, all grown together level by level from bootstrap counts,
+    as one table: roots 0..n_trees-1, then each level's nodes after the level above.
 
     Each split searches k = round(feature_fraction * d) features (None:
     1/sqrt(d); at least one).  Draw order: first each tree's bootstrap, in
@@ -438,18 +436,14 @@ def grow_forest(
         pos.append(float(c @ y))
     # node: in-bag rows idx[lo:lo + size], their counts in cnt; sums n, pos exact
     size, idx, cnt = np.array([r.size for r in idx]), np.concatenate(idx), np.concatenate(cnt)
-    tree, lo, n = np.arange(n_trees), np.cumsum(size) - size, np.full(n_trees, m, float)
-    pos = np.array(pos)
-    next_id = np.ones(n_trees, dtype=np.int64)  # nodes numbered so far, per tree
-    table = [[] for _ in range(7)]  # per level: tree, feature, threshold, left, right, value, n
-    depth = 0
+    lo, n, pos = np.cumsum(size) - size, np.full(n_trees, m, float), np.array(pos)
+    table = []  # per level: feature, threshold, left, right, value, n
+    numbered, depth = n_trees, 0  # nodes numbered so far: the levels down to this one
     with np.errstate(over="ignore"):  # a midpoint of huge neighbors
-        while tree.size:
-            feature, left, right = (np.full(tree.size, -1, np.int32) for _ in range(3))
-            threshold = np.zeros(tree.size)
-            level = (tree, feature, threshold, left, right, pos / n, n.astype(np.int64))
-            for col, part in zip(table, level):
-                col.append(part)
+        while size.size:
+            feature, left, right = (np.full(size.size, -1, np.int32) for _ in range(3))
+            threshold = np.zeros(size.size)
+            table.append((feature, threshold, left, right, pos / n, n.astype(np.int64)))
             # best split per searched node: chunks of at most 4 * _RUN (node, feature,
             # row) elements, or one node, draw features in order and hold per-pair arrays
             go = np.flatnonzero((pos > 0) & (pos < n) & (n >= 2 * min_leaf) & (depth < limit))
@@ -474,10 +468,9 @@ def grow_forest(
             split, (nl, pl), sl = go[w], found[2:4, w], found[4, w].astype(np.int64)
             feature[split], threshold[split] = found[:2, w]
             # children, left then right of each split, in (tree, node) order
-            tree = np.repeat(tree[split], 2)
-            cid = next_id[tree] + np.arange(tree.size) - np.searchsorted(tree, tree)
-            next_id += np.bincount(tree, minlength=n_trees)
-            left[split], right[split] = cid[0::2], cid[1::2]
+            left[split] = numbered + 2 * np.arange(split.size)
+            right[split] = left[split] + 1
+            numbered += 2 * split.size
             span, lo = size[split], np.repeat(lo[split], 2)
             lo[1::2] += sl
             size, n, pos = (np.column_stack([a, b - a]).ravel()
@@ -487,7 +480,4 @@ def grow_forest(
                 # sorting a split's rows by its feature puts the left child's first
                 at = _sorted(X, rank, idx, lo[0::2][run], span[run], feature[split][run])[1]
                 idx[np.sort(at)], cnt[np.sort(at)] = idx[at], cnt[at]
-    by_tree = np.argsort(np.concatenate(table.pop(0)), kind="stable")
-    for i, col in enumerate(table):  # a column at a time, freeing its levels
-        table[i] = np.split(np.concatenate(col)[by_tree], np.cumsum(next_id)[:-1])
-    return [Tree(*arrays) for arrays in zip(*table)]
+    return Tree(*map(np.concatenate, zip(*table)), np.arange(n_trees))

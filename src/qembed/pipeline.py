@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,8 @@ def checked_real(value, name: str, what: str = "", ok=math.isfinite, error=Value
     """value as a Python float, if it is a finite real number, never a bool, that ok(float)
     accepts; a numpy number passes, anything else raises `error` naming the range `what`."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not math.isfinite(value) or not ok(float(value))):
+            or not (abs(value) <= sys.float_info.max if isinstance(value, int)  # fits a float
+                    else math.isfinite(value)) or not ok(float(value))):
         raise error(f"{name} must be a finite real number {what}".rstrip() + f", got {value!r}")
     return float(value)
 

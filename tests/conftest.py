@@ -19,8 +19,8 @@ def _gbt_losses(model, X, y):
     state = model.state
     scores = np.full(X.shape[0], state["offset"])
     losses = []
-    for weight, tree in zip(state["weights"], state["trees"]):
-        scores = scores + weight * tree.predict(X)
+    for weight, leaf in zip(state["weights"], state["tree"].predict(X)):
+        scores = scores + weight * leaf
         pc = np.clip(sigmoid(scores), 1e-15, 1 - 1e-15)
         losses.append(-float(np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
     return np.array(losses)

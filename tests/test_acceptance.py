@@ -356,10 +356,10 @@ def test_criterion_08_model_properties(gbt_losses):
     sums = []
     original = ensemble.grow_classifier
 
-    def spy(Xa, ya, sample_weight=None, **kw):
+    def spy(nodes, Xa, ya, sample_weight=None, **kw):
         if sample_weight is not None:
             sums.append(float(np.sum(sample_weight)))
-        return original(Xa, ya, sample_weight=sample_weight, **kw)
+        return original(nodes, Xa, ya, sample_weight=sample_weight, **kw)
 
     ensemble.grow_classifier = spy
     try:

@@ -857,6 +857,16 @@ class TestCli:
         assert (f"config error: duplicate dataset.schema column names: [{name!r}]"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    def test_int_too_large_for_a_float_is_config_error(self, tmp_path, capsys, command):
+        # JSON's integers have no bound: a 401-digit vif_threshold is a number to the
+        # config layer, and its float conversion overflowed into a traceback
+        cfg_path = self.write_config(tmp_path, preprocess={"vif_threshold": 10**400})
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: preprocess: vif_threshold must be a finite real")
+        assert "Traceback" not in err
+
     def test_bench_negative_seed_rejected(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         assert cli.main(["bench", "--config", str(cfg_path),

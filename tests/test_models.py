@@ -154,6 +154,15 @@ class TestModelSpec:
         got = ModelSpec(kind, params={key: value}).params[key]
         assert (got, type(got)) == (stored, type(stored))
 
+    @pytest.mark.parametrize("kind, key", [
+        ("logreg", "l2"), ("svm", "C"), ("svm", "gamma"), ("svm", "coef0"), ("svm", "tol"),
+        ("gbt", "lr"), ("forest", "feature_fraction")])
+    def test_int_too_large_for_a_float_rejected(self, kind, key):
+        # such an int passes the type test, and math.isfinite of it overflowed
+        with pytest.raises(InvalidHyperparameter,
+                           match=f"^{key} must be a finite real number.*, got 1000"):
+            ModelSpec(kind, params={key: 10**400})
+
     @pytest.mark.parametrize("params", [None, 3, [("k", 3)]])
     def test_params_must_be_a_dict(self, params):
         with pytest.raises(InvalidHyperparameter, match="params must be a dict"):
@@ -358,6 +367,12 @@ class TestKernels:
         got = getattr(KernelFn("polynomial", **{field: value}), field)
         assert (got, type(got)) == (stored, type(stored))
 
+    @pytest.mark.parametrize("field", ["gamma", "coef0"])
+    def test_int_too_large_for_a_float_rejected(self, field):
+        with pytest.raises(InvalidHyperparameter,
+                           match=f"^{field} must be a finite real number.*, got 1000"):
+            KernelFn("rbf", **{field: 10**400})
+
     @pytest.mark.parametrize("kind", ["rbf", "polynomial", "sigmoid"])
     def test_default_gamma_needs_a_feature(self, kind):
         # gamma=None resolves to 1/d, so zero feature columns have no gamma
@@ -467,18 +482,18 @@ def _reference_best_split(X, seg, scores, totals, min_leaf, best):
     return best_j, best_thr
 
 
-def reference_grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, presorted=None):
+def reference_grow(nodes, X, node, search, best0, max_depth, min_leaf, presorted=None):
     """The depth-first grower before columns were told apart by kind: every
     column mergesorted and partitioned, every cut of every column scanned.
-    It stands in for `tree._grow`; `cut_scores` and `presorted` go unused."""
+    It stands in for `tree._grow`; search's `cut_scores` and `presorted` go unused."""
+    scores = search[0]
     m, d = X.shape
     limit = np.inf if max_depth is None else max_depth
     order = np.empty((d + 1, m), dtype=np.int32)
     for j in range(d):
         order[j] = np.argsort(X[:, j], kind="mergesort")
     order[d] = np.arange(m)
-    go_left = np.zeros(m, dtype=bool)
-    nodes = []
+    go_left, leaf = np.zeros(m, dtype=bool), np.empty(m)
     stack = [(0, m, 0, None, 2)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while stack:
@@ -490,9 +505,11 @@ def reference_grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, pres
             val, splittable, totals = node(rows)
             nodes.append(rec := [-1, 0.0, -1, -1, val, hi - lo])
             if not splittable or hi - lo < 2 * min_leaf or depth >= limit:
+                leaf[rows] = val
                 continue
             j, thr = _reference_best_split(X, seg, scores, totals, min_leaf, best0)
             if j < 0:
+                leaf[rows] = val
                 continue
             rec[:2] = j, thr
             go_left[rows] = goes = X[rows, j] <= thr
@@ -500,7 +517,7 @@ def reference_grow(X, node, scores, cut_scores, best0, max_depth, min_leaf, pres
             _partition(seg[d:] if depth + 1 >= limit else seg, go_left, n_left)
             stack.append((lo + n_left, hi, depth + 1, rec, 3))
             stack.append((lo, lo + n_left, depth + 1, rec, 2))
-    return Tree(*map(np.array, zip(*nodes)))
+    return leaf
 
 
 KIND_CASES = ("two_valued", "constant", "interleaved", "signed_zero")
@@ -532,7 +549,39 @@ def kind_data(case, m=150, seed=7):
 
 def tree_bytes(t):
     return [getattr(t, name).tobytes() for name in
-            ("feature", "threshold", "left", "right", "value", "n")]
+            ("feature", "threshold", "left", "right", "value", "n", "roots")]
+
+
+def grown(grow, *args, **kwargs):
+    """A standalone grower's one tree, as a node table."""
+    nodes = []
+    grow(nodes, *args, **kwargs)
+    return Tree.of(nodes, [0])
+
+
+def subtree(table, root):
+    """Node ids of the tree at root, in preorder, and its depth in edges."""
+    ids, depth, stack = [], 0, [(root, 0)]
+    while stack:
+        node, d = stack.pop()
+        ids.append(int(node))
+        depth = max(depth, d)
+        if table.left[node] >= 0:
+            stack += [(table.right[node], d + 1), (table.left[node], d + 1)]
+    return ids, depth
+
+
+def walk(table, X):
+    """Leaf value per tree and row, one tree and one row at a time, from each root."""
+    out = np.empty((table.roots.size, X.shape[0]))
+    for t, root in enumerate(table.roots):
+        for i, x in enumerate(X):
+            node = root
+            while table.left[node] >= 0:
+                go_left = x[table.feature[node]] <= table.threshold[node]
+                node = table.left[node] if go_left else table.right[node]
+            out[t, i] = table.value[node]
+    return out
 
 
 class TestTree:
@@ -557,14 +606,14 @@ class TestTree:
     def test_depth_limit_respected(self):
         X, y = blobs(11, n=80, spread=2.5)
         model = models.fit(ModelSpec("tree", params={"max_depth": 2}), X, y)
-        assert model.state["trees"][0].depth <= 2
+        assert subtree(model.state["tree"], 0)[1] <= 2
 
     def test_split_tie_prefers_lower_feature(self):
         # identical informative columns: the split must use feature 0
         col = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
         X = np.column_stack([col, col])
         y = col.astype(int)
-        root = grow_classifier(X, y, max_depth=1, min_leaf=1)
+        root = grown(grow_classifier, X, y, max_depth=1, min_leaf=1)
         assert root.feature[0] == 0
 
     @pytest.mark.parametrize("a, b", [(1 + 2**-52, 1 + 2**-51), (1.7e308, 1.79e308)])
@@ -574,7 +623,7 @@ class TestTree:
         X = np.array([[a], [a], [b], [b]])
         spec = ModelSpec("tree", params={"min_leaf": 1})
         model = models.fit(spec, X, np.array([0, 0, 1, 1]))
-        assert model.state["trees"][0].threshold[0] == a
+        assert model.state["tree"].threshold[0] == a
         assert list(model.predict_proba(X)) == [0.0, 0.0, 1.0, 1.0]
 
     def test_grower_working_set_is_bounded(self):
@@ -590,7 +639,7 @@ class TestTree:
         for data in (X, np.sign(X)):
             tracemalloc.start()
             try:
-                grow_classifier(data, y)
+                grow_classifier([], data, y)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -605,22 +654,21 @@ class TestTree:
         w = np.random.default_rng(min_leaf).random(y.size)
         fits = {
             "tree": lambda: models.fit(ModelSpec("tree", params={
-                "max_depth": None, "min_leaf": min_leaf}), X, y).state["trees"],
-            "weighted": lambda: [grow_classifier(X, y, w, max_depth=None, min_leaf=min_leaf)],
-            "adaboost": lambda: models.fit(ModelSpec("adaboost"), X, y).state["trees"],
+                "max_depth": None, "min_leaf": min_leaf}), X, y).state["tree"],
+            "weighted": lambda: grown(grow_classifier, X, y, w, max_depth=None, min_leaf=min_leaf),
+            "adaboost": lambda: models.fit(ModelSpec("adaboost"), X, y).state["tree"],
             "gbt": lambda: models.fit(ModelSpec("gbt", params={
-                "n_rounds": 10, "max_depth": None, "min_leaf": min_leaf}), X, y).state["trees"],
+                "n_rounds": 10, "max_depth": None, "min_leaf": min_leaf}), X, y).state["tree"],
             "gbt_depth_3": lambda: models.fit(ModelSpec("gbt", params={
-                "n_rounds": 10, "min_leaf": min_leaf}), X, y).state["trees"],
+                "n_rounds": 10, "min_leaf": min_leaf}), X, y).state["tree"],
         }
         got = {name: fit() for name, fit in fits.items()}
         monkeypatch.setattr(tree_module, "_grow", reference_grow)
         for name, fit in fits.items():
             want = fit()
-            assert [tree_bytes(t) for t in got[name]] == [tree_bytes(t) for t in want], name
-            assert [t.predict(probe).tobytes() for t in got[name]] == \
-                [t.predict(probe).tobytes() for t in want], name
-        assert any(t.feature[0] >= 0 for t in got["tree"])
+            assert tree_bytes(got[name]) == tree_bytes(want), name
+            assert got[name].predict(probe).tobytes() == want.predict(probe).tobytes(), name
+        assert got["tree"].feature[0] >= 0
 
     def test_grower_matches_reference_on_wide_nodes(self, monkeypatch):
         # Nodes of more than _BLOCK rows take one column per block, so the
@@ -629,9 +677,9 @@ class TestTree:
         w = np.random.default_rng(0).random(y.size)
         grad, hess = w - 0.5, w * (1 - w)
         fits = (
-            lambda: grow_classifier(X, y, max_depth=3),
-            lambda: grow_classifier(X, y, w, max_depth=3, min_leaf=5),
-            lambda: grow_regression(X, grad, hess, max_depth=3, min_leaf=1),
+            lambda: grown(grow_classifier, X, y, max_depth=3),
+            lambda: grown(grow_classifier, X, y, w, max_depth=3, min_leaf=5),
+            lambda: grown(grow_regression, X, grad, hess, max_depth=3, min_leaf=1),
         )
         got = [fit() for fit in fits]
         monkeypatch.setattr(tree_module, "_grow", reference_grow)
@@ -686,11 +734,11 @@ class TestTree:
         assert [k for k, _, _ in presort(X).runs] == [SCANNED, TIE_FREE]
         w = np.random.default_rng(seed).random(y.size)
         fits = {
-            "tree": lambda: models.fit(ModelSpec("tree"), X, y).state["trees"],
-            "weighted": lambda: [grow_classifier(X, y, w, min_leaf=3)],
-            "adaboost": lambda: models.fit(ModelSpec("adaboost"), X, y).state["trees"],
+            "tree": lambda: models.fit(ModelSpec("tree"), X, y).state["tree"],
+            "weighted": lambda: grown(grow_classifier, X, y, w, min_leaf=3),
+            "adaboost": lambda: models.fit(ModelSpec("adaboost"), X, y).state["tree"],
             "gbt": lambda: models.fit(ModelSpec("gbt", params={"n_rounds": 20}), X, y).state[
-                "trees"],
+                "tree"],
         }
         got = {name: fit() for name, fit in fits.items()}
         stable = tree_module._stable_argsort
@@ -699,14 +747,14 @@ class TestTree:
         for grow in (tree_module._grow, reference_grow):
             monkeypatch.setattr(tree_module, "_grow", grow)
             for name, fit in fits.items():
-                assert [tree_bytes(t) for t in got[name]] == [tree_bytes(t) for t in fit()], name
-        assert any((t.feature == 0).any() for t in got["tree"] + got["gbt"])
+                assert tree_bytes(got[name]) == tree_bytes(fit()), name
+        assert any((got[name].feature == 0).any() for name in ("tree", "gbt"))
 
     def test_leaf_probabilities_are_class_fractions(self):
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
         y = np.array([1, 1, 0, 0, 0, 0])
-        root = grow_classifier(X, y, max_depth=1, min_leaf=1)
-        got = root.predict(np.array([[0.0], [1.0]]))
+        root = grown(grow_classifier, X, y, max_depth=1, min_leaf=1)
+        got = root.predict(np.array([[0.0], [1.0]]))[0]
         assert got[0] == pytest.approx(2 / 3)
         assert got[1] == pytest.approx(0.0)
 
@@ -745,13 +793,15 @@ class TestForest:
         spec = ModelSpec("forest", seed=11, params={
             "n_trees": 6, "feature_fraction": 1.0, "max_depth": max_depth, "min_leaf": min_leaf,
         })
-        trees = models.fit(spec, X, y).state["trees"]
+        table = models.fit(spec, X, y).state["tree"]
+        assert table.roots.tolist() == list(range(6))
         rng = np.random.default_rng(11)
-        for tree in trees:
+        for root, leaf in zip(table.roots, table.predict(probe)):
             rows = np.repeat(np.arange(m), np.bincount(rng.integers(0, m, size=m), minlength=m))
-            plain = grow_classifier(X[rows], y[rows], max_depth=max_depth, min_leaf=min_leaf)
-            assert tree.predict(probe).tobytes() == plain.predict(probe).tobytes()
-            assert sorted(tree.n.tolist()) == sorted(plain.n.tolist())
+            plain = grown(grow_classifier, X[rows], y[rows], max_depth=max_depth,
+                          min_leaf=min_leaf)
+            assert leaf.tobytes() == plain.predict(probe)[0].tobytes()
+            assert sorted(table.n[subtree(table, root)[0]].tolist()) == sorted(plain.n.tolist())
 
     def test_working_set_is_bounded(self):
         # The level-wise grower holds every tree's in-bag rows and counts as
@@ -784,10 +834,10 @@ class TestAdaboost:
         sums = []
         original = ensemble.grow_classifier
 
-        def spy(X, y, sample_weight=None, **kw):
+        def spy(nodes, X, y, sample_weight=None, **kw):
             if sample_weight is not None:
                 sums.append(float(np.sum(sample_weight)))
-            return original(X, y, sample_weight=sample_weight, **kw)
+            return original(nodes, X, y, sample_weight=sample_weight, **kw)
 
         monkeypatch.setattr(ensemble, "grow_classifier", spy)
         X, y = blobs(15, n=40, spread=2.5)
@@ -800,7 +850,7 @@ class TestAdaboost:
         X = np.array([[0.0], [0.1], [0.9], [1.0]])
         y = np.array([0, 0, 1, 1])
         model = models.fit(ModelSpec("adaboost", params={"n_rounds": 1}), X, y)
-        assert len(model.state["trees"]) == 1
+        assert model.state["tree"].roots.size == 1
         proba = model.predict_proba(X)
         assert np.all(proba[y == 1] > 0.5)
         assert np.all(proba[y == 0] < 0.5)
@@ -811,7 +861,8 @@ class TestAdaboost:
         X = np.ones((8, 1))
         y = np.array([0, 1] * 4)
         model = models.fit(ModelSpec("adaboost"), X, y)
-        assert model.state["trees"] == [] and model.meta.iterations == 0
+        table = model.state["tree"]
+        assert table.roots.size == table.n.size == 0 and model.meta.iterations == 0
         assert np.array_equal(model.predict_proba(np.array([[0.0], [1.0], [5.0]])),
                               [0.5, 0.5, 0.5])
 
@@ -841,6 +892,89 @@ class TestGbt:
         X, y = blobs(27, n=60, spread=0.6)
         model = models.fit(ModelSpec("gbt"), X, y)
         assert train_accuracy(model, X, y) == 1.0
+
+
+TABLE_SPECS = {
+    "tree": ModelSpec("tree", params={"max_depth": None, "min_leaf": 1}),
+    "forest": ModelSpec("forest", seed=4, params={"n_trees": 12}),
+    "adaboost": ModelSpec("adaboost", params={"n_rounds": 30}),
+    "gbt": ModelSpec("gbt", params={"n_rounds": 15}),
+}
+TABLE_CASES = (*KIND_CASES, "tied")
+
+
+def table_data(case):
+    return tied_data() if case == "tied" else kind_data(case)
+
+
+def spy_returns(monkeypatch, name):
+    """What each call of ensemble's grower `name` returned, from now on."""
+    returned, original = [], getattr(ensemble, name)
+
+    def spy(*args, **kwargs):
+        returned.append(original(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(ensemble, name, spy)
+    return returned
+
+
+def assert_one_tree_per_node(table):
+    ids = [i for root in table.roots for i in subtree(table, root)[0]]
+    assert sorted(ids) == list(range(table.n.size))
+
+
+class TestTreeTable:
+    """Every tree model is one node table: `roots` lists each tree's root,
+    child ids index the whole table, and one walk scores every tree."""
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_SPECS))
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_one_walk_scores_every_tree(self, case, kind):
+        # predict gives each row's leaf in each tree, as walking one tree and one
+        # row at a time from its root does; tree_sum adds weights[t] times row t,
+        # in tree order; every node is in exactly one tree
+        X, y, probe = table_data(case)
+        model = models.fit(TABLE_SPECS[kind], X, y)
+        state, table = model.state, model.state["tree"]
+        want = walk(table, probe)
+        assert want.shape == (table.roots.size, probe.shape[0])
+        assert table.predict(probe).tobytes() == want.tobytes()
+        score = np.full(probe.shape[0], state["offset"])
+        for weight, leaf in zip(state["weights"], want):
+            score = score + weight * leaf
+        assert ensemble.tree_sum(state, probe).tobytes() == (score / state["scale"]).tobytes()
+        assert_one_tree_per_node(table)
+        assert model.meta.iterations == (0 if kind == "tree" else table.roots.size)
+
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_boosters_read_leaf_values_off_the_grower(self, case, monkeypatch):
+        # round t's grower returns row t of the table's walk over the training
+        # rows (AdaBoost's stumps hold its values as 0/1 votes), so no fit walks
+        # its own trees
+        X, y, _ = table_data(case)
+        for kind, grower in (("adaboost", "grow_classifier"), ("gbt", "grow_regression")):
+            returned = spy_returns(monkeypatch, grower)
+            with monkeypatch.context() as no_walk:
+                no_walk.setattr(Tree, "predict", None)
+                table = models.fit(TABLE_SPECS[kind], X, y).state["tree"]
+            rounds = np.array(returned[:table.roots.size])
+            if kind == "adaboost":
+                rounds = (rounds >= 0.5).astype(float)
+            assert rounds.tobytes() == walk(table, X).tobytes(), kind
+
+    def test_a_discarded_stump_leaves_no_node(self, monkeypatch):
+        # two stumps are kept; under their reweighting the third is no better
+        # than chance, so it is dropped with its nodes and ends training
+        X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
+        y = np.array([0, 0, 1, 1, 1, 0])
+        returned = spy_returns(monkeypatch, "grow_classifier")
+        model = models.fit(ModelSpec("adaboost"), X, y)
+        table = model.state["tree"]
+        assert len(returned) == 3 and table.roots.tolist() == [0, 3]
+        assert table.n.size == 6 and model.meta.iterations == 2
+        assert_one_tree_per_node(table)
+        assert set(table.value.tolist()) <= {0.0, 1.0}
 
 
 class TestProbabilityContract:

@@ -932,6 +932,12 @@ class TestPreprocessOptions:
         got = getattr(pl.PreprocessOptions(**{field: value}), field)
         assert (got, type(got)) == (stored, type(stored))
 
+    @pytest.mark.parametrize("field", ["corr_threshold", "vif_threshold", "split_ratio"])
+    def test_int_too_large_for_a_float_rejected(self, field):
+        # such an int passes the type test, and math.isfinite of it overflowed
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number.*, got 1000"):
+            pl.PreprocessOptions(**{field: 10**400})
+
     def test_numpy_scalars_stored_as_python_numbers(self):
         opts = pl.PreprocessOptions(seed=np.int64(2), n_components=np.int64(3),
                                     corr_threshold=np.float32(0.5), vif_threshold=12)
