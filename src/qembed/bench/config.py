@@ -81,6 +81,8 @@ class BenchConfig:
                             ("dataset.schema column", [c.name for c in self.schema])):
             if twice := [name for i, name in enumerate(names) if name in names[:i]]:
                 raise ConfigError(f"duplicate {what} names: {twice}")
+        if not any(c.kind in (CATEGORICAL, NUMERIC) for c in self.schema):
+            raise ConfigError("dataset.schema declares no numeric or categorical feature column")
 
 
 def _json_types(default, annotation="") -> tuple[type, ...]:

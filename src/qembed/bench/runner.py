@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ..encoding import BASIS, LINEAR_PI, embed_matrix
-from ..errors import EmptyInput, QembedError
+from ..errors import EmptyInput, QembedError, ZeroVariance
 from ..metrics import MetricReport, compute_report
 from ..models import fit
 from ..pipeline import (
@@ -95,24 +95,27 @@ def encode_split(
     are min-max scaled by the train split's minimum and range, test values
     outside it clip, and a constant train column maps to 0.  Returns
     (encoded train, encoded test, encode milliseconds); the classical
-    passthrough reports exactly 0.0 ms.
+    passthrough reports exactly 0.0 ms.  An encoded train split in which no
+    column varies, the classical one included, raises ZeroVariance naming
+    the entry: a model trained on it could only learn the class balance.
     """
-    scheme = entry.scheme
-    if scheme is None:
-        return train, test, 0.0
-    t0 = time.perf_counter()
-    if scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:
-        if train.n_rows == 0:
-            raise EmptyInput("scaling to [0, 1] needs a nonempty train split")
-        lo = train.data.min(axis=0)
-        span = train.data.max(axis=0) - lo
-        span = np.where(span == 0, 1.0, span)
-        train, test = (
-            FeatureMatrix(np.clip((p.data - lo) / span, 0.0, 1.0), p.column_names, p.labels)
-            for p in (train, test)
-        )
-    enc_train, enc_test = (embed_matrix(p, scheme) for p in (train, test))
-    return enc_train, enc_test, (time.perf_counter() - t0) * 1e3
+    scheme, t0, encode_ms = entry.scheme, time.perf_counter(), 0.0
+    if scheme is not None:
+        if scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:
+            if train.n_rows == 0:
+                raise EmptyInput("scaling to [0, 1] needs a nonempty train split")
+            lo = train.data.min(axis=0)
+            span = train.data.max(axis=0) - lo
+            span = np.where(span == 0, 1.0, span)
+            train, test = (
+                FeatureMatrix(np.clip((p.data - lo) / span, 0.0, 1.0), p.column_names, p.labels)
+                for p in (train, test)
+            )
+        train, test = (embed_matrix(p, scheme) for p in (train, test))
+        encode_ms = (time.perf_counter() - t0) * 1e3
+    if not train.n_rows or not np.ptp(train.data, axis=0).any():
+        raise ZeroVariance(f"encoding {entry.name!r}: no column of the encoded train split varies")
+    return train, test, encode_ms
 
 
 def _run_once(config: BenchConfig, pre: PreprocessResult, checksum: str) -> list[RunResult]:

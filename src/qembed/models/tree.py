@@ -479,5 +479,6 @@ def grow_forest(
             for run in _runs(span) if depth < limit else ():
                 # sorting a split's rows by its feature puts the left child's first
                 at = _sorted(X, rank, idx, lo[0::2][run], span[run], feature[split][run])[1]
-                idx[np.sort(at)], cnt[np.sort(at)] = idx[at], cnt[at]
+                place = np.sort(at)
+                idx[place], cnt[place] = idx[at], cnt[at]
     return Tree(*map(np.concatenate, zip(*table)), np.arange(n_trees))

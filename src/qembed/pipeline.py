@@ -477,7 +477,7 @@ def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1
-    rank = int(np.sum(sing > sing[0] * max(m, d) * np.finfo(float).eps)) if sing.size else 0
+    rank = int(np.sum(sing > sing[0] * max(m, d) * np.finfo(float).eps))
     return PcaModel(mean, components, ratios, rank)
 
 
@@ -614,16 +614,15 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     # VIF round reads C's block over the columns left
     names = matrix.column_names
     keep = list(range(len(names)))  # indices of the ordinal matrix's columns left
-    if len(keep) >= 2:  # a lone column has no pair and no VIF, constant or not
-        corr = correlation_matrix(matrix)
-        for a, b in itertools.combinations([j for j in keep if names[j] not in vocabularies], 2):
-            if a in keep and b in keep and abs(corr[a, b]) >= options.corr_threshold:
-                keep.remove(b)
-                report.dropped.append(DroppedColumn(names[b], "correlation", float(corr[a, b])))
-        kept, report.vif_iterations, vif_dropped = iterative_vif_prune(
-            corr[np.ix_(keep, keep)], [names[j] for j in keep], options.vif_threshold)
-        keep = [keep[i] for i in kept]
-        report.dropped += [DroppedColumn(e.column, "vif", e.vif) for e in vif_dropped]
+    corr = correlation_matrix(matrix)  # under two columns: no pair, and no VIF round
+    for a, b in itertools.combinations([j for j in keep if names[j] not in vocabularies], 2):
+        if a in keep and b in keep and abs(corr[a, b]) >= options.corr_threshold:
+            keep.remove(b)
+            report.dropped.append(DroppedColumn(names[b], "correlation", float(corr[a, b])))
+    kept, report.vif_iterations, vif_dropped = iterative_vif_prune(
+        corr[np.ix_(keep, keep)], [names[j] for j in keep], options.vif_threshold)
+    keep = [keep[i] for i in kept]
+    report.dropped += [DroppedColumn(e.column, "vif", e.vif) for e in vif_dropped]
 
     for name in options.extra_drops:
         if name not in [names[j] for j in keep]:

@@ -11,7 +11,7 @@ import pytest
 
 from qembed.bench import cli, config, data, report, runner
 from qembed.encoding import RAW, amplitude_scheme, angle_scheme, basis_scheme
-from qembed.errors import ConfigError, EmptyInput, EmptyResults
+from qembed.errors import ConfigError, EmptyInput, EmptyResults, ZeroVariance
 from qembed.metrics import MetricReport
 from qembed.models import MODEL_KINDS, ModelSpec
 from qembed.pipeline import NUMERIC, FeatureMatrix, PreprocessOptions, correlation_matrix
@@ -453,6 +453,35 @@ class TestRunner:
         test = FeatureMatrix(np.ones((2, 2)), ("a", "b"), np.array([0, 1]))
         with pytest.raises(EmptyInput):
             runner.encode_split(config.EncodingEntry("basis", basis_scheme()), empty, test)
+
+    def test_information_free_cells_fail_alone(self):
+        # one component: amplitude maps each row to x/|x| = +-1, so its probability
+        # vector is [1, 0] and its Z expectation 1 on every row; the sign survives
+        # in amplitude_parts, and the other encodings keep the component's spread
+        encodings = [{"kind": "classical"}, {"kind": "basis", "readout": "z_expectations"},
+                     {"kind": "angle"}]
+        encodings += [{"kind": "amplitude", "name": readout, "readout": readout}
+                      for readout in ("probability_vector", "z_expectations",
+                                      "amplitude_parts")]
+        run = runner.run_matrix(small_config(preprocess={"n_components": 1},
+                                             encodings=encodings))
+        assert len(run.results) == 12
+        failed = {r.encoding for r in run.results if r.error is not None}
+        assert failed == {"probability_vector", "z_expectations"}
+        for cell in run.results:
+            if cell.encoding in failed:
+                assert cell.error == (f"encode: encoding {cell.encoding!r}: no column "
+                                      "of the encoded train split varies")
+                assert cell.report is None
+            else:
+                assert cell.report.roc_auc is not None
+
+    def test_classical_split_without_spread_rejected(self):
+        names, labels = ("a", "b"), np.array([0, 1, 0])
+        train = FeatureMatrix(np.tile([[1.0, -2.0]], (3, 1)), names, labels)
+        with pytest.raises(ZeroVariance, match="^encoding 'raw': no column of the encoded "
+                                               "train split varies$"):
+            runner.encode_split(config.EncodingEntry("raw", None), train, train)
 
     def test_persist_and_reload(self, tmp_path):
         cfg = small_config()
@@ -998,6 +1027,33 @@ class TestCli:
         assert cli.main(["bench", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
             "data error: 2 components have no elbow; set n_components\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    @pytest.mark.parametrize("kind, value", [("numeric", "2.5"), ("categorical", "red")])
+    def test_lone_constant_column_is_data_error_naming_it(self, tmp_path, capsys, command,
+                                                          kind, value):
+        # numeric or a categorical with one value: it once benched to exit 0,
+        # every cell at AUC 0.5 behind a rank-deficiency note
+        rows = [f"{value},{'Yes' if i % 3 else 'No'}" for i in range(60)]
+        (tmp_path / "flat.csv").write_text("\n".join(["x,Churn", *rows]) + "\n")
+        dataset = {"path": str(tmp_path / "flat.csv"),
+                   "schema": [{"name": "x", "kind": kind}, {"name": "Churn", "kind": "target"}]}
+        cfg_path = self.write_config(tmp_path, dataset=dataset, preprocess={"n_components": 1})
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "data error: column 'x' is constant\n"
+
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    def test_schema_without_feature_column_is_config_error(self, tmp_path, capsys, command):
+        # it passed validation, then failed preprocessing on a k=0 that named no column
+        schema = [{"name": "customerID", "kind": "id"}, {"name": "Churn", "kind": "target"}]
+        cfg_path = self.write_config(
+            tmp_path, dataset={"path": None, "synthetic_rows": 200, "schema": schema})
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: dataset.schema declares no numeric or categorical feature column\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bits", [25, 64])

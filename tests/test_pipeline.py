@@ -1035,6 +1035,15 @@ class TestRunPreprocess:
         with pytest.raises(ZeroVariance, match="column 'MonthlyCharges' is constant"):
             pl.run_preprocess(ds, pl.PreprocessOptions())
 
+    @pytest.mark.parametrize("kind, value", [(pl.NUMERIC, 3.5), (pl.CATEGORICAL, "red")])
+    def test_lone_constant_column_raises(self, kind, value):
+        # one feature column takes the path of many: the correlation matrix's
+        # constancy check, not a fit on a column without information
+        rows = [(value, "Yes" if i % 3 else "No") for i in range(90)]
+        ds = make_dataset(rows, (ColumnSpec("x", kind), ColumnSpec("churn", pl.TARGET)))
+        with pytest.raises(ZeroVariance, match="^column 'x' is constant$"):
+            pl.run_preprocess(ds, pl.PreprocessOptions(n_components=1))
+
     def test_constant_column_error_names_the_first_in_schema_order(self):
         # every feature column enters one correlation matrix, so a constant
         # categorical column before a constant numeric one is the one named
