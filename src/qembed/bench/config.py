@@ -19,7 +19,7 @@ from ..encoding import amplitude_scheme, angle_scheme, basis_scheme
 from ..errors import ConfigError, QembedError
 from ..models import DEFAULT_PARAMS, ModelSpec
 from ..pipeline import CATEGORICAL, ID, NUMERIC, TARGET, ColumnSpec, PreprocessOptions
-from ..pipeline import checked_int
+from ..pipeline import checked_int, checked_layout
 
 # Column layout of the public churn CSV and the synthetic fallback; a column
 # without an entry in _TELCO_KINDS is categorical.
@@ -77,12 +77,15 @@ class BenchConfig:
             raise ConfigError("config needs at least one encoding")
         if not self.models:
             raise ConfigError("config needs at least one model")
-        for what, names in (("encoding", [e.name for e in self.encodings]),
-                            ("dataset.schema column", [c.name for c in self.schema])):
-            if twice := [name for i, name in enumerate(names) if name in names[:i]]:
-                raise ConfigError(f"duplicate {what} names: {twice}")
-        if not any(c.kind in (CATEGORICAL, NUMERIC) for c in self.schema):
-            raise ConfigError("dataset.schema declares no numeric or categorical feature column")
+        names = [e.name for e in self.encodings]
+        if twice := [name for i, name in enumerate(names) if name in names[:i]]:
+            raise ConfigError(f"duplicate encoding names: {twice}")
+        checked_layout(self.schema, "dataset.schema", ConfigError)
+        if self.dataset_path is None and tuple(self.schema) != TELCO_SCHEMA:
+            raise ConfigError("dataset.schema describes a CSV; without dataset.path omit it")
+        features = [c.name for c in self.schema if c.kind in (CATEGORICAL, NUMERIC)]
+        if bad := [name for name in self.preprocess.extra_drops if name not in features]:
+            raise ConfigError(f"preprocess.extra_drops: {bad[0]!r} is not a dataset.schema feature")
 
 
 def _json_types(default, annotation="") -> tuple[type, ...]:

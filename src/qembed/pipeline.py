@@ -70,6 +70,17 @@ class ColumnSpec:
             raise ValueError(f"unknown column kind {self.kind!r}")
 
 
+def checked_layout(schema, name: str, error=ValueError) -> None:
+    """Raise `error` unless schema names each column once, has one target and has a feature."""
+    names = [spec.name for spec in schema]
+    if twice := [n for i, n in enumerate(names) if n in names[:i]]:
+        raise error(f"duplicate {name} column names: {twice}")
+    if [spec.kind for spec in schema].count(TARGET) != 1:
+        raise error(f"{name} must declare exactly one target column")
+    if not any(spec.kind in (CATEGORICAL, NUMERIC) for spec in schema):
+        raise error(f"{name} declares no numeric or categorical feature column")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Typed columnar view of a loaded CSV.
@@ -85,9 +96,7 @@ class Dataset:
     blank_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        targets = [c for c in self.schema if c.kind == TARGET]
-        if len(targets) != 1:
-            raise ValueError("schema must declare exactly one target column")
+        checked_layout(self.schema, "schema")
 
     @property
     def target_name(self) -> str:
@@ -145,21 +154,21 @@ LOAD_BLOCK_ROWS = 1024  # records read, transposed and parsed at a time
 def load_csv(path, schema) -> Dataset:
     """Load a comma-delimited, quoted, header-first CSV against a schema.
 
-    Extra file columns are ignored; schema columns must all be present, and
-    a repeated header name reads its last column.  Blank lines are skipped.
-    Blank, whitespace-only or missing numeric cells parse as 0.0 and are
-    counted per column in the returned Dataset; any other numeric cell that
-    is not a finite number raises UnparsableCell, for the first such cell of
-    the first schema column that has one.
+    A schema that fails `checked_layout` raises ValueError before the file is
+    opened.  Extra file columns are ignored; schema columns must all be
+    present, and a repeated header name reads its last column.  Blank lines
+    are skipped.  Blank, whitespace-only or missing numeric cells parse as 0.0
+    and are counted per column in the returned Dataset; any other numeric
+    cell that is not a finite number raises UnparsableCell, for the first
+    such cell of the first schema column that has one.
 
     The file is read LOAD_BLOCK_ROWS records at a time, so only one block
     of row lists is alive at once, and each non-numeric column holds one
     string object per distinct value.
     """
     schema = tuple(schema)
+    checked_layout(schema, "schema")
     kinds = {spec.name: spec.kind for spec in schema}
-    if len(kinds) < len(schema):
-        raise ValueError(f"schema names a column twice: {[spec.name for spec in schema]}")
     texts = {name: [] for name, kind in kinds.items() if kind != NUMERIC}
     distinct = {name: {} for name in texts}
     parts = {name: [] for name, kind in kinds.items() if kind == NUMERIC}

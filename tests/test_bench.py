@@ -976,14 +976,26 @@ class TestCli:
         )
         assert cli.main(["bench", "--config", str(cfg_path)]) == 2
 
-    @pytest.mark.parametrize("name", ["Churn", "customerID", "TotalCharges", "Colour"])
+    @pytest.mark.parametrize("name", ["TotalCharges"])
     def test_extra_drop_of_no_remaining_feature_is_data_error(self, tmp_path, capsys, name):
-        # the target, the id, a correlation-stage drop, a name not in the schema
+        # a schema feature that the correlation stage has already dropped
         cfg_path = self.write_config(tmp_path, preprocess={"extra_drops": [name]})
         assert cli.main(["preprocess", "--config", str(cfg_path),
                          "--out", str(tmp_path / "pre")]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and repr(name) in err
+
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    @pytest.mark.parametrize("name", ["Churn", "customerID", "Colour", "PhoneServce"])
+    def test_extra_drop_of_no_schema_feature_is_config_error(self, tmp_path, capsys, command,
+                                                            name):
+        # the target, the id, a name not in the schema, a misspelt feature: refused
+        # when the config is read, where they failed after load and preprocessing
+        cfg_path = self.write_config(tmp_path, preprocess={"extra_drops": ["tenure", name]})
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: preprocess.extra_drops: {name!r} is not a dataset.schema feature\n")
 
     def test_repeated_extra_drop_is_a_config_error(self, tmp_path, capsys):
         # refused when the config is read, not reported as two drops of one column
@@ -1054,6 +1066,50 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             "config error: dataset.schema declares no numeric or categorical feature column\n")
+
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    def test_synthetic_table_with_a_custom_schema_is_config_error(self, tmp_path, capsys,
+                                                                  command):
+        # without a path the schema was ignored: the 21-column synthetic table
+        # benched to exit 0 under a manifest that echoed these 3 columns
+        schema = [{"name": "tenure", "kind": "numeric"},
+                  {"name": "Contract", "kind": "categorical"}, {"name": "Churn", "kind": "target"}]
+        cfg_path = self.write_config(
+            tmp_path, dataset={"path": None, "synthetic_rows": 200, "schema": schema})
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: dataset.schema describes a CSV; without dataset.path omit it\n")
+
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    @pytest.mark.parametrize("targets", [[], ["f1", "Churn"]], ids=["no-target", "two-targets"])
+    def test_schema_without_one_target_is_config_error(self, tmp_path, capsys, command, targets):
+        # refused when the config is read, where it was a data error (exit 2)
+        # once the CSV had been read
+        dataset = self.write_narrow_csv(tmp_path, 2)
+        dataset["schema"] = [{"name": "f0", "kind": "numeric"},
+                             *({"name": name, "kind": "target"} for name in targets)]
+        cfg_path = self.write_config(tmp_path, dataset=dataset, preprocess={"n_components": 1})
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: dataset.schema must declare exactly one target column\n")
+
+    @pytest.mark.parametrize("on_csv", [False, True], ids=["synthetic", "csv"])
+    def test_results_file_rerun_reproduces_the_reports(self, tmp_path, capsys, on_csv):
+        # the synthetic run echoes the default schema and the CSV run its own,
+        # and either echo parses back into the same run
+        dataset = self.write_narrow_csv(tmp_path, 3) if on_csv else {"path": None}
+        cfg_path = self.write_config(tmp_path, dataset=dataset, preprocess={"n_components": 2})
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        for config_path, out in [(cfg_path, first), (first / "results.json", rerun)]:
+            assert cli.main(["bench", "--config", str(config_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        a, b = (json.loads((out / "results.json").read_text()) for out in (first, rerun))
+        assert len(a["manifest"]["config"]["dataset"]["schema"]) == (4 if on_csv else 21)
+        assert a["manifest"]["config_sha256"] == b["manifest"]["config_sha256"]
+        assert [c["report"] for c in a["results"]] == [c["report"] for c in b["results"]]
+        assert all(cell["error"] is None for cell in a["results"])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bits", [25, 64])

@@ -103,7 +103,7 @@ class TestLoadCsv:
 
     def test_schema_naming_a_column_twice_rejected(self, tmp_path):
         # before the file is opened: the column would enter the matrix twice
-        with pytest.raises(ValueError, match="schema names a column twice"):
+        with pytest.raises(ValueError, match=r"duplicate schema column names: \['amount'\]"):
             pl.load_csv(tmp_path / "absent.csv", SCHEMA + (ColumnSpec("amount", pl.NUMERIC),))
 
     def test_extra_columns_ignored(self, tmp_path):
@@ -133,8 +133,12 @@ class TestInputChecks:
          "exactly one target column"),
         (lambda: pl.Dataset(TARGETS, {"a": ("x", "y"), "b": ("x", "y")}, 2),
          "exactly one target column"),
+        # refused when built, not inside pca_fit on a k=0 that named no column
+        (lambda: pl.Dataset((ColumnSpec("id", pl.ID), ColumnSpec("y", pl.TARGET)),
+                            {"id": ("a", "b"), "y": ("x", "z")}, 2),
+         "^schema declares no numeric or categorical feature column$"),
     ], ids=["1-d", "names", "non-finite", "label-length", "labels-0-1", "column-kind",
-            "no-target", "two-targets"])
+            "no-target", "two-targets", "no-feature"])
     def test_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
