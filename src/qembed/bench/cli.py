@@ -26,7 +26,7 @@ from ..errors import (
 from ..pipeline import run_preprocess
 from . import report as report_mod
 from . import runner as runner_mod
-from .config import config_from_dict, load_raw
+from .config import load_config, reseeded
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -116,17 +116,13 @@ def _cmd_encode(args) -> int:
 
 
 def _load_config(args):
-    raw = load_raw(args.config)
-    if getattr(args, "seed", None) is not None:  # models echo their own seed: set it too
-        raw = dict(raw, seed=args.seed)
-        if isinstance(models := raw.get("models"), list):
-            raw["models"] = [dict(m, seed=args.seed) if isinstance(m, dict) else m for m in models]
-    return config_from_dict(raw)
+    config = load_config(args.config)
+    return config if args.seed is None else reseeded(config, args.seed)
 
 
 def _cmd_preprocess(args) -> int:
     config = _load_config(args)
-    result = run_preprocess(runner_mod.load_dataset(config), config.preprocess)
+    result = run_preprocess(runner_mod.load_dataset(config), config.preprocess, config.seed)
     out_dir = runner_mod.resolve_output_dir(config, args.out)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "preprocess.json")
@@ -147,9 +143,13 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = _load_config(args)
-    run = runner_mod.run_matrix(config)
     out_dir = runner_mod.resolve_output_dir(config, args.out)
-    results_path = runner_mod.persist_run(run, out_dir)
+    results_path = os.path.join(out_dir, runner_mod.RESULTS_FILE)
+    if os.path.exists(results_path) and os.path.samefile(results_path, args.config):
+        raise ConfigError(f"{results_path} is the --config file this run re-runs; "
+                          "pass --out to write the re-run elsewhere")
+    run = runner_mod.run_matrix(config)
+    runner_mod.persist_run(run, out_dir)
     report_path = report_mod.write_report(run.results, args.format, out_dir)
     print(report_mod.emit_report(run.results, args.format), end="")
     print(f"wrote {results_path}")

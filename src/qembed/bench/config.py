@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from ..encoding import AMPLITUDE, ANGLE, BASIS, EncodingScheme
 from ..encoding import amplitude_scheme, angle_scheme, basis_scheme
@@ -46,8 +46,6 @@ _TOP_KEYS = {"dataset": (dict,), "seed": NUMBER, "preprocess": (dict,),
 _DATASET_KEYS = {"path": (str, NULL), "synthetic_rows": NUMBER, "schema": (list,)}
 _ENTRY_KEYS = {"kind": (str,), "name": (str,)}
 _MODEL_KEYS = {"kind": (str,), "seed": NUMBER, "params": (dict,)}
-# The preprocess seed is the config's top-level one.
-_PREPROCESS_FIELDS = {f.name: f for f in fields(PreprocessOptions) if f.name != "seed"}
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,9 @@ def _build(owner, kwargs, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_preprocess(obj, seed: int) -> PreprocessOptions:
-    types = {k: _json_types(f.default, f.type) for k, f in _PREPROCESS_FIELDS.items()}
-    kwargs = dict(_typed(obj, types, "preprocess"), seed=seed)
+def _parse_preprocess(obj) -> PreprocessOptions:
+    types = {f.name: _json_types(f.default, f.type) for f in fields(PreprocessOptions)}
+    kwargs = _typed(obj, types, "preprocess")
     if kwargs.get("n_components") is not None:
         checked_int(kwargs["n_components"], 1, "preprocess.n_components", ConfigError)
     return _build(PreprocessOptions, kwargs, "preprocess")
@@ -174,7 +172,7 @@ def config_from_dict(raw: dict) -> BenchConfig:
         dataset_path=dataset.get("path"),
         schema=tuple(schema) if "schema" in dataset else TELCO_SCHEMA,
         synthetic_rows=dataset.get("synthetic_rows", 500),
-        preprocess=_parse_preprocess(raw.get("preprocess", {}), seed),
+        preprocess=_parse_preprocess(raw.get("preprocess", {})),
         seed=seed,
         encodings=tuple(encodings),
         models=tuple(models),
@@ -182,11 +180,17 @@ def config_from_dict(raw: dict) -> BenchConfig:
     )
 
 
+def reseeded(config: BenchConfig, seed: int) -> BenchConfig:
+    """config drawn under another seed: the top-level seed (table, undersample,
+    split) and every model entry's seed, which the echo records, all set to seed."""
+    seed = checked_int(seed, 0, "seed", ConfigError)
+    return replace(config, seed=seed, models=tuple(replace(m, seed=seed) for m in config.models))
+
+
 def config_to_dict(cfg: BenchConfig) -> dict:
     """Canonical JSON-safe echo of a config (used for hashing and manifests),
     read back from the records the parse filled."""
     preprocess = {**asdict(cfg.preprocess), "extra_drops": list(cfg.preprocess.extra_drops)}
-    del preprocess["seed"]
     encodings = [
         {"kind": CLASSICAL, "name": e.name} if e.scheme is None else
         {**{k: v for k, v in asdict(e.scheme).items() if v is not None}, "name": e.name}

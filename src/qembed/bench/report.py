@@ -14,22 +14,10 @@ import os
 from dataclasses import asdict
 
 from ..errors import EmptyResults
+from ..metrics import MetricReport
 
-COLUMNS = (
-    "encoding",
-    "model",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "roc_auc",
-    "kappa",
-    "encode_ms",
-    "fit_ms",
-    "predict_ms",
-    "converged",
-    "error",
-)
+COLUMNS = ("encoding", "model", *MetricReport.METRIC_NAMES,
+           "encode_ms", "fit_ms", "predict_ms", "converged", "error")
 
 FORMATS = ("csv", "markdown")
 

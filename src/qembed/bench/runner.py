@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ..encoding import BASIS, LINEAR_PI, embed_matrix
+from ..encoding import embed_matrix
 from ..errors import EmptyInput, QembedError, ZeroVariance
 from ..metrics import MetricReport, compute_report
 from ..models import fit
@@ -33,6 +33,7 @@ from .data import synthetic_telco
 
 ENV_OUTPUT_DIR = "QEMBED_OUT"
 DEFAULT_OUTPUT_DIR = "qembed_out"
+RESULTS_FILE = "results.json"
 
 
 @dataclass
@@ -101,7 +102,7 @@ def encode_split(
     """
     scheme, t0, encode_ms = entry.scheme, time.perf_counter(), 0.0
     if scheme is not None:
-        if scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:
+        if scheme.unit_inputs:
             if train.n_rows == 0:
                 raise EmptyInput("scaling to [0, 1] needs a nonempty train split")
             lo = train.data.min(axis=0)
@@ -173,7 +174,8 @@ class BenchRun:
 
 def run_matrix(config: BenchConfig) -> BenchRun:
     """Run the full grid once: preprocess, then every encoding x model cell."""
-    pre = run_preprocess(load_dataset(config), config.preprocess)  # unnamed: freed once coded
+    # load unnamed: freed once coded; positional: perfbench's tracer takes *args only
+    pre = run_preprocess(load_dataset(config), config.preprocess, config.seed)
     checksum = split_checksum(pre.train, pre.test)
     results = _run_once(config, pre, checksum)
 
@@ -213,7 +215,7 @@ def write_json(path: str, payload) -> None:
 def persist_run(run: BenchRun, out_dir: str) -> str:
     """Write results.json (manifest and every cell) into out_dir; return its path."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "results.json")
+    path = os.path.join(out_dir, RESULTS_FILE)
     write_json(path, asdict(run))
     return path
 

@@ -97,6 +97,11 @@ class EncodingScheme:
         elif self.bits_per_feature is not None:
             raise InvalidScheme("bits_per_feature is a basis-encoding parameter")
 
+    @property
+    def unit_inputs(self) -> bool:
+        """Whether features must lie in [0, 1]: basis, and linear_pi angle."""
+        return self.kind == BASIS or self.angle_map == LINEAR_PI
+
 
 def angle_scheme(axis: str = "X", angle_map: str = LINEAR_PI, readout: str | None = None):
     return EncodingScheme(ANGLE, readout or default_readout(ANGLE), axis, angle_map)
@@ -355,7 +360,7 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
             raise AssertionError("a batch check rejects a row that embed_sample encodes")
 
     encode_row(0)
-    if scheme.kind == BASIS or scheme.angle_map == LINEAR_PI:  # features in [0, 1]
+    if scheme.unit_inputs:
         check(((data < 0) | (data > 1)).any(axis=1))
     if not dense:  # P(0) - P(1) of each factor f, as expectation_z squares hypot(f)
         if scheme.kind == BASIS:  # factors (1, 0) and (0, 1)

@@ -539,7 +539,6 @@ class PreprocessOptions:
     extra_drops: tuple[str, ...] = ()
     standardize: bool = True
     split_ratio: float = 0.8
-    seed: int = 0
     n_components: int | None = None  # None: pick by elbow
 
     def __post_init__(self):
@@ -547,7 +546,6 @@ class PreprocessOptions:
                                ("vif_threshold", "> 1", lambda v: v > 1),
                                ("split_ratio", "in (0, 1)", lambda v: 0 < v < 1)):
             object.__setattr__(self, name, checked_real(getattr(self, name), name, what, ok))
-        object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed"))
         if self.n_components is not None:
             object.__setattr__(self, "n_components",
                                checked_int(self.n_components, 1, "n_components"))
@@ -599,7 +597,7 @@ def _class_counts(labels: np.ndarray) -> dict[str, int]:
     return {"0": int(counts[0]), "1": int(counts[1])}
 
 
-def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessResult:
+def run_preprocess(dataset: Dataset, options: PreprocessOptions, seed: int = 0) -> PreprocessResult:
     """Full preprocessing chain from a typed Dataset to train/test matrices.
 
     The stages run in a fixed order: drop ids, prune one of each highly
@@ -611,7 +609,9 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     columns off one correlation matrix and `undersample` its rows, and
     `one_hot` expands the cut, whose array is standardized and centred in
     place.  Balancing and PCA both happen before the split; the report notes it.
+    `seed` draws the undersample and the split.
     """
+    seed = checked_int(seed, 0, "seed")
     report = PreprocessReport(blank_numeric_cells=dict(dataset.blank_counts))
     report.dropped = [DroppedColumn(c.name, "id", 0.0) for c in dataset.schema if c.kind == ID]
     labels, report.label_mapping = binary_labels(dataset)
@@ -640,7 +640,7 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     keep = [j for j in keep if names[j] not in options.extra_drops]
 
     report.class_counts_before = _class_counts(matrix.labels)
-    matrix = undersample(matrix, options.seed)  # rows, then columns: the cut copies fewer rows
+    matrix = undersample(matrix, seed)  # rows, then columns: the cut copies fewer rows
     report.class_counts_after = _class_counts(matrix.labels)
     matrix = FeatureMatrix(matrix.data.take(keep, axis=1),  # one cut; C order, unlike [:, keep]
                            tuple(names[j] for j in keep), matrix.labels)
@@ -675,5 +675,5 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions) -> PreprocessRe
     scores = _project(model, data, matrix.labels)
     del matrix, data  # before the split copies the scores
 
-    train, test = train_test_split(scores, options.split_ratio, options.seed)
+    train, test = train_test_split(scores, options.split_ratio, seed)
     return PreprocessResult(train, test, model, report)

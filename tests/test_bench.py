@@ -3,7 +3,7 @@ import io
 import json
 import re
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -152,10 +152,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             small_config(**overrides)
 
-    def test_seed_flows_to_preprocess_and_models(self):
-        cfg = small_config(seed=11)
-        assert cfg.preprocess.seed == 11
+    def test_seed_flows_to_preprocess_and_models(self, monkeypatch):
+        cfg, seen, preprocess = small_config(seed=11), [], runner.run_preprocess
         assert all(m.seed == 11 for m in cfg.models)
+        # positional, as a tracer that wraps the call as func(*args) passes them
+        monkeypatch.setattr(runner, "run_preprocess",
+                            lambda *args: seen.append(args[1:]) or preprocess(*args))
+        runner.run_matrix(cfg)
+        assert seen == [(cfg.preprocess, 11)]
+
+    def test_reseeded_sets_the_config_and_every_model_seed(self):
+        cfg = small_config(seed=0, models=[{"kind": "knn", "seed": 5}, {"kind": "tree"}])
+        again = config.reseeded(cfg, np.int64(7))
+        assert again == small_config(seed=7, models=[{"kind": "knn"}, {"kind": "tree"}])
+        assert (again.seed, [m.seed for m in again.models]) == (7, [7, 7])
+        assert type(again.seed) is int
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.0])
+    def test_reseeded_rejects_a_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got"):
+            config.reseeded(small_config(), seed)
+
+    def test_replaced_seed_draws_as_the_parsed_seed(self, tmp_path, capsys):
+        # a second copy of the seed in the preprocess options once kept the
+        # replaced config undersampling and splitting with seed 0 while it drew
+        # table 3 and recorded 3, so its results.json re-ran to another split
+        models = [{"kind": "tree", "seed": 0}]
+        replaced = replace(small_config(seed=0, models=models), seed=3)
+        parsed = small_config(seed=3, models=models)
+        runs = [runner.run_matrix(cfg) for cfg in (replaced, parsed)]
+        assert runs[0].manifest["split_checksum"] == runs[1].manifest["split_checksum"]
+        path = runner.persist_run(runs[0], str(tmp_path / "first"))
+        assert cli.main(["bench", "--config", path, "--out", str(tmp_path / "rerun")]) == 0
+        capsys.readouterr()
+        rerun = json.loads((tmp_path / "rerun" / "results.json").read_text())
+        assert rerun["manifest"]["split_checksum"] == runs[0].manifest["split_checksum"]
+        assert ([c["report"] for c in rerun["results"]]
+                == [asdict(c.report) for c in runs[0].results])
 
     def test_explicit_model_seed_kept(self):
         cfg = small_config(models=[{"kind": "knn", "seed": 5}])
@@ -531,7 +564,7 @@ class TestRunner:
         i = np.int64
         built = config.BenchConfig(
             dataset_path=None, schema=config.TELCO_SCHEMA, synthetic_rows=i(200),
-            preprocess=PreprocessOptions(seed=i(3), n_components=i(6)), seed=i(3),
+            preprocess=PreprocessOptions(n_components=i(6)), seed=i(3),
             encodings=(config.EncodingEntry("classical", None),
                        config.EncodingEntry("basis", basis_scheme(i(2)))),
             models=(ModelSpec("knn", seed=i(1), params={"k": i(3)}),),
@@ -900,6 +933,34 @@ class TestCli:
         cfg_path = self.write_config(tmp_path)
         assert cli.main(["bench", "--config", str(cfg_path),
                          "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    @pytest.mark.parametrize("overrides, key", [
+        ({"seed": -1}, "seed"), ({"models": [{"kind": "knn", "seed": -1}]}, "models[0].seed")])
+    def test_seed_flag_does_not_mend_a_bad_config_seed(self, tmp_path, capsys, command,
+                                                       overrides, key):
+        # the config is checked as written, then re-seeded
+        cfg_path = self.write_config(tmp_path, **overrides)
+        assert cli.main([command, "--config", str(cfg_path), "--seed", "7",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {key} must be an integer >= 0, got -1\n"
+
+    def test_results_file_rerun_never_writes_over_itself(self, tmp_path, capsys, monkeypatch):
+        # with the config's output_dir and no --out, the re-run once wrote its
+        # results.json over the file it read, and the first run's timings were lost
+        monkeypatch.chdir(tmp_path)
+        self.write_config(tmp_path, output_dir="out")
+        assert cli.main(["bench", "--config", "cfg.json"]) == 0
+        first = (tmp_path / "out" / "results.json").read_bytes()
+        capsys.readouterr()
+        for config_path in ("out/results.json", str(tmp_path / "out" / "results.json")):
+            assert cli.main(["bench", "--config", config_path]) == 1
+            assert capsys.readouterr().err == (
+                f"config error: {Path('out', 'results.json')} is the --config file this run "
+                "re-runs; pass --out to write the re-run elsewhere\n")
+        assert (tmp_path / "out" / "results.json").read_bytes() == first
+        assert cli.main(["bench", "--config", "out/results.json", "--out", "rerun"]) == 0
 
     @pytest.mark.parametrize("overrides", [
         {"seed": -1},
@@ -921,7 +982,7 @@ class TestCli:
         assert "data error" in capsys.readouterr().err
 
     def test_out_of_memory_outside_a_cell_is_data_error(self, tmp_path, capsys, monkeypatch):
-        def out_of_memory(dataset, options):
+        def out_of_memory(dataset, options, seed):
             raise MemoryError("Unable to allocate 3.31 GiB")
 
         monkeypatch.setattr(runner, "run_preprocess", out_of_memory)

@@ -294,6 +294,12 @@ class TestSchemeValidation:
             enc.EncodingScheme(enc.ANGLE, enc.Z_EXPECTATIONS, axis="X",
                                angle_map=enc.LINEAR_PI, bits_per_feature=4)
 
+    def test_unit_inputs(self):
+        # basis and linear_pi angle take features in [0, 1]; raw angle and amplitude any real
+        schemes = (enc.basis_scheme(), enc.angle_scheme(), enc.angle_scheme("Y", enc.RAW),
+                   enc.amplitude_scheme())
+        assert [s.unit_inputs for s in schemes] == [True, True, False, False]
+
     def test_defaults(self):
         assert enc.angle_scheme().readout == enc.Z_EXPECTATIONS
         assert enc.basis_scheme().readout == enc.PROBABILITY_VECTOR

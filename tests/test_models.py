@@ -1017,8 +1017,8 @@ class TestDeterminism:
 def scaled_train(seed):
     """The [0, 1]-scaled PCA train split of the bundled 500-row table, as the
     bench feeds basis and linear_pi encodings, and its labels."""
-    options = pl.PreprocessOptions(seed=seed, n_components=12)
-    train = pl.run_preprocess(synthetic_telco(500, seed), options).train
+    options = pl.PreprocessOptions(n_components=12)
+    train = pl.run_preprocess(synthetic_telco(500, seed), options, seed).train
     lo = train.data.min(axis=0)
     return (train.data - lo) / (train.data.max(axis=0) - lo), train.labels
 

@@ -461,15 +461,15 @@ class TestIterativeVifPrune:
     def test_telco_preprocess_matches_reference_vif(self, monkeypatch, rows, seed):
         # the reference VIF of each table's columns, fitted on the ordinal matrix,
         # both as a check on each table and as the pruning's own VIF
-        dataset, options = synthetic_telco(rows, seed), pl.PreprocessOptions(seed=seed)
-        got = pl.run_preprocess(dataset, options)
+        dataset, options = synthetic_telco(rows, seed), pl.PreprocessOptions()
+        got = pl.run_preprocess(dataset, options, seed)
         ordinal, _ = pl.ordinal_matrix(dataset)
         assert got.report.vif_iterations
         for table in got.report.vif_iterations:
             assert_vifs_match(table, reference_vif(columns_of(ordinal, [e.column for e in table])))
         monkeypatch.setattr(pl, "compute_vif",
                             lambda corr, names: reference_vif(columns_of(ordinal, names)))
-        want = pl.run_preprocess(dataset, options)
+        want = pl.run_preprocess(dataset, options, seed)
         assert split_checksum(got.train, got.test) == split_checksum(want.train, want.test)
         assert got.report.dropped == want.report.dropped
         assert len(got.report.vif_iterations) == len(want.report.vif_iterations)
@@ -819,7 +819,7 @@ class TestPreprocessWorkingSet:
     def test_one_hot_expands_only_the_undersampled_rows(self, monkeypatch):
         rows, one_hot = [], pl.one_hot
         monkeypatch.setattr(pl, "one_hot", lambda m, v: rows.append(m.n_rows) or one_hot(m, v))
-        result = pl.run_preprocess(synthetic_telco(2000, 1), pl.PreprocessOptions(seed=1))
+        result = pl.run_preprocess(synthetic_telco(2000, 1), pl.PreprocessOptions(), 1)
         assert rows == [sum(result.report.class_counts_after.values())]
         assert result.report.class_counts_before != result.report.class_counts_after
 
@@ -827,7 +827,7 @@ class TestPreprocessWorkingSet:
         dataset = synthetic_telco(28_172, 3)
         tracemalloc.start()
         try:
-            pl.run_preprocess(dataset, pl.PreprocessOptions(seed=3))
+            pl.run_preprocess(dataset, pl.PreprocessOptions(), 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -862,7 +862,7 @@ class TestPreprocessInPlace:
         dataset = synthetic_telco(28_172, 3)
         tracemalloc.start()
         try:
-            pl.run_preprocess(dataset, pl.PreprocessOptions(seed=3))
+            pl.run_preprocess(dataset, pl.PreprocessOptions(), 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -897,7 +897,7 @@ class TestPreprocessInPlace:
 
         monkeypatch.setattr(pl, "pca_fit", fitting)
         monkeypatch.setattr(pl, "train_test_split", splitting)
-        result = pl.run_preprocess(synthetic_telco(rows, seed), pl.PreprocessOptions(seed=seed))
+        result = pl.run_preprocess(synthetic_telco(rows, seed), pl.PreprocessOptions(), seed)
         want = pl.pca_transform(result.pca, seen["matrix"])
         assert seen["scores"].data.tobytes() == want.data.tobytes()
         assert seen["scores"].column_names == want.column_names
@@ -907,7 +907,7 @@ class TestPreprocessOptions:
     @pytest.mark.parametrize("field, value", [
         ("n_components", 2.5), ("n_components", True), ("n_components", 0),
         ("n_components", "3"), ("corr_threshold", True), ("split_ratio", "0.5"),
-        ("seed", -1), ("standardize", "no"), ("extra_drops", "gender"),
+        ("standardize", "no"), ("extra_drops", "gender"),
     ])
     def test_rejected_when_built(self, field, value):
         # typed, at construction: not a TypeError inside run_preprocess, and
@@ -917,11 +917,11 @@ class TestPreprocessOptions:
 
     @pytest.mark.parametrize("field, value, stored", [
         ("corr_threshold", np.float32(0.5), 0.5), ("vif_threshold", np.int64(5), 5.0),
-        ("split_ratio", np.float64(0.5), 0.5), ("seed", np.int32(2), 2),
+        ("split_ratio", np.float64(0.5), 0.5), ("n_components", np.uint8(2), 2),
         ("n_components", np.int64(3), 3), ("standardize", np.bool_(False), False),
         *[(field, bad, REJECTED) for field in ("corr_threshold", "vif_threshold", "split_ratio")
           for bad in (True, np.bool_(True), math.nan, math.inf, -math.inf, "0.5")],
-        ("seed", np.bool_(True), REJECTED), ("n_components", math.nan, REJECTED),
+        ("n_components", np.bool_(True), REJECTED), ("n_components", math.nan, REJECTED),
         ("standardize", 0, REJECTED), ("standardize", np.int64(1), REJECTED),
         ("extra_drops", None, REJECTED), ("extra_drops", 3, REJECTED),
     ])
@@ -943,12 +943,12 @@ class TestPreprocessOptions:
             pl.PreprocessOptions(**{field: 10**400})
 
     def test_numpy_scalars_stored_as_python_numbers(self):
-        opts = pl.PreprocessOptions(seed=np.int64(2), n_components=np.int64(3),
-                                    corr_threshold=np.float32(0.5), vif_threshold=12)
-        assert opts == pl.PreprocessOptions(seed=2, n_components=3, corr_threshold=0.5,
+        opts = pl.PreprocessOptions(n_components=np.int64(3), corr_threshold=np.float32(0.5),
+                                    vif_threshold=12)
+        assert opts == pl.PreprocessOptions(n_components=3, corr_threshold=0.5,
                                              vif_threshold=12.0)
-        assert [type(v) for v in (opts.seed, opts.n_components, opts.corr_threshold,
-                                  opts.vif_threshold)] == [int, int, float, float]
+        assert [type(v) for v in (opts.n_components, opts.corr_threshold,
+                                  opts.vif_threshold)] == [int, float, float]
 
     def test_repeated_extra_drop_rejected(self):
         # run_preprocess would report the one drop once per repetition
@@ -965,7 +965,7 @@ class TestPreprocessOptions:
 class TestRunPreprocess:
     def test_end_to_end(self):
         ds = synthetic_dataset()
-        result = pl.run_preprocess(ds, pl.PreprocessOptions(seed=11))
+        result = pl.run_preprocess(ds, pl.PreprocessOptions(), 11)
         report = result.report
         reasons = {d.name: d.reason for d in report.dropped}
         assert reasons["uid"] == "id"
@@ -976,10 +976,22 @@ class TestRunPreprocess:
         total = result.train.n_rows + result.test.n_rows
         assert total == 2 * n_min
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, "2", True,
+                                      pytest.param(np.bool_(True), id="np-bool")])
+    def test_seed_rejected(self, seed):
+        # the seed is an argument, not a knob, and takes the one integer rule
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got"):
+            pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(), seed)
+
+    def test_numpy_integer_seed_draws_as_the_int(self):
+        a, b = (pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(), seed)
+                for seed in (np.int32(2), 2))
+        assert split_checksum(a.train, a.test) == split_checksum(b.train, b.test)
+
     def test_deterministic(self):
-        opts = pl.PreprocessOptions(seed=21)
-        a = pl.run_preprocess(synthetic_dataset(), opts)
-        b = pl.run_preprocess(synthetic_dataset(), opts)
+        opts = pl.PreprocessOptions()
+        a = pl.run_preprocess(synthetic_dataset(), opts, 21)
+        b = pl.run_preprocess(synthetic_dataset(), opts, 21)
         assert np.array_equal(a.train.data, b.train.data)
         assert np.array_equal(a.test.data, b.test.data)
         assert np.array_equal(a.train.labels, b.train.labels)
@@ -999,8 +1011,8 @@ class TestRunPreprocess:
         assert result.train.n_cols == n_features
 
     def test_extra_drops_and_fixed_components(self):
-        opts = pl.PreprocessOptions(seed=2, extra_drops=("spend",), n_components=3)
-        result = pl.run_preprocess(synthetic_dataset(), opts)
+        opts = pl.PreprocessOptions(extra_drops=("spend",), n_components=3)
+        result = pl.run_preprocess(synthetic_dataset(), opts, 2)
         reasons = {d.name: d.reason for d in result.report.dropped}
         assert reasons["spend"] == "config"
         assert result.train.n_cols == 3
@@ -1015,7 +1027,7 @@ class TestRunPreprocess:
 
         monkeypatch.setattr(pl, "_codes", counting_codes)
         ds = synthetic_dataset()
-        pl.run_preprocess(ds, pl.PreprocessOptions(seed=3))
+        pl.run_preprocess(ds, pl.PreprocessOptions(), 3)
         categorical = [c.name for c in ds.feature_specs() if c.kind == pl.CATEGORICAL]
         assert len(coded) == len(categorical) == 2
 
@@ -1028,7 +1040,7 @@ class TestRunPreprocess:
             return real_binary_labels(dataset)
 
         monkeypatch.setattr(pl, "binary_labels", counting_binary_labels)
-        result = pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(seed=3))
+        result = pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(), 3)
         assert len(calls) == 1
         assert result.report.label_mapping == {"No": 0, "Yes": 1}
 
@@ -1062,7 +1074,7 @@ class TestRunPreprocess:
         ds = synthetic_telco(500, seed)
         ordinal, _ = pl.ordinal_matrix(ds)
         C = pl.correlation_matrix(ordinal)
-        report = pl.run_preprocess(ds, pl.PreprocessOptions(seed=seed)).report
+        report = pl.run_preprocess(ds, pl.PreprocessOptions(), seed).report
         drops = [(d.name, d.statistic) for d in report.dropped if d.reason == "correlation"]
         names = ordinal.column_names
         tenure, charges = names.index("tenure"), names.index("TotalCharges")
@@ -1106,7 +1118,7 @@ class TestRunPreprocess:
         ds = synthetic_dataset()
         # undersampling leaves each class with the minority's rows
         n_min = min(ds.columns["churn"].count(v) for v in ("No", "Yes"))
-        opts = pl.PreprocessOptions(seed=0, split_ratio=0.001)
+        opts = pl.PreprocessOptions(split_ratio=0.001)
         with pytest.raises(ClassTooSmall, match=(
             f"class 0 has {n_min} rows, so split_ratio 0.001 "
             "puts none of them in the train split"
@@ -1120,13 +1132,13 @@ class TestRunPreprocess:
         "plan_typo",  # not in the schema
     ])
     def test_extra_drops_must_name_a_remaining_feature(self, name):
-        opts = pl.PreprocessOptions(seed=2, extra_drops=(name,))
+        opts = pl.PreprocessOptions(extra_drops=(name,))
         with pytest.raises(UnknownColumn, match=repr(name)):
-            pl.run_preprocess(synthetic_dataset(), opts)
+            pl.run_preprocess(synthetic_dataset(), opts, 2)
 
     def test_report_serializes(self):
         import json
 
-        result = pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(seed=1))
+        result = pl.run_preprocess(synthetic_dataset(), pl.PreprocessOptions(), 1)
         text = json.dumps(asdict(result.report))
         assert "elbow_index" in text
