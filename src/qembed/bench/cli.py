@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from ..errors import (
     InvalidScheme,
     QembedError,
 )
-from ..pipeline import run_preprocess
 from . import report as report_mod
 from . import runner as runner_mod
 from .config import load_config, reseeded
@@ -115,39 +113,35 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _load_config(args):
+def _config_and_out(args, name: str):
+    """The --config file re-seeded by --seed, and the path of its output `name`:
+    its directory is made before any work, and the --config file is refused."""
     config = load_config(args.config)
-    return config if args.seed is None else reseeded(config, args.seed)
+    config = config if args.seed is None else reseeded(config, args.seed)
+    out_dir = runner_mod.resolve_output_dir(config, args.out)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    if os.path.exists(path) and os.path.samefile(path, args.config):
+        raise ConfigError(f"{path} is the --config file this run re-runs; "
+                          "pass --out to write the re-run elsewhere")
+    return config, path
 
 
 def _cmd_preprocess(args) -> int:
-    config = _load_config(args)
-    result = run_preprocess(runner_mod.load_dataset(config), config.preprocess, config.seed)
-    out_dir = runner_mod.resolve_output_dir(config, args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "preprocess.json")
-    runner_mod.write_json(path, {
-        "report": asdict(result.report),
-        "train_rows": result.train.n_rows,
-        "test_rows": result.test.n_rows,
-        "n_components": result.report.n_components,
-    })
-    dropped = ", ".join(d.name for d in result.report.dropped) or "none"
-    rows = sum(result.report.class_counts_before.values())
-    print(f"rows: {rows} -> train {result.train.n_rows}, test {result.test.n_rows}")
-    print(f"dropped columns: {dropped}")
-    print(f"components kept: {result.report.n_components} (elbow {result.report.elbow_index})")
+    config, path = _config_and_out(args, "preprocess.json")
+    pre, manifest = runner_mod.preprocess_run(config)
+    runner_mod.write_json(path, {"manifest": manifest})
+    rows = manifest["rows"]
+    print(f"rows: {rows['dataset']} -> train {rows['train']}, test {rows['test']}")
+    print(f"dropped columns: {', '.join(d.name for d in pre.report.dropped) or 'none'}")
+    print(f"components kept: {pre.report.n_components} (elbow {pre.report.elbow_index})")
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args)
-    out_dir = runner_mod.resolve_output_dir(config, args.out)
-    results_path = os.path.join(out_dir, runner_mod.RESULTS_FILE)
-    if os.path.exists(results_path) and os.path.samefile(results_path, args.config):
-        raise ConfigError(f"{results_path} is the --config file this run re-runs; "
-                          "pass --out to write the re-run elsewhere")
+    config, results_path = _config_and_out(args, runner_mod.RESULTS_FILE)
+    out_dir = os.path.dirname(results_path)
     run = runner_mod.run_matrix(config)
     runner_mod.persist_run(run, out_dir)
     report_path = report_mod.write_report(run.results, args.format, out_dir)
@@ -188,16 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("probability_vector", "z_expectations", "amplitude_parts"))
     p_enc.set_defaults(func=_cmd_encode)
 
-    p_pre = sub.add_parser("preprocess", help="run the preprocessing chain only")
-    p_pre.add_argument("--config", required=True)
-    p_pre.add_argument("--seed", type=int)
-    p_pre.add_argument("--out")
+    draw = argparse.ArgumentParser(add_help=False)  # the flags preprocess and bench share
+    draw.add_argument("--config", required=True)
+    draw.add_argument("--seed", type=int)
+    draw.add_argument("--out")
+    p_pre = sub.add_parser("preprocess", parents=[draw], help="run the preprocessing chain only")
     p_pre.set_defaults(func=_cmd_preprocess)
 
-    p_bench = sub.add_parser("bench", help="run the full encoding x model matrix")
-    p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--out")
+    p_bench = sub.add_parser("bench", parents=[draw], help="run the full encoding x model matrix")
     p_bench.add_argument("--format", default="csv", choices=report_mod.FORMATS)
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -172,28 +172,26 @@ class BenchRun:
     results: list[RunResult]
 
 
-def run_matrix(config: BenchConfig) -> BenchRun:
-    """Run the full grid once: preprocess, then every encoding x model cell."""
+def preprocess_run(config: BenchConfig) -> tuple[PreprocessResult, dict]:
+    """One draw: load, preprocess and checksum the split; returns it and its manifest."""
     # load unnamed: freed once coded; positional: perfbench's tracer takes *args only
     pre = run_preprocess(load_dataset(config), config.preprocess, config.seed)
-    checksum = split_checksum(pre.train, pre.test)
-    results = _run_once(config, pre, checksum)
-
-    manifest = {
+    return pre, {
         "config": config_to_dict(config),
         "config_sha256": config_hash(config),
         "seed": config.seed,
-        "split_checksum": checksum,
+        "split_checksum": split_checksum(pre.train, pre.test),
         "created": _now(),
-        "rows": {
-            "dataset": sum(pre.report.class_counts_before.values()),
-            "train": pre.train.n_rows,
-            "test": pre.test.n_rows,
-        },
-        "n_components": pre.report.n_components,
+        "rows": {"dataset": sum(pre.report.class_counts_before.values()),
+                 "train": pre.train.n_rows, "test": pre.test.n_rows},
         "preprocess_report": asdict(pre.report),
     }
-    return BenchRun(manifest, results)
+
+
+def run_matrix(config: BenchConfig) -> BenchRun:
+    """Run the full grid once: one draw, then every encoding x model cell."""
+    pre, manifest = preprocess_run(config)
+    return BenchRun(manifest, _run_once(config, pre, manifest["split_checksum"]))
 
 
 def resolve_output_dir(config: BenchConfig, cli_out: str | None = None) -> str:

@@ -413,7 +413,7 @@ class TestRunner:
             assert cell.report is None
             assert (cell.encode_ms, cell.fit_ms, cell.predict_ms) == (0.0, 0.0, 0.0)
             assert (cell.dim_out, cell.iterations, cell.converged) == (0, 0, None)
-            assert cell.dim_in == run.manifest["n_components"]
+            assert cell.dim_in == run.manifest["preprocess_report"]["n_components"]
 
     @pytest.mark.parametrize("stage, failed", [
         ("encode", {("angle", "logreg"), ("angle", "knn")}),
@@ -961,6 +961,15 @@ class TestCli:
                 "re-runs; pass --out to write the re-run elsewhere\n")
         assert (tmp_path / "out" / "results.json").read_bytes() == first
         assert cli.main(["bench", "--config", "out/results.json", "--out", "rerun"]) == 0
+        # and preprocess.json, re-runnable too, is never written over by preprocess
+        assert cli.main(["preprocess", "--config", "cfg.json"]) == 0
+        first = (tmp_path / "out" / "preprocess.json").read_bytes()
+        capsys.readouterr()
+        assert cli.main(["preprocess", "--config", "out/preprocess.json"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {Path('out', 'preprocess.json')} is the --config file this run "
+            "re-runs; pass --out to write the re-run elsewhere\n")
+        assert (tmp_path / "out" / "preprocess.json").read_bytes() == first
 
     @pytest.mark.parametrize("overrides", [
         {"seed": -1},
@@ -1202,9 +1211,39 @@ class TestCli:
         out_dir = tmp_path / "pre"
         assert cli.main(["preprocess", "--config", str(cfg_path),
                          "--out", str(out_dir)]) == 0
-        payload = json.loads((out_dir / "preprocess.json").read_text())
-        assert payload["n_components"] == 6
-        assert payload["train_rows"] > payload["test_rows"] > 0
+        manifest = json.loads((out_dir / "preprocess.json").read_text())["manifest"]
+        assert manifest["preprocess_report"]["n_components"] == 6
+        assert manifest["rows"]["train"] > manifest["rows"]["test"] > 0
+
+    def test_preprocess_writes_the_bench_manifest_and_bench_reruns_it(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        for command in ("bench", "preprocess"):
+            assert cli.main([command, "--config", str(cfg_path), "--out", str(first)]) == 0
+        assert cli.main(["bench", "--config", str(first / "preprocess.json"),
+                         "--out", str(rerun)]) == 0
+        capsys.readouterr()
+        pre = json.loads((first / "preprocess.json").read_text())["manifest"]
+        a, b = (json.loads((out / "results.json").read_text()) for out in (first, rerun))
+        assert pre.keys() == a["manifest"].keys()
+        assert [k for k in pre if k != "created" and pre[k] != a["manifest"][k]] == []
+        assert a["manifest"]["split_checksum"] == b["manifest"]["split_checksum"]
+        assert [c["report"] for c in a["results"]] == [c["report"] for c in b["results"]]
+
+    @pytest.mark.parametrize("command, step", [("preprocess", "preprocess_run"),
+                                               ("bench", "run_matrix")])
+    def test_out_that_is_a_file_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, command, step):
+        # the matrix once ran in full before the write found --out to be a file
+        def never(config):
+            raise AssertionError(f"{step} ran")
+
+        monkeypatch.setattr(runner, step, never)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg_path = self.write_config(tmp_path)
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
     @pytest.mark.parametrize("path, value", MALFORMED)
     def test_malformed_config_exits_one(self, tmp_path, capsys, path, value):
