@@ -167,19 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enc = sub.add_parser("encode", help="encode one vector, bitstring or text")
     p_enc.add_argument("--scheme", help="default basis",
-                       choices=("basis", "superposition", "angle", "amplitude"))
+                       choices=[mode for mode in _ENCODE_FLAGS if mode != "text"])
     p_enc.add_argument("--vector", help="comma-separated numbers")
     p_enc.add_argument("--bits", help="bitstring such as 101")
     p_enc.add_argument("--strings", help="comma-separated bitstrings to superpose")
     p_enc.add_argument("--text", help="ASCII text, one 7-qubit state per character")
-    p_enc.add_argument("--axis", choices=("X", "Y", "Z"))
+    p_enc.add_argument("--axis", choices=enc.AXIS_GATES)
     angle_map = p_enc.add_mutually_exclusive_group()
-    angle_map.add_argument("--map", choices=("linear_pi", "raw"),
+    angle_map.add_argument("--map", choices=(enc.LINEAR_PI, enc.RAW),
                            help="angle map for --scheme angle")
     angle_map.add_argument("--degrees", action="store_true",
                            help="treat --vector entries as rotation angles in degrees")
-    p_enc.add_argument("--readout",
-                       choices=("probability_vector", "z_expectations", "amplitude_parts"))
+    p_enc.add_argument("--readout", choices=enc.READOUTS)
     p_enc.set_defaults(func=_cmd_encode)
 
     draw = argparse.ArgumentParser(add_help=False)  # the flags preprocess and bench share

@@ -56,7 +56,6 @@ class RunResult:
     dim_out: int = 0
     seed: int = 0
     split_checksum: str = ""
-    timestamp: str = ""
     iterations: int = 0
     converged: bool | None = None
 
@@ -157,7 +156,6 @@ def _run_once(config: BenchConfig, pre: PreprocessResult, checksum: str) -> list
                     dim_in=train.n_cols,
                     seed=config.seed,
                     split_checksum=checksum,
-                    timestamp=_now(),
                     **scored,
                 )
             )

@@ -54,7 +54,7 @@ READOUTS = (PROBABILITY_VECTOR, Z_EXPECTATIONS, AMPLITUDE_PARTS)
 LINEAR_PI = "linear_pi"
 RAW = "raw"
 
-_AXIS_GATES = {"X": qsim.rx_gate, "Y": qsim.ry_gate, "Z": qsim.rz_gate}
+AXIS_GATES = {"X": qsim.rx_gate, "Y": qsim.ry_gate, "Z": qsim.rz_gate}
 EMBED_BLOCK_ROWS = 1024  # rows embed_matrix expands to amplitudes and reads out at a time
 
 
@@ -83,7 +83,7 @@ class EncodingScheme:
         if self.readout not in READOUTS:
             raise InvalidScheme(f"unknown readout {self.readout!r}")
         if self.kind == ANGLE:
-            if self.axis not in _AXIS_GATES:
+            if self.axis not in AXIS_GATES:
                 raise InvalidScheme(f"angle axis must be X, Y or Z, got {self.axis!r}")
             if self.angle_map not in (LINEAR_PI, RAW):
                 raise InvalidScheme(f"unknown angle map {self.angle_map!r}")
@@ -130,8 +130,7 @@ def basis_encode(bits) -> StateVector:
     if not np.all(np.isin(arr, (0, 1))):
         raise NonBinaryInput(f"entries must be 0 or 1, got {list(arr)!r}")
     n = arr.size
-    if n > MAX_QUBITS:
-        raise QubitCapExceeded(f"{n} bits exceeds cap {MAX_QUBITS}")
+    qsim.check_qubits(n)
     factors = np.zeros((n, 2), dtype=complex)
     for i, bit in enumerate(arr.astype(int)):
         factors[n - 1 - i, bit] = 1.0
@@ -170,8 +169,7 @@ def superposition_encode(strings) -> StateVector:
         raise DuplicateString("bitstrings must be distinct")
     if any(c not in "01" for s in strings for c in s):
         raise NonBinaryInput("bitstrings may only contain 0 and 1")
-    if n > MAX_QUBITS:
-        raise QubitCapExceeded(f"{n} qubits exceeds cap {MAX_QUBITS}")
+    qsim.check_qubits(n)
     if len(strings) == 1:
         return basis_encode([int(c) for c in strings[0]])
     amps = np.zeros(1 << n, dtype=complex)
@@ -193,15 +191,14 @@ def angle_encode(x, scheme: EncodingScheme) -> StateVector:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("features must be finite")
     n = arr.size
-    if n > MAX_QUBITS:
-        raise QubitCapExceeded(f"{n} features exceeds cap {MAX_QUBITS}")
+    qsim.check_qubits(n)
     if scheme.angle_map == LINEAR_PI:
         if np.any(arr < 0) or np.any(arr > 1):
             raise OutOfRangeFeature("linear_pi features must lie in [0, 1]")
         thetas = math.pi * arr
     else:
         thetas = arr
-    gate = _AXIS_GATES[scheme.axis]
+    gate = AXIS_GATES[scheme.axis]
     factors = np.zeros((n, 2), dtype=complex)
     for i, theta in enumerate(thetas):
         factors[n - 1 - i] = gate(theta)[:, 0]
@@ -222,8 +219,7 @@ def amplitude_encode(x) -> StateVector:
     if not arr.any():
         raise ZeroVector("cannot normalize an all-zero vector")
     n = max(1, math.ceil(math.log2(arr.size)))
-    if n > MAX_QUBITS:
-        raise QubitCapExceeded(f"{n} qubits exceeds cap {MAX_QUBITS}")
+    qsim.check_qubits(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[: arr.size] = arr / norm if norm else 0.0
     if abs(np.sum(np.abs(amps) ** 2) - 1.0) > qsim._NORM_TOL:  # a zero or subnormal squared norm
@@ -345,8 +341,7 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
             f"{m} rows x 2^{n} amplitudes ({n} qubits) take {m * row_bytes} bytes{held}, "
             f"over the {budget}-byte budget")
     if m == 0:  # no row 0 runs through embed_sample, so its qubit cap is checked here
-        if n > MAX_QUBITS:
-            raise QubitCapExceeded(f"{n} qubits exceeds cap {MAX_QUBITS}")
+        qsim.check_qubits(n)
         return FeatureMatrix(np.zeros((0, width)), _feature_names(scheme.readout, width), X.labels)
 
     def encode_row(i):

@@ -40,8 +40,6 @@ def fit_adaboost(X: np.ndarray, y: np.ndarray, n_rounds: int) -> dict:
         if err >= 0.5:
             del nodes[root:]
             break
-        for rec in nodes[root:]:  # the stump's nodes hold its 0/1 votes
-            rec[4] = float(rec[4] >= 0.5)
         err = max(err, 1e-10)
         alpha = math.log((1.0 - err) / err)
         roots.append(root)
@@ -50,8 +48,10 @@ def fit_adaboost(X: np.ndarray, y: np.ndarray, n_rounds: int) -> dict:
         w /= w.sum()
         if err <= 1e-10:
             break
+    tree = Tree.of(nodes, roots)
+    tree.value = (tree.value >= 0.5).astype(float)  # each stump's nodes hold its 0/1 votes
     return {
-        "tree": Tree.of(nodes, roots),
+        "tree": tree,
         "weights": np.array(alphas),
         "offset": 0.0 if roots else 0.5,
         "scale": sum(alphas) if roots else 1.0,

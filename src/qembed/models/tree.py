@@ -1,8 +1,8 @@
 """CART-style binary trees: one flat node table per model, grown from presorted columns.
 
-A `Tree` is six arrays indexed by node id: split `feature` and `threshold`,
-child ids `left` and `right` (feature and ids -1 at leaves), `value`, row
-count `n`; and `roots`, each tree's root id in tree order.  Child ids index
+A `Tree` is five arrays indexed by node id: split `feature` and
+`threshold`, child ids `left` and `right` (feature and ids -1 at leaves)
+and `value`; and `roots`, each tree's root id in tree order.  Child ids index
 the whole table, so a model's trees are one table that `predict` walks
 once.  A depth-first grower appends a tree to its caller's node list and
 returns the rows' leaf values; it serves weighted Gini (tree, AdaBoost)
@@ -71,14 +71,13 @@ class Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    n: np.ndarray
     roots: np.ndarray
 
     @classmethod
     def of(cls, nodes: list, roots) -> Tree:
-        """The table of a grower's [feature, threshold, left, right, value, n] records."""
-        columns = zip(*nodes) if nodes else [()] * 6
-        dtypes = (int, float, int, int, float, int)
+        """The table of a grower's [feature, threshold, left, right, value] records."""
+        columns = zip(*nodes) if nodes else [()] * 5
+        dtypes = (int, float, int, int, float)
         return cls(*map(np.array, columns, dtypes), np.array(roots, dtype=int))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -242,7 +241,7 @@ def _partition(seg, go_left, n_left):
 
 def _grow(nodes, X, node, search, best0, max_depth, min_leaf, presorted=None):
     """Grow one tree depth-first onto nodes, a list of [feature, threshold,
-    left, right, value, n] records whose child ids count the whole list, in
+    left, right, value] records whose child ids count the whole list, in
     preorder; return each row's leaf value.  node(rows) gives (value,
     splittable, totals); search is (scores, cut_scores): scores(sorted_rows,
     cuts, totals) a score per cut of scanned columns and cut_scores(left,
@@ -261,7 +260,7 @@ def _grow(nodes, X, node, search, best0, max_depth, min_leaf, presorted=None):
             seg = order[:, lo:hi]
             rows = seg[-1]
             val, splittable, totals = node(rows)
-            nodes.append(rec := [-1, 0.0, -1, -1, val, hi - lo])
+            nodes.append(rec := [-1, 0.0, -1, -1, val])
             found = (best0, -1, 0.0)
             if splittable and hi - lo >= 2 * min_leaf and depth < limit:
                 for run in runs:
@@ -300,8 +299,8 @@ def _search(a, b, criterion):
 
 
 def grow_classifier(
-    nodes: list, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None,
-    max_depth: int | None = 8, min_leaf: int = 2, presorted: Presorted | None = None,
+    nodes: list, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray | None = None, *,
+    max_depth: int | None, min_leaf: int, presorted: Presorted | None = None,
 ) -> np.ndarray:
     """Weighted-Gini CART on binary labels, appended to nodes (see `_grow`);
     leaves hold P(class 1), and each row's leaf value is returned.
@@ -336,7 +335,7 @@ def grow_classifier(
 
 def grow_regression(
     nodes: list, X: np.ndarray, grad: np.ndarray, hess: np.ndarray,
-    max_depth: int | None = 3, min_leaf: int = 2, presorted: Presorted | None = None,
+    max_depth: int | None, min_leaf: int, presorted: Presorted | None = None,
 ) -> np.ndarray:
     """Regression tree on gradient/hessian sums, appended to nodes (see
     `_grow`); leaves take a Newton step G/(H+eps), and each row's leaf
@@ -437,13 +436,13 @@ def grow_forest(
     # node: in-bag rows idx[lo:lo + size], their counts in cnt; sums n, pos exact
     size, idx, cnt = np.array([r.size for r in idx]), np.concatenate(idx), np.concatenate(cnt)
     lo, n, pos = np.cumsum(size) - size, np.full(n_trees, m, float), np.array(pos)
-    table = []  # per level: feature, threshold, left, right, value, n
+    table = []  # per level: feature, threshold, left, right, value
     numbered, depth = n_trees, 0  # nodes numbered so far: the levels down to this one
     with np.errstate(over="ignore"):  # a midpoint of huge neighbors
         while size.size:
             feature, left, right = (np.full(size.size, -1, np.int32) for _ in range(3))
             threshold = np.zeros(size.size)
-            table.append((feature, threshold, left, right, pos / n, n.astype(np.int64)))
+            table.append((feature, threshold, left, right, pos / n))
             # best split per searched node: chunks of at most 4 * _RUN (node, feature,
             # row) elements, or one node, draw features in order and hold per-pair arrays
             go = np.flatnonzero((pos > 0) & (pos < n) & (n >= 2 * min_leaf) & (depth < limit))

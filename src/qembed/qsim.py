@@ -86,10 +86,17 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits}, layout={self.layout!r})"
 
 
+def check_qubits(n: int) -> None:
+    """The simulator's one qubit cap: raise QubitCapExceeded past MAX_QUBITS."""
+    if n > MAX_QUBITS:
+        raise QubitCapExceeded(f"{n} qubits exceeds cap {MAX_QUBITS}")
+
+
 def new_zero_state(n_qubits: int) -> StateVector:
     """All-qubits-|0> state in product layout."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise QubitCapExceeded(f"n_qubits={n_qubits} outside [1, {MAX_QUBITS}]")
+    if n_qubits < 1:
+        raise QubitCapExceeded(f"n_qubits={n_qubits} is below 1")
+    check_qubits(n_qubits)
     factors = np.zeros((n_qubits, 2), dtype=complex)
     factors[:, 0] = 1.0
     return StateVector(n_qubits, factors, PRODUCT)
@@ -272,8 +279,7 @@ def expectation_z(state: StateVector, qubit: int) -> float:
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Combined state with a's qubits above b's: amps[(i << n_b) | j] = a[i] b[j]."""
     n = a.n_qubits + b.n_qubits
-    if n > MAX_QUBITS:
-        raise QubitCapExceeded(f"combined {n} qubits exceeds cap {MAX_QUBITS}")
+    check_qubits(n)
     if a.layout == PRODUCT and b.layout == PRODUCT:
         return StateVector(n, np.vstack([b._data, a._data]), PRODUCT)
     return StateVector(n, np.kron(a.amps, b.amps), DENSE)

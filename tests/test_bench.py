@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qembed import encoding as enc
 from qembed.bench import cli, config, data, report, runner
 from qembed.encoding import RAW, amplitude_scheme, angle_scheme, basis_scheme
 from qembed.errors import ConfigError, EmptyInput, EmptyResults, ZeroVariance
@@ -679,7 +680,6 @@ class TestReport:
             dim_out=0,
             seed=0,
             split_checksum="x",
-            timestamp="t",
         )
         text = report.emit_report([failed], "csv")
         row = list(csv.reader(io.StringIO(text)))[1]
@@ -701,7 +701,7 @@ class TestReport:
         failed = runner.RunResult(
             encoding="a|b", model="svm", report=None, error="encode: x | y",
             encode_ms=0.0, fit_ms=0.0, predict_ms=0.0, dim_in=6, dim_out=0,
-            seed=0, split_checksum="x", timestamp="t",
+            seed=0, split_checksum="x",
         )
         lines = report.emit_report([failed], "markdown").splitlines()
         unescaped = [len(re.findall(r"(?<!\\)\|", line)) for line in lines]
@@ -804,6 +804,16 @@ class TestCli:
         assert cli.main(["encode", *argv]) == 1
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
+
+    def test_encode_choices_are_read_from_the_encoding_module(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        choices = {a.dest: list(a.choices) for a in sub.choices["encode"]._actions if a.choices}
+        assert choices == {
+            "scheme": [mode for mode in cli._ENCODE_FLAGS if mode != "text"],
+            "axis": list(enc.AXIS_GATES),
+            "map": [enc.LINEAR_PI, enc.RAW],
+            "readout": list(enc.READOUTS),
+        }
 
     def test_encode_degrees_with_a_map_is_usage_error(self, capsys):
         # --degrees sets the raw map; it must not silently override --map linear_pi

@@ -661,3 +661,17 @@ class TestEmbedMatrixEqualsOracle:
         assert isinstance(one_row.value.cause, QubitCapExceeded)
         with pytest.raises(QubitCapExceeded, match="27 qubits exceeds cap 24"):
             enc.embed_matrix(matrix_of(np.zeros((0, width))), scheme)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qsim.new_zero_state(25),
+    lambda: qsim.tensor_product(qsim.new_zero_state(13), qsim.new_zero_state(12)),
+    lambda: enc.basis_encode([0] * 25),
+    lambda: enc.superposition_encode(["0" * 25, "1" * 25]),
+    lambda: enc.angle_encode([0.5] * 25, enc.angle_scheme()),
+    lambda: enc.embed_matrix(matrix_of(np.zeros((0, 25))), enc.angle_scheme()),
+], ids=["zero-state", "tensor-product", "basis", "superposition", "angle", "zero-rows"])
+def test_every_qubit_cap_gives_one_message(build):
+    # qsim.check_qubits is the one cap; amplitude_encode would need 2^24 + 1 values
+    with pytest.raises(QubitCapExceeded, match=r"^25 qubits exceeds cap 24$"):
+        build()

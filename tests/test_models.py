@@ -503,7 +503,7 @@ def reference_grow(nodes, X, node, search, best0, max_depth, min_leaf, presorted
             seg = order[:, lo:hi]
             rows = seg[d]
             val, splittable, totals = node(rows)
-            nodes.append(rec := [-1, 0.0, -1, -1, val, hi - lo])
+            nodes.append(rec := [-1, 0.0, -1, -1, val])
             if not splittable or hi - lo < 2 * min_leaf or depth >= limit:
                 leaf[rows] = val
                 continue
@@ -549,7 +549,7 @@ def kind_data(case, m=150, seed=7):
 
 def tree_bytes(t):
     return [getattr(t, name).tobytes() for name in
-            ("feature", "threshold", "left", "right", "value", "n", "roots")]
+            ("feature", "threshold", "left", "right", "value", "roots")]
 
 
 def grown(grow, *args, **kwargs):
@@ -639,7 +639,7 @@ class TestTree:
         for data in (X, np.sign(X)):
             tracemalloc.start()
             try:
-                grow_classifier([], data, y)
+                grow_classifier([], data, y, max_depth=8, min_leaf=2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -677,7 +677,7 @@ class TestTree:
         w = np.random.default_rng(0).random(y.size)
         grad, hess = w - 0.5, w * (1 - w)
         fits = (
-            lambda: grown(grow_classifier, X, y, max_depth=3),
+            lambda: grown(grow_classifier, X, y, max_depth=3, min_leaf=2),
             lambda: grown(grow_classifier, X, y, w, max_depth=3, min_leaf=5),
             lambda: grown(grow_regression, X, grad, hess, max_depth=3, min_leaf=1),
         )
@@ -735,7 +735,7 @@ class TestTree:
         w = np.random.default_rng(seed).random(y.size)
         fits = {
             "tree": lambda: models.fit(ModelSpec("tree"), X, y).state["tree"],
-            "weighted": lambda: grown(grow_classifier, X, y, w, min_leaf=3),
+            "weighted": lambda: grown(grow_classifier, X, y, w, max_depth=8, min_leaf=3),
             "adaboost": lambda: models.fit(ModelSpec("adaboost"), X, y).state["tree"],
             "gbt": lambda: models.fit(ModelSpec("gbt", params={"n_rounds": 20}), X, y).state[
                 "tree"],
@@ -749,6 +749,21 @@ class TestTree:
             for name, fit in fits.items():
                 assert tree_bytes(got[name]) == tree_bytes(fit()), name
         assert any((got[name].feature == 0).any() for name in ("tree", "gbt"))
+
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    @pytest.mark.parametrize("case", KIND_CASES)
+    def test_counting_equals_summing_ones(self, case, min_leaf, max_depth):
+        # without weights the grower counts rows and labels; all-ones weights
+        # sum them, and integer sums are exact in float64, so no bit changes
+        X, y, _ = kind_data(case)
+        tables, leaves = [], []
+        for weights in (None, np.ones(y.size)):
+            nodes = []
+            leaves.append(grow_classifier(nodes, X, y, weights, max_depth=max_depth,
+                                          min_leaf=min_leaf).tobytes())
+            tables.append(tree_bytes(Tree.of(nodes, [0])))
+        assert tables[0] == tables[1] and leaves[0] == leaves[1]
 
     def test_leaf_probabilities_are_class_fractions(self):
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
@@ -801,7 +816,8 @@ class TestForest:
             plain = grown(grow_classifier, X[rows], y[rows], max_depth=max_depth,
                           min_leaf=min_leaf)
             assert leaf.tobytes() == plain.predict(probe)[0].tobytes()
-            assert sorted(table.n[subtree(table, root)[0]].tolist()) == sorted(plain.n.tolist())
+            assert sorted(table.value[subtree(table, root)[0]].tolist()) == sorted(
+                plain.value.tolist())
 
     def test_working_set_is_bounded(self):
         # The level-wise grower holds every tree's in-bag rows and counts as
@@ -862,7 +878,7 @@ class TestAdaboost:
         y = np.array([0, 1] * 4)
         model = models.fit(ModelSpec("adaboost"), X, y)
         table = model.state["tree"]
-        assert table.roots.size == table.n.size == 0 and model.meta.iterations == 0
+        assert table.roots.size == table.value.size == 0 and model.meta.iterations == 0
         assert np.array_equal(model.predict_proba(np.array([[0.0], [1.0], [5.0]])),
                               [0.5, 0.5, 0.5])
 
@@ -921,7 +937,7 @@ def spy_returns(monkeypatch, name):
 
 def assert_one_tree_per_node(table):
     ids = [i for root in table.roots for i in subtree(table, root)[0]]
-    assert sorted(ids) == list(range(table.n.size))
+    assert sorted(ids) == list(range(table.value.size))
 
 
 class TestTreeTable:
@@ -972,7 +988,7 @@ class TestTreeTable:
         model = models.fit(ModelSpec("adaboost"), X, y)
         table = model.state["tree"]
         assert len(returned) == 3 and table.roots.tolist() == [0, 3]
-        assert table.n.size == 6 and model.meta.iterations == 2
+        assert table.value.size == 6 and model.meta.iterations == 2
         assert_one_tree_per_node(table)
         assert set(table.value.tolist()) <= {0.0, 1.0}
 
