@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qembed import encoding as enc
 from qembed.bench import cli, config, data, report, runner
-from qembed.encoding import RAW, amplitude_scheme, angle_scheme, basis_scheme
+from qembed.encoding import (
+    AXIS_GATES, LINEAR_PI, RAW, READOUTS, amplitude_scheme, angle_scheme, basis_scheme,
+)
 from qembed.errors import ConfigError, EmptyInput, EmptyResults, ZeroVariance
 from qembed.metrics import MetricReport
 from qembed.models import MODEL_KINDS, ModelSpec
@@ -810,9 +811,9 @@ class TestCli:
         choices = {a.dest: list(a.choices) for a in sub.choices["encode"]._actions if a.choices}
         assert choices == {
             "scheme": [mode for mode in cli._ENCODE_FLAGS if mode != "text"],
-            "axis": list(enc.AXIS_GATES),
-            "map": [enc.LINEAR_PI, enc.RAW],
-            "readout": list(enc.READOUTS),
+            "axis": list(AXIS_GATES),
+            "map": [LINEAR_PI, RAW],
+            "readout": list(READOUTS),
         }
 
     def test_encode_degrees_with_a_map_is_usage_error(self, capsys):
