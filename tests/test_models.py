@@ -21,7 +21,9 @@ from qembed.errors import (
 )
 from qembed.models import KernelFn, ModelSpec, ensemble, linear
 from qembed.models.linear import log_loss_gradient, log_loss_l2
-from qembed.models.svm import decision_values, fit_smo, gram
+from qembed.models import svm as svm_module
+from qembed.models.neighbors import knn_proba, sq_distances
+from qembed.models.svm import QRows, decision_values, fit_smo, gram
 from qembed.models import tree as tree_module
 from qembed.models.tree import (
     _BLOCK, _EPS, SCANNED, TIE_FREE, TWO_VALUED, Tree, _left_sum, _partition, _threshold,
@@ -321,6 +323,33 @@ class TestKnn:
         model = models.fit(ModelSpec("knn", params={"k": 1}), X, y)
         assert model.predict_proba(np.array([[1.0]]))[0] == 1.0  # row 0 wins
 
+    def test_k_splits_a_tie_group(self):
+        # distances 1, 0, 0, 0, 1: k=2 takes rows 1 and 2 of the three at 0,
+        # k=4 adds row 0, not row 4, of the two at 1
+        X_train = np.array([[0.0], [1.0], [1.0], [1.0], [2.0]])
+        y = np.array([1, 1, 0, 0, 0])
+        probe = np.array([[1.0]])
+        assert knn_proba(X_train, y, 2, probe)[0] == 0.5
+        assert knn_proba(X_train, y, 4, probe)[0] == 0.5
+        assert knn_proba(X_train, y, 5, probe)[0] == 0.4
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_stable_argsort(self, seed):
+        # 0/1 features, as basis encoding gives, tie most distances; every k
+        # from 1 to the number of training rows gives the stable sort's bits
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(5, 40)), int(rng.integers(1, 6))
+        X_train = rng.integers(0, 2, size=(n, d)).astype(float)
+        X = rng.integers(0, 2, size=(15, d)).astype(float)
+        if seed % 3 == 0:
+            X_train, X = rng.normal(size=X_train.shape), rng.normal(size=X.shape)
+        y = rng.integers(0, 2, size=n)
+        for k in range(1, n + 1):
+            nearest = np.argsort(sq_distances(X, X_train), axis=1, kind="stable")[:, :k]
+            expected = y[nearest].mean(axis=1)
+            got = knn_proba(X_train, y, k, X)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), k
+
 
 def _kernel(k: KernelFn, a, b) -> float:
     """k(a, b) for two vectors, read off a one-row gram."""
@@ -457,6 +486,107 @@ class TestSvm:
         a = models.fit(ModelSpec("svm", seed=3), X, y)
         b = models.fit(ModelSpec("svm", seed=3), X, y)
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+
+
+def reference_smo(X, y01, kernel, C, tol, max_iter):
+    """fit_smo's loop on the full m x m Q, as it ran before Q rows were cached."""
+    y = np.where(y01 == 1, 1.0, -1.0)
+    Q = gram(kernel, X, X)
+    Q *= y[:, None]
+    Q *= y
+    diag = Q.diagonal().copy()
+    alpha = np.zeros(X.shape[0])
+    G = -np.ones(X.shape[0])
+    for it in range(max_iter + 1):
+        score = -y * G
+        up = np.where(y > 0, alpha < C, alpha > 0)
+        low = np.where(y > 0, alpha > 0, alpha < C)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        g_up, g_low = score[i], np.min(score[low])
+        converged = bool(g_up - g_low < tol)
+        if converged or it == max_iter:
+            break
+        b = g_up - score
+        a = np.maximum(diag[i] + diag - 2.0 * y[i] * y * Q[i], 1e-12)
+        j = int(np.argmin(np.where(low & (b > 0), -b * b / a, np.inf)))
+        bound_i = C if y[i] > 0 else 0.0
+        bound_j = 0.0 if y[j] > 0 else C
+        room_i, room_j = abs(bound_i - alpha[i]), abs(bound_j - alpha[j])
+        t = min(b[j] / a[j], room_i, room_j)
+        old_i, old_j = alpha[i], alpha[j]
+        alpha[i] = bound_i if t == room_i else old_i + y[i] * t
+        alpha[j] = bound_j if t == room_j else old_j - y[j] * t
+        G += (alpha[i] - old_i) * Q[i] + (alpha[j] - old_j) * Q[j]
+    free = (alpha > 0) & (alpha < C)
+    bias = float(np.mean(score[free]) if free.any() else (g_up + g_low) / 2)
+    return alpha, bias, it, converged
+
+
+KERNELS = [KernelFn("linear"), KernelFn("polynomial", degree=3, coef0=0.5), KernelFn("rbf"),
+           KernelFn("sigmoid", coef0=0.5)]
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_rows_and_diagonal_match_gram(self, kernel):
+        X, y01 = blobs(21, n=30, d=4)
+        y = np.where(y01 == 1, 1.0, -1.0)
+        Q = QRows(X, y, kernel)
+        K = gram(kernel, X, X)
+        for i in range(X.shape[0]):
+            assert np.max(np.abs(Q[i] - K[i] * y[i] * y)) <= 1e-12
+        assert np.max(np.abs(Q.diag - K.diagonal())) <= 1e-12
+        if kernel.kind == "rbf":
+            # (|x|^2 + |x|^2) - 2|x|^2 is exactly 0, where the Gram can miss 1 by an ulp
+            assert np.all(Q.diag == 1.0)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_fit_matches_the_full_gram_loop(self, kernel):
+        # Q rows differ from the Gram's in their last bits, so two working-set
+        # candidates within an ulp of each other may be picked differently; on
+        # 50 features for 40 rows no two come that close (closest 1.4e-11)
+        X, y = blobs(3, n=40, d=50, spread=3.0)
+        kern = kernel.resolve(X.shape[1])
+        alpha, bias, iters, converged = fit_smo(X, y, kern, 1.0, 1e-3, 100_000)
+        ref_alpha, ref_bias, ref_iters, ref_converged = reference_smo(
+            X, y, kern, 1.0, 1e-3, 100_000)
+        assert (iters, converged) == (ref_iters, ref_converged)
+        assert np.max(np.abs(alpha - ref_alpha)) <= 1e-9
+        assert abs(bias - ref_bias) <= 1e-9
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_two_row_budget_gives_the_same_bits(self, kernel, monkeypatch):
+        # an evicted row is recomputed with the same bits, so the budget
+        # changes memory and time only
+        X, y = blobs(13, n=60, spread=2.0)
+        kern = kernel.resolve(X.shape[1])
+        fits = []
+        for budget in (svm_module._CACHE_BYTES, 2 * 8 * X.shape[0]):
+            monkeypatch.setattr(svm_module, "_CACHE_BYTES", budget)
+            alpha, bias, iters, converged = fit_smo(X, y, kern, 1.0, 1e-3, 100_000)
+            fits.append((alpha.tobytes(), bias, iters, converged))
+        assert fits[0] == fits[1]
+
+    def test_oldest_row_goes_first(self, monkeypatch):
+        X, y01 = blobs(14, n=20)
+        monkeypatch.setattr(svm_module, "_CACHE_BYTES", 2 * 8 * 20)
+        Q = QRows(X, np.where(y01 == 1, 1.0, -1.0), KernelFn("rbf"))
+        for i in (3, 5, 3, 7):
+            Q[i]
+        assert list(Q.rows) == [5, 7]
+
+    def test_fit_holds_no_m_by_m_array(self, monkeypatch):
+        # at 2,000 rows one m x m float array is 30.5 MiB; a fit under a
+        # 1 MiB row budget stays under 2 MiB
+        monkeypatch.setattr(svm_module, "_CACHE_BYTES", 1 << 20)
+        X, y = blobs(15, n=2000, d=12, spread=2.0)
+        tracemalloc.start()
+        try:
+            fit_smo(X, y, KernelFn("rbf").resolve(12), 1.0, 1e-3, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def _reference_best_split(X, seg, scores, totals, min_leaf, best):
