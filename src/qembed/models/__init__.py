@@ -5,8 +5,9 @@ registered in two places: its hyperparameter defaults in DEFAULT_PARAMS
 and its (fit, score) pair in _KINDS.  A ModelSpec names the kind, the seed
 and the hyperparameters (validated against the defaults); fit() returns a
 TrainedModel, one record for every kind: the spec, fit metadata and a
-plain dict of the kind's fitted state, which the kind's score function
-reads.  Models live only for the run that fits them; nothing persists them.
+plain dict of the kind's fitted state, which is all the kind's score
+function reads.  Models live only for the run that fits them; nothing
+persists them.
 """
 from __future__ import annotations
 
@@ -43,10 +44,8 @@ def _fit_svm(p, seed, data, y):
     kernel = KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"]).resolve(data.shape[1])
     alpha, bias, iters, ok = svm.fit_smo(data, y, kernel, p["C"], p["tol"], p["max_iter"])
     support = alpha > 0
-    return TrainMeta(iters, ok), {
-        "kernel": kernel, "sv_X": data[support], "sv_y": y[support],
-        "sv_alpha": alpha[support], "bias": bias,
-    }
+    return TrainMeta(iters, ok), {"kernel": kernel, "sv_X": data[support], "bias": bias,
+                                  "sv_coef": np.where(y == 1, alpha, -alpha)[support]}
 
 
 def _fit_tree(p, seed, data, y):
@@ -66,10 +65,6 @@ def _fit_forest(p, seed, data, y):
 def _rounds(state):
     """A tree-sum state, with one iteration per tree."""
     return TrainMeta(state["tree"].roots.size), state
-
-
-def _tree_sum(p, s, data):
-    return ensemble.tree_sum(s, data)
 
 
 DEFAULT_PARAMS: dict[str, dict] = {
@@ -97,22 +92,21 @@ DEFAULT_PARAMS: dict[str, dict] = {
 }
 
 # kind: (fit(params, seed, X, y) -> (TrainMeta, state),
-#        score(params, state, X) -> P(class=1) per row)
+#        score(state, X) -> P(class=1) per row)
 _KINDS = {
-    "logreg": (_fit_logreg,
-               lambda p, s, data: linear.sigmoid(data @ s["weights"] + s["bias"])),
-    "knn": (lambda p, seed, data, y: (TrainMeta(), {"X": data.copy(), "y": y.copy()}),
-            lambda p, s, data: neighbors.knn_proba(
-                s["X"], s["y"], min(p["k"], len(s["y"])), data)),
-    "svm": (_fit_svm, lambda p, s, data: linear.sigmoid(svm.decision_values(
-        s["sv_X"], s["sv_y"], s["sv_alpha"], s["bias"], s["kernel"], data))),
-    "tree": (_fit_tree, _tree_sum),
-    "forest": (_fit_forest, _tree_sum),
+    "logreg": (_fit_logreg, lambda s, data: linear.sigmoid(data @ s["weights"] + s["bias"])),
+    "knn": (lambda p, seed, data, y: (TrainMeta(), {"X": data.copy(), "y": y,
+                                                    "k": min(p["k"], len(y))}),
+            lambda s, data: neighbors.knn_proba(s["X"], s["y"], s["k"], data)),
+    "svm": (_fit_svm, lambda s, data: linear.sigmoid(
+        svm.gram(s["kernel"], data, s["sv_X"]) @ s["sv_coef"] + s["bias"])),
+    "tree": (_fit_tree, ensemble.tree_sum),
+    "forest": (_fit_forest, ensemble.tree_sum),
     "adaboost": (lambda p, seed, data, y: _rounds(
-        ensemble.fit_adaboost(data, y, p["n_rounds"])), _tree_sum),
+        ensemble.fit_adaboost(data, y, p["n_rounds"])), ensemble.tree_sum),
     "gbt": (lambda p, seed, data, y: _rounds(ensemble.fit_gbt(
                 data, y, p["n_rounds"], p["lr"], p["max_depth"], p["min_leaf"])),
-            lambda p, s, data: linear.sigmoid(ensemble.tree_sum(s, data))),
+            lambda s, data: linear.sigmoid(ensemble.tree_sum(s, data))),
 }
 MODEL_KINDS = tuple(DEFAULT_PARAMS)
 
@@ -189,9 +183,9 @@ class TrainedModel:
 
     `state` is a plain dict:
       logreg   weights, bias
-      knn      X, y (the training rows)
-      svm      kernel (the KernelFn with gamma resolved), sv_X, sv_y,
-               sv_alpha, bias
+      knn      X, y (the training rows), k (clamped to the row count)
+      svm      kernel (the KernelFn with gamma resolved), sv_X (the support
+               vectors), sv_coef (their dual coefficients alpha*y), bias
       tree, forest, adaboost, gbt
                tree (one node table of every tree), weights, offset,
                scale (see `ensemble`)
@@ -210,7 +204,7 @@ class TrainedModel:
                 f"expected {self.n_features} features, got shape {data.shape}"
             )
         _check_finite(data, "scored")
-        return _KINDS[self.spec.kind][1](self.spec.params, self.state, data)
+        return _KINDS[self.spec.kind][1](self.state, data)
 
     def predict(self, X, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(int)

@@ -8,13 +8,14 @@ value); rank metrics are unaffected by that monotone squashing.
 
 A fit never holds the m x m kernel matrix: a row of Q = K * y y^T is
 computed when a pair update asks for it, from one matrix-vector product
-and the squared row norms taken once per fit, and kept in a cache of at
-most _CACHE_BYTES (oldest row out first), as LIBSVM does (Chang & Lin,
-ACM TIST 2:27, 2011).  So a fit holds O(_CACHE_BYTES + m d).
+and the squared row norms taken once per fit, and kept in an LRU cache of
+at most _CACHE_BYTES (least recently used row out first), as LIBSVM does
+(Chang & Lin, ACM TIST 2:27, 2011).  So a fit holds O(_CACHE_BYTES + m d).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,27 +87,21 @@ def gram(kernel: KernelFn, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         A @ B.T, sq_norms(A)[:, None], sq_norms(B)[None, :])
 
 
-class QRows:
-    """Rows of Q = K * y y^T for one fit, each computed when first asked for
-    and kept until _CACHE_BYTES of rows are held; then the oldest goes."""
+def q_rows(X: np.ndarray, y: np.ndarray, kernel: KernelFn):
+    """(row, diag) for Q = K * y y^T of one fit: row(i) computes row i when
+    first asked for and keeps it in an LRU cache of _CACHE_BYTES of rows (a
+    caller reads the cached array, never writes it); diag is Q's diagonal,
+    k(x_i, x_i), whose dot product is the squared norm."""
+    kernel = kernel.resolve(X.shape[1])
+    sq = sq_norms(X)
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, kernel: KernelFn):
-        self.X, self.y, self.kernel = X, y, kernel.resolve(X.shape[1])
-        self.sq = sq_norms(X)
-        # Q[i, i] = k(x_i, x_i), whose dot product is the squared norm
-        self.diag = self.kernel.of_dots(self.sq.copy(), self.sq, self.sq)
-        self.rows: dict[int, np.ndarray] = {}
-        self.cap = max(1, _CACHE_BYTES // (8 * X.shape[0]))
+    @lru_cache(maxsize=max(1, _CACHE_BYTES // (8 * X.shape[0])))
+    def row(i: int) -> np.ndarray:
+        q = kernel.of_dots(X @ X[i], sq[i], sq)
+        q *= y[i] * y
+        return q
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        row = self.rows.get(i)
-        if row is None:
-            if len(self.rows) >= self.cap:
-                del self.rows[next(iter(self.rows))]
-            row = self.kernel.of_dots(self.X @ self.X[i], self.sq[i], self.sq)
-            row *= self.y[i] * self.y
-            self.rows[i] = row
-        return row
+    return row, kernel.of_dots(sq.copy(), sq, sq)
 
 
 def fit_smo(
@@ -118,16 +113,15 @@ def fit_smo(
     gradient G = Q alpha - 1 with Q = K * y y^T.  Each iteration takes i
     as the maximal violator over I_up, j by the WSS2 gain over I_low,
     moves the pair by the Newton step clipped to the box and updates G
-    with two rows of Q, which QRows computes on demand and caches (no
-    m x m matrix is built).  Stops when the violation gap max_up(-yG) -
-    min_low(-yG) drops below tol (converged), or after max_iter pair
-    updates (not converged).  Pair updates keep sum(alpha*y) = 0.  The
-    bias is the mean of -yG over the free vectors, or the midpoint of
-    [min_low, max_up] when none is free.
+    with two rows of Q, which q_rows computes on demand and keeps in an
+    LRU cache, as LIBSVM does (no m x m matrix is built).  Stops when the
+    violation gap max_up(-yG) - min_low(-yG) drops below tol (converged),
+    or after max_iter pair updates (not converged).  Pair updates keep
+    sum(alpha*y) = 0.  The bias is the mean of -yG over the free vectors,
+    or the midpoint of [min_low, max_up] when none is free.
     """
     y = np.where(y01 == 1, 1.0, -1.0)
-    Q = QRows(X, y, kernel)
-    diag = Q.diag
+    Q, diag = q_rows(X, y, kernel)
     alpha = np.zeros(X.shape[0])
     G = -np.ones(X.shape[0])
     for it in range(max_iter + 1):
@@ -142,7 +136,7 @@ def fit_smo(
         # curvature along the pair direction, clamped as LIBSVM's tau
         # clamps it so that a non-PSD kernel (sigmoid) still steps
         b = g_up - score
-        q_i = Q[i]
+        q_i = Q(i)
         a = np.maximum(diag[i] + diag - 2.0 * y[i] * y * q_i, 1e-12)
         j = int(np.argmin(np.where(low & (b > 0), -b * b / a, np.inf)))
         # alpha_i moves by +y_i t and alpha_j by -y_j t, each toward one bound
@@ -153,12 +147,8 @@ def fit_smo(
         old_i, old_j = alpha[i], alpha[j]
         alpha[i] = bound_i if t == room_i else old_i + y[i] * t
         alpha[j] = bound_j if t == room_j else old_j - y[j] * t
-        G += (alpha[i] - old_i) * q_i + (alpha[j] - old_j) * Q[j]
+        G += (alpha[i] - old_i) * q_i + (alpha[j] - old_j) * Q(j)
     free = (alpha > 0) & (alpha < C)
     bias = float(np.mean(score[free]) if free.any() else (g_up + g_low) / 2)
     return alpha, bias, it, converged
 
-
-def decision_values(X_train, y01_train, alpha, bias, kernel, X) -> np.ndarray:
-    y = np.where(y01_train == 1, 1.0, -1.0)
-    return gram(kernel, X, X_train) @ (alpha * y) + bias

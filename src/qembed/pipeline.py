@@ -638,6 +638,9 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions, seed: int = 0) 
             raise UnknownColumn(f"extra_drops: {name!r} is not a feature column left to drop")
         report.dropped.append(DroppedColumn(name, "config", 0.0))
     keep = [j for j in keep if names[j] not in options.extra_drops]
+    if not keep:
+        raise TooFewComponents(
+            "extra_drops: no feature column is left after the correlation and VIF drops")
 
     report.class_counts_before = _class_counts(matrix.labels)
     matrix = undersample(matrix, seed)  # rows, then columns: the cut copies fewer rows

@@ -326,13 +326,11 @@ def test_criterion_08_model_properties(gbt_losses):
 
     # SMO convergence satisfies the dual equality constraint
     svm_model = models.fit(ModelSpec("svm", seed=8), X, y)
-    sv_alpha = svm_model.state["sv_alpha"]
-    signed = np.where(svm_model.state["sv_y"] == 1, 1.0, -1.0)
-    residual = abs(float(np.sum(sv_alpha * signed)))
+    sv_coef = svm_model.state["sv_coef"]  # alpha*y, with alpha > 0 on a support vector
+    residual = abs(float(np.sum(sv_coef)))
     assert residual < 1e-6
     C = svm_model.spec.params["C"]
-    assert np.all(sv_alpha >= -1e-12)
-    assert np.all(sv_alpha <= C + 1e-12)
+    assert np.all(np.abs(sv_coef) <= C + 1e-12)
 
     # one full-feature unbagged tree is the forest's fixed point
     shared = {"max_depth": 6, "min_leaf": 2}

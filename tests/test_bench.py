@@ -16,7 +16,9 @@ from qembed.encoding import (
 from qembed.errors import ConfigError, EmptyInput, EmptyResults, ZeroVariance
 from qembed.metrics import MetricReport
 from qembed.models import MODEL_KINDS, ModelSpec
-from qembed.pipeline import NUMERIC, FeatureMatrix, PreprocessOptions, correlation_matrix
+from qembed.pipeline import (
+    CATEGORICAL, NUMERIC, FeatureMatrix, PreprocessOptions, correlation_matrix,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1065,6 +1067,23 @@ class TestCli:
                          "--out", str(tmp_path / "pre")]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and repr(name) in err
+
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    def test_extra_drops_of_every_feature_left_is_data_error(self, tmp_path, capsys, command):
+        # every feature the correlation and VIF stages keep, dropped by name
+        assert cli.main(["preprocess", "--config", str(self.write_config(tmp_path)),
+                         "--out", str(tmp_path / "pre")]) == 0
+        manifest = json.loads((tmp_path / "pre" / "preprocess.json").read_text())["manifest"]
+        dropped = {d["name"] for d in manifest["preprocess_report"]["dropped"]}
+        left = [c.name for c in config.TELCO_SCHEMA
+                if c.kind in (CATEGORICAL, NUMERIC) and c.name not in dropped]
+        cfg_path = self.write_config(tmp_path, preprocess={"n_components": 6,
+                                                           "extra_drops": left})
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("data error: extra_drops: no feature column is "
+                                           "left after the correlation and VIF drops\n")
 
     @pytest.mark.parametrize("command", ["bench", "preprocess"])
     @pytest.mark.parametrize("name", ["Churn", "customerID", "Colour", "PhoneServce"])

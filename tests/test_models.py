@@ -23,7 +23,7 @@ from qembed.models import KernelFn, ModelSpec, ensemble, linear
 from qembed.models.linear import log_loss_gradient, log_loss_l2
 from qembed.models import svm as svm_module
 from qembed.models.neighbors import knn_proba, sq_distances
-from qembed.models.svm import QRows, decision_values, fit_smo, gram
+from qembed.models.svm import fit_smo, gram, q_rows
 from qembed.models import tree as tree_module
 from qembed.models.tree import (
     _BLOCK, _EPS, SCANNED, TIE_FREE, TWO_VALUED, Tree, _left_sum, _partition, _threshold,
@@ -456,12 +456,23 @@ class TestSvm:
         X, y = blobs(8, n=40)
         model = models.fit(ModelSpec("svm", params={"kernel": "linear"}), X, y)
         s = model.state
-        dec = decision_values(
-            s["sv_X"], s["sv_y"], s["sv_alpha"], s["bias"], KernelFn("linear"), X
-        )
+        dec = gram(s["kernel"], X, s["sv_X"]) @ s["sv_coef"] + s["bias"]
         proba = model.predict_proba(X)
         order = np.argsort(dec)
         assert np.all(np.diff(proba[order]) >= -1e-12)
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf", "polynomial", "sigmoid"])
+    def test_state_holds_dual_coefficients(self, kernel):
+        # sv_coef is alpha*y over the support vectors: it sums to 0, lies in
+        # [-C, C], and the score is sigmoid of the decision value it gives
+        X, y = blobs(11, n=50, spread=2.0)
+        model = models.fit(ModelSpec("svm", params={"kernel": kernel, "C": 0.5}), X, y)
+        s = model.state
+        assert set(s) == {"kernel", "sv_X", "sv_coef", "bias"}
+        assert abs(float(np.sum(s["sv_coef"]))) < 1e-6
+        assert np.all((np.abs(s["sv_coef"]) > 0) & (np.abs(s["sv_coef"]) <= 0.5))
+        want = linear.sigmoid(gram(s["kernel"], X, s["sv_X"]) @ s["sv_coef"] + s["bias"])
+        assert model.predict_proba(X).tobytes() == want.tobytes()
 
     def test_empty_support_set_scores_a_constant(self):
         # a tol above the starting violation gap of 2 stops SMO before any
@@ -531,14 +542,14 @@ class TestKernelRows:
     def test_rows_and_diagonal_match_gram(self, kernel):
         X, y01 = blobs(21, n=30, d=4)
         y = np.where(y01 == 1, 1.0, -1.0)
-        Q = QRows(X, y, kernel)
+        row, diag = q_rows(X, y, kernel)
         K = gram(kernel, X, X)
         for i in range(X.shape[0]):
-            assert np.max(np.abs(Q[i] - K[i] * y[i] * y)) <= 1e-12
-        assert np.max(np.abs(Q.diag - K.diagonal())) <= 1e-12
+            assert np.max(np.abs(row(i) - K[i] * y[i] * y)) <= 1e-12
+        assert np.max(np.abs(diag - K.diagonal())) <= 1e-12
         if kernel.kind == "rbf":
             # (|x|^2 + |x|^2) - 2|x|^2 is exactly 0, where the Gram can miss 1 by an ulp
-            assert np.all(Q.diag == 1.0)
+            assert np.all(diag == 1.0)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
     def test_fit_matches_the_full_gram_loop(self, kernel):
@@ -567,13 +578,17 @@ class TestKernelRows:
             fits.append((alpha.tobytes(), bias, iters, converged))
         assert fits[0] == fits[1]
 
-    def test_oldest_row_goes_first(self, monkeypatch):
+    def test_least_recently_used_row_goes_first(self, monkeypatch):
+        # under a two-row budget, 3 5 3 7 3 5 evicts 5, the least recently
+        # used, for 7, so both later 3s hit; oldest-out would evict 3 and
+        # miss five times
         X, y01 = blobs(14, n=20)
         monkeypatch.setattr(svm_module, "_CACHE_BYTES", 2 * 8 * 20)
-        Q = QRows(X, np.where(y01 == 1, 1.0, -1.0), KernelFn("rbf"))
-        for i in (3, 5, 3, 7):
-            Q[i]
-        assert list(Q.rows) == [5, 7]
+        row, _ = q_rows(X, np.where(y01 == 1, 1.0, -1.0), KernelFn("rbf"))
+        for i in (3, 5, 3, 7, 3, 5):
+            row(i)
+        info = row.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (2, 4, 2)
 
     def test_fit_holds_no_m_by_m_array(self, monkeypatch):
         # at 2,000 rows one m x m float array is 30.5 MiB; a fit under a

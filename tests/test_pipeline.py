@@ -1136,6 +1136,17 @@ class TestRunPreprocess:
         with pytest.raises(UnknownColumn, match=repr(name)):
             pl.run_preprocess(synthetic_dataset(), opts, 2)
 
+    def test_extra_drops_of_every_feature_left_is_named(self):
+        # the correlation stage drops usage_total; dropping the other four
+        # leaves PCA nothing, which is the extra_drops stage's error, not PCA's
+        ds = synthetic_dataset()
+        report = pl.run_preprocess(ds, pl.PreprocessOptions(), 2).report
+        dropped = {d.name for d in report.dropped}
+        left = tuple(c.name for c in ds.feature_specs() if c.name not in dropped)
+        assert left == ("plan", "region", "usage", "spend")
+        with pytest.raises(TooFewComponents, match="^extra_drops: no feature column is left"):
+            pl.run_preprocess(ds, pl.PreprocessOptions(extra_drops=left), 2)
+
     def test_report_serializes(self):
         import json
 
