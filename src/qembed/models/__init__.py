@@ -6,8 +6,8 @@ and its (fit, score) pair in _KINDS.  A ModelSpec names the kind, the seed
 and the hyperparameters (validated against the defaults); fit() returns a
 TrainedModel, one record for every kind: the spec, fit metadata and a
 plain dict of the kind's fitted state, which is all the kind's score
-function reads.  Models live only for the run that fits them; nothing
-persists them.
+function reads; kNN and SVM score in blocks of test rows (_in_blocks).
+Models live only for the run that fits them; nothing persists them.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from ..errors import (
     NonFiniteFeature,
     SingleClass,
 )
-from ..pipeline import FeatureMatrix, checked_int, checked_real
+from ..pipeline import FeatureMatrix, checked_int, checked_real, row_dots
 from . import ensemble, linear, neighbors, svm, tree
 from .svm import KernelFn
 
@@ -62,6 +62,14 @@ def _fit_forest(p, seed, data, y):
                     "scale": p["n_trees"]})
 
 
+def _in_blocks(score, key):
+    """score(s, X) in blocks of >= 1 row within _SCORE_BYTES at len(s[key]) floats a row."""
+    def blocked(s, data):
+        n = max(1, _SCORE_BYTES // (8 * max(len(s[key]), 1)))
+        return np.concatenate([score(s, data[i:i + n]) for i in range(0, max(len(data), 1), n)])
+    return blocked
+
+
 def _rounds(state):
     """A tree-sum state, with one iteration per tree."""
     return TrainMeta(state["tree"].roots.size), state
@@ -91,15 +99,16 @@ DEFAULT_PARAMS: dict[str, dict] = {
     "gbt": {"n_rounds": 100, "lr": 0.1, "max_depth": 3, "min_leaf": 2},
 }
 
+_SCORE_BYTES = 4 << 20  # of (test x training rows) floats in each kNN or SVM scoring block
 # kind: (fit(params, seed, X, y) -> (TrainMeta, state),
 #        score(state, X) -> P(class=1) per row)
 _KINDS = {
     "logreg": (_fit_logreg, lambda s, data: linear.sigmoid(data @ s["weights"] + s["bias"])),
     "knn": (lambda p, seed, data, y: (TrainMeta(), {"X": data.copy(), "y": y,
                                                     "k": min(p["k"], len(y))}),
-            lambda s, data: neighbors.knn_proba(s["X"], s["y"], s["k"], data)),
-    "svm": (_fit_svm, lambda s, data: linear.sigmoid(
-        svm.gram(s["kernel"], data, s["sv_X"]) @ s["sv_coef"] + s["bias"])),
+            _in_blocks(lambda s, data: neighbors.knn_proba(s["X"], s["y"], s["k"], data), "y")),
+    "svm": (_fit_svm, _in_blocks(lambda s, data: linear.sigmoid(
+        row_dots(svm.gram(s["kernel"], data, s["sv_X"]), s["sv_coef"]) + s["bias"]), "sv_coef")),
     "tree": (_fit_tree, ensemble.tree_sum),
     "forest": (_fit_forest, ensemble.tree_sum),
     "adaboost": (lambda p, seed, data, y: _rounds(

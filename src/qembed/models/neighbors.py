@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..pipeline import row_dots
+
 
 def sq_norms(A: np.ndarray) -> np.ndarray:
     return np.sum(A**2, axis=1)
@@ -19,7 +21,7 @@ def sq_distances_of_dots(dots: np.ndarray, sq_a, sq_b) -> np.ndarray:
 
 def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances D[i, j] = |A[i] - B[j]|^2."""
-    return sq_distances_of_dots(A @ B.T, sq_norms(A)[:, None], sq_norms(B)[None, :])
+    return sq_distances_of_dots(row_dots(A, B), sq_norms(A)[:, None], sq_norms(B)[None, :])
 
 
 def knn_proba(X_train: np.ndarray, y_train: np.ndarray, k: int, X: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DimensionMismatch, InvalidHyperparameter
-from ..pipeline import checked_int, checked_real
+from ..pipeline import checked_int, checked_real, row_dots
 from .neighbors import sq_distances_of_dots, sq_norms
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
@@ -82,9 +82,9 @@ class KernelFn:
 
 
 def gram(kernel: KernelFn, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(A[i], B[j])."""
+    """Kernel matrix K[i, j] = k(A[i], B[j]), each row's dots from `row_dots`."""
     return kernel.resolve(A.shape[1]).of_dots(
-        A @ B.T, sq_norms(A)[:, None], sq_norms(B)[None, :])
+        row_dots(A, B), sq_norms(A)[:, None], sq_norms(B)[None, :])
 
 
 def q_rows(X: np.ndarray, y: np.ndarray, kernel: KernelFn):
@@ -113,10 +113,9 @@ def fit_smo(
     gradient G = Q alpha - 1 with Q = K * y y^T.  Each iteration takes i
     as the maximal violator over I_up, j by the WSS2 gain over I_low,
     moves the pair by the Newton step clipped to the box and updates G
-    with two rows of Q, which q_rows computes on demand and keeps in an
-    LRU cache, as LIBSVM does (no m x m matrix is built).  Stops when the
-    violation gap max_up(-yG) - min_low(-yG) drops below tol (converged),
-    or after max_iter pair updates (not converged).  Pair updates keep
+    with two rows of Q from q_rows.  Stops when the violation gap
+    max_up(-yG) - min_low(-yG) drops below tol (converged), or after
+    max_iter pair updates (not converged).  Pair updates keep
     sum(alpha*y) = 0.  The bias is the mean of -yG over the free vectors,
     or the midpoint of [min_low, max_up] when none is free.
     """

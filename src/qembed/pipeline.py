@@ -497,7 +497,12 @@ def pca_transform(model: PcaModel, matrix: FeatureMatrix) -> FeatureMatrix:
 
 def _project(model: PcaModel, centred: np.ndarray, labels) -> FeatureMatrix:
     names = tuple(f"pc{i}" for i in range(model.n_components))
-    return FeatureMatrix(centred @ model.components.T, names, labels)
+    return FeatureMatrix(row_dots(centred, model.components), names, labels)
+
+
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B.T or A @ b; einsum sums each row alone, not BLAS: blocks and threads keep its bits."""
+    return np.einsum("ik,...k->i...", A, B)
 
 
 def pca_inverse_transform(model: PcaModel, matrix: FeatureMatrix) -> np.ndarray:

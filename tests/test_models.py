@@ -2,8 +2,12 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,14 +468,16 @@ class TestSvm:
     @pytest.mark.parametrize("kernel", ["linear", "rbf", "polynomial", "sigmoid"])
     def test_state_holds_dual_coefficients(self, kernel):
         # sv_coef is alpha*y over the support vectors: it sums to 0, lies in
-        # [-C, C], and the score is sigmoid of the decision value it gives
+        # [-C, C], and the score is sigmoid of the decision value it gives,
+        # each row's kernel dots and sum taken by row_dots
         X, y = blobs(11, n=50, spread=2.0)
         model = models.fit(ModelSpec("svm", params={"kernel": kernel, "C": 0.5}), X, y)
         s = model.state
         assert set(s) == {"kernel", "sv_X", "sv_coef", "bias"}
         assert abs(float(np.sum(s["sv_coef"]))) < 1e-6
         assert np.all((np.abs(s["sv_coef"]) > 0) & (np.abs(s["sv_coef"]) <= 0.5))
-        want = linear.sigmoid(gram(s["kernel"], X, s["sv_X"]) @ s["sv_coef"] + s["bias"])
+        want = linear.sigmoid(pl.row_dots(gram(s["kernel"], X, s["sv_X"]), s["sv_coef"])
+                              + s["bias"])
         assert model.predict_proba(X).tobytes() == want.tobytes()
 
     def test_empty_support_set_scores_a_constant(self):
@@ -602,6 +608,82 @@ class TestKernelRows:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestBlockedScoring:
+    """kNN and SVM score blocks of test rows whose (rows x training rows, or
+    x support vectors) floats fit models._SCORE_BYTES."""
+
+    SPECS = [ModelSpec("knn"), *(ModelSpec("svm", params={"kernel": k.kind, "coef0": k.coef0})
+                                 for k in KERNELS)]
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.params.get("kernel", s.kind))
+    def test_blocks_keep_the_bits(self, spec, rows, monkeypatch):
+        X, y = blobs(40, n=60, d=4, spread=2.0)
+        probe, _ = blobs(41, n=45, d=4, spread=3.0)
+        model = models.fit(spec, X, y)
+        whole = model.predict_proba(probe)
+        width = len(model.state["y" if spec.kind == "knn" else "sv_coef"])
+        monkeypatch.setattr(models, "_SCORE_BYTES", 8 * width * rows)
+        assert model.predict_proba(probe).tobytes() == whole.tobytes()
+
+    def test_empty_support_set_scores_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(models, "_SCORE_BYTES", 8)
+        X, y = blobs(37, n=20, d=3)
+        model = models.fit(ModelSpec("svm", params={"tol": 3.0}), X, y)
+        assert model.state["sv_X"].shape == (0, 3)
+        proba = model.predict_proba(X)
+        assert proba.shape == (20,) and np.all(proba == proba[0])
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    def test_peak_memory_about_twice_the_budget(self, kind):
+        # 800 test x 3,000 training rows: one whole product is 19.2 MB
+        rng = np.random.default_rng(42)
+        X, X_test = rng.normal(size=(3000, 12)), rng.normal(size=(800, 12))
+        y = np.arange(3000) % 2
+        if kind == "knn":
+            model = models.fit(ModelSpec("knn"), X, y)
+        else:
+            state = {"kernel": KernelFn("rbf").resolve(12), "sv_X": X,
+                     "sv_coef": rng.normal(size=3000), "bias": 0.0}
+            model = models.TrainedModel(ModelSpec("svm"), models.TrainMeta(), 12, state)
+        tracemalloc.start()
+        try:
+            model.predict_proba(X_test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * models._SCORE_BYTES
+
+
+THREAD_PROBE = """
+import dataclasses, hashlib, sys
+from qembed import models
+from qembed.bench.config import load_config
+from qembed.bench.runner import preprocess_run
+config = dataclasses.replace(load_config(sys.argv[1]), synthetic_rows=7043)
+pre, manifest = preprocess_run(config)
+print(manifest["split_checksum"])
+for kind in ("svm", "knn"):
+    proba = models.fit(models.ModelSpec(kind), pre.train).predict_proba(pre.test)
+    print(kind, hashlib.sha256(proba.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+def test_same_bits_at_one_and_two_blas_threads():
+    # the 7,043-row draw of configs/synthetic.json, classical encoding (the
+    # split itself): PCA projection, kNN and SVM scores at 1 and 2 threads
+    root = Path(__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE, str(root / "configs/synthetic.json")],
+                              env=env, capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _reference_best_split(X, seg, scores, totals, min_leaf, best):
@@ -1246,8 +1328,8 @@ class TestPinnedOutputs:
         "svm": (
             ModelSpec("svm"),
             {
-                "25571e1088a2aef6c23175a02a43e3c258147ee9f6ccfde4f8a45e5b08e0562f",
-                "213e764b6af4abbe1dcce1f5d6b0196485e83a14beaecdd1dbcd9d97629c2305",
+                "7d26eec7a02fde8c163af9ed71cf35ec9a65e31d1863c4d2f02bb8579277ef85",
+                "d2a4ede8f1c40a8505243c361156c6a83e7a7d7ca1c1d5c4fe9402af072f7f43",
             },
         ),
         "tree": (

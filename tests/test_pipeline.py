@@ -703,6 +703,22 @@ class TestPca:
             pl.pca_fit(X, 5)
 
 
+class TestRowDots:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_row_summed_alone(self, seed):
+        # a row's bits do not depend on the rows computed beside it, so row
+        # blocks and BLAS threads cannot move them; the values are A @ B.T's
+        rng = np.random.default_rng(seed)
+        n, m, d = (int(v) for v in rng.integers(1, 40, size=3))
+        A, B, b = rng.normal(size=(n, d)), rng.normal(size=(m, d)), rng.normal(size=d)
+        for other, want in ((B, A @ B.T), (b, A @ b)):
+            got = pl.row_dots(A, other)
+            assert got.shape == want.shape
+            for i in range(n):
+                assert pl.row_dots(A[i:i + 1], other).tobytes() == got[i:i + 1].tobytes()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def well_separated(rng, m, d):
     """An m x d matrix whose centered singular values are r, r-1, ..., 1 (r = min(m-1, d))."""
     r = min(m - 1, d)
