@@ -45,7 +45,7 @@ _TOP_KEYS = {"dataset": (dict,), "seed": NUMBER, "preprocess": (dict,),
              "encodings": (list,), "models": (list,), "output_dir": (str, NULL)}
 _DATASET_KEYS = {"path": (str, NULL), "synthetic_rows": NUMBER, "schema": (list,)}
 _ENTRY_KEYS = {"kind": (str,), "name": (str,)}
-_MODEL_KEYS = {"kind": (str,), "seed": NUMBER, "params": (dict,)}
+_MODEL_KEYS = dict(_ENTRY_KEYS, seed=NUMBER, params=(dict,))
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,10 @@ class BenchConfig:
             raise ConfigError("config needs at least one encoding")
         if not self.models:
             raise ConfigError("config needs at least one model")
-        names = [e.name for e in self.encodings]
-        if twice := [name for i, name in enumerate(names) if name in names[:i]]:
-            raise ConfigError(f"duplicate encoding names: {twice}")
+        for axis, entries in (("encoding", self.encodings), ("model", self.models)):
+            names = [e.name for e in entries]
+            if twice := [name for i, name in enumerate(names) if name in names[:i]]:
+                raise ConfigError(f"duplicate {axis} names: {twice}")
         checked_layout(self.schema, "dataset.schema", ConfigError)
         if self.dataset_path is None and tuple(self.schema) != TELCO_SCHEMA:
             raise ConfigError("dataset.schema describes a CSV; without dataset.path omit it")

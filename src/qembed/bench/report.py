@@ -56,9 +56,6 @@ def emit_report(results, fmt: str = "csv") -> str:
     ]
     for cells in rows:
         lines.append("| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
-    if any(r[1] == "gbt" for r in rows):
-        lines.append("")
-        lines.append("gbt stands in for the boosted-tree family (LightGBM, CatBoost).")
     return "\n".join(lines) + "\n"
 
 

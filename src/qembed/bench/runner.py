@@ -38,7 +38,8 @@ RESULTS_FILE = "results.json"
 
 @dataclass
 class RunResult:
-    """Outcome of one (encoding, model) cell.
+    """Outcome of one (encoding, model) cell, each named by its entry's
+    `name` (which defaults to the entry's kind).
 
     A failed cell sets `error` and keeps the defaults of every scored
     field: no report, zero timings, `dim_out` 0, no solver iterations and
@@ -151,7 +152,7 @@ def _run_once(config: BenchConfig, pre: PreprocessResult, checksum: str) -> list
             results.append(
                 RunResult(
                     encoding=entry.name,
-                    model=spec.kind,
+                    model=spec.name,
                     error=error,
                     dim_in=train.n_cols,
                     seed=config.seed,

@@ -104,17 +104,18 @@ class EncodingScheme:
 
 
 def angle_scheme(axis: str = "X", angle_map: str = LINEAR_PI, readout: str | None = None):
-    return EncodingScheme(ANGLE, readout or default_readout(ANGLE), axis, angle_map)
+    readout = default_readout(ANGLE) if readout is None else readout
+    return EncodingScheme(ANGLE, readout, axis, angle_map)
 
 
 def basis_scheme(bits_per_feature: int = 4, readout: str | None = None):
-    return EncodingScheme(
-        BASIS, readout or default_readout(BASIS), bits_per_feature=bits_per_feature
-    )
+    readout = default_readout(BASIS) if readout is None else readout
+    return EncodingScheme(BASIS, readout, bits_per_feature=bits_per_feature)
 
 
 def amplitude_scheme(readout: str | None = None):
-    return EncodingScheme(AMPLITUDE, readout or default_readout(AMPLITUDE))
+    readout = default_readout(AMPLITUDE) if readout is None else readout
+    return EncodingScheme(AMPLITUDE, readout)
 
 
 # --- encoders -------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Seven kinds: logreg, knn, svm, tree, forest, adaboost, gbt.  A kind is
 registered in two places: its hyperparameter defaults in DEFAULT_PARAMS
-and its (fit, score) pair in _KINDS.  A ModelSpec names the kind, the seed
-and the hyperparameters (validated against the defaults); fit() returns a
-TrainedModel, one record for every kind: the spec, fit metadata and a
-plain dict of the kind's fitted state, which is all the kind's score
-function reads; kNN and SVM score in blocks of test rows (_in_blocks).
-Models live only for the run that fits them; nothing persists them.
+and its (fit, score) pair in _KINDS.  A ModelSpec names the kind, the entry
+name, the seed and the hyperparameters (validated against the defaults);
+fit() returns a TrainedModel, one record for every kind: the spec, fit
+metadata and a plain dict of the kind's fitted state, which is all the
+kind's score function reads; kNN and SVM score in blocks of test rows
+(_in_blocks).  Models live only for the run that fits them; nothing
+persists them.
 """
 from __future__ import annotations
 
@@ -147,15 +148,18 @@ def _validate_params(p: dict) -> None:
 @dataclass(frozen=True)
 class ModelSpec:
     """Model kind, seed and hyperparameters (missing ones take defaults);
-    a numpy scalar is stored as the Python number it holds."""
+    a numpy scalar is stored as the Python number it holds.  `name` labels
+    the entry's cells and defaults to the kind."""
 
     kind: str
     seed: int = 0
     params: dict = field(default_factory=dict)
+    name: str | None = None
 
     def __post_init__(self):
         if self.kind not in DEFAULT_PARAMS:
             raise InvalidHyperparameter(f"unknown model kind {self.kind!r}")
+        object.__setattr__(self, "name", self.kind if self.name is None else self.name)
         object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed", InvalidHyperparameter))
         if not isinstance(self.params, dict):
             raise InvalidHyperparameter(f"params must be a dict, got {self.params!r}")

@@ -99,17 +99,34 @@ class TestConfig:
         assert tuple(m.kind for m in cfg.models) == MODEL_KINDS
 
     def test_duplicate_encoding_names_rejected(self):
-        with pytest.raises(ConfigError):
-            small_config(encodings=[{"kind": "angle"}, {"kind": "angle"}])
+        # one rule on both axes; a kind's default name collides with an explicit one
+        for axis, entries, twice in [
+            ("encoding", [{"kind": "angle"}, {"kind": "angle"}], "angle"),
+            ("encoding", [{"kind": "classical"}, {"kind": "angle", "name": "classical"}],
+             "classical"),
+            ("model", [{"kind": "svm"}, {"kind": "svm", "params": {"C": 10.0}}], "svm"),
+            ("model", [{"kind": "svm"}, {"kind": "knn", "name": "svm"}], "svm"),
+        ]:
+            with pytest.raises(ConfigError,
+                               match=re.escape(f"duplicate {axis} names: [{twice!r}]")):
+                small_config(**{f"{axis}s": entries})
 
     def test_named_duplicates_allowed(self):
-        cfg = small_config(
-            encodings=[
-                {"kind": "angle", "name": "angle-x"},
-                {"kind": "angle", "axis": "Y", "name": "angle-y"},
-            ]
-        )
-        assert [e.name for e in cfg.encodings] == ["angle-x", "angle-y"]
+        for axis, entries in [
+            ("encoding", [{"kind": "angle", "name": "angle-x"},
+                          {"kind": "angle", "axis": "Y", "name": "angle-y"}]),
+            ("model", [{"kind": "svm", "name": "svm-c1"},
+                       {"kind": "svm", "name": "svm-c10", "params": {"C": 10.0}}]),
+            ("model", [{"kind": "svm"}, {"kind": "svm", "name": "svm_c10"}]),
+        ]:
+            cfg = small_config(**{f"{axis}s": entries})
+            names = [e.get("name", e["kind"]) for e in entries]
+            assert [e.name for e in getattr(cfg, f"{axis}s")] == names
+
+    def test_model_name_defaults_to_the_kind(self):
+        assert ModelSpec("svm").name == "svm"
+        assert ModelSpec("svm", name="svm_c10").name == "svm_c10"
+        assert [m.name for m in small_config().models] == ["logreg", "knn"]
 
     def test_unknown_encoding_kind(self):
         with pytest.raises(ConfigError):
@@ -216,6 +233,9 @@ class TestConfig:
         ("models[4].params.n_trees", None, "models[4]: n_trees"),
         ("dataset.schema", [{"name": 3, "kind": "numeric"}], "dataset.schema[0]"),
         ("encodings[1]", "basis", "encodings[1]"),
+        ("models[0].name", 3, "models[0].name must be a string"),
+        # only an absent or null readout takes the kind's default
+        ("encodings[2].readout", "", "encodings[2]: unknown readout ''"),
     ])
     def test_owner_and_entry_rejections_named(self, path, value, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -247,9 +267,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, digest", [
         ("synthetic.json",
-         "0e6760cd7a2bd82595a6ade5e58824fad239d2a4d404b6ec813ad513721b74a4"),
+         "8752fe484b0aae031b9d0d7fac30de6165c548d059d10b589f251a0b004e08b5"),
         ("telco.json",
-         "c2c3cc4908e153e79152f33bdedf031d42cb2274cfd1a42773d507bd82e34d27"),
+         "69e036a502f70ea5e94603a6c8912da4c8ab95b544bea515274d0905460be45a"),
     ])
     def test_shipped_config_hash_pinned(self, name, digest):
         # a results.json records this hash; a changed echo breaks its re-run
@@ -259,6 +279,13 @@ class TestConfig:
         cfg = small_config()
         again = config.config_from_dict(config.config_to_dict(cfg))
         assert runner.config_hash(cfg) == runner.config_hash(again)
+
+    def test_echo_and_reseed_keep_model_names(self):
+        cfg = small_config(models=[{"kind": "svm"}, {"kind": "svm", "name": "svm_c10"}])
+        again = config.config_from_dict(config.config_to_dict(cfg))
+        for other in (again, config.reseeded(cfg, 7)):
+            assert [m.name for m in other.models] == ["svm", "svm_c10"]
+        assert again == cfg
 
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -520,6 +547,33 @@ class TestRunner:
                                                "train split varies$"):
             runner.encode_split(config.EncodingEntry("raw", None), train, train)
 
+    def test_two_entries_of_one_kind_give_distinct_rows(self):
+        svm_c10 = {"kind": "svm", "name": "svm_c10", "params": {"C": 10.0}}
+        cfg = small_config(models=[{"kind": "svm"}, svm_c10])
+        run = runner.run_matrix(cfg)
+        assert [(r.encoding, r.model) for r in run.results] == [
+            ("classical", "svm"), ("classical", "svm_c10"), ("angle", "svm"), ("angle", "svm_c10")]
+        assert all(r.error is None for r in run.results)
+        for i, entry in enumerate(({"kind": "svm"}, svm_c10)):
+            alone = runner.run_matrix(small_config(models=[entry])).results
+            assert [asdict(r.report) for r in alone] == [
+                asdict(r.report) for r in run.results[i::2]]
+
+    def test_results_file_without_model_names_reruns(self, tmp_path):
+        # a results.json written before model entries took a name: each takes its kind
+        run = runner.run_matrix(small_config())
+        path = Path(runner.persist_run(run, str(tmp_path / "first")))
+        payload = json.loads(path.read_text())
+        for model in payload["manifest"]["config"]["models"]:
+            del model["name"]
+        path.write_text(json.dumps(payload))
+        resumed = config.load_config(path)
+        assert [m.name for m in resumed.models] == ["logreg", "knn"]
+        rerun = runner.run_matrix(resumed)
+        assert rerun.manifest["split_checksum"] == run.manifest["split_checksum"]
+        assert ([(r.encoding, r.model, asdict(r.report)) for r in rerun.results]
+                == [(r.encoding, r.model, asdict(r.report)) for r in run.results])
+
     def test_persist_and_reload(self, tmp_path):
         cfg = small_config()
         run = runner.run_matrix(cfg)
@@ -697,7 +751,6 @@ class TestReport:
         lines = text.splitlines()
         assert lines[0].startswith("| encoding | model |")
         assert set(lines[1].replace("|", "").split()) == {"---"}
-        assert "gbt stands in for the boosted-tree family" in text
 
     def test_markdown_escapes_pipes(self):
         # an encoding name and an error string may hold `|`; only markdown escapes it
@@ -713,14 +766,6 @@ class TestReport:
         assert lines[2].endswith("| encode: x \\| y |")
         row = list(csv.reader(io.StringIO(report.emit_report([failed], "csv"))))[1]
         assert (row[0], row[-1]) == ("a|b", "encode: x | y")
-
-    def test_markdown_footnote_only_with_gbt(self):
-        cfg = small_config(
-            encodings=[{"kind": "classical"}], models=[{"kind": "knn"}]
-        )
-        run = runner.run_matrix(cfg)
-        text = report.emit_report(run.results, "markdown")
-        assert "stands in" not in text
 
     def test_empty_results_raise(self):
         with pytest.raises(EmptyResults):
@@ -931,6 +976,12 @@ class TestCli:
         assert cli.main(["bench", "--config", str(cfg_path)]) == 1
         assert (f"config error: duplicate dataset.schema column names: [{name!r}]"
                 in capsys.readouterr().err)
+
+    def test_repeated_model_name_is_config_error(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, models=[{"kind": "svm"},
+                                                        {"kind": "knn", "name": "svm"}])
+        assert cli.main(["bench", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "config error: duplicate model names: ['svm']\n"
 
     @pytest.mark.parametrize("command", ["bench", "preprocess"])
     def test_int_too_large_for_a_float_is_config_error(self, tmp_path, capsys, command):
