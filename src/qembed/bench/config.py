@@ -55,6 +55,10 @@ class EncodingEntry:
     name: str
     scheme: EncodingScheme | None
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
+
 
 @dataclass(frozen=True)
 class BenchConfig:

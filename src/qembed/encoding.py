@@ -65,14 +65,14 @@ def default_readout(kind: str) -> str:
 
 @dataclass(frozen=True)
 class EncodingScheme:
-    """One encoding choice plus its readout.
+    """One encoding choice plus its readout (None: the kind's default_readout).
 
     Angle parameters (axis, angle_map) exist only for kind="angle";
     bits_per_feature only for kind="basis".
     """
 
     kind: str
-    readout: str
+    readout: str | None = None
     axis: str | None = None
     angle_map: str | None = None
     bits_per_feature: int | None = None
@@ -80,10 +80,12 @@ class EncodingScheme:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidScheme(f"unknown encoding kind {self.kind!r}")
+        if self.readout is None:
+            object.__setattr__(self, "readout", default_readout(self.kind))
         if self.readout not in READOUTS:
             raise InvalidScheme(f"unknown readout {self.readout!r}")
         if self.kind == ANGLE:
-            if self.axis not in AXIS_GATES:
+            if self.axis not in tuple(AXIS_GATES):
                 raise InvalidScheme(f"angle axis must be X, Y or Z, got {self.axis!r}")
             if self.angle_map not in (LINEAR_PI, RAW):
                 raise InvalidScheme(f"unknown angle map {self.angle_map!r}")
@@ -104,17 +106,14 @@ class EncodingScheme:
 
 
 def angle_scheme(axis: str = "X", angle_map: str = LINEAR_PI, readout: str | None = None):
-    readout = default_readout(ANGLE) if readout is None else readout
     return EncodingScheme(ANGLE, readout, axis, angle_map)
 
 
 def basis_scheme(bits_per_feature: int = 4, readout: str | None = None):
-    readout = default_readout(BASIS) if readout is None else readout
     return EncodingScheme(BASIS, readout, bits_per_feature=bits_per_feature)
 
 
 def amplitude_scheme(readout: str | None = None):
-    readout = default_readout(AMPLITUDE) if readout is None else readout
     return EncodingScheme(AMPLITUDE, readout)
 
 

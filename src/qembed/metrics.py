@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidLabel, LengthMismatch, NonFiniteInput, SingleClass
+from .pipeline import checked_labels
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -27,13 +28,6 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def _binary(v: np.ndarray, what: str) -> np.ndarray:
-    """v as ints; raises InvalidLabel unless every entry is 0 or 1."""
-    if not np.isin(v, (0, 1)).all():
-        raise InvalidLabel(f"{what}: labels must be 0 or 1")
-    return v.astype(int)
-
-
 def confusion(y_true, y_pred) -> ConfusionCounts:
     """Standard binary confusion counts with class 1 as positive."""
     t, p = np.asarray(y_true), np.asarray(y_pred)
@@ -41,7 +35,7 @@ def confusion(y_true, y_pred) -> ConfusionCounts:
         raise LengthMismatch("confusion: vectors must be 1-D and equal length")
     if t.size == 0:
         raise EmptyInput("confusion: need at least one sample")
-    t, p = _binary(t, "confusion"), _binary(p, "confusion")
+    t, p = (checked_labels(v, "confusion: labels", InvalidLabel) for v in (t, p))
     return ConfusionCounts(
         tp=int(np.sum((t == 1) & (p == 1))),
         fp=int(np.sum((t == 0) & (p == 1))),
@@ -86,7 +80,7 @@ def roc_auc(y_true, scores) -> float:
         raise LengthMismatch("roc_auc: vectors must be 1-D and equal length")
     if not np.all(np.isfinite(s)):
         raise NonFiniteInput("roc_auc: scores must be finite")
-    t = _binary(t, "roc_auc")
+    t = checked_labels(t, "roc_auc: labels", InvalidLabel)
     n_pos = int(np.sum(t == 1))
     n_neg = int(np.sum(t == 0))
     if n_pos == 0 or n_neg == 0:

@@ -25,7 +25,8 @@ from ..errors import (
     NonFiniteFeature,
     SingleClass,
 )
-from ..pipeline import FeatureMatrix, checked_int, checked_real, row_dots
+from ..metrics import DEFAULT_THRESHOLD
+from ..pipeline import FeatureMatrix, checked_int, checked_labels, checked_real, row_dots
 from . import ensemble, linear, neighbors, svm, tree
 from .svm import KernelFn
 
@@ -157,9 +158,11 @@ class ModelSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_PARAMS:
+        if self.kind not in MODEL_KINDS:
             raise InvalidHyperparameter(f"unknown model kind {self.kind!r}")
         object.__setattr__(self, "name", self.kind if self.name is None else self.name)
+        if not isinstance(self.name, str):
+            raise InvalidHyperparameter(f"name must be a string, got {self.name!r}")
         object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed", InvalidHyperparameter))
         if not isinstance(self.params, dict):
             raise InvalidHyperparameter(f"params must be a dict, got {self.params!r}")
@@ -219,7 +222,7 @@ class TrainedModel:
         _check_finite(data, "scored")
         return _KINDS[self.spec.kind][1](self.state, data)
 
-    def predict(self, X, threshold: float = 0.5) -> np.ndarray:
+    def predict(self, X, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(int)
 
 
@@ -240,9 +243,7 @@ def fit(spec: ModelSpec, X, y=None) -> TrainedModel:
     if data.ndim != 2 or y.shape != (data.shape[0],) or data.shape[1] == 0:
         raise DimensionMismatch("X must be 2-D, with a feature column and one label per row")
     _check_finite(data, "training")
-    if not np.isin(y, (0, 1)).all():
-        raise InvalidLabel("labels must be 0 or 1")
-    y = y.astype(int)
+    y = checked_labels(y, "labels", InvalidLabel)
     counts = np.bincount(y, minlength=2)
     if counts[0] == 0 or counts[1] == 0:
         raise SingleClass("training data must contain both classes")

@@ -56,6 +56,15 @@ def checked_real(value, name: str, what: str = "", ok=math.isfinite, error=Value
     return float(value)
 
 
+def checked_labels(values, name: str, error=ValueError) -> np.ndarray:
+    """values as an int array (no copy when they are ints), if every entry is 0 or 1; a
+    bool and 0.0/1.0 pass, anything else raises `error`."""
+    values = np.asarray(values)
+    if not ((values == 0) | (values == 1)).all():
+        raise error(f"{name} must be 0 or 1")
+    return values.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """Declared name and kind of one CSV column."""
@@ -116,7 +125,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=float)
-        labels = np.ascontiguousarray(self.labels, dtype=int)
+        labels = np.ascontiguousarray(checked_labels(self.labels, "labels"))
         if data.ndim != 2:
             raise ValueError("data must be 2-D")
         if data.shape[1] != len(self.column_names):
@@ -125,8 +134,6 @@ class FeatureMatrix:
             raise ValueError("matrix entries must be finite")
         if labels.shape != (data.shape[0],):
             raise ValueError("label length must equal row count")
-        if labels.size and not 0 <= labels.min() <= labels.max() <= 1:
-            raise ValueError("labels must be 0/1")
         data.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "data", data)

@@ -13,7 +13,9 @@ from qembed.bench import cli, config, data, report, runner
 from qembed.encoding import (
     AXIS_GATES, LINEAR_PI, RAW, READOUTS, amplitude_scheme, angle_scheme, basis_scheme,
 )
-from qembed.errors import ConfigError, EmptyInput, EmptyResults, ZeroVariance
+from qembed.errors import (
+    ConfigError, EmptyInput, EmptyResults, InvalidHyperparameter, ZeroVariance,
+)
 from qembed.metrics import MetricReport
 from qembed.models import MODEL_KINDS, ModelSpec
 from qembed.pipeline import (
@@ -127,6 +129,15 @@ class TestConfig:
         assert ModelSpec("svm").name == "svm"
         assert ModelSpec("svm", name="svm_c10").name == "svm_c10"
         assert [m.name for m in small_config().models] == ["logreg", "knn"]
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ModelSpec("svm", name=3), InvalidHyperparameter),
+        (lambda: config.EncodingEntry(3, None), ConfigError),
+    ], ids=["model", "encoding"])
+    def test_entry_name_must_be_a_string(self, build, error):
+        # built in Python, each record makes the check the config reader makes
+        with pytest.raises(error, match="^name must be a string, got 3$"):
+            build()
 
     def test_unknown_encoding_kind(self):
         with pytest.raises(ConfigError):

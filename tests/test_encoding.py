@@ -305,12 +305,19 @@ class TestSchemeValidation:
         assert enc.basis_scheme().readout == enc.PROBABILITY_VECTOR
         assert enc.amplitude_scheme().readout == enc.PROBABILITY_VECTOR
         assert enc.basis_scheme().bits_per_feature == 4
+        # a scheme built without a readout takes its kind's default, as the builders do
+        assert enc.EncodingScheme(enc.AMPLITUDE) == enc.amplitude_scheme()
+        assert enc.EncodingScheme(enc.BASIS, bits_per_feature=4) == enc.basis_scheme()
+        assert (enc.EncodingScheme(enc.ANGLE, axis="X", angle_map=enc.LINEAR_PI)
+                == enc.angle_scheme())
 
     def test_bad_axis_and_map(self):
         with pytest.raises(InvalidScheme):
             enc.angle_scheme(axis="Q")
         with pytest.raises(InvalidScheme):
             enc.angle_scheme(angle_map="quadratic")
+        with pytest.raises(InvalidScheme, match=r"axis must be X, Y or Z, got \['X'\]"):
+            enc.EncodingScheme(enc.ANGLE, enc.Z_EXPECTATIONS, ["X"], enc.LINEAR_PI)
         with pytest.raises(InvalidScheme):
             enc.basis_scheme(bits_per_feature=0)
         with pytest.raises(InvalidScheme):  # True is an int to isinstance

@@ -68,6 +68,8 @@ class TestModelSpec:
     def test_unknown_kind_and_params(self):
         with pytest.raises(InvalidHyperparameter):
             ModelSpec("perceptron")
+        with pytest.raises(InvalidHyperparameter, match=r"unknown model kind \['svm'\]"):
+            ModelSpec(["svm"])
         with pytest.raises(InvalidHyperparameter):
             ModelSpec("knn", params={"n_neighbors": 3})
         # the retired solver knobs are unknown keys, not silently ignored

@@ -12,6 +12,7 @@ from qembed import pipeline as pl
 from qembed.errors import (
     ClassTooSmall,
     EmptyFile,
+    InvalidLabel,
     LengthMismatch,
     MissingColumn,
     NonBinaryTarget,
@@ -127,7 +128,9 @@ class TestInputChecks:
          "matrix entries must be finite"),
         (lambda: FeatureMatrix(np.zeros((3, 1)), ("a",), np.zeros(2)),
          "label length must equal row count"),
-        (lambda: FeatureMatrix(np.zeros((3, 1)), ("a",), [0, 1, 2]), "labels must be 0/1"),
+        (lambda: FeatureMatrix(np.zeros((3, 1)), ("a",), [0, 1, 2]), "labels must be 0 or 1"),
+        # read by the models' and metrics' rule, not cast to int first (0.5 was class 0)
+        (lambda: FeatureMatrix(np.zeros((2, 1)), ("a",), [0.5, 1.0]), "labels must be 0 or 1"),
         (lambda: ColumnSpec("a", "ordinal"), "unknown column kind 'ordinal'"),
         (lambda: pl.Dataset((ColumnSpec("a", pl.NUMERIC),), {"a": np.zeros(2)}, 2),
          "exactly one target column"),
@@ -137,11 +140,24 @@ class TestInputChecks:
         (lambda: pl.Dataset((ColumnSpec("id", pl.ID), ColumnSpec("y", pl.TARGET)),
                             {"id": ("a", "b"), "y": ("x", "z")}, 2),
          "^schema declares no numeric or categorical feature column$"),
-    ], ids=["1-d", "names", "non-finite", "label-length", "labels-0-1", "column-kind",
-            "no-target", "two-targets", "no-feature"])
+    ], ids=["1-d", "names", "non-finite", "label-length", "labels-0-1", "labels-half",
+            "column-kind", "no-target", "two-targets", "no-feature"])
     def test_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    def test_one_label_rule(self):
+        # bools and 0.0/1.0 read as int labels, in the matrix as in checked_labels;
+        # int labels come back uncopied, and a failure raises the caller's error
+        ints = np.array([0, 1, 1])
+        assert pl.checked_labels(ints, "y") is ints
+        for values in ([False, True, True], [0.0, 1.0, 1.0], ints):
+            assert pl.checked_labels(values, "y").dtype == ints.dtype
+            labels = FeatureMatrix(np.zeros((3, 1)), ("a",), values).labels
+            assert labels.dtype == ints.dtype and labels.tolist() == [0, 1, 1]
+        for bad in ([0, 0.5], [0, -1], [0, "1"], [0, None]):
+            with pytest.raises(InvalidLabel, match="^y must be 0 or 1$"):
+                pl.checked_labels(bad, "y", InvalidLabel)
 
 
 @pytest.fixture(scope="module")
