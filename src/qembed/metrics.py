@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidLabel, LengthMismatch, NonFiniteInput, SingleClass
-from .pipeline import checked_labels
+from .pipeline import checked_labels, checked_real
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -122,6 +122,7 @@ def compute_report(y_true, scores, threshold: float = DEFAULT_THRESHOLD) -> Metr
     A single-class truth vector leaves roc_auc undefined instead of
     raising, so one degenerate benchmark cell cannot abort a whole run.
     """
+    threshold = checked_real(threshold, "threshold")
     s = np.asarray(scores, dtype=float)
     y_pred = (s >= threshold).astype(int)
     c = confusion(y_true, y_pred)

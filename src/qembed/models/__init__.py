@@ -105,7 +105,8 @@ _SCORE_BYTES = 4 << 20  # of (test x training rows) floats in each kNN or SVM sc
 # kind: (fit(params, seed, X, y) -> (TrainMeta, state),
 #        score(state, X) -> P(class=1) per row)
 _KINDS = {
-    "logreg": (_fit_logreg, lambda s, data: linear.sigmoid(data @ s["weights"] + s["bias"])),
+    "logreg": (_fit_logreg,
+               lambda s, data: linear.sigmoid(row_dots(data, s["weights"]) + s["bias"])),
     "knn": (lambda p, seed, data, y: (TrainMeta(), {"X": data.copy(), "y": y,
                                                     "k": min(p["k"], len(y))}),
             _in_blocks(lambda s, data: neighbors.knn_proba(s["X"], s["y"], s["k"], data), "y")),

@@ -1,7 +1,13 @@
-"""Logistic regression fitted by damped Newton steps (IRLS)."""
+"""Logistic regression fitted by damped Newton steps (IRLS).
+
+Every product that sums over data rows or gives one value per data row
+goes through `pipeline.row_dots`, so the fit's bits do not follow the BLAS
+thread count."""
 from __future__ import annotations
 
 import numpy as np
+
+from ..pipeline import row_dots
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -17,15 +23,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def log_loss_l2(X, y, weights, bias, l2) -> float:
     """Mean cross-entropy plus (l2/2)*||w||^2; the bias is unpenalized."""
-    p = np.clip(sigmoid(X @ weights + bias), 1e-15, 1 - 1e-15)
+    p = np.clip(sigmoid(row_dots(X, weights) + bias), 1e-15, 1 - 1e-15)
     ce = -float(np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
     return ce + 0.5 * l2 * float(np.dot(weights, weights))
 
 
 def log_loss_gradient(X, y, weights, bias, l2) -> tuple[np.ndarray, float]:
     """Analytic gradient of log_loss_l2 in (weights, bias)."""
-    err = sigmoid(X @ weights + bias) - y
-    grad_w = X.T @ err / X.shape[0] + l2 * weights
+    err = sigmoid(row_dots(X, weights) + bias) - y
+    grad_w = row_dots(X.T, err) / X.shape[0] + l2 * weights
     grad_b = float(np.mean(err))
     return grad_w, grad_b
 
@@ -33,10 +39,11 @@ def log_loss_gradient(X, y, weights, bias, l2) -> tuple[np.ndarray, float]:
 def fit_logreg(X, y, l2: float, max_iter: int):
     """Damped Newton until the gradient infinity-norm drops below 1e-6.
 
-    Each step solves the (d+1)x(d+1) Newton system by least squares,
-    because with l2 = 0 an all-zero column makes the Hessian singular,
-    then halves the step until the loss falls by the Armijo fraction of
-    its predicted decrease.  Returns (weights, bias, iterations, converged).
+    Each step solves the (d+1)x(d+1) Newton system by LU (`solve`); with
+    l2 = 0 an all-zero column makes the Hessian singular, and that step
+    falls back to least squares.  The step is then halved until the loss
+    falls by the Armijo fraction of its predicted decrease.  Returns
+    (weights, bias, iterations, converged).
     """
     m, d = X.shape
     A = np.hstack([X, np.ones((m, 1))])
@@ -51,9 +58,12 @@ def fit_logreg(X, y, l2: float, max_iter: int):
         converged = bool(np.max(np.abs(grad)) < 1e-6)
         if converged or it == max_iter:
             break
-        p = sigmoid(A @ theta)
-        hessian = (A.T * (p * (1 - p))) @ A / m + ridge
-        step = -np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        p = sigmoid(row_dots(A, theta))
+        hessian = row_dots(A.T * (p * (1 - p)), A.T) / m + ridge
+        try:
+            step = -np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            step = -np.linalg.lstsq(hessian, grad, rcond=None)[0]
         # the floor on t ends the search where rounding hides the decrease
         t, base, slope = 1.0, loss(theta), float(grad @ step)
         while t > 1e-10 and loss(theta + t * step) > base + 1e-4 * t * slope:

@@ -149,7 +149,12 @@ class FeatureMatrix:
         return self.data.shape[1]
 
     def take_rows(self, idx) -> "FeatureMatrix":
-        idx = np.asarray(idx, dtype=int)
+        """The rows a bool mask of length n_rows marks; any other idx is row indices."""
+        idx = np.asarray(idx)
+        if idx.dtype != bool:
+            idx = idx.astype(int)
+        elif idx.shape != (self.n_rows,):
+            raise ValueError(f"row mask of length {idx.size} for a matrix of {self.n_rows} rows")
         return FeatureMatrix(self.data[idx], self.column_names, self.labels[idx])
 
 

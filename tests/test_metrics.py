@@ -289,6 +289,17 @@ class TestComputeReport:
         lenient = mt.compute_report(y, s, threshold=0.3)
         assert lenient.accuracy == 0.75  # 0.4 crosses the lower bar
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, True, "0.5"])
+    def test_threshold_must_be_a_finite_real(self, threshold):
+        # NaN would mark every row class 0 and report accuracy 0.5, without an error
+        with pytest.raises(ValueError, match="^threshold must be a finite real number"):
+            mt.compute_report([0, 1], [0.1, 0.9], threshold=threshold)
+
+    def test_threshold_stored_as_python_float(self):
+        for threshold in (0.5, np.float64(0.3)):
+            stored = mt.compute_report([0, 1], [0.1, 0.9], threshold=threshold).threshold
+            assert type(stored) is float and stored == threshold
+
     def test_single_class_truth_leaves_auc_undefined(self):
         report = mt.compute_report([1, 1, 1], [0.9, 0.8, 0.7])
         assert report.roc_auc is None

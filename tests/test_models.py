@@ -273,16 +273,40 @@ class TestLogreg:
             num_b = (log_loss_l2(X, y, w, b + h, l2) - log_loss_l2(X, y, w, b - h, l2)) / (2 * h)
             assert abs(num_b - grad_b) / max(abs(num_b), 1e-8) < 1e-4
 
-    def test_zero_column_without_penalty(self):
-        # an all-zero column (amplitude padding) makes the l2 = 0 Hessian singular
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        """How often the Newton step called np.linalg.solve and lstsq."""
+        calls = {"solve": 0, "lstsq": 0}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        return calls
+
+    def test_zero_column_without_penalty(self, solver_calls):
+        # an all-zero column (amplitude padding) makes the l2 = 0 Hessian
+        # singular: solve raises at every step and lstsq takes the step
         X, y = blobs(3, n=30, spread=3.0)
         X = np.column_stack([X, np.zeros(len(X))])
         model = models.fit(ModelSpec("logreg", params={"l2": 0.0}), X, y)
         assert model.meta.converged
+        assert solver_calls == {"solve": model.meta.iterations, "lstsq": model.meta.iterations}
         weights, bias = model.state["weights"], model.state["bias"]
         assert weights[-1] == 0.0
         grad_w, grad_b = log_loss_gradient(X, y, weights, bias, 0.0)
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    def test_regular_fit_never_calls_lstsq(self, solver_calls, l2):
+        X, y = blobs(3, n=30, spread=3.0)
+        model = models.fit(ModelSpec("logreg", params={"l2": l2}), X, y)
+        assert model.meta.converged and model.meta.iterations > 0
+        assert solver_calls == {"solve": model.meta.iterations, "lstsq": 0}
 
     def test_step_halves_until_the_loss_falls_enough(self, monkeypatch):
         # a small near-separable problem where one full Newton step fails the
@@ -667,7 +691,7 @@ from qembed.bench.runner import preprocess_run
 config = dataclasses.replace(load_config(sys.argv[1]), synthetic_rows=7043)
 pre, manifest = preprocess_run(config)
 print(manifest["split_checksum"])
-for kind in ("svm", "knn"):
+for kind in ("svm", "knn", "logreg"):
     proba = models.fit(models.ModelSpec(kind), pre.train).predict_proba(pre.test)
     print(kind, hashlib.sha256(proba.tobytes()).hexdigest())
 """
@@ -676,7 +700,7 @@ for kind in ("svm", "knn"):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
 def test_same_bits_at_one_and_two_blas_threads():
     # the 7,043-row draw of configs/synthetic.json, classical encoding (the
-    # split itself): PCA projection, kNN and SVM scores at 1 and 2 threads
+    # split itself): PCA projection, kNN, SVM and logreg scores at 1 and 2 threads
     root = Path(__file__).resolve().parent.parent
     outputs = []
     for threads in ("1", "2"):
@@ -1317,10 +1341,10 @@ class TestPinnedOutputs:
         "logreg": (
             ModelSpec("logreg"),
             {
-                "3f91ae6c6eb2b41087fa003383a9c3db071823cb6344b7be5a8177d25879b2e2",
-                "c0d90171e048fb7811c80cb053b73e76bcd45a18f59e4a305e6615183fe046ae",
-                "08a6a4e90aec069ac7928e201ac350789333d109cfd06aba5c64375166efa52f",
-                "fde360b81f4d6945b66dc4477d1dffaf95992bdf070eaa8c37cd08876430e7b9",
+                "57164701fe897eb3163b473197fcea07994890a91efcbe59551cfaddefa1f9bb",
+                "4a76d027c7beeb8e89b65da1e1b11080047561f7ccd5ecb6e860e8cb461d98aa",
+                "bbe6ecdc885d674e90cba4197f9de33b0f471e9f80b73cc58c783ebb6d16f056",
+                "29d2c32950fc5c98a101a0f7df85c5d073d868ff48533af4a6925a9cb0847ef9",
             },
         ),
         "knn": (

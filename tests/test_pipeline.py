@@ -146,6 +146,18 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=message):
             build()
 
+    def test_take_rows_by_mask_or_index(self):
+        # a bool mask selects rows, never the row indices 0 and 1
+        m = FeatureMatrix(np.arange(3.0)[:, None], ("a",), [0, 1, 1])
+        masked = m.take_rows(np.array([True, False, True]))
+        assert masked.data[:, 0].tolist() == [0.0, 2.0] and masked.labels.tolist() == [0, 1]
+        assert m.take_rows([2, 0, 2]).data[:, 0].tolist() == [2.0, 0.0, 2.0]
+        assert m.take_rows([]).n_rows == 0
+        for mask in ([True, False], np.ones(4, dtype=bool)):
+            message = f"^row mask of length {len(mask)} for a matrix of 3 rows$"
+            with pytest.raises(ValueError, match=message):
+                m.take_rows(mask)
+
     def test_one_label_rule(self):
         # bools and 0.0/1.0 read as int labels, in the matrix as in checked_labels;
         # int labels come back uncopied, and a failure raises the caller's error
