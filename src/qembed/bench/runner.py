@@ -96,15 +96,15 @@ def encode_split(
     are min-max scaled by the train split's minimum and range, test values
     outside it clip, and a constant train column maps to 0.  Returns
     (encoded train, encoded test, encode milliseconds); the classical
-    passthrough reports exactly 0.0 ms.  An encoded train split in which no
-    column varies, the classical one included, raises ZeroVariance naming
-    the entry: a model trained on it could only learn the class balance.
+    passthrough reports exactly 0.0 ms.  Naming the entry, an empty train split
+    raises EmptyInput, and an encoded one in which no column varies (the classical
+    one included) ZeroVariance: a model trained on it could only learn the class balance.
     """
+    if not train.n_rows:
+        raise EmptyInput(f"encoding {entry.name!r}: the train split has no row")
     scheme, t0, encode_ms = entry.scheme, time.perf_counter(), 0.0
     if scheme is not None:
         if scheme.unit_inputs:
-            if train.n_rows == 0:
-                raise EmptyInput("scaling to [0, 1] needs a nonempty train split")
             lo = train.data.min(axis=0)
             span = train.data.max(axis=0) - lo
             span = np.where(span == 0, 1.0, span)
@@ -114,7 +114,7 @@ def encode_split(
             )
         train, test = (embed_matrix(p, scheme) for p in (train, test))
         encode_ms = (time.perf_counter() - t0) * 1e3
-    if not train.n_rows or not np.ptp(train.data, axis=0).any():
+    if not np.ptp(train.data, axis=0).any():
         raise ZeroVariance(f"encoding {entry.name!r}: no column of the encoded train split varies")
     return train, test, encode_ms
 

@@ -235,7 +235,7 @@ def bits_for_row(x01, bits: int) -> np.ndarray:
     """
     levels = np.rint(np.asarray(x01, dtype=float) * ((1 << bits) - 1)).astype(int)
     shifts = np.arange(bits - 1, -1, -1)
-    return ((levels[..., None] >> shifts) & 1).reshape(levels.shape[:-1] + (-1,))
+    return ((levels[..., None] >> shifts) & 1).reshape(*levels.shape[:-1], levels.shape[-1] * bits)
 
 
 # --- readout and batch embedding -----------------------------------------------------
@@ -318,10 +318,10 @@ def _dense_readout(amps, mode) -> np.ndarray:
 def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
     """Encode and read out all rows at once, equal to stacking embed_sample rows.
 
-    Row 0 runs through embed_sample first, to check what depends only on the
-    width and scheme (the qubit cap); so does the first row the batch masks
-    flag.  Zero rows give the readout's width and names, under the same
-    cap.  A failure is RowEncodeError(row, typed per-row cause).  Z readouts
+    The qubit cap depends only on the scheme and width, so it is checked
+    first, for any number of rows (zero rows give the readout's width and
+    names).  The first row the batch masks flag runs through embed_sample,
+    and a failure is RowEncodeError(row, typed per-row cause).  Z readouts
     of product states come from each qubit's factor; the others are read off
     amplitudes built at most EMBED_BLOCK_ROWS rows at a time.  Unless the
     readout (at most the amplitudes' size), a block row (3 rows of amplitudes
@@ -331,32 +331,27 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
     data, (m, d) = X.data, X.data.shape
     n = (max(1, (d - 1).bit_length()) if scheme.kind == AMPLITUDE  # ceil(log2(d)) qubits
          else d * (scheme.bits_per_feature or 1))
+    qsim.check_qubits(n)
     dense = scheme.kind == AMPLITUDE or scheme.readout != Z_EXPECTATIONS
     width = {PROBABILITY_VECTOR: 1 << n, AMPLITUDE_PARTS: 2 << n, Z_EXPECTATIONS: n}[scheme.readout]
     row_bytes, budget = np.dtype(complex).itemsize << n, qsim.MAX_DENSE_BYTES
     block_row, reserve = 3 * row_bytes + 256 * n, 10 * row_bytes + (64 << 10)
-    if dense and n <= MAX_QUBITS and (need := m * row_bytes + reserve + block_row) > budget:
+    if dense and (need := m * row_bytes + reserve + block_row) > budget:
         held = "" if m * row_bytes > budget else f" ({need} in all)"
         raise QubitCapExceeded(
             f"{m} rows x 2^{n} amplitudes ({n} qubits) take {m * row_bytes} bytes{held}, "
             f"over the {budget}-byte budget")
-    if m == 0:  # no row 0 runs through embed_sample, so its qubit cap is checked here
-        qsim.check_qubits(n)
-        return FeatureMatrix(np.zeros((0, width)), _feature_names(scheme.readout, width), X.labels)
 
-    def encode_row(i):
-        try:
-            embed_sample(data[i], scheme)
-        except QembedError as exc:
-            raise RowEncodeError(i, exc) from exc
     def check(bad, start=0):  # the first row a batch mask flags, through embed_sample
         if bad.any():
-            encode_row(start + int(bad.argmax()))
+            i = start + int(bad.argmax())
+            try:
+                embed_sample(data[i], scheme)
+            except QembedError as exc:
+                raise RowEncodeError(i, exc) from exc
             raise AssertionError("a batch check rejects a row that embed_sample encodes")
-
-    encode_row(0)
-    if scheme.unit_inputs:
-        check(((data < 0) | (data > 1)).any(axis=1))
+    outside = ((data < 0) | (data > 1)).any(axis=1) if scheme.unit_inputs else False
+    check(np.full(m, d == 0) | outside)  # a row of no feature is embed_sample's EmptyInput
     if not dense:  # P(0) - P(1) of each factor f, as expectation_z squares hypot(f)
         if scheme.kind == BASIS:  # factors (1, 0) and (0, 1)
             out = 1.0 - 2.0 * bits_for_row(data, scheme.bits_per_feature)
@@ -366,21 +361,21 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
         else:  # (cos, -i sin) or (cos, sin); hypot(x, +-0) = |x|, pow(-x, 2) = pow(x, 2)
             half = (math.pi * data if scheme.angle_map == LINEAR_PI else data) / 2
             out = np.float_power(np.cos(half), 2) - np.float_power(np.sin(half), 2)
-        return FeatureMatrix(out, _feature_names(scheme.readout, n), X.labels)
-    out = np.empty((m, width))
-    step = min(EMBED_BLOCK_ROWS, (budget - out.nbytes - reserve) // block_row)
-    for start in range(0, m, step):
-        rows = data[start:start + step]
-        if scheme.kind == AMPLITUDE:
-            amps = np.zeros((len(rows), 1 << n), dtype=complex)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                amps[:, :d] = rows / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
-            # a zero, overflowing or underflowing norm fails the state's norm check
-            check(~(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0) <= qsim._NORM_TOL), start)
-        else:  # expand each product state as StateVector.amps does
-            factors = _product_factors(rows, scheme)
-            amps = factors[:, 0]
-            for i in range(1, n):
-                amps = (amps[:, :, None] * factors[:, None, i]).reshape(len(rows), -1)
-        out[start:start + step] = _dense_readout(amps, scheme.readout)
-    return FeatureMatrix(out, _feature_names(scheme.readout, out.shape[1]), X.labels)
+    else:
+        out = np.empty((m, width))
+        step = min(EMBED_BLOCK_ROWS, (budget - out.nbytes - reserve) // block_row)
+        for start in range(0, m, step):
+            rows = data[start:start + step]
+            if scheme.kind == AMPLITUDE:
+                amps = np.zeros((len(rows), 1 << n), dtype=complex)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    amps[:, :d] = rows / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
+                # a zero, overflowing or underflowing norm fails the state's norm check
+                check(~(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0) <= qsim._NORM_TOL), start)
+            else:  # expand each product state as StateVector.amps does
+                factors = _product_factors(rows, scheme)
+                amps = factors[:, 0]
+                for i in range(1, n):
+                    amps = (amps[:, :, None] * factors[:, None, i]).reshape(len(rows), -1)
+            out[start:start + step] = _dense_readout(amps, scheme.readout)
+    return FeatureMatrix(out, _feature_names(scheme.readout, width), X.labels)

@@ -224,7 +224,7 @@ class TrainedModel:
         return _KINDS[self.spec.kind][1](self.state, data)
 
     def predict(self, X, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-        return (self.predict_proba(X) >= threshold).astype(int)
+        return (self.predict_proba(X) >= checked_real(threshold, "threshold")).astype(int)
 
 
 def fit(spec: ModelSpec, X, y=None) -> TrainedModel:

@@ -47,7 +47,6 @@ def fit_logreg(X, y, l2: float, max_iter: int):
     """
     m, d = X.shape
     A = np.hstack([X, np.ones((m, 1))])
-    ridge = np.diag(np.append(np.full(d, l2), 0.0))
     theta = np.zeros(d + 1)
 
     def loss(th):
@@ -59,7 +58,9 @@ def fit_logreg(X, y, l2: float, max_iter: int):
         if converged or it == max_iter:
             break
         p = sigmoid(row_dots(A, theta))
-        hessian = row_dots(A.T * (p * (1 - p)), A.T) / m + ridge
+        hessian = row_dots(A.T * (p * (1 - p)), A.T)
+        hessian /= m  # in place, as the ridge: one (d+1)^2 array a step
+        hessian[range(d), range(d)] += l2
         try:
             step = -np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:

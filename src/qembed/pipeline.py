@@ -149,9 +149,11 @@ class FeatureMatrix:
         return self.data.shape[1]
 
     def take_rows(self, idx) -> "FeatureMatrix":
-        """The rows a bool mask of length n_rows marks; any other idx is row indices."""
+        """The rows a bool mask of length n_rows marks; any other idx is integer row indices."""
         idx = np.asarray(idx)
         if idx.dtype != bool:
+            if idx.size and not np.issubdtype(idx.dtype, np.integer):  # [] reads as float
+                raise ValueError(f"take_rows needs a bool mask or integer indices, got {idx.dtype}")
             idx = idx.astype(int)
         elif idx.shape != (self.n_rows,):
             raise ValueError(f"row mask of length {idx.size} for a matrix of {self.n_rows} rows")
@@ -306,7 +308,7 @@ def iterative_vif_prune(
     column indices, the per-iteration VIF tables, and the entries that
     were dropped, in drop order.
     """
-    if threshold <= 1:
+    if not threshold > 1:  # nan too
         raise ValueError("VIF threshold must exceed 1")
     keep = list(range(len(names)))
     iterations: list[list[VifEntry]] = []
@@ -532,8 +534,8 @@ def find_elbow(ratios) -> int:
     ratios = np.asarray(ratios, dtype=float)
     if ratios.ndim != 1 or ratios.size < 3:
         raise TooFewComponents("elbow needs at least three ratios")
-    if np.any(np.diff(ratios) > 1e-9):
-        raise NonIncreasingRatios("ratios must be nonincreasing")
+    if not np.isfinite(ratios).all() or np.any(np.diff(ratios) > 1e-9):
+        raise NonIncreasingRatios("ratios must be finite and nonincreasing")
     cum = np.cumsum(ratios)
     n = cum.size
     x = np.arange(n)

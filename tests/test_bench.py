@@ -526,8 +526,18 @@ class TestRunner:
     def test_scaling_needs_train_rows(self):
         empty = FeatureMatrix(np.zeros((0, 2)), ("a", "b"), np.zeros(0, dtype=int))
         test = FeatureMatrix(np.ones((2, 2)), ("a", "b"), np.array([0, 1]))
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EmptyInput, match="^encoding 'basis': the train split has no row$"):
             runner.encode_split(config.EncodingEntry("basis", basis_scheme()), empty, test)
+
+    @pytest.mark.parametrize("scheme", [None, angle_scheme(angle_map=RAW), amplitude_scheme()],
+                             ids=["classical", "angle-raw", "amplitude"])
+    def test_empty_train_split_is_refused_for_every_entry(self, scheme):
+        # refused once, before any encoding, naming the entry, as the scaled
+        # entries of test_scaling_needs_train_rows are
+        empty = FeatureMatrix(np.zeros((0, 2)), ("a", "b"), np.zeros(0, dtype=int))
+        test = FeatureMatrix(np.ones((2, 2)), ("a", "b"), np.array([0, 1]))
+        with pytest.raises(EmptyInput, match="^encoding 'e': the train split has no row$"):
+            runner.encode_split(config.EncodingEntry("e", scheme), empty, test)
 
     def test_information_free_cells_fail_alone(self):
         # one component: amplitude maps each row to x/|x| = +-1, so its probability

@@ -352,6 +352,7 @@ class TestQuantizer:
         assert list(enc.bits_for_row([0.2], 4)) == [0, 0, 1, 1]  # level 3 of 15
         assert list(enc.bits_for_row([0.5], 1)) == [0]  # 0.5 ties to the even level
         assert enc.bits_for_row([[0.0], [1.0]], 2).tolist() == [[0, 0], [1, 1]]
+        assert enc.bits_for_row(np.zeros((0, 3)), 2).shape == (0, 6)  # zero rows, 3 x 2 bits
 
     def test_concatenation_order(self):
         assert list(enc.bits_for_row([1.0, 0.0], 2)) == [1, 1, 0, 0]
@@ -638,14 +639,14 @@ class TestEmbedMatrixEqualsOracle:
         (enc.basis_scheme(2), 13, QubitCapExceeded),  # 26 qubits
     ])
     def test_width_and_scheme_failures_are_row_0(self, scheme, width, cause):
-        # these do not depend on the values, so the first row already fails
-        X = np.full((4, width), 0.5)
-        with pytest.raises(RowEncodeError) as exc_info:
-            enc.embed_matrix(matrix_of(X), scheme)
-        assert exc_info.value.row == 0
-        assert type(exc_info.value.cause) is cause
-        with pytest.raises(cause):
-            enc.embed_sample(X[0], scheme)
+        # these do not depend on the values: the cap is checked before any row,
+        # with the message embed_sample gives row 0, for any number of rows
+        n = width * (scheme.bits_per_feature or 1)
+        for m in (0, 1, 4):
+            with pytest.raises(cause, match=f"^{n} qubits exceeds cap 24$"):
+                enc.embed_matrix(matrix_of(np.full((m, width), 0.5)), scheme)
+        with pytest.raises(cause, match=f"^{n} qubits exceeds cap 24$"):
+            enc.embed_sample(np.full(width, 0.5), scheme)
 
     @pytest.mark.parametrize("scheme, binary", oracle_cases())
     def test_zero_rows_give_one_rows_columns(self, scheme, binary):
@@ -662,12 +663,35 @@ class TestEmbedMatrixEqualsOracle:
         (enc.angle_scheme("Y", readout=enc.AMPLITUDE_PARTS), 27),
     ], ids=["basis-3bit-z", "basis-9bit-probability", "angle-X-z", "angle-Y-parts"])
     def test_zero_rows_over_the_qubit_cap_raise(self, scheme, width):
-        # 27 qubits: one row fails on the cap, and so do zero rows
-        with pytest.raises(RowEncodeError) as one_row:
-            enc.embed_matrix(matrix_of(np.full((1, width), 0.5)), scheme)
-        assert isinstance(one_row.value.cause, QubitCapExceeded)
-        with pytest.raises(QubitCapExceeded, match="27 qubits exceeds cap 24"):
-            enc.embed_matrix(matrix_of(np.zeros((0, width))), scheme)
+        # 27 qubits: zero rows fail on the cap as one row and four rows do
+        for m in (0, 1, 4):
+            with pytest.raises(QubitCapExceeded, match="^27 qubits exceeds cap 24$"):
+                enc.embed_matrix(matrix_of(np.full((m, width), 0.5)), scheme)
+
+    @pytest.mark.parametrize("scheme, binary", oracle_cases())
+    def test_embed_sample_runs_only_on_a_flagged_row(self, monkeypatch, scheme, binary):
+        oracle, calls = enc.embed_sample, []
+        monkeypatch.setattr(enc, "embed_sample", lambda x, s: calls.append(x) or oracle(x, s))
+        X = oracle_rows(np.random.default_rng(53), scheme, binary, 3)
+        enc.embed_matrix(matrix_of(X), scheme)
+        assert calls == []  # valid rows: no row runs through the oracle
+        if not scheme.unit_inputs and scheme.kind != enc.AMPLITUDE:
+            return  # raw angles take any finite row
+        X = X.copy()  # the matrix holds X read-only
+        X[5] = 0.0 if scheme.kind == enc.AMPLITUDE else 2.0  # ZeroVector, or out of [0, 1]
+        with pytest.raises(RowEncodeError) as exc_info:
+            enc.embed_matrix(matrix_of(X), scheme)
+        assert exc_info.value.row == 5 and len(calls) == 1
+
+    @pytest.mark.parametrize("scheme", [
+        enc.angle_scheme(), enc.angle_scheme("Y", enc.RAW, enc.PROBABILITY_VECTOR),
+        enc.basis_scheme(2), enc.basis_scheme(2, enc.Z_EXPECTATIONS), enc.amplitude_scheme(),
+    ], ids=["angle-z", "angle-raw-probability", "basis-probability", "basis-z", "amplitude"])
+    def test_rows_of_no_feature_are_row_0(self, scheme):
+        # a zero-width row is embed_sample's EmptyInput, flagged like a bad value
+        with pytest.raises(RowEncodeError) as exc_info:
+            enc.embed_matrix(matrix_of(np.zeros((3, 0))), scheme)
+        assert exc_info.value.row == 0 and type(exc_info.value.cause) is EmptyInput
 
 
 @pytest.mark.parametrize("build", [

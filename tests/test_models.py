@@ -236,6 +236,15 @@ class TestFitValidation:
             with pytest.raises(NonFiniteFeature, match="row 3 "):
                 model.predict_proba(rows)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, True, "0.5"])
+    def test_predict_threshold_must_be_a_finite_real(self, threshold):
+        # as compute_report checks it: nan scored every row 0, "0.5" a numpy type error
+        X, y = blobs(0, n=20, d=3)
+        model = models.fit(ModelSpec("knn"), X, y)
+        with pytest.raises(ValueError, match="^threshold must be a finite real number"):
+            model.predict(X, threshold=threshold)
+        assert model.predict(X, threshold=np.float64(0.5)).tolist() == model.predict(X).tolist()
+
 
 class TestLogreg:
     def test_symmetric_pair(self):

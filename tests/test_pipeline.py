@@ -153,6 +153,8 @@ class TestInputChecks:
         assert masked.data[:, 0].tolist() == [0.0, 2.0] and masked.labels.tolist() == [0, 1]
         assert m.take_rows([2, 0, 2]).data[:, 0].tolist() == [2.0, 0.0, 2.0]
         assert m.take_rows([]).n_rows == 0
+        with pytest.raises(ValueError, match="^take_rows needs a bool mask or integer indices"):
+            m.take_rows(np.array([0.9, 1.7]))  # never truncated to rows 0 and 1
         for mask in ([True, False], np.ones(4, dtype=bool)):
             message = f"^row mask of length {len(mask)} for a matrix of 3 rows$"
             with pytest.raises(ValueError, match=message):
@@ -481,8 +483,10 @@ class TestIterativeVifPrune:
         assert [X.column_names[j] for j in keep] == [e.column for e in iters[-1]]
 
     def test_threshold_validated(self, vif_inputs):
-        with pytest.raises(ValueError):
-            pl.iterative_vif_prune(*vif_inputs(matrix_of(np.eye(3))), 1.0)
+        # nan would pass a threshold <= 1 check and then drop all columns but one
+        for threshold in (1.0, float("nan")):
+            with pytest.raises(ValueError, match="^VIF threshold must exceed 1$"):
+                pl.iterative_vif_prune(*vif_inputs(matrix_of(np.eye(3))), threshold)
 
     @pytest.mark.parametrize("rows", [500, 7043, 28172])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -809,6 +813,8 @@ class TestElbow:
             pl.find_elbow([0.9, 0.1])
         with pytest.raises(NonIncreasingRatios):
             pl.find_elbow([0.2, 0.5, 0.3])
+        with pytest.raises(NonIncreasingRatios):  # not a bare IndexError
+            pl.find_elbow([0.5, float("nan"), 0.1])
 
 
 class TestStandardizer:
