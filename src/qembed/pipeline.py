@@ -117,15 +117,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense numeric design matrix with named columns and binary labels."""
+    """Dense numeric design matrix with named columns and binary labels.  data and labels are
+    read-only views that share the caller's arrays' memory where no conversion copies them."""
 
     data: np.ndarray
     column_names: tuple[str, ...]
     labels: np.ndarray
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=float)
-        labels = np.ascontiguousarray(checked_labels(self.labels, "labels"))
+        data = np.ascontiguousarray(self.data, dtype=float).view()  # frozen below, not the caller's
+        labels = np.ascontiguousarray(checked_labels(self.labels, "labels")).view()
         if data.ndim != 2:
             raise ValueError("data must be 2-D")
         if data.shape[1] != len(self.column_names):
@@ -476,11 +477,12 @@ class PcaModel:
 def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
     """Top-k principal directions of the centered matrix X, from the SVD of its R factor.
 
-    X^T X = R^T R, so the R of X = QR has the singular values and right singular
-    vectors of X.  It is built PCA_BLOCK_ROWS centered rows at a time (TSQR): the
-    running R is stacked on each block and reduced to the R of the stack.  The
-    largest-magnitude entry of each component is positive.  k past the numerical
-    rank is allowed; the model is flagged rank-deficient and trailing ratios are ~0.
+    X^T X = R^T R, so the R of X = QR has the singular values and right singular vectors of X.
+    It is built PCA_BLOCK_ROWS centered rows at a time (TSQR): the running R is stacked on each
+    block and reduced to the R of the stack.  Each component's first entry within a relative
+    1e-6 of its largest |entry| is positive: a one-hot pair ties two entries to ~1e-15, and a
+    bare argmax would let the BLAS kernel's rounding pick the sign.  k past the numerical rank
+    is allowed; the model is flagged rank-deficient and trailing ratios are ~0.
     """
     X = matrix.data
     m, d = X.shape
@@ -495,11 +497,9 @@ def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
     ratios = np.zeros(d)
     if total > 0:
         ratios[: sing.size] = sing**2 / total
-    components = vt[:k].copy()
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1
+    size = np.abs(vt[:k])
+    pivot = np.argmax(size >= size.max(axis=1, keepdims=True) * (1 - 1e-6), axis=1)
+    components = vt[:k] * np.sign(vt[np.arange(k), pivot])[:, None]
     rank = int(np.sum(sing > sing[0] * max(m, d) * np.finfo(float).eps))
     return PcaModel(mean, components, ratios, rank)
 

@@ -31,7 +31,7 @@ _NORM_TOL = 1e-9
 
 
 class StateVector:
-    """Immutable n-qubit pure state.
+    """Immutable n-qubit pure state; `_data` is a read-only view sharing a complex input's memory.
 
     layout "dense": `_data` holds the 2^n complex amplitudes.
     layout "product": `_data` is an (n, 2) array of per-qubit factors,
@@ -42,7 +42,7 @@ class StateVector:
     __slots__ = ("n_qubits", "layout", "_data")
 
     def __init__(self, n_qubits: int, data: np.ndarray, layout: str):
-        data = np.ascontiguousarray(data, dtype=complex)
+        data = np.ascontiguousarray(data, dtype=complex).view()  # frozen below, not the caller's
         if not np.all(np.isfinite(data.view(float))):
             raise ValueError("state amplitudes must be finite")
         if layout == DENSE:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -712,6 +713,31 @@ class TestPlantedEffect:
         run = runner.run_matrix(planted_config(seed))
         auc = {cell.encoding: cell.report.roc_auc for cell in run.results}
         assert auc["angle_raw"] - auc["classical"] > 0.2
+
+
+class TestPinnedReports:
+    """sha256 over every cell's encoding, model, report, error and dim_out, as
+    canonical JSON in cell order, of configs/synthetic.json at seeds 0-2.
+
+    One value holds on OpenBLAS's SkylakeX and Haswell kernels, at one and two
+    BLAS threads, and with numpy's AVX-512 on or off.  Solver iterations are
+    left out: a few SMO pair-update counts move with the last bits of the
+    split, which the BLAS kernel's QR rounds, and with numpy's AVX-512 switch,
+    while no report does.  A change that moves a report re-pins the value and
+    lists the moved cells.
+    """
+
+    DIGEST = "e56f96896f0787bc4de77384080a28c07c60986e7692f957bd6ea78baae6fd7b"
+    FIELDS = ("encoding", "model", "report", "error", "dim_out")
+
+    def test_report_digest(self):
+        base = config.load_config(CONFIGS / "synthetic.json")
+        h = hashlib.sha256()
+        for seed in range(3):
+            for cell in runner.run_matrix(config.reseeded(base, seed)).results:
+                row = {k: v for k, v in asdict(cell).items() if k in self.FIELDS}
+                h.update(json.dumps(row, sort_keys=True, separators=(",", ":")).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestReport:

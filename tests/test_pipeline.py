@@ -119,6 +119,16 @@ TARGETS = (ColumnSpec("a", pl.TARGET), ColumnSpec("b", pl.TARGET))
 REJECTED = "rejected"
 
 
+class TestFeatureMatrixArrays:
+    def test_caller_arrays_stay_writeable(self):
+        # the matrix freezes views, so the caller's own arrays keep their flags
+        data, labels = np.zeros((2, 2)), np.array([0, 1])
+        matrix = FeatureMatrix(data, ("a", "b"), labels)
+        data[0, 0], labels[0] = 1.0, 1
+        assert np.shares_memory(matrix.data, data) and np.shares_memory(matrix.labels, labels)
+        assert not matrix.data.flags.writeable and not matrix.labels.flags.writeable
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("build, message", [
         (lambda: FeatureMatrix(np.zeros(3), ("a",), np.zeros(3)), "data must be 2-D"),
@@ -695,11 +705,26 @@ class TestPca:
         assert np.max(np.abs(gram - np.eye(4))) < 1e-9
 
     def test_sign_convention(self):
+        # the first entry within a relative 1e-6 of the largest |entry| is positive
         rng = np.random.default_rng(12)
         X = matrix_of(rng.normal(size=(50, 4)))
         model = pl.pca_fit(X, 4)
         for row in model.components:
-            assert row[np.argmax(np.abs(row))] > 0
+            size = np.abs(row)
+            assert row[np.flatnonzero(size >= size.max() * (1 - 1e-6))[0]] > 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tied_one_hot_pair_keeps_its_signs(self, seed):
+        # a standardized two-category one-hot pair ties its entries to ~1e-15 in
+        # every component; signed by the bare largest |entry|, the row order's
+        # rounding flipped a component at half these seeds
+        rng = np.random.default_rng(seed)
+        hot = rng.integers(0, 2, size=60)
+        raw = matrix_of(np.column_stack([rng.normal(size=60), hot, 1 - hot, rng.normal(size=60)]))
+        X = pl.Standardizer.fit(raw).transform(raw)
+        shuffled = X.take_rows(rng.permutation(60))
+        assert np.max(np.abs(pl.pca_fit(X, 3).components
+                             - pl.pca_fit(shuffled, 3).components)) < 1e-12
 
     def test_ratios_nonincreasing_and_sum_one(self):
         rng = np.random.default_rng(13)
@@ -774,7 +799,9 @@ class TestPcaBlockedQr:
         ratios = np.zeros(d)
         ratios[: sing.size] = sing**2 / np.sum(sing**2)
         assert np.max(np.abs(model.explained_variance_ratio - ratios)) < 1e-12
-        want = vt[:k] * np.sign(vt[:k][np.arange(k), np.argmax(np.abs(vt[:k]), axis=1)])[:, None]
+        # pca_fit's sign rule: the first entry within a relative 1e-6 of the largest |entry| > 0
+        want = np.array([v * np.sign(v[np.flatnonzero(np.abs(v) >= np.abs(v).max() * (1 - 1e-6))[0]])
+                         for v in vt[:k]])
         assert np.max(np.abs(model.components - want)) < 1e-9
         assert model.rank == k
 

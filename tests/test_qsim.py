@@ -83,6 +83,13 @@ class TestStateConstruction:
         with pytest.raises(ValueError):
             s.amps[0] = 0
 
+    def test_caller_array_stays_writeable(self):
+        # the state freezes a view of a complex input, not the caller's array
+        amps = np.array([1.0, 0.0], dtype=complex)
+        s = qsim.StateVector(1, amps, qsim.DENSE)
+        amps[0] = 0.0
+        assert np.shares_memory(s.amps, amps) and not s.amps.flags.writeable
+
 
 class TestGates:
     def test_rx_zero_is_identity(self):
