@@ -405,6 +405,14 @@ def _pair_splits(X, y, rank, idx, cnt, lo, size, j, n, pos, min_leaf):
     return out
 
 
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output for each state in z, a uint64 array (arrays wrap silently)."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def grow_forest(
     X: np.ndarray, y: np.ndarray, n_trees: int, feature_fraction: float | None,
     max_depth: int | None, min_leaf: int, bootstrap: bool, rng: np.random.Generator,
@@ -413,10 +421,12 @@ def grow_forest(
     as one table: roots 0..n_trees-1, then each level's nodes after the level above.
 
     Each split searches k = round(feature_fraction * d) features (None:
-    1/sqrt(d); at least one).  Draw order: first each tree's bootstrap, in
-    tree order, as row counts `bincount(rng.integers(0, m, m))` (all ones
-    without bootstrap); then, per level, d uniforms per split-searched node
-    in (tree, node) order, whose k smallest pick its features (none if k = d).
+    1/sqrt(d); at least one).  rng draws each tree's bootstrap, in tree order,
+    as row counts `bincount(rng.integers(0, m, m))` (all ones without
+    bootstrap), then a salt.  A node's features are the k with the smallest
+    splitmix64 hashes of (salt, tree, depth, its smallest in-bag row, feature),
+    so a mirrored feature, which swaps a split's children but no node's rows,
+    keeps every draw.
     With all features, tree t is `grow_classifier` on X and y with row i
     repeated counts[t, i] times: count and label sums are integers, exact
     in float64, and no cut falls between equal values.
@@ -433,9 +443,11 @@ def grow_forest(
         idx.append(np.flatnonzero(c).astype(np.int32))
         cnt.append(c[idx[-1]].astype(np.int32))
         pos.append(float(c @ y))
+    salt = rng.integers(2**64, dtype=np.uint64, size=1)
     # node: in-bag rows idx[lo:lo + size], their counts in cnt; sums n, pos exact
     size, idx, cnt = np.array([r.size for r in idx]), np.concatenate(idx), np.concatenate(cnt)
     lo, n, pos = np.cumsum(size) - size, np.full(n_trees, m, float), np.array(pos)
+    tree = np.arange(n_trees, dtype=np.uint64)  # per node its tree
     table = []  # per level: feature, threshold, left, right, value
     numbered, depth = n_trees, 0  # nodes numbered so far: the levels down to this one
     with np.errstate(over="ignore"):  # a midpoint of huge neighbors
@@ -444,13 +456,18 @@ def grow_forest(
             threshold = np.zeros(size.size)
             table.append((feature, threshold, left, right, pos / n))
             # best split per searched node: chunks of at most 4 * _RUN (node, feature,
-            # row) elements, or one node, draw features in order and hold per-pair arrays
+            # row) elements, or one node, hash their features and hold per-pair arrays
             go = np.flatnonzero((pos > 0) & (pos < n) & (n >= 2 * min_leaf) & (depth < limit))
             found = np.full((5, go.size), -1.0)  # feature, then as in _pair_splits
+            ends = np.column_stack([lo[go], lo[go] + size[go]]).ravel()
+            first = np.minimum.reduceat(idx, ends[ends < idx.size])[::2]  # smallest row
+            key = np.repeat(salt, go.size)
+            for part in tree[go], np.uint64(depth), first.astype(np.uint64):
+                key = _splitmix64(key ^ part)
             for chunk in _runs(k * size[go], 4 * _RUN):
                 s = go[chunk]
-                feats = np.broadcast_to(np.arange(d), (s.size, d)) if k == d else \
-                    np.sort(rng.random((s.size, d)).argsort(axis=1)[:, :k], axis=1)
+                draw = _splitmix64(key[chunk, None] ^ np.arange(d, dtype=np.uint64))
+                feats = np.sort(draw.argsort(axis=1)[:, :k], axis=1)
                 node, j = np.repeat(s, k), feats.ravel()
                 pairs = np.empty((5, node.size))
                 for run in _runs(size[node]):
@@ -470,7 +487,7 @@ def grow_forest(
             left[split] = numbered + 2 * np.arange(split.size)
             right[split] = left[split] + 1
             numbered += 2 * split.size
-            span, lo = size[split], np.repeat(lo[split], 2)
+            span, lo, tree = size[split], np.repeat(lo[split], 2), np.repeat(tree[split], 2)
             lo[1::2] += sl
             size, n, pos = (np.column_stack([a, b - a]).ravel()
                             for a, b in [(sl, span), (nl, n[split]), (pl, pos[split])])

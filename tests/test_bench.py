@@ -727,7 +727,7 @@ class TestPinnedReports:
     lists the moved cells.
     """
 
-    DIGEST = "e56f96896f0787bc4de77384080a28c07c60986e7692f957bd6ea78baae6fd7b"
+    DIGEST = "e16ffdf2c116171053d533927532777f3f348584a0d319438777ff7843a00401"
     FIELDS = ("encoding", "model", "report", "error", "dim_out")
 
     def test_report_digest(self):
