@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",")]  # an empty entry too is refused
     except ValueError:
         raise EncodingError(f"cannot parse vector {text!r}") from None
 
@@ -114,13 +114,12 @@ def _cmd_encode(args) -> int:
 
 
 def _config_and_out(args, name: str):
-    """The --config file re-seeded by --seed, and the path of its output `name`:
-    its directory is made before any work, and the --config file is refused."""
+    """The --config file re-seeded by --seed, and the path of its output `name`
+    in --out: that directory is made before any work, and the --config file is refused."""
     config = load_config(args.config)
     config = config if args.seed is None else reseeded(config, args.seed)
-    out_dir = runner_mod.resolve_output_dir(config, args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
     if os.path.exists(path) and os.path.samefile(path, args.config):
         raise ConfigError(f"{path} is the --config file this run re-runs; "
                           "pass --out to write the re-run elsewhere")
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     draw = argparse.ArgumentParser(add_help=False)  # the flags preprocess and bench share
     draw.add_argument("--config", required=True)
     draw.add_argument("--seed", type=int)
-    draw.add_argument("--out")
+    draw.add_argument("--out", default="qembed_out", help="output directory (default %(default)s)")
     p_pre = sub.add_parser("preprocess", parents=[draw], help="run the preprocessing chain only")
     p_pre.set_defaults(func=_cmd_preprocess)
 

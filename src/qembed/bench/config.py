@@ -42,7 +42,7 @@ _TYPE_NAMES = {bool: "true or false", str: "a string", list: "a list",
                dict: "an object", int: "a number", NULL: "null"}
 # JSON types of the keys no library record owns.
 _TOP_KEYS = {"dataset": (dict,), "seed": NUMBER, "preprocess": (dict,),
-             "encodings": (list,), "models": (list,), "output_dir": (str, NULL)}
+             "encodings": (list,), "models": (list,)}
 _DATASET_KEYS = {"path": (str, NULL), "synthetic_rows": NUMBER, "schema": (list,)}
 _ENTRY_KEYS = {"kind": (str,), "name": (str,)}
 _MODEL_KEYS = dict(_ENTRY_KEYS, seed=NUMBER, params=(dict,))
@@ -64,17 +64,20 @@ class EncodingEntry:
 class BenchConfig:
     dataset_path: str | None
     schema: tuple[ColumnSpec, ...]
-    synthetic_rows: int
+    synthetic_rows: int | None  # None when the rows come from dataset_path
     preprocess: PreprocessOptions
     seed: int
     encodings: tuple[EncodingEntry, ...]
     models: tuple[ModelSpec, ...]
-    output_dir: str | None
 
     def __post_init__(self):
         object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed", ConfigError))
-        object.__setattr__(self, "synthetic_rows", checked_int(
-            self.synthetic_rows, 1, "dataset.synthetic_rows", ConfigError))
+        if self.dataset_path is None:
+            object.__setattr__(self, "synthetic_rows", checked_int(
+                self.synthetic_rows, 1, "dataset.synthetic_rows", ConfigError))
+        elif self.synthetic_rows is not None:
+            raise ConfigError("dataset.synthetic_rows sizes the synthetic table; "
+                              "with dataset.path omit it")
         if not self.encodings:
             raise ConfigError("config needs at least one encoding")
         if not self.models:
@@ -173,15 +176,15 @@ def config_from_dict(raw: dict) -> BenchConfig:
     encodings = [_parse_encoding(e, f"encodings[{i}]")
                  for i, e in enumerate(raw.get("encodings", ()))]
     models = [_parse_model(m, f"models[{i}]", seed) for i, m in enumerate(raw.get("models", ()))]
+    path = dataset.get("path")
     return BenchConfig(
-        dataset_path=dataset.get("path"),
+        dataset_path=path,
         schema=tuple(schema) if "schema" in dataset else TELCO_SCHEMA,
-        synthetic_rows=dataset.get("synthetic_rows", 500),
+        synthetic_rows=dataset.get("synthetic_rows", 500 if path is None else None),
         preprocess=_parse_preprocess(raw.get("preprocess", {})),
         seed=seed,
         encodings=tuple(encodings),
         models=tuple(models),
-        output_dir=raw.get("output_dir"),
     )
 
 
@@ -194,7 +197,8 @@ def reseeded(config: BenchConfig, seed: int) -> BenchConfig:
 
 def config_to_dict(cfg: BenchConfig) -> dict:
     """Canonical JSON-safe echo of a config (used for hashing and manifests),
-    read back from the records the parse filled."""
+    read back from the records the parse filled.  The dataset section holds only
+    what the load reads: a CSV's path and schema, or the synthetic table's size."""
     preprocess = {**asdict(cfg.preprocess), "extra_drops": list(cfg.preprocess.extra_drops)}
     encodings = [
         {"kind": CLASSICAL, "name": e.name} if e.scheme is None else
@@ -202,13 +206,13 @@ def config_to_dict(cfg: BenchConfig) -> dict:
         for e in cfg.encodings
     ]
     return {
-        "dataset": {"path": cfg.dataset_path, "synthetic_rows": cfg.synthetic_rows,
-                    "schema": [asdict(c) for c in cfg.schema]},
+        "dataset": {"path": None, "synthetic_rows": cfg.synthetic_rows}
+        if cfg.dataset_path is None else
+        {"path": cfg.dataset_path, "schema": [asdict(c) for c in cfg.schema]},
         "seed": cfg.seed,
         "preprocess": preprocess,
         "encodings": encodings,
         "models": [asdict(m) for m in cfg.models],
-        "output_dir": cfg.output_dir,
     }
 
 

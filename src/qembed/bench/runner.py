@@ -31,8 +31,6 @@ from ..pipeline import (
 from .config import BenchConfig, EncodingEntry, config_to_dict
 from .data import synthetic_telco
 
-ENV_OUTPUT_DIR = "QEMBED_OUT"
-DEFAULT_OUTPUT_DIR = "qembed_out"
 RESULTS_FILE = "results.json"
 
 
@@ -191,15 +189,6 @@ def run_matrix(config: BenchConfig) -> BenchRun:
     """Run the full grid once: one draw, then every encoding x model cell."""
     pre, manifest = preprocess_run(config)
     return BenchRun(manifest, _run_once(config, pre, manifest["split_checksum"]))
-
-
-def resolve_output_dir(config: BenchConfig, cli_out: str | None = None) -> str:
-    """Priority: --out flag, then config, then QEMBED_OUT, then ./qembed_out."""
-    if cli_out:
-        return cli_out
-    if config.output_dir:
-        return config.output_dir
-    return os.environ.get(ENV_OUTPUT_DIR) or DEFAULT_OUTPUT_DIR
 
 
 def write_json(path: str, payload) -> None:

@@ -244,6 +244,8 @@ class TestConfig:
         ("preprocess.extra_drops", [3], "preprocess: extra_drops"),
         ("models[4].params.n_trees", None, "models[4]: n_trees"),
         ("dataset.schema", [{"name": 3, "kind": "numeric"}], "dataset.schema[0]"),
+        # load_csv never reads synthetic.json's synthetic_rows, which once changed the hash
+        ("dataset.path", "telco.csv", "dataset.synthetic_rows sizes the synthetic table"),
         ("encodings[1]", "basis", "encodings[1]"),
         ("models[0].name", 3, "models[0].name must be a string"),
         # only an absent or null readout takes the kind's default
@@ -279,18 +281,29 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, digest", [
         ("synthetic.json",
-         "8752fe484b0aae031b9d0d7fac30de6165c548d059d10b589f251a0b004e08b5"),
+         "ea33d3d84ab5e489d4da987c57d535de565f525cfef4bc1115d07478a5f0d9c5"),
         ("telco.json",
-         "69e036a502f70ea5e94603a6c8912da4c8ab95b544bea515274d0905460be45a"),
+         "8fb58738757bfa58f6f05e7bed02d10f4382a1326b7bb19cad058ef215595072"),
     ])
     def test_shipped_config_hash_pinned(self, name, digest):
         # a results.json records this hash; a changed echo breaks its re-run
         assert runner.config_hash(config.load_config(CONFIGS / name)) == digest
 
-    def test_roundtrip_hash_stable(self):
-        cfg = small_config()
+    @pytest.mark.parametrize("dataset", [
+        {"path": None, "synthetic_rows": 200},
+        {"path": "telco.csv", "schema": [{"name": "x", "kind": "numeric"},
+                                         {"name": "Churn", "kind": "target"}]},
+    ], ids=["synthetic", "csv"])
+    def test_roundtrip_hash_stable(self, dataset):
+        cfg = small_config(dataset=dataset)
         again = config.config_from_dict(config.config_to_dict(cfg))
         assert runner.config_hash(cfg) == runner.config_hash(again)
+
+    def test_dataset_echo_holds_only_what_the_load_reads(self):
+        csv_echo = config.config_to_dict(config.load_config(CONFIGS / "telco.json"))["dataset"]
+        assert csv_echo.keys() == {"path", "schema"}
+        echo = config.config_to_dict(config.load_config(CONFIGS / "synthetic.json"))["dataset"]
+        assert echo == {"path": None, "synthetic_rows": 500}
 
     def test_echo_and_reseed_keep_model_names(self):
         cfg = small_config(models=[{"kind": "svm"}, {"kind": "svm", "name": "svm_c10"}])
@@ -648,7 +661,6 @@ class TestRunner:
             encodings=(config.EncodingEntry("classical", None),
                        config.EncodingEntry("basis", basis_scheme(i(2)))),
             models=(ModelSpec("knn", seed=i(1), params={"k": i(3)}),),
-            output_dir=None,
         )
         assert runner.config_hash(built) == runner.config_hash(from_json)
         run = runner.run_matrix(built)
@@ -656,16 +668,6 @@ class TestRunner:
         path = runner.persist_run(run, str(tmp_path))
         manifest = json.loads(Path(path).read_text())["manifest"]
         assert manifest["config_sha256"] == runner.config_hash(from_json)
-
-    def test_output_dir_priority(self, monkeypatch):
-        cfg = small_config()
-        monkeypatch.delenv(runner.ENV_OUTPUT_DIR, raising=False)
-        assert runner.resolve_output_dir(cfg) == runner.DEFAULT_OUTPUT_DIR
-        monkeypatch.setenv(runner.ENV_OUTPUT_DIR, "from_env")
-        assert runner.resolve_output_dir(cfg) == "from_env"
-        cfg_out = small_config(output_dir="from_config")
-        assert runner.resolve_output_dir(cfg_out) == "from_config"
-        assert runner.resolve_output_dir(cfg_out, "from_flag") == "from_flag"
 
 
 @pytest.fixture
@@ -881,6 +883,15 @@ class TestCli:
         assert cli.main(["encode", "--scheme", "amplitude",
                          "--vector", "1.0,spam"]) == 2
 
+    @pytest.mark.parametrize("scheme", ["amplitude", "angle"])
+    @pytest.mark.parametrize("vector", ["1,,2", "1,2,", ",1,2", " ", ""])
+    def test_encode_empty_vector_entry_is_data_error(self, capsys, scheme, vector):
+        # a blank entry was dropped, so "1,,2" encoded [1, 2] and exited 0
+        assert cli.main(["encode", "--scheme", scheme, "--vector", vector]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: cannot parse vector {vector!r}\n"
+        assert captured.out == ""
+
     def test_encode_missing_input_is_config_error(self, capsys):
         assert cli.main(["encode", "--scheme", "angle"]) == 1
 
@@ -1058,29 +1069,30 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {key} must be an integer >= 0, got -1\n"
 
     def test_results_file_rerun_never_writes_over_itself(self, tmp_path, capsys, monkeypatch):
-        # with the config's output_dir and no --out, the re-run once wrote its
-        # results.json over the file it read, and the first run's timings were lost
+        # without --out, a re-run of the default directory's results.json would
+        # write over the file it read, and the first run's timings would be lost
         monkeypatch.chdir(tmp_path)
-        self.write_config(tmp_path, output_dir="out")
+        self.write_config(tmp_path)
+        out = tmp_path / "qembed_out"
         assert cli.main(["bench", "--config", "cfg.json"]) == 0
-        first = (tmp_path / "out" / "results.json").read_bytes()
+        first = (out / "results.json").read_bytes()
         capsys.readouterr()
-        for config_path in ("out/results.json", str(tmp_path / "out" / "results.json")):
+        for config_path in ("qembed_out/results.json", str(out / "results.json")):
             assert cli.main(["bench", "--config", config_path]) == 1
             assert capsys.readouterr().err == (
-                f"config error: {Path('out', 'results.json')} is the --config file this run "
-                "re-runs; pass --out to write the re-run elsewhere\n")
-        assert (tmp_path / "out" / "results.json").read_bytes() == first
-        assert cli.main(["bench", "--config", "out/results.json", "--out", "rerun"]) == 0
+                f"config error: {Path('qembed_out', 'results.json')} is the --config file "
+                "this run re-runs; pass --out to write the re-run elsewhere\n")
+        assert (out / "results.json").read_bytes() == first
+        assert cli.main(["bench", "--config", "qembed_out/results.json", "--out", "rerun"]) == 0
         # and preprocess.json, re-runnable too, is never written over by preprocess
         assert cli.main(["preprocess", "--config", "cfg.json"]) == 0
-        first = (tmp_path / "out" / "preprocess.json").read_bytes()
+        first = (out / "preprocess.json").read_bytes()
         capsys.readouterr()
-        assert cli.main(["preprocess", "--config", "out/preprocess.json"]) == 1
+        assert cli.main(["preprocess", "--config", "qembed_out/preprocess.json"]) == 1
         assert capsys.readouterr().err == (
-            f"config error: {Path('out', 'preprocess.json')} is the --config file this run "
-            "re-runs; pass --out to write the re-run elsewhere\n")
-        assert (tmp_path / "out" / "preprocess.json").read_bytes() == first
+            f"config error: {Path('qembed_out', 'preprocess.json')} is the --config file "
+            "this run re-runs; pass --out to write the re-run elsewhere\n")
+        assert (out / "preprocess.json").read_bytes() == first
 
     @pytest.mark.parametrize("overrides", [
         {"seed": -1},
@@ -1295,7 +1307,7 @@ class TestCli:
 
     @pytest.mark.parametrize("on_csv", [False, True], ids=["synthetic", "csv"])
     def test_results_file_rerun_reproduces_the_reports(self, tmp_path, capsys, on_csv):
-        # the synthetic run echoes the default schema and the CSV run its own,
+        # the CSV run echoes its schema and the synthetic run its row count,
         # and either echo parses back into the same run
         dataset = self.write_narrow_csv(tmp_path, 3) if on_csv else {"path": None}
         cfg_path = self.write_config(tmp_path, dataset=dataset, preprocess={"n_components": 2})
@@ -1304,7 +1316,11 @@ class TestCli:
             assert cli.main(["bench", "--config", str(config_path), "--out", str(out)]) == 0
         capsys.readouterr()
         a, b = (json.loads((out / "results.json").read_text()) for out in (first, rerun))
-        assert len(a["manifest"]["config"]["dataset"]["schema"]) == (4 if on_csv else 21)
+        echo = a["manifest"]["config"]["dataset"]
+        if on_csv:
+            assert len(echo["schema"]) == 4
+        else:
+            assert echo == {"path": None, "synthetic_rows": 500}
         assert a["manifest"]["config_sha256"] == b["manifest"]["config_sha256"]
         assert [c["report"] for c in a["results"]] == [c["report"] for c in b["results"]]
         assert all(cell["error"] is None for cell in a["results"])
@@ -1428,15 +1444,22 @@ class TestCli:
         assert err.value.code == 1
         assert "--repeat" in capsys.readouterr().err
 
-    def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
-        cfg_path = self.write_config(
-            tmp_path,
-            encodings=[{"kind": "classical"}],
-            models=[{"kind": "knn", "params": {"k": 3}}],
-        )
-        env_dir = tmp_path / "env_out"
-        monkeypatch.setenv(runner.ENV_OUTPUT_DIR, str(env_dir))
+    def test_without_out_both_commands_write_into_qembed_out(self, tmp_path, capsys,
+                                                              monkeypatch):
+        self.write_config(tmp_path, encodings=[{"kind": "classical"}],
+                          models=[{"kind": "knn", "params": {"k": 3}}])
         monkeypatch.chdir(tmp_path)
-        assert cli.main(["bench", "--config", str(cfg_path)]) == 0
+        for command in ("bench", "preprocess"):
+            assert cli.main([command, "--config", "cfg.json"]) == 0
         capsys.readouterr()
-        assert (env_dir / "results.json").exists()
+        assert sorted(p.name for p in (tmp_path / "qembed_out").iterdir()) == [
+            "preprocess.json", "report.csv", "results.json"]
+
+    @pytest.mark.parametrize("command", ["bench", "preprocess"])
+    def test_output_dir_key_is_a_config_error(self, tmp_path, capsys, command):
+        # --out alone says where a run writes; the key once changed the config hash
+        # of the same run, and its echo could name a directory the run never wrote
+        cfg_path = self.write_config(tmp_path, output_dir="elsewhere")
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: unknown key output_dir\n"
