@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from ..errors import (
 )
 from . import report as report_mod
 from . import runner as runner_mod
-from .config import load_config, reseeded
+from .config import load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -113,13 +114,21 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _out_dir(out: str) -> str:
+    """The --out directory, made if missing; one that cannot be made is a usage error."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out!r} is not a directory: {exc.strerror or exc}") from exc
+    return out
+
+
 def _config_and_out(args, name: str):
     """The --config file re-seeded by --seed, and the path of its output `name`
     in --out: that directory is made before any work, and the --config file is refused."""
     config = load_config(args.config)
-    config = config if args.seed is None else reseeded(config, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
+    config = config if args.seed is None else replace(config, seed=args.seed)
+    path = os.path.join(_out_dir(args.out), name)
     if os.path.exists(path) and os.path.samefile(path, args.config):
         raise ConfigError(f"{path} is the --config file this run re-runs; "
                           "pass --out to write the re-run elsewhere")
@@ -140,10 +149,9 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_bench(args) -> int:
     config, results_path = _config_and_out(args, runner_mod.RESULTS_FILE)
-    out_dir = os.path.dirname(results_path)
     run = runner_mod.run_matrix(config)
-    runner_mod.persist_run(run, out_dir)
-    report_path = report_mod.write_report(run.results, args.format, out_dir)
+    runner_mod.persist_run(run, args.out)
+    report_path = report_mod.write_report(run.results, args.format, args.out)
     print(report_mod.emit_report(run.results, args.format), end="")
     print(f"wrote {results_path}")
     print(f"wrote {report_path}")
@@ -152,11 +160,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     results = runner_mod.load_results(args.results)
-    if args.out:
-        path = report_mod.write_report(results, args.format, args.out)
-        print(f"wrote {path}")
-    else:
+    if args.out is None:
         print(report_mod.emit_report(results, args.format), end="")
+    else:
+        print(f"wrote {report_mod.write_report(results, args.format, _out_dir(args.out))}")
     return EXIT_OK
 
 

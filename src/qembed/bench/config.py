@@ -45,7 +45,7 @@ _TOP_KEYS = {"dataset": (dict,), "seed": NUMBER, "preprocess": (dict,),
              "encodings": (list,), "models": (list,)}
 _DATASET_KEYS = {"path": (str, NULL), "synthetic_rows": NUMBER, "schema": (list,)}
 _ENTRY_KEYS = {"kind": (str,), "name": (str,)}
-_MODEL_KEYS = dict(_ENTRY_KEYS, seed=NUMBER, params=(dict,))
+_MODEL_KEYS = dict(_ENTRY_KEYS, params=(dict,))
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,13 @@ class BenchConfig:
     schema: tuple[ColumnSpec, ...]
     synthetic_rows: int | None  # None when the rows come from dataset_path
     preprocess: PreprocessOptions
-    seed: int
+    seed: int  # the run's one seed: table, undersample, split and every model entry
     encodings: tuple[EncodingEntry, ...]
     models: tuple[ModelSpec, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "seed", checked_int(self.seed, 0, "seed", ConfigError))
+        object.__setattr__(self, "models", tuple(replace(m, seed=self.seed) for m in self.models))
         if self.dataset_path is None:
             object.__setattr__(self, "synthetic_rows", checked_int(
                 self.synthetic_rows, 1, "dataset.synthetic_rows", ConfigError))
@@ -155,44 +156,35 @@ def _parse_encoding(obj, path: str) -> EncodingEntry:
     return EncodingEntry(name, _build(builder, kwargs, path) if builder else None)
 
 
-def _parse_model(obj, path: str, default_seed: int) -> ModelSpec:
+def _parse_model(obj, path: str) -> ModelSpec:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if not isinstance(kind, str) or kind not in DEFAULT_PARAMS:
         raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
     kwargs = dict(_typed(obj, _MODEL_KEYS, path))
     types = {k: _json_types(v) for k, v in DEFAULT_PARAMS[kind].items()}
     _typed(kwargs.get("params", {}), types, f"{path}.params")
-    kwargs["seed"] = checked_int(kwargs.get("seed", default_seed), 0, f"{path}.seed", ConfigError)
     return _build(ModelSpec, kwargs, path)
 
 
 def config_from_dict(raw: dict) -> BenchConfig:
     """Build and validate a BenchConfig; all failures raise ConfigError."""
     raw = _typed(raw, _TOP_KEYS, "")
-    seed = checked_int(raw.get("seed", 0), 0, "seed", ConfigError)
     dataset = _typed(raw.get("dataset", {}), _DATASET_KEYS, "dataset")
     schema = [_build(ColumnSpec, c, f"dataset.schema[{i}]")
               for i, c in enumerate(dataset.get("schema", ()))]
     encodings = [_parse_encoding(e, f"encodings[{i}]")
                  for i, e in enumerate(raw.get("encodings", ()))]
-    models = [_parse_model(m, f"models[{i}]", seed) for i, m in enumerate(raw.get("models", ()))]
+    models = [_parse_model(m, f"models[{i}]") for i, m in enumerate(raw.get("models", ()))]
     path = dataset.get("path")
     return BenchConfig(
         dataset_path=path,
         schema=tuple(schema) if "schema" in dataset else TELCO_SCHEMA,
         synthetic_rows=dataset.get("synthetic_rows", 500 if path is None else None),
         preprocess=_parse_preprocess(raw.get("preprocess", {})),
-        seed=seed,
+        seed=raw.get("seed", 0),
         encodings=tuple(encodings),
         models=tuple(models),
     )
-
-
-def reseeded(config: BenchConfig, seed: int) -> BenchConfig:
-    """config drawn under another seed: the top-level seed (table, undersample,
-    split) and every model entry's seed, which the echo records, all set to seed."""
-    seed = checked_int(seed, 0, "seed", ConfigError)
-    return replace(config, seed=seed, models=tuple(replace(m, seed=seed) for m in config.models))
 
 
 def config_to_dict(cfg: BenchConfig) -> dict:
@@ -212,7 +204,7 @@ def config_to_dict(cfg: BenchConfig) -> dict:
         "seed": cfg.seed,
         "preprocess": preprocess,
         "encodings": encodings,
-        "models": [asdict(m) for m in cfg.models],
+        "models": [{k: v for k, v in asdict(m).items() if k != "seed"} for m in cfg.models],
     }
 
 

@@ -194,23 +194,52 @@ class TestConfig:
         runner.run_matrix(cfg)
         assert seen == [(cfg.preprocess, 11)]
 
-    def test_reseeded_sets_the_config_and_every_model_seed(self):
-        cfg = small_config(seed=0, models=[{"kind": "knn", "seed": 5}, {"kind": "tree"}])
-        again = config.reseeded(cfg, np.int64(7))
+    def test_replaced_seed_sets_the_config_and_every_model_seed(self):
+        cfg = small_config(seed=0, models=[{"kind": "knn"}, {"kind": "tree"}])
+        again = replace(cfg, seed=np.int64(7))
         assert again == small_config(seed=7, models=[{"kind": "knn"}, {"kind": "tree"}])
         assert (again.seed, [m.seed for m in again.models]) == (7, [7, 7])
         assert type(again.seed) is int
+        # a library-built entry's own seed gives way to the config's too
+        built = replace(cfg, models=(ModelSpec("forest", seed=5),))
+        assert [m.seed for m in built.models] == [0]
 
     @pytest.mark.parametrize("seed", [-1, True, 2.0])
-    def test_reseeded_rejects_a_bad_seed(self, seed):
+    def test_replaced_seed_rejects_a_bad_seed(self, seed):
         with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got"):
-            config.reseeded(small_config(), seed)
+            replace(small_config(), seed=seed)
+
+    @pytest.mark.parametrize("kind", ["forest", "knn"])
+    @pytest.mark.parametrize("seed", [5, -1, True, 2.5])
+    def test_model_seed_is_an_unknown_key(self, kind, seed):
+        # the top-level seed seeds every entry: a second seed per entry once gave
+        # a knn entry another config hash for the same run, and a forest entry a
+        # draw that --seed silently wrote over
+        with pytest.raises(ConfigError, match=r"^unknown key models\[0\]\.seed$"):
+            small_config(models=[{"kind": kind, "seed": seed}])
+
+    def test_replaced_parsed_and_flag_seeds_run_alike(self, tmp_path, capsys):
+        # replace(config, seed=3) once kept every model entry on the parsed seed:
+        # the same split, but other forest reports and another config hash
+        models = [{"kind": "forest", "params": {"n_trees": 10}}, {"kind": "knn"}]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config.config_to_dict(small_config(seed=0, models=models))))
+        assert cli.main(["bench", "--config", str(cfg_path), "--seed", "3",
+                         "--out", str(tmp_path / "flag")]) == 0
+        capsys.readouterr()
+        flag = json.loads((tmp_path / "flag" / "results.json").read_text())
+        for cfg in (replace(config.load_config(cfg_path), seed=3), small_config(models=models)):
+            run = runner.run_matrix(cfg)
+            for key in ("config_sha256", "split_checksum"):
+                assert run.manifest[key] == flag["manifest"][key]
+            assert ([asdict(c.report) for c in run.results]
+                    == [c["report"] for c in flag["results"]])
 
     def test_replaced_seed_draws_as_the_parsed_seed(self, tmp_path, capsys):
         # a second copy of the seed in the preprocess options once kept the
         # replaced config undersampling and splitting with seed 0 while it drew
         # table 3 and recorded 3, so its results.json re-ran to another split
-        models = [{"kind": "tree", "seed": 0}]
+        models = [{"kind": "tree"}]
         replaced = replace(small_config(seed=0, models=models), seed=3)
         parsed = small_config(seed=3, models=models)
         runs = [runner.run_matrix(cfg) for cfg in (replaced, parsed)]
@@ -222,16 +251,6 @@ class TestConfig:
         assert rerun["manifest"]["split_checksum"] == runs[0].manifest["split_checksum"]
         assert ([c["report"] for c in rerun["results"]]
                 == [asdict(c.report) for c in runs[0].results])
-
-    def test_explicit_model_seed_kept(self):
-        cfg = small_config(models=[{"kind": "knn", "seed": 5}])
-        assert cfg.models[0].seed == 5
-
-    @pytest.mark.parametrize("seed", [-1, True, 2.5])
-    def test_bad_model_seed_rejected(self, seed):
-        # caught here, not later in the forest's rng, which aborts the whole matrix
-        with pytest.raises(ConfigError, match=r"models\[0\]\.seed"):
-            small_config(models=[{"kind": "forest", "seed": seed}])
 
     @pytest.mark.parametrize("path, value", MALFORMED)
     def test_malformed_input_rejected_by_key_path(self, path, value):
@@ -281,9 +300,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("name, digest", [
         ("synthetic.json",
-         "ea33d3d84ab5e489d4da987c57d535de565f525cfef4bc1115d07478a5f0d9c5"),
+         "d2c648d648c144ee7bf4471d98009e900d66944943d7e9257003ac3c8f22bdf7"),
         ("telco.json",
-         "8fb58738757bfa58f6f05e7bed02d10f4382a1326b7bb19cad058ef215595072"),
+         "0b334ee789107dd25565df6b6e5fd4b84961998e5c3893a31a5db128a7dc58fb"),
     ])
     def test_shipped_config_hash_pinned(self, name, digest):
         # a results.json records this hash; a changed echo breaks its re-run
@@ -308,7 +327,7 @@ class TestConfig:
     def test_echo_and_reseed_keep_model_names(self):
         cfg = small_config(models=[{"kind": "svm"}, {"kind": "svm", "name": "svm_c10"}])
         again = config.config_from_dict(config.config_to_dict(cfg))
-        for other in (again, config.reseeded(cfg, 7)):
+        for other in (again, replace(cfg, seed=7)):
             assert [m.name for m in other.models] == ["svm", "svm_c10"]
         assert again == cfg
 
@@ -652,7 +671,7 @@ class TestRunner:
         # built in Python hashes, runs and persists as the one read from JSON
         from_json = small_config(
             encodings=[{"kind": "classical"}, {"kind": "basis", "bits_per_feature": 2}],
-            models=[{"kind": "knn", "seed": 1, "params": {"k": 3}}],
+            models=[{"kind": "knn", "params": {"k": 3}}],
         )
         i = np.int64
         built = config.BenchConfig(
@@ -660,7 +679,7 @@ class TestRunner:
             preprocess=PreprocessOptions(n_components=i(6)), seed=i(3),
             encodings=(config.EncodingEntry("classical", None),
                        config.EncodingEntry("basis", basis_scheme(i(2)))),
-            models=(ModelSpec("knn", seed=i(1), params={"k": i(3)}),),
+            models=(ModelSpec("knn", params={"k": i(3)}),),
         )
         assert runner.config_hash(built) == runner.config_hash(from_json)
         run = runner.run_matrix(built)
@@ -736,7 +755,7 @@ class TestPinnedReports:
         base = config.load_config(CONFIGS / "synthetic.json")
         h = hashlib.sha256()
         for seed in range(3):
-            for cell in runner.run_matrix(config.reseeded(base, seed)).results:
+            for cell in runner.run_matrix(replace(base, seed=seed)).results:
                 row = {k: v for k, v in asdict(cell).items() if k in self.FIELDS}
                 h.update(json.dumps(row, sort_keys=True, separators=(",", ":")).encode())
         assert h.hexdigest() == self.DIGEST
@@ -998,17 +1017,18 @@ class TestCli:
         assert a["split_checksum"] == b["split_checksum"]
 
     def test_seed_flag_reseeds_the_models_of_a_results_file_rerun(self, tmp_path, capsys):
-        # the echo records each model's seed; a results-file re-run with --seed 7
+        # when the echo recorded a seed per model, a results-file re-run with --seed 7
         # once kept the forest on the first run's seed, unlike a fresh --seed 7 run
         cfg_path = self.write_config(tmp_path, models=[
-            {"kind": "forest", "params": {"n_trees": 10}}, {"kind": "knn", "seed": 5}])
+            {"kind": "forest", "params": {"n_trees": 10}}, {"kind": "knn"}])
         fresh, first, rerun = tmp_path / "fresh", tmp_path / "first", tmp_path / "rerun"
         for config_path, out, seed in [(cfg_path, fresh, ["--seed", "7"]), (cfg_path, first, []),
                                        (first / "results.json", rerun, ["--seed", "7"])]:
             assert cli.main(["bench", "--config", str(config_path), "--out", str(out), *seed]) == 0
         capsys.readouterr()
         a, b = (json.loads((out / "results.json").read_text()) for out in (fresh, rerun))
-        assert [m["seed"] for m in b["manifest"]["config"]["models"]] == [7, 7]
+        assert b["manifest"]["config"]["seed"] == 7
+        assert not any("seed" in m for m in b["manifest"]["config"]["models"])
         assert a["manifest"]["config_sha256"] == b["manifest"]["config_sha256"]
         assert [c["report"] for c in a["results"]] == [c["report"] for c in b["results"]]
 
@@ -1058,15 +1078,16 @@ class TestCli:
         assert capsys.readouterr().err == "config error: seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", ["bench", "preprocess"])
-    @pytest.mark.parametrize("overrides, key", [
-        ({"seed": -1}, "seed"), ({"models": [{"kind": "knn", "seed": -1}]}, "models[0].seed")])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"models": [{"kind": "knn", "seed": -1}]}, "unknown key models[0].seed")])
     def test_seed_flag_does_not_mend_a_bad_config_seed(self, tmp_path, capsys, command,
-                                                       overrides, key):
+                                                       overrides, message):
         # the config is checked as written, then re-seeded
         cfg_path = self.write_config(tmp_path, **overrides)
         assert cli.main([command, "--config", str(cfg_path), "--seed", "7",
                          "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"config error: {key} must be an integer >= 0, got -1\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_results_file_rerun_never_writes_over_itself(self, tmp_path, capsys, monkeypatch):
         # without --out, a re-run of the default directory's results.json would
@@ -1386,8 +1407,8 @@ class TestCli:
         taken = tmp_path / "taken"
         taken.write_text("")
         cfg_path = self.write_config(tmp_path)
-        assert cli.main([command, "--config", str(cfg_path), "--out", str(taken)]) == 2
-        assert capsys.readouterr().err.startswith("data error: ")
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("config error: --out ")
 
     @pytest.mark.parametrize("path, value", MALFORMED)
     def test_malformed_config_exits_one(self, tmp_path, capsys, path, value):
@@ -1454,6 +1475,24 @@ class TestCli:
         capsys.readouterr()
         assert sorted(p.name for p in (tmp_path / "qembed_out").iterdir()) == [
             "preprocess.json", "report.csv", "results.json"]
+
+    @pytest.mark.parametrize("command", ["bench", "preprocess", "report"])
+    @pytest.mark.parametrize("taken", [False, True], ids=["empty", "file"])
+    def test_out_that_cannot_be_a_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                             monkeypatch, command, taken):
+        # os.makedirs's error once reached the user as a data error naming no flag
+        # (exit 2), and report --out "" printed to stdout instead
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self.write_config(tmp_path, encodings=[{"kind": "classical"}],
+                                     models=[{"kind": "knn", "params": {"k": 3}}])
+        results = runner.persist_run(runner.run_matrix(config.load_config(cfg_path)), "first")
+        out = str(cfg_path) if taken else ""
+        source = ["--results", results] if command == "report" else ["--config", str(cfg_path)]
+        assert cli.main([command, *source, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: --out {out!r} is not a directory: ")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "first"]
 
     @pytest.mark.parametrize("command", ["bench", "preprocess"])
     def test_output_dir_key_is_a_config_error(self, tmp_path, capsys, command):

@@ -1101,6 +1101,30 @@ class TestForest:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("feature_fraction", [None, 1.0])
+    def test_bits_do_not_depend_on_the_run_budget(self, monkeypatch, bootstrap,
+                                                  feature_fraction):
+        # Each level is searched in chunks of nodes and runs of segments, and
+        # partitioned in runs, under element budgets.  Capping every budget at
+        # 16 cuts a level into many runs, most of them one segment over the cap.
+        X, y, probe = tied_data()
+        fit = lambda: grow_forest(X, y, 8, feature_fraction, None, 1, bootstrap,
+                                  np.random.default_rng(3))
+        default, runs, cut = fit(), tree_module._runs, []
+
+        def capped(size, budget=tree_module._RUN):
+            for run in runs(size, min(budget, 16)):
+                cut.append(size[run].sum() > 16)
+                yield run
+
+        monkeypatch.setattr(tree_module, "_runs", capped)
+        small = fit()
+        assert len(cut) > 100 and 0 < sum(cut) < len(cut)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(small, name).tobytes() == getattr(default, name).tobytes()
+        assert small.predict(probe).tobytes() == default.predict(probe).tobytes()
+
     def test_splitmix64_matches_integer_reference(self):
         def reference(z):
             z = (z + 0x9E3779B97F4A7C15) % 2**64
