@@ -150,9 +150,6 @@ def _parse_encoding(obj, path: str) -> EncodingEntry:
     types = dict(_ENTRY_KEYS, **{p.name: _json_types(p.default, p.annotation) for p in params})
     kwargs = dict(_typed(obj, types, path))
     name = kwargs.pop("name", kwargs.pop("kind"))
-    if kwargs.get("axis") == "Z":
-        raise ConfigError(f"{path}.axis: Z prepares |0...0> up to a global phase for "
-                          "every row, so its features carry no information; use X or Y")
     return EncodingEntry(name, _build(builder, kwargs, path) if builder else None)
 
 

@@ -54,7 +54,7 @@ READOUTS = (PROBABILITY_VECTOR, Z_EXPECTATIONS, AMPLITUDE_PARTS)
 LINEAR_PI = "linear_pi"
 RAW = "raw"
 
-AXIS_GATES = {"X": qsim.rx_gate, "Y": qsim.ry_gate, "Z": qsim.rz_gate}
+AXIS_GATES = {"X": qsim.rx_gate, "Y": qsim.ry_gate}
 EMBED_BLOCK_ROWS = 1024  # rows embed_matrix expands to amplitudes and reads out at a time
 
 
@@ -86,7 +86,8 @@ class EncodingScheme:
             raise InvalidScheme(f"unknown readout {self.readout!r}")
         if self.kind == ANGLE:
             if self.axis not in tuple(AXIS_GATES):
-                raise InvalidScheme(f"angle axis must be X, Y or Z, got {self.axis!r}")
+                raise InvalidScheme(f"angle axis must be X or Y, got {self.axis!r}; R_Z only "
+                                    "phases |0>, so its features carry no information")
             if self.angle_map not in (LINEAR_PI, RAW):
                 raise InvalidScheme(f"unknown angle map {self.angle_map!r}")
         elif self.axis is not None or self.angle_map is not None:
@@ -296,10 +297,7 @@ def _product_factors(data, scheme):
     if scheme.kind == BASIS:
         return np.eye(2, dtype=complex)[bits_for_row(data, scheme.bits_per_feature)]
     thetas = math.pi * data if scheme.angle_map == LINEAR_PI else data
-    if scheme.axis == "Z":
-        pair = np.exp(-0.5j * thetas), np.zeros_like(thetas)
-    else:
-        pair = np.cos(thetas / 2), (-1j if scheme.axis == "X" else 1) * np.sin(thetas / 2)
+    pair = np.cos(thetas / 2), (-1j if scheme.axis == "X" else 1) * np.sin(thetas / 2)
     return np.stack(pair, axis=-1).astype(complex)
 
 
@@ -355,9 +353,6 @@ def embed_matrix(X: FeatureMatrix, scheme: EncodingScheme) -> FeatureMatrix:
     if not dense:  # P(0) - P(1) of each factor f, as expectation_z squares hypot(f)
         if scheme.kind == BASIS:  # factors (1, 0) and (0, 1)
             out = 1.0 - 2.0 * bits_for_row(data, scheme.bits_per_feature)
-        elif scheme.axis == "Z":  # factors (exp(-i theta / 2), 0)
-            f = _product_factors(data, scheme)[..., 0]
-            out = np.float_power(np.hypot(f.real, f.imag), 2)
         else:  # (cos, -i sin) or (cos, sin); hypot(x, +-0) = |x|, pow(-x, 2) = pow(x, 2)
             half = (math.pi * data if scheme.angle_map == LINEAR_PI else data) / 2
             out = np.float_power(np.cos(half), 2) - np.float_power(np.sin(half), 2)

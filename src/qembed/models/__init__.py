@@ -143,7 +143,7 @@ def _validate_params(p: dict) -> None:
             checked_real(v, key, what, lambda x: below(0, x) and x <= high, InvalidHyperparameter)
         elif key == "bootstrap" and not isinstance(v, (bool, np.bool_)):
             raise InvalidHyperparameter(f"bootstrap must be true or false, got {v!r}")
-    if "kernel" in p:  # KernelFn checks the kernel's own settings: gamma, degree, coef0
+    if "kernel" in p:  # KernelFn checks gamma, degree and coef0, each against its family
         KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"])
 
 

@@ -14,7 +14,7 @@ at most _CACHE_BYTES (least recently used row out first), as LIBSVM does
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +23,10 @@ from ..errors import DimensionMismatch, InvalidHyperparameter
 from ..pipeline import checked_int, checked_real, row_dots
 from .neighbors import sq_distances_of_dots, sq_norms
 
-KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
+# the settings each family's of_dots reads; one it does not read keeps its default
+_READS = {"linear": (), "polynomial": ("gamma", "degree", "coef0"), "rbf": ("gamma",),
+          "sigmoid": ("gamma", "coef0")}
+KERNEL_KINDS = tuple(_READS)
 
 # bytes of Q rows one fit keeps: 1,329 rows at telco's 3,156 train rows,
 # which kept those fits no slower than on the full Gram
@@ -32,8 +35,8 @@ _CACHE_BYTES = 32 << 20
 
 @dataclass(frozen=True)
 class KernelFn:
-    """Kernel family plus its parameters; gamma=None resolves to 1/d, for d
-    features, in `resolve`, which the fit and `gram` call."""
+    """Kernel family plus its parameters, each left at its default unless the
+    family reads it; gamma=None resolves to 1/d, for d features, in `resolve`."""
 
     kind: str
     gamma: float | None = None
@@ -50,6 +53,9 @@ class KernelFn:
                            checked_real(self.coef0, "coef0", error=InvalidHyperparameter))
         object.__setattr__(self, "degree",
                            checked_int(self.degree, 1, "degree", InvalidHyperparameter))
+        for f in fields(self)[1:]:
+            if f.name not in _READS[self.kind] and getattr(self, f.name) != f.default:
+                raise InvalidHyperparameter(f"the {self.kind} kernel does not read {f.name}")
 
     def resolve(self, n_features: int) -> "KernelFn":
         if self.gamma is not None or self.kind == "linear":

@@ -153,6 +153,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(encodings=[{"kind": "angle", "axis": "Z"}])
 
+    def test_unread_kernel_setting_at_its_default_hashes_as_omitted(self):
+        stated = small_config(models=[{"kind": "svm", "params": {"degree": 3}}])
+        assert runner.config_hash(stated) == runner.config_hash(
+            small_config(models=[{"kind": "svm"}]))
+
     def test_unknown_model_kind_wrapped(self):
         with pytest.raises(ConfigError):
             small_config(models=[{"kind": "perceptron"}])
@@ -269,6 +274,8 @@ class TestConfig:
         ("models[0].name", 3, "models[0].name must be a string"),
         # only an absent or null readout takes the kind's default
         ("encodings[2].readout", "", "encodings[2]: unknown readout ''"),
+        # an rbf entry with degree 5 ran as the default rbf under another config hash
+        ("models[2].params", {"degree": 5}, "models[2]: the rbf kernel does not read degree"),
     ])
     def test_owner_and_entry_rejections_named(self, path, value, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -884,16 +891,29 @@ class TestCli:
         assert "0.60395585" in out
         assert "0.77714596" in out  # cos(39 deg)
 
-    def test_z_axis_config_exits_one_but_encode_demo_runs(self, tmp_path, capsys):
+    def test_z_axis_config_and_encode_exit_one(self, tmp_path, capsys):
+        # the encode demo once printed the constant readout [1., 1.] for any vector
         path = tmp_path / "z.json"
         path.write_text(json.dumps({
             "encodings": [{"kind": "angle", "axis": "Z"}],
             "models": [{"kind": "tree"}],
         }))
-        assert cli.main(["bench", "--config", str(path)]) == 1
-        assert cli.main(["encode", "--scheme", "angle", "--axis", "Z",
-                         "--vector", "0.2,0.7"]) == 0
-        assert "readout (z_expectations): [1., 1.]" in capsys.readouterr().out
+        assert cli.main(["bench", "--config", str(path), "--out", str(tmp_path / "z")]) == 1
+        assert "config error: encodings[0]: angle axis" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            cli.main(["encode", "--scheme", "angle", "--axis", "Z", "--vector", "0.2"])
+        assert err.value.code == 1
+        assert capsys.readouterr().out == ""
+
+    def test_kernel_setting_its_family_does_not_read_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "degree.json"
+        path.write_text(json.dumps({
+            "encodings": [{"kind": "classical"}],
+            "models": [{"kind": "svm", "params": {"degree": 5}}],
+        }))
+        assert cli.main(["bench", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
+        assert (capsys.readouterr().err
+                == "config error: models[0]: the rbf kernel does not read degree\n")
 
     def test_encode_bad_bits_is_data_error(self, capsys):
         assert cli.main(["encode", "--scheme", "basis", "--bits", "102"]) == 2

@@ -163,7 +163,7 @@ class TestAngleEncode:
         assert abs(s.amps[1] - (-0.6293203910498374j)) < 1e-12
 
     def test_all_zeros(self):
-        for axis in "XYZ":
+        for axis in "XY":
             s = enc.angle_encode([0, 0, 0, 0], enc.angle_scheme(axis=axis))
             assert abs(abs(s.amps[0]) - 1) < 1e-12
 
@@ -311,12 +311,19 @@ class TestSchemeValidation:
         assert (enc.EncodingScheme(enc.ANGLE, axis="X", angle_map=enc.LINEAR_PI)
                 == enc.angle_scheme())
 
+    @pytest.mark.parametrize("readout", enc.READOUTS)
+    @pytest.mark.parametrize("angle_map", [enc.LINEAR_PI, enc.RAW])
+    def test_z_axis_refused(self, angle_map, readout):
+        # R_Z|0> is |0> up to a phase, so every row would encode one state
+        with pytest.raises(InvalidScheme, match="R_Z only phases"):
+            enc.angle_scheme("Z", angle_map, readout)
+
     def test_bad_axis_and_map(self):
         with pytest.raises(InvalidScheme):
             enc.angle_scheme(axis="Q")
         with pytest.raises(InvalidScheme):
             enc.angle_scheme(angle_map="quadratic")
-        with pytest.raises(InvalidScheme, match=r"axis must be X, Y or Z, got \['X'\]"):
+        with pytest.raises(InvalidScheme, match=r"axis must be X or Y, got \['X'\]; R_Z only"):
             enc.EncodingScheme(enc.ANGLE, enc.Z_EXPECTATIONS, ["X"], enc.LINEAR_PI)
         with pytest.raises(InvalidScheme):
             enc.basis_scheme(bits_per_feature=0)
@@ -552,7 +559,7 @@ class TestEmbedMatrix:
 def oracle_cases():
     """Every (scheme, binary rows) pair embed_matrix accepts, for each readout."""
     for readout in enc.READOUTS:
-        for axis in "XYZ":
+        for axis in "XY":
             for angle_map in (enc.LINEAR_PI, enc.RAW):
                 scheme = enc.angle_scheme(axis, angle_map, readout)
                 yield pytest.param(scheme, False, id=f"angle-{axis}-{angle_map}-{readout}")

@@ -156,11 +156,13 @@ class TestModelSpec:
     def test_shared_rules(self, kind, key, value, stored):
         # numpy scalars are stored as the Python numbers and bools they hold, as
         # written (an integer C stays an integer), so the spec echoes as JSON
+        # rbf, the default kernel, does not read coef0
+        params = {key: value, **({"kernel": "sigmoid"} if key == "coef0" else {})}
         if stored is REJECTED:
             with pytest.raises(InvalidHyperparameter, match=f"{key} must be .*, got"):
-                ModelSpec(kind, params={key: value})
+                ModelSpec(kind, params=params)
             return
-        got = ModelSpec(kind, params={key: value}).params[key]
+        got = ModelSpec(kind, params=params).params[key]
         assert (got, type(got)) == (stored, type(stored))
 
     @pytest.mark.parametrize("kind, key", [
@@ -180,8 +182,10 @@ class TestModelSpec:
     def test_numpy_scalars_stored_as_python_numbers(self):
         # so the spec echoes as JSON, as a config's manifest does
         spec = ModelSpec("svm", seed=np.int64(4), params={
-            "max_iter": np.int64(50), "degree": np.int32(2), "C": np.float32(0.5)})
-        assert spec == ModelSpec("svm", seed=4, params={"max_iter": 50, "degree": 2, "C": 0.5})
+            "kernel": "polynomial", "max_iter": np.int64(50), "degree": np.int32(2),
+            "C": np.float32(0.5)})
+        assert spec == ModelSpec("svm", seed=4, params={
+            "kernel": "polynomial", "max_iter": 50, "degree": 2, "C": 0.5})
         assert [type(v) for v in (spec.seed, spec.params["max_iter"], spec.params["degree"],
                                   spec.params["C"])] == [int, int, int, float]
         assert json.loads(json.dumps(asdict(spec))) == asdict(spec)
@@ -414,6 +418,29 @@ class TestKernels:
         k = KernelFn("sigmoid", gamma=0.5, coef0=0.1)
         a, b = np.array([1.0, 2.0]), np.array([0.5, -1.0])
         assert _kernel(k, a, b) == pytest.approx(math.tanh(0.5 * (-1.5) + 0.1))
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("rbf", "degree", 5), ("rbf", "coef0", 2.0), ("linear", "gamma", 7.0),
+        ("linear", "degree", 2), ("linear", "coef0", -1.0), ("sigmoid", "degree", 4),
+    ])
+    def test_setting_the_family_does_not_read_rejected(self, kind, field, value):
+        # each once ran as the family's defaults under another config hash
+        with pytest.raises(InvalidHyperparameter,
+                           match=f"^the {kind} kernel does not read {field}$"):
+            KernelFn(kind, **{field: value})
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("polynomial", "gamma", 2.0), ("polynomial", "degree", 2), ("polynomial", "coef0", 1.0),
+        ("rbf", "gamma", 2.0), ("sigmoid", "gamma", 2.0), ("sigmoid", "coef0", 1.0),
+    ])
+    def test_setting_the_family_reads_changes_its_value(self, kind, field, value):
+        # each setting a family accepts away from its default is one its of_dots reads
+        a, b = [1.0, 2.0], [0.5, -1.0]
+        assert _kernel(KernelFn(kind, **{field: value}), a, b) != _kernel(KernelFn(kind), a, b)
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf", "sigmoid"])
+    def test_unread_setting_at_its_default_accepted(self, kind):
+        assert KernelFn(kind, None, 3, 0) == KernelFn(kind)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(InvalidHyperparameter, match="gamma must be a finite real number > 0"):
