@@ -132,7 +132,9 @@ _REALS = {"l2": (">= 0", le, np.inf), "C": ("> 0", lt, np.inf), "tol": ("> 0", l
 _NULLABLE = ("feature_fraction", "max_depth")
 
 
-def _validate_params(p: dict) -> None:
+def _checked_params(p: dict) -> dict:
+    """p checked, each real a Python float (-0.0 as 0.0) and each numpy scalar a Python value."""
+    p = {k: v.item() if isinstance(v, np.generic) else v for k, v in p.items()}
     for key, v in p.items():
         if v is None and key in _NULLABLE:
             continue
@@ -140,18 +142,21 @@ def _validate_params(p: dict) -> None:
             checked_int(v, 1, key, InvalidHyperparameter)
         elif key in _REALS:
             what, below, high = _REALS[key]
-            checked_real(v, key, what, lambda x: below(0, x) and x <= high, InvalidHyperparameter)
-        elif key == "bootstrap" and not isinstance(v, (bool, np.bool_)):
+            p[key] = checked_real(v, key, what, lambda x: below(0, x) and x <= high,
+                                  InvalidHyperparameter)
+        elif key == "bootstrap" and not isinstance(v, bool):
             raise InvalidHyperparameter(f"bootstrap must be true or false, got {v!r}")
     if "kernel" in p:  # KernelFn checks gamma, degree and coef0, each against its family
-        KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"])
+        kernel = KernelFn(p["kernel"], p["gamma"], p["degree"], p["coef0"])
+        p.update(gamma=kernel.gamma, coef0=kernel.coef0)
+    return p
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model kind, seed and hyperparameters (missing ones take defaults);
-    a numpy scalar is stored as the Python number it holds.  `name` labels
-    the entry's cells and defaults to the kind."""
+    """Model kind, seed and hyperparameters (missing ones take defaults),
+    stored by `_checked_params`.  `name` labels the entry's cells and
+    defaults to the kind."""
 
     kind: str
     seed: int = 0
@@ -173,11 +178,7 @@ class ModelSpec:
             raise InvalidHyperparameter(
                 f"{self.kind}: unknown hyperparameters {sorted(unknown)}"
             )
-        merged = {**defaults, **self.params}
-        _validate_params(merged)
-        object.__setattr__(self, "params", {
-            k: v.item() if isinstance(v, np.generic) else v for k, v in merged.items()
-        })
+        object.__setattr__(self, "params", _checked_params({**defaults, **self.params}))
 
 
 def _matrix_data(X) -> np.ndarray:

@@ -47,13 +47,13 @@ def checked_int(value, minimum: int, name: str, error=ValueError) -> int:
 
 
 def checked_real(value, name: str, what: str = "", ok=math.isfinite, error=ValueError) -> float:
-    """value as a Python float, if it is a finite real number, never a bool, that ok(float)
-    accepts; a numpy number passes, anything else raises `error` naming the range `what`."""
+    """value as a Python float (-0.0 as 0.0), if it is a finite real number, never a bool, that
+    ok(float) accepts; a numpy number passes, anything else raises `error` naming `what`."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not (abs(value) <= sys.float_info.max if isinstance(value, int)  # fits a float
                     else math.isfinite(value)) or not ok(float(value))):
         raise error(f"{name} must be a finite real number {what}".rstrip() + f", got {value!r}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def checked_labels(values, name: str, error=ValueError) -> np.ndarray:
@@ -253,8 +253,21 @@ def binary_labels(dataset: Dataset) -> tuple[np.ndarray, dict[str, int]]:
 
 # --- column statistics ----------------------------------------------------------
 
+PCA_BLOCK_ROWS = 1024  # centred rows summed into `covariance` at a time
+
+
+def covariance(X: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """(X - mean)^T (X - mean), summed PCA_BLOCK_ROWS centred rows at a time, with no full-size
+    centred copy; einsum without `optimize` calls no BLAS, so no kernel or thread moves a bit."""
+    cov = np.zeros((X.shape[1], X.shape[1]))
+    for start in range(0, X.shape[0], PCA_BLOCK_ROWS):
+        block = X[start:start + PCA_BLOCK_ROWS] - mean
+        cov += np.einsum("ki,kj->ij", block, block)
+    return cov
+
+
 def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
-    """Pearson correlation C[a, b] of every pair of columns, from one centred product.
+    """Pearson correlation C[a, b] of every pair of columns, from their `covariance`.
 
     A column of equal values raises ZeroVariance naming it; the test is on
     the values, since centring by an inexact mean need not leave exact zeros.
@@ -263,8 +276,7 @@ def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
     constant = np.ptp(X, axis=0) == 0
     if constant.any():
         raise ZeroVariance(f"column {matrix.column_names[constant.argmax()]!r} is constant")
-    centred = X - X.mean(axis=0)
-    cov = centred.T @ centred
+    cov = covariance(X, X.mean(axis=0))
     scale = np.sqrt(np.diag(cov))
     return cov / np.outer(scale, scale)
 
@@ -424,9 +436,6 @@ def train_test_split(
 
 # --- standardization and PCA -------------------------------------------------------
 
-PCA_BLOCK_ROWS = 1024  # centered rows folded into pca_fit's running R factor at a time
-
-
 @dataclass(frozen=True)
 class Standardizer:
     """Column-wise z-score parameters fitted on one matrix."""
@@ -456,7 +465,7 @@ class PcaModel:
     """Principal components fitted on a training matrix.
 
     `components` is k x d with orthonormal rows; `explained_variance_ratio`
-    covers all d directions (zero-padded past the numerical rank) so its
+    covers all d directions (~0 past the numerical rank) so its
     cumulative curve ends at 1.
     """
 
@@ -474,33 +483,67 @@ class PcaModel:
         return self.n_components > self.rank
 
 
-def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
-    """Top-k principal directions of the centered matrix X, from the SVD of its R factor.
+def _jacobi_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (unsorted) and orthonormal eigenvectors (columns) of a symmetric C by cyclic
+    Jacobi in round-robin parallel order (Golub & Van Loan, Matrix Computations, Jacobi methods)
+    from elementwise numpy alone, so no BLAS or LAPACK kernel moves a bit.  Each round rotates
+    ceil(d/2) disjoint pairs, skipping entries under eps |C|_F, until the off-diagonal norm is at
+    most d eps |C|_F."""
+    d = len(C)
+    n = d + d % 2  # an odd d gets a zero row and column in front, at the fixed position 0
+    # [A | V^T], A = V^T C V, rows and A's columns in the round's positions: i pairs with n-1-i
+    AV = np.hstack([np.pad(C, (n - d, 0)), np.eye(n)])
+    nxt = np.r_[0, n - 1, 1:n - 1]  # after a round, position j >= 1 moves to j + 1, n - 1 to 1
+    move = np.arange(2 * n * n).reshape(n, 2 * n)[nxt][:, np.r_[nxt, n:2 * n]].ravel()
+    p = np.arange(n // 2)
+    q = n - 1 - p
+    pivots = np.r_[p, q, p] * 2 * n + np.r_[p, q, q]  # of A[p, p], A[q, q] and A[p, q] in AV
+    off, floor = ~np.eye(n, dtype=bool), np.finfo(float).eps * np.sqrt(np.sum(C * C))
+    for _ in range(100):  # a cap; the bench's covariances take 7-11 sweeps
+        if np.sqrt(np.sum(np.square(AV[:, :n][off]))) <= d * floor:
+            break
+        for _ in range(n - 1):
+            app, aqq, apq = AV.take(pivots).reshape(3, -1)
+            # t = tan of the angle zeroing A[p, q] (sym.schur2), written without dividing by apq
+            delta, two = aqq - app, apq + apq
+            den = delta + np.copysign(np.sqrt(delta * delta + two * two), delta)
+            den[np.abs(apq) <= floor] = np.inf  # t = 0: no rotation
+            t = two / den
+            c = 1 / np.sqrt(1 + t * t)
+            s = t * c
+            cc, ss = np.concatenate([c, c[::-1]])[:, None], np.concatenate([-s, s[::-1]])[:, None]
+            AV = AV * cc + AV[::-1] * ss  # J^T [A | V^T]
+            T = AV[:, :n].T  # a view: both products are taken before the add
+            np.add(T * cc, T[::-1] * ss, out=AV[:, :n])  # J^T A J
+            AV = AV.take(move).reshape(n, 2 * n)
+    return AV[:, :n].diagonal()[n - d:].copy(), AV[n - d:, 2 * n - d:].T
 
-    X^T X = R^T R, so the R of X = QR has the singular values and right singular vectors of X.
-    It is built PCA_BLOCK_ROWS centered rows at a time (TSQR): the running R is stacked on each
-    block and reduced to the R of the stack.  Each component's first entry within a relative
-    1e-6 of its largest |entry| is positive: a one-hot pair ties two entries to ~1e-15, and a
-    bare argmax would let the BLAS kernel's rounding pick the sign.  k past the numerical rank
-    is allowed; the model is flagged rank-deficient and trailing ratios are ~0.
+
+def pca_fit(matrix: FeatureMatrix, k: int) -> PcaModel:
+    """Top-k principal directions of the centered matrix X: the `_jacobi_eigh` eigenvectors of
+    its `covariance`, by descending eigenvalue (a stable sort), with no BLAS or LAPACK call.
+
+    Eigenvalues that round below 0 count as 0 in the ratios; the rank counts those above
+    lambda_0 * max(m, d) * eps.  Each component's first entry within a relative 1e-6 of its
+    largest |entry| is positive: a one-hot pair ties two entries to ~1e-15, and a bare argmax
+    would let rounding pick the sign.  k past the numerical rank is allowed; the model is
+    flagged rank-deficient and trailing ratios are ~0.
     """
     X = matrix.data
     m, d = X.shape
     if not 1 <= k <= min(m - 1, d):
         raise ValueError(f"k={k} outside [1, min(rows-1, cols)={min(m - 1, d)}]")
     mean = X.mean(axis=0)
-    r = np.empty((0, d))
-    for start in range(0, m, PCA_BLOCK_ROWS):
-        r = np.linalg.qr(np.vstack([r, X[start:start + PCA_BLOCK_ROWS] - mean]), mode="r")
-    _, sing, vt = np.linalg.svd(r, full_matrices=False)
-    total = float(np.sum(sing**2))
-    ratios = np.zeros(d)
-    if total > 0:
-        ratios[: sing.size] = sing**2 / total
+    eig, vectors = _jacobi_eigh(covariance(X, mean))
+    order = np.argsort(-eig, kind="stable")
+    eig, vt = eig[order], vectors.T[order]
+    variance = np.maximum(eig, 0.0)
+    total = float(np.sum(variance))
+    ratios = variance / total if total > 0 else np.zeros(d)
     size = np.abs(vt[:k])
     pivot = np.argmax(size >= size.max(axis=1, keepdims=True) * (1 - 1e-6), axis=1)
     components = vt[:k] * np.sign(vt[np.arange(k), pivot])[:, None]
-    rank = int(np.sum(sing > sing[0] * max(m, d) * np.finfo(float).eps))
+    rank = int(np.sum(eig > eig[0] * max(m, d) * np.finfo(float).eps))
     return PcaModel(mean, components, ratios, rank)
 
 
@@ -521,7 +564,7 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def pca_inverse_transform(model: PcaModel, matrix: FeatureMatrix) -> np.ndarray:
     """Map component scores back to the original feature space."""
-    return matrix.data @ model.components + model.mean
+    return np.einsum("ik,kj->ij", matrix.data, model.components) + model.mean
 
 
 def find_elbow(ratios) -> int:
@@ -686,7 +729,7 @@ def run_preprocess(dataset: Dataset, options: PreprocessOptions, seed: int = 0) 
         raise TooFewComponents(f"{ratios.size} components have no elbow; set n_components")
     if not 1 <= k <= full.n_components:
         raise TooFewComponents(f"n_components={k} outside [1, {full.n_components}]")
-    model = dataclasses.replace(full, components=full.components[:k])  # same SVD
+    model = dataclasses.replace(full, components=full.components[:k])  # same eigenpairs
     report.n_components = k
     if model.rank_deficient:
         report.notes.append("requested components exceed numerical rank")

@@ -18,7 +18,7 @@ from qembed.errors import (
     ConfigError, EmptyInput, EmptyResults, InvalidHyperparameter, ZeroVariance,
 )
 from qembed.metrics import MetricReport
-from qembed.models import MODEL_KINDS, ModelSpec
+from qembed.models import DEFAULT_PARAMS, MODEL_KINDS, ModelSpec
 from qembed.pipeline import (
     CATEGORICAL, NUMERIC, FeatureMatrix, PreprocessOptions, correlation_matrix,
 )
@@ -157,6 +157,33 @@ class TestConfig:
         stated = small_config(models=[{"kind": "svm", "params": {"degree": 3}}])
         assert runner.config_hash(stated) == runner.config_hash(
             small_config(models=[{"kind": "svm"}]))
+
+    # every real hyperparameter: a base its kind reads it under, and an integral changed value
+    REAL_PARAMS = [("logreg", "l2", {}, 2.0), ("svm", "C", {}, 2.0), ("svm", "gamma", {}, 2.0),
+                   ("svm", "coef0", {"kernel": "sigmoid"}, 1.0), ("svm", "tol", {}, 1.0),
+                   ("forest", "feature_fraction", {}, 1.0), ("gbt", "lr", {}, 1.0)]
+
+    def test_every_real_hyperparameter_listed(self):
+        listed = {(kind, key) for kind, key, _, _ in self.REAL_PARAMS}
+        assert {(kind, key) for kind, params in DEFAULT_PARAMS.items()
+                for key, value in params.items() if isinstance(value, float)} <= listed
+
+    @pytest.mark.parametrize("kind, key, base, changed", REAL_PARAMS)
+    def test_one_hash_per_real_hyperparameter_value(self, kind, key, base, changed):
+        # omitted, the default written out, its integral spelling and -0.0 for 0.0
+        # name one experiment; a changed value the kind reads names another
+        def hashed(**params):
+            entry = {"kind": kind, "params": {**base, **params}}
+            return runner.config_hash(small_config(models=[entry]))
+
+        default = DEFAULT_PARAMS[kind][key]
+        alike = [{key: default}]
+        if isinstance(default, float) and default.is_integer():
+            alike.append({key: int(default)})
+        if default == 0:
+            alike.append({key: -0.0})
+        assert {hashed(**params) for params in alike} == {hashed()}
+        assert hashed(**{key: changed}) == hashed(**{key: int(changed)}) != hashed()
 
     def test_unknown_model_kind_wrapped(self):
         with pytest.raises(ConfigError):
@@ -300,7 +327,7 @@ class TestConfig:
         cfg = config.config_from_dict(raw)
         assert cfg.models[3].params["max_depth"] is None
         assert cfg.models[2].params["C"] == 2
-        assert isinstance(cfg.models[2].params["C"], int)  # params are not widened
+        assert isinstance(cfg.models[2].params["C"], float)  # a real is stored as a float
         assert cfg.preprocess.vif_threshold == 12.0
         assert isinstance(cfg.preprocess.vif_threshold, float)
         assert cfg.encodings[3].scheme.readout == "probability_vector"
@@ -743,16 +770,36 @@ class TestPlantedEffect:
         assert auc["angle_raw"] - auc["classical"] > 0.2
 
 
+class TestPinnedSplits:
+    """The split checksum of configs/synthetic.json at seeds 0-2.
+
+    The correlation stage and PCA call no BLAS or LAPACK routine, so each value
+    holds on every BLAS kernel and thread count, and with numpy's AVX-512 on or
+    off.  A change that moves a split re-pins the value and says why.
+    """
+
+    CHECKSUMS = (
+        "dcc542094512af8520482e8c937f279567af17eb2dc09fb3cf755714bc6f6289",
+        "eaef4cfafe7b2f705af65afac07eb372b7f0d395c4e5aee71d21b43b686258b5",
+        "f85b0f4678fcc8ddfa92466f2746280039cccccb70b78f9cda6ac25ebf5fb012",
+    )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_split_checksum(self, seed):
+        base = config.load_config(CONFIGS / "synthetic.json")
+        _, manifest = runner.preprocess_run(replace(base, seed=seed))
+        assert manifest["split_checksum"] == self.CHECKSUMS[seed]
+
+
 class TestPinnedReports:
     """sha256 over every cell's encoding, model, report, error and dim_out, as
     canonical JSON in cell order, of configs/synthetic.json at seeds 0-2.
 
     One value holds on OpenBLAS's SkylakeX and Haswell kernels, at one and two
     BLAS threads, and with numpy's AVX-512 on or off.  Solver iterations are
-    left out: a few SMO pair-update counts move with the last bits of the
-    split, which the BLAS kernel's QR rounds, and with numpy's AVX-512 switch,
-    while no report does.  A change that moves a report re-pins the value and
-    lists the moved cells.
+    left out: a few SMO pair-update counts move with numpy's AVX-512 switch
+    (the rbf kernel's `exp`), while no report does.  A change that moves a
+    report re-pins the value and lists the moved cells.
     """
 
     DIGEST = "e16ffdf2c116171053d533927532777f3f348584a0d319438777ff7843a00401"

@@ -144,8 +144,8 @@ class TestModelSpec:
 
     @pytest.mark.parametrize("kind, key, value, stored", [
         ("logreg", "l2", np.float32(0.5), 0.5), ("logreg", "max_iter", np.int64(5), 5),
-        ("svm", "C", np.int64(2), 2), ("svm", "gamma", np.float64(0.25), 0.25),
-        ("svm", "coef0", np.int64(-1), -1), ("forest", "bootstrap", np.bool_(False), False),
+        ("svm", "C", np.int64(2), 2.0), ("svm", "gamma", np.float64(0.25), 0.25),
+        ("svm", "coef0", np.int64(-1), -1.0), ("forest", "bootstrap", np.bool_(False), False),
         ("forest", "feature_fraction", np.float64(1.0), 1.0),
         *[(kind, key, bad, REJECTED) for kind, key in [
             ("logreg", "l2"), ("svm", "C"), ("svm", "gamma"), ("svm", "coef0"), ("svm", "tol"),
@@ -154,8 +154,8 @@ class TestModelSpec:
         ("forest", "bootstrap", 1, REJECTED), ("forest", "bootstrap", np.int64(0), REJECTED),
     ])
     def test_shared_rules(self, kind, key, value, stored):
-        # numpy scalars are stored as the Python numbers and bools they hold, as
-        # written (an integer C stays an integer), so the spec echoes as JSON
+        # numpy scalars are stored as the Python numbers and bools they hold, every
+        # real as a float (an integer C too), so the spec echoes as JSON
         # rbf, the default kernel, does not read coef0
         params = {key: value, **({"kernel": "sigmoid"} if key == "coef0" else {})}
         if stored is REJECTED:

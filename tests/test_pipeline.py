@@ -784,7 +784,43 @@ def well_separated(rng, m, d):
     return q[:, 1:] * np.arange(r, 0, -1.0) @ v.T + rng.normal(size=d)  # columns of q[:, 1:] sum to 0
 
 
-class TestPcaBlockedQr:
+class TestJacobiEigh:
+    def check(self, C):
+        w, V = pl._jacobi_eigh(C)
+        want = np.linalg.eigvalsh(C)
+        scale = np.abs(want).max()
+        assert np.max(np.abs(np.sort(w) - want)) <= 1e-12 * scale
+        assert np.max(np.abs(V.T @ V - np.eye(len(C)))) <= 1e-12
+        assert np.max(np.abs(C @ V - V * w)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_symmetric(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 46))  # odd and even sizes
+        A = rng.normal(size=(d, d)) * 10.0 ** rng.integers(-3, 4)
+        self.check(A + A.T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_deficient_one_hot_covariance(self, seed):
+        # standardized indicators of three categorical columns: each column's
+        # indicators sum to 1, so the covariance has a null space of dimension 3
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, [3, 4, 5], size=(200, 3))
+        hot = np.column_stack([codes[:, j] == c for j, n in enumerate([3, 4, 5]) for c in range(n)])
+        X = (hot - hot.mean(axis=0)) / hot.std(axis=0)
+        C = pl.covariance(X, X.mean(axis=0))
+        self.check(C)
+        w, _ = pl._jacobi_eigh(C)
+        assert np.sum(w > w.max() * 200 * np.finfo(float).eps) == 12 - 3
+
+    @pytest.mark.parametrize("diagonal", [[3.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], [0.0, 0.0], [5.0]])
+    def test_already_diagonal(self, diagonal):
+        # no rotation and no warning, even where a pivot's entries are all 0
+        w, V = pl._jacobi_eigh(np.diag(diagonal))
+        assert w.tolist() == diagonal and np.array_equal(V, np.eye(len(diagonal)))
+
+
+class TestPcaCovariance:
     @pytest.mark.parametrize("block_rows, m, d", [
         (1, 7, 12), (2, 7, 12), (None, 7, 12),  # fewer rows than columns
         (1, 37, 6), (2, 37, 6), (None, 2500, 9),  # rows not a multiple of the block
@@ -807,7 +843,8 @@ class TestPcaBlockedQr:
 
     @pytest.mark.parametrize("rows", [500, 7043])
     def test_rank_on_the_one_hot_telco_matrix(self, rows):
-        # eigh of X^T X squares the condition number and reports 33-35 here
+        # the eigenvalues of X^T X are squared singular values, and their rounding is
+        # ~eps * lambda_0: a rank rule with a squared eps factor reports 35-37 here
         result = pl.run_preprocess(synthetic_telco(rows, 0), pl.PreprocessOptions())
         assert (result.report.one_hot_columns, result.pca.rank) == (44, 22)
 
@@ -820,6 +857,16 @@ class TestPcaBlockedQr:
         finally:
             tracemalloc.stop()
         # a full SVD of the centered copy holds it and U, twice the matrix
+        assert peak < 0.5 * X.data.nbytes
+
+    def test_correlation_matrix_makes_no_centred_copy(self):
+        X = matrix_of(np.random.default_rng(19).normal(size=(28_172, 19)))
+        tracemalloc.start()
+        try:
+            pl.correlation_matrix(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 0.5 * X.data.nbytes
 
 
