@@ -291,23 +291,38 @@ class VifEntry:
 def compute_vif(corr: np.ndarray, names) -> list[VifEntry]:
     """Variance inflation factor per column, from the columns' correlation matrix C.
 
-    VIF_j = 1/(1 - R^2_j) from an intercept-included least-squares fit of
-    column j on the others, solved on C:
-    R^2_j = C[j, o] @ lstsq(C[o, o], C[o, j]) with o the other columns.
-    Near-perfect fits (R^2 > 1 - 1e-12) are reported as infinite and
-    flagged rather than raised.
+    VIF_j = 1/(1 - R^2_j), R^2_j that of an intercept-included least-squares
+    fit of column j on the others, read off one Gauss-Jordan sweep of C
+    (Beaton 1964; Goodnight 1979) on pivots k = 0..d-1 in turn.  M[k, k] is
+    then C[k, k] (1 - R^2) for column k on the columns swept before it; at or
+    under 1e-12 * C[k, k] (R^2 >= 1 - 1e-12) k is not swept but aliased, in
+    the span of those columns.  With S the swept set, -M[j, j] = [C_SS^-1]_jj is
+    VIF_j for j in S, and M[S, a] the fit of an aliased column a on S.  A
+    column is infinite (flagged, not raised) when aliased, when an aliased
+    column's fit uses it with a coefficient above 1e-8 (a coefficient's
+    rounding is about eps times the swept columns' VIFs), or when its VIF
+    exceeds 1e12.  Elementwise arithmetic only: no BLAS kernel or thread
+    count moves a bit.
     """
     d = len(names)
     if d < 2 or corr.shape != (d, d):
         raise LengthMismatch(f"VIF needs at least two columns and a {d} x {d} C, got {corr.shape}")
-    entries = []
-    for j, name in enumerate(names):
-        others = np.arange(d) != j
-        coef, _, _, _ = np.linalg.lstsq(corr[np.ix_(others, others)], corr[others, j], rcond=None)
-        r2 = max(0.0, float(corr[j, others] @ coef))
-        infinite = r2 > 1.0 - 1e-12
-        entries.append(VifEntry(name, math.inf if infinite else 1.0 / (1.0 - r2), infinite))
-    return entries
+    M = corr.copy()
+    aliased = np.zeros(d, dtype=bool)
+    for k in range(d):
+        pivot = M[k, k]
+        if pivot <= 1e-12 * corr[k, k]:
+            aliased[k] = True
+            continue
+        col = M[:, k] / pivot
+        M -= M[:, k, None] * col
+        M[k] = M[:, k] = col
+        M[k, k] = -1.0 / pivot
+    vif = np.maximum(1.0, -M.diagonal())
+    infinite = aliased | (vif > 1e12)
+    infinite[~aliased] |= (np.abs(M[np.ix_(~aliased, aliased)]) > 1e-8).any(axis=1)
+    return [VifEntry(name, math.inf if inf else float(v), bool(inf))
+            for name, v, inf in zip(names, vif, infinite)]
 
 
 def iterative_vif_prune(

@@ -771,11 +771,13 @@ class TestPlantedEffect:
 
 
 class TestPinnedSplits:
-    """The split checksum of configs/synthetic.json at seeds 0-2.
+    """The split checksum of configs/synthetic.json at seeds 0-2, and the sha256
+    of its manifest's `preprocess_report` (the dropped columns, every VIF
+    table, the elbow) as canonical JSON.
 
-    The correlation stage and PCA call no BLAS or LAPACK routine, so each value
-    holds on every BLAS kernel and thread count, and with numpy's AVX-512 on or
-    off.  A change that moves a split re-pins the value and says why.
+    Preprocessing calls no BLAS or LAPACK routine, so each value holds on every
+    BLAS kernel and thread count, and with numpy's AVX-512 on or off.  A change
+    that moves a split or a report re-pins the value and says why.
     """
 
     CHECKSUMS = (
@@ -783,12 +785,24 @@ class TestPinnedSplits:
         "eaef4cfafe7b2f705af65afac07eb372b7f0d395c4e5aee71d21b43b686258b5",
         "f85b0f4678fcc8ddfa92466f2746280039cccccb70b78f9cda6ac25ebf5fb012",
     )
+    REPORTS = (
+        "997f2bb6ef42632dd24accb9010b36287e04f99d95fb9163e4f461d477b06a22",
+        "98b9596a1fc98115df1ac626136ab2e3745007f88a55029d5ef06e55eb315b7f",
+        "07fead22ecfc1aadcbc0a19a0e0099d63d78b892cde2cb75ba45d6eb0f575e2b",
+    )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_split_checksum(self, seed):
         base = config.load_config(CONFIGS / "synthetic.json")
         _, manifest = runner.preprocess_run(replace(base, seed=seed))
         assert manifest["split_checksum"] == self.CHECKSUMS[seed]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_preprocess_report_digest(self, seed):
+        base = config.load_config(CONFIGS / "synthetic.json")
+        _, manifest = runner.preprocess_run(replace(base, seed=seed))
+        blob = json.dumps(manifest["preprocess_report"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.REPORTS[seed]
 
 
 class TestPinnedReports:

@@ -3,7 +3,8 @@ import math
 import sys
 import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qembed.errors import (
 )
 from qembed.bench.data import synthetic_telco
 from qembed.bench import runner
-from qembed.bench.config import config_from_dict
+from qembed.bench.config import config_from_dict, load_config
 from qembed.bench.runner import split_checksum
 from qembed.pipeline import ColumnSpec, FeatureMatrix
 
@@ -375,6 +376,35 @@ def assert_vifs_match(got, want):
             assert g.vif == pytest.approx(w.vif, rel=1e-9)
 
 
+VIF_GROUPS = ("independent", "collinear", "planted")
+
+
+def random_vif_case(rng, group):
+    """A seeded m x d matrix, d in 2-20 and m in 40-400, each column on its own
+    scale and offset.  `collinear`: every third column is its left neighbour
+    plus 1% noise.  `planted`: one exact dependency pattern, a scaled copy,
+    two disjoint aliased groups, or a chain c = a + b (then e = c - 2a)."""
+    kind = int(rng.integers(3)) if group == "planted" else 0
+    d = int(rng.integers((2, 6, 3)[kind], 21))
+    m = int(rng.integers(40, 401))
+    X = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0, size=d) + rng.normal(scale=5.0, size=d)
+    if group == "collinear":
+        for j in range(1, d, 3):
+            X[:, j] = X[:, j - 1] + 0.01 * X[:, j - 1].std() * rng.normal(size=m)
+    elif group == "planted":
+        c = rng.permutation(d)
+        if kind == 0:
+            X[:, c[1]] = rng.uniform(-3.0, 3.0) * X[:, c[0]] + rng.normal()
+        elif kind == 1:
+            X[:, c[2]] = rng.normal() * X[:, c[0]] + rng.normal() * X[:, c[1]]
+            X[:, c[5]] = rng.normal() * X[:, c[3]] - rng.normal() * X[:, c[4]]
+        else:
+            X[:, c[2]] = X[:, c[0]] + X[:, c[1]]
+            if d > 3:
+                X[:, c[3]] = X[:, c[2]] - 2.0 * X[:, c[0]]
+    return matrix_of(X)
+
+
 class TestVif:
     def test_independent_columns_near_one(self, vif_inputs):
         rng = np.random.default_rng(5)
@@ -430,6 +460,17 @@ class TestVif:
         assert max(e.vif for e in entries) > 1e4
         assert_vifs_match(entries, reference_vif(matrix_of(base)))
 
+    def test_near_dependency_under_the_line_stays_finite(self, vif_inputs):
+        # 1 - R^2 near 5e-10, over the 1e-12 pivot tolerance: swept, not aliased,
+        # so finite VIFs of 1e9-2e9, equal to the reference's to eps * VIF^2
+        rng = np.random.default_rng(41)
+        base = rng.normal(size=(400, 4))
+        base[:, 3] = base[:, 0] - base[:, 1] + 3e-5 * base[:, 3]
+        entries = pl.compute_vif(*vif_inputs(matrix_of(base)))
+        assert not any(e.infinite for e in entries) and max(e.vif for e in entries) > 1e9
+        for g, w in zip(entries, reference_vif(matrix_of(base))):
+            assert g.vif == pytest.approx(w.vif, rel=1e-5)
+
     def test_constant_column(self, vif_inputs):
         X = matrix_of([[1.0, 3.0], [1.0, 4.0], [1.0, 5.0]])
         with pytest.raises(ZeroVariance):
@@ -450,6 +491,26 @@ class TestVif:
         X = matrix_of(np.column_stack([np.full(rows, value), np.arange(rows) % 7]))
         with pytest.raises(ZeroVariance):
             pl.compute_vif(*vif_inputs(X))
+
+    @pytest.mark.parametrize("group", VIF_GROUPS)
+    def test_random_matrices_match_reference(self, vif_inputs, group):
+        # Equal infinite flags, and finite VIFs up to 1e6 equal to 1e-9 relative.
+        # Out of the domain: a column the design-matrix fit calls infinite that C
+        # reads as a finite VIF above 1e10.  A VIF v read off C is off by about
+        # eps * v^2, because the 1 - R^2 = 1/v it rests on is known only to about
+        # eps times the fit's conditioning k.  An exact dependency's 1 - R^2 is
+        # 0, so C reads it as that rounding alone, a VIF of about 1/(k * eps):
+        # infinite for a well-conditioned fit, but 1e10-1e12 for k ~ 5-500, where
+        # a finite reading cannot be told from an exact dependency.
+        rng = np.random.default_rng(VIF_GROUPS.index(group))
+        for _ in range(60):
+            X = random_vif_case(rng, group)
+            for g, w in zip(pl.compute_vif(*vif_inputs(X)), reference_vif(X)):
+                if w.infinite and not g.infinite and g.vif > 1e10:
+                    continue
+                assert (g.column, g.infinite) == (w.column, w.infinite)
+                if not w.infinite and w.vif <= 1e6:
+                    assert g.vif == pytest.approx(w.vif, rel=1e-9)
 
 
 def columns_of(matrix, names):
@@ -1099,6 +1160,17 @@ class TestRunPreprocess:
         assert result.train.n_cols == report.n_components
         total = result.train.n_rows + result.test.n_rows
         assert total == 2 * n_min
+
+    @pytest.mark.parametrize("rows", [500, 7043])
+    def test_preprocess_calls_no_linalg(self, monkeypatch, rows):
+        # configs/synthetic.json's draw, then at telco size: no LAPACK routine
+        # runs, so none maps its pages and no BLAS kernel moves a report bit
+        def refuse(*args, **kwargs):
+            raise AssertionError("preprocessing called numpy.linalg")
+        for name in ("lstsq", "solve", "inv", "svd", "qr", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.json")
+        runner.preprocess_run(replace(cfg, synthetic_rows=rows))
 
     @pytest.mark.parametrize("seed", [-1, 2.0, "2", True,
                                       pytest.param(np.bool_(True), id="np-bool")])
