@@ -1,13 +1,14 @@
 """Logistic regression fitted by damped Newton steps (IRLS).
 
 Every product that sums over data rows or gives one value per data row
-goes through `pipeline.row_dots`, so the fit's bits do not follow the BLAS
-thread count."""
+goes through `pipeline.row_dots`, and each Newton system is solved by one
+elementwise `pipeline.sweep`, not LAPACK, so the fit's bits follow neither
+the BLAS kernel nor its thread count."""
 from __future__ import annotations
 
 import numpy as np
 
-from ..pipeline import row_dots
+from ..pipeline import row_dots, sweep
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -39,35 +40,46 @@ def log_loss_gradient(X, y, weights, bias, l2) -> tuple[np.ndarray, float]:
 def fit_logreg(X, y, l2: float, max_iter: int):
     """Damped Newton until the gradient infinity-norm drops below 1e-6.
 
-    Each step solves the (d+1)x(d+1) Newton system by LU (`solve`); with
-    l2 = 0 an all-zero column makes the Hessian singular, and that step
-    falls back to least squares.  The step is then halved until the loss
-    falls by the Armijo fraction of its predicted decrease.  Returns
-    (weights, bias, iterations, converged).
+    Each step is taken in the smaller space, as LIBLINEAR picks primal or dual
+    (Lin, Weng & Keerthi 2008): in (w, b) when d <= m, and when d > m in
+    (beta, b) with w = X^T beta, by the (m+1)-square J^T H J [u; s] = -J^T g
+    for J = diag(X^T, 1), built from K = X X^T once per fit; the (d+1)^2
+    Hessian is never formed, and with l2 > 0 the two give one step.  Either
+    system is solved by one `sweep` of [[H, g], [g^T, 0]], and an aliased
+    pivot (an all-zero column at l2 = 0, a duplicated row) steps by zero.
+    The step is then halved until the loss falls by the Armijo fraction of
+    its predicted decrease.  Returns (weights, bias, iterations, converged).
     """
     m, d = X.shape
-    A = np.hstack([X, np.ones((m, 1))])
-    theta = np.zeros(d + 1)
+    dual = d > m
+    K = row_dots(X, X) if dual else None
+    A = np.hstack([K if dual else X, np.ones((m, 1))])
+    ridge = l2 * (K if dual else np.eye(d))
+    n = A.shape[1]
+    theta = np.zeros(n)
+
+    def weights(th):
+        return row_dots(X.T, th[:-1]) if dual else th[:-1]
 
     def loss(th):
-        return log_loss_l2(X, y, th[:d], th[d], l2)
+        return log_loss_l2(X, y, weights(th), th[-1], l2)
 
     for it in range(max_iter + 1):
-        grad = np.append(*log_loss_gradient(X, y, theta[:d], theta[d], l2))
+        grad = np.append(*log_loss_gradient(X, y, weights(theta), theta[-1], l2))
         converged = bool(np.max(np.abs(grad)) < 1e-6)
         if converged or it == max_iter:
             break
+        if dual:  # J^T g
+            grad = np.append(row_dots(X, grad[:-1]), grad[-1])
         p = sigmoid(row_dots(A, theta))
-        hessian = row_dots(A.T * (p * (1 - p)), A.T)
-        hessian /= m  # in place, as the ridge: one (d+1)^2 array a step
-        hessian[range(d), range(d)] += l2
-        try:
-            step = -np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            step = -np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        M = np.zeros((n + 1, n + 1))
+        M[:n, :n] = row_dots(A.T * (p * (1 - p)), A.T) / m
+        M[:n - 1, :n - 1] += ridge
+        M[:n, n] = M[n, :n] = grad
+        step = np.where(sweep(M, n, 1e-12), 0.0, -M[:n, n])
         # the floor on t ends the search where rounding hides the decrease
         t, base, slope = 1.0, loss(theta), float(grad @ step)
         while t > 1e-10 and loss(theta + t * step) > base + 1e-4 * t * slope:
             t /= 2
         theta = theta + t * step
-    return theta[:d], float(theta[d]), it, converged
+    return weights(theta), float(theta[-1]), it, converged

@@ -281,6 +281,26 @@ def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
     return cov / np.outer(scale, scale)
 
 
+def sweep(M: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """Gauss-Jordan sweep of the symmetric M on pivots 0..n-1, in place (Beaton 1964;
+    Goodnight 1979).  A pivot at or under tol times its diagonal before the sweep is
+    aliased, in the span of the pivots swept before it, and skipped; returns the aliased
+    mask.  With S the swept pivots and R the rest, M[S, S] ends as -M_SS^-1 and M[S, R]
+    as M_SS^-1 M_SR.  Elementwise numpy: no BLAS kernel or thread count moves a bit."""
+    floor = tol * M.diagonal()[:n]
+    aliased = np.zeros(n, dtype=bool)
+    for k in range(n):
+        pivot = M[k, k]
+        if pivot <= floor[k]:
+            aliased[k] = True
+            continue
+        col = M[:, k] / pivot
+        M -= M[:, k, None] * col
+        M[k] = M[:, k] = col
+        M[k, k] = -1.0 / pivot
+    return aliased
+
+
 @dataclass(frozen=True)
 class VifEntry:
     column: str
@@ -292,32 +312,21 @@ def compute_vif(corr: np.ndarray, names) -> list[VifEntry]:
     """Variance inflation factor per column, from the columns' correlation matrix C.
 
     VIF_j = 1/(1 - R^2_j), R^2_j that of an intercept-included least-squares
-    fit of column j on the others, read off one Gauss-Jordan sweep of C
-    (Beaton 1964; Goodnight 1979) on pivots k = 0..d-1 in turn.  M[k, k] is
-    then C[k, k] (1 - R^2) for column k on the columns swept before it; at or
-    under 1e-12 * C[k, k] (R^2 >= 1 - 1e-12) k is not swept but aliased, in
-    the span of those columns.  With S the swept set, -M[j, j] = [C_SS^-1]_jj is
-    VIF_j for j in S, and M[S, a] the fit of an aliased column a on S.  A
-    column is infinite (flagged, not raised) when aliased, when an aliased
-    column's fit uses it with a coefficient above 1e-8 (a coefficient's
-    rounding is about eps times the swept columns' VIFs), or when its VIF
-    exceeds 1e12.  Elementwise arithmetic only: no BLAS kernel or thread
-    count moves a bit.
+    fit of column j on the others, read off one `sweep` of C on every pivot.
+    M[k, k] is then C[k, k] (1 - R^2) for column k on the columns swept
+    before it; at or under 1e-12 * C[k, k] (R^2 >= 1 - 1e-12) k is aliased,
+    in the span of those columns.  With S the swept set, -M[j, j] =
+    [C_SS^-1]_jj is VIF_j for j in S, and M[S, a] the fit of an aliased
+    column a on S.  A column is infinite (flagged, not raised) when aliased,
+    when an aliased column's fit uses it with a coefficient above 1e-8 (a
+    coefficient's rounding is about eps times the swept columns' VIFs), or
+    when its VIF exceeds 1e12.
     """
     d = len(names)
     if d < 2 or corr.shape != (d, d):
         raise LengthMismatch(f"VIF needs at least two columns and a {d} x {d} C, got {corr.shape}")
     M = corr.copy()
-    aliased = np.zeros(d, dtype=bool)
-    for k in range(d):
-        pivot = M[k, k]
-        if pivot <= 1e-12 * corr[k, k]:
-            aliased[k] = True
-            continue
-        col = M[:, k] / pivot
-        M -= M[:, k, None] * col
-        M[k] = M[:, k] = col
-        M[k, k] = -1.0 / pivot
+    aliased = sweep(M, d, 1e-12)
     vif = np.maximum(1.0, -M.diagonal())
     infinite = aliased | (vif > 1e12)
     infinite[~aliased] |= (np.abs(M[np.ix_(~aliased, aliased)]) > 1e-8).any(axis=1)

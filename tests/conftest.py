@@ -30,3 +30,16 @@ def _gbt_losses(model, X, y):
 def gbt_losses():
     """gbt_losses(model, X, y): the training loss after every boosting round."""
     return _gbt_losses
+
+
+@pytest.fixture
+def refuse_linalg(monkeypatch):
+    """refuse_linalg(): from then on numpy.linalg's LAPACK routines raise, so the
+    code a test runs after the call is shown to map no LAPACK code."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    def patch():
+        for name in ("lstsq", "solve", "inv", "pinv", "cholesky", "svd", "qr", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    return patch

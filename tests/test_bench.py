@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
 import re
@@ -184,6 +185,32 @@ class TestConfig:
             alike.append({key: -0.0})
         assert {hashed(**params) for params in alike} == {hashed()}
         assert hashed(**{key: changed}) == hashed(**{key: int(changed)}) != hashed()
+
+    # every key an encoding kind's scheme builder reads but axis: its default
+    # written out, and a changed value
+    ENCODING_KEYS = [("basis", "bits_per_feature", 4, 2),
+                     ("basis", "readout", "probability_vector", "z_expectations"),
+                     ("angle", "angle_map", "linear_pi", "raw"),
+                     ("angle", "readout", "z_expectations", "probability_vector"),
+                     ("amplitude", "readout", "probability_vector", "amplitude_parts")]
+
+    def test_every_encoding_key_listed(self):
+        listed = {(kind, key) for kind, key, _, _ in self.ENCODING_KEYS}
+        assert listed == {(kind, key) for kind, builder in config.SCHEME_BUILDERS.items()
+                          for key in inspect.signature(builder).parameters if key != "axis"}
+
+    @pytest.mark.parametrize("kind, key, default, changed", ENCODING_KEYS)
+    def test_one_hash_per_encoding_value(self, kind, key, default, changed):
+        # omitted, the default written out (a null readout too) and a name equal
+        # to the kind name one experiment; a changed value the scheme reads another
+        def hashed(**entry):
+            return runner.config_hash(small_config(encodings=[{"kind": kind, **entry}]))
+
+        alike = [{key: default}, {"name": kind}]
+        if key == "readout":
+            alike.append({key: None})
+        assert {hashed(**entry) for entry in alike} == {hashed()}
+        assert hashed(**{key: changed}) != hashed()
 
     def test_unknown_model_kind_wrapped(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,10 @@ import pytest
 
 from qembed import models
 from qembed import pipeline as pl
+from qembed.bench import runner
+from qembed.bench.config import EncodingEntry, load_config
 from qembed.bench.data import synthetic_telco
+from qembed.encoding import angle_scheme
 from qembed.errors import (
     ClassTooSmall,
     DimensionMismatch,
@@ -251,6 +254,42 @@ class TestFitValidation:
         assert model.predict(X, threshold=np.float64(0.5)).tolist() == model.predict(X).tolist()
 
 
+def probability_rows(seed, m, d, duplicated):
+    """m probability-like rows (nonnegative, each summing to 1) of d columns, the
+    last `duplicated` of them copies of the first, with labels that a few columns lean on."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, d)) ** 2
+    X /= X.sum(axis=1, keepdims=True)
+    X[m - duplicated:] = X[:duplicated]
+    y = (X[:, :d // 8].sum(axis=1) + rng.normal(scale=0.05, size=m) > 1 / 8).astype(int)
+    y[m - duplicated:] = y[:duplicated]
+    return X, y
+
+
+def reference_logreg(X, y, l2, max_iter=100):
+    """fit_logreg's damped Newton, each step solving the (d+1)^2 primal system by LU."""
+    m, d = X.shape
+    A = np.column_stack([X, np.ones(m)])
+    theta = np.zeros(d + 1)
+
+    def loss(th):
+        return log_loss_l2(X, y, th[:d], th[d], l2)
+
+    for it in range(max_iter):
+        grad = np.append(*log_loss_gradient(X, y, theta[:d], theta[d], l2))
+        if np.max(np.abs(grad)) < 1e-6:
+            break
+        p = linear.sigmoid(A @ theta)
+        hessian = (A.T * (p * (1 - p))) @ A / m
+        hessian[range(d), range(d)] += l2
+        step = -np.linalg.solve(hessian, grad)
+        t, base, slope = 1.0, loss(theta), float(grad @ step)
+        while t > 1e-10 and loss(theta + t * step) > base + 1e-4 * t * slope:
+            t /= 2
+        theta = theta + t * step
+    return theta[:d], float(theta[d]), it
+
+
 class TestLogreg:
     def test_symmetric_pair(self):
         X = np.array([[-1.0], [1.0], [-1.0], [1.0]])
@@ -287,40 +326,41 @@ class TestLogreg:
             num_b = (log_loss_l2(X, y, w, b + h, l2) - log_loss_l2(X, y, w, b - h, l2)) / (2 * h)
             assert abs(num_b - grad_b) / max(abs(num_b), 1e-8) < 1e-4
 
-    @pytest.fixture
-    def solver_calls(self, monkeypatch):
-        """How often the Newton step called np.linalg.solve and lstsq."""
-        calls = {"solve": 0, "lstsq": 0}
-
-        def counting(name, real):
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        return calls
-
-    def test_zero_column_without_penalty(self, solver_calls):
+    def test_zero_column_without_penalty(self, refuse_linalg):
         # an all-zero column (amplitude padding) makes the l2 = 0 Hessian
-        # singular: solve raises at every step and lstsq takes the step
+        # singular: the sweep aliases its pivot, and its weight steps by zero
+        refuse_linalg()
         X, y = blobs(3, n=30, spread=3.0)
         X = np.column_stack([X, np.zeros(len(X))])
         model = models.fit(ModelSpec("logreg", params={"l2": 0.0}), X, y)
         assert model.meta.converged
-        assert solver_calls == {"solve": model.meta.iterations, "lstsq": model.meta.iterations}
         weights, bias = model.state["weights"], model.state["bias"]
         assert weights[-1] == 0.0
         grad_w, grad_b = log_loss_gradient(X, y, weights, bias, 0.0)
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
 
     @pytest.mark.parametrize("l2", [0.0, 1e-4])
-    def test_regular_fit_never_calls_lstsq(self, solver_calls, l2):
+    def test_regular_fit_calls_no_linalg(self, refuse_linalg, l2):
+        refuse_linalg()
         X, y = blobs(3, n=30, spread=3.0)
         model = models.fit(ModelSpec("logreg", params={"l2": l2}), X, y)
         assert model.meta.converged and model.meta.iterations > 0
-        assert solver_calls == {"solve": model.meta.iterations, "lstsq": 0}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("l2", [1e-4, 1.0])
+    def test_row_space_step_matches_primal_solve(self, refuse_linalg, seed, l2):
+        # more columns than rows: the step is taken in the row space, against
+        # a reference that solves the (d+1)^2 primal system by LU every step
+        X, y = probability_rows(seed, m=40, d=96, duplicated=6)
+        weights, bias, iters = reference_logreg(X, y, l2)
+        refuse_linalg()
+        got = models.fit(ModelSpec("logreg", params={"l2": l2}), X, y)
+        assert got.meta.converged and got.meta.iterations == iters
+        theta, want = np.append(got.state["weights"], got.state["bias"]), np.append(weights, bias)
+        assert np.max(np.abs(theta - want)) <= 1e-9 * np.max(np.abs(want))
+        probe = probability_rows(seed + 100, m=50, d=96, duplicated=0)[0]
+        p_ref = linear.sigmoid(probe @ weights + bias)
+        assert ((got.predict_proba(probe) >= 0.5) == (p_ref >= 0.5)).all()
 
     def test_step_halves_until_the_loss_falls_enough(self, monkeypatch):
         # a small near-separable problem where one full Newton step fails the
@@ -1417,19 +1457,19 @@ class TestPinnedOutputs:
     Ties make the split order depend on the stable sort, the forest's
     bootstrap duplicates rows, and AdaBoost reweights them, so any change
     in how splits are searched, ordered or broken shows up here.  numpy's
-    exp and OpenBLAS's dot product pick CPU-specific kernels, so logreg,
-    svm, AdaBoost and gbt have one digest per x86-64 choice: numpy with or
-    without AVX-512, OpenBLAS's SkylakeX or Haswell kernels.
+    exp and OpenBLAS's dot product pick CPU-specific kernels, so svm,
+    AdaBoost and gbt have one digest per x86-64 choice: numpy with or
+    without AVX-512, OpenBLAS's SkylakeX or Haswell kernels.  logreg's
+    Newton step is one elementwise `sweep`, so only numpy's kernels move
+    its bits.
     """
 
     PINS = {
         "logreg": (
             ModelSpec("logreg"),
             {
-                "57164701fe897eb3163b473197fcea07994890a91efcbe59551cfaddefa1f9bb",
-                "4a76d027c7beeb8e89b65da1e1b11080047561f7ccd5ecb6e860e8cb461d98aa",
-                "bbe6ecdc885d674e90cba4197f9de33b0f471e9f80b73cc58c783ebb6d16f056",
-                "29d2c32950fc5c98a101a0f7df85c5d073d868ff48533af4a6925a9cb0847ef9",
+                "ef59d3e81b8217b2aabf3a045c0f18a739c292f2f88b99a0191b5026b0b134c9",
+                "7b56366ed84162f5cb255f08bf5c39183259b4f547102e80283f75acf77e2968",
             },
         ),
         "knn": (
@@ -1480,3 +1520,21 @@ class TestPinnedOutputs:
         proba = models.fit(spec, X, y).predict_proba(probe)
         assert proba.dtype == np.float64
         assert hashlib.sha256(proba.tobytes()).hexdigest() in digests
+
+    def test_wide_logreg_fit_bytes(self):
+        # a row-space Newton fit: configs/synthetic.json's seed-0 draw at ten
+        # components, angle-X probability_vector, 212 train rows x 1,024 columns;
+        # one digest with numpy's AVX-512 kernels, one without
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.json")
+        pre, _ = runner.preprocess_run(replace(cfg, preprocess=replace(cfg.preprocess,
+                                                                       n_components=10)))
+        entry = EncodingEntry("angle", angle_scheme("X", readout="probability_vector"))
+        train, _, _ = runner.encode_split(entry, pre.train, pre.test)
+        model = models.fit(ModelSpec("logreg"), train)
+        digest = hashlib.sha256(model.state["weights"].tobytes())
+        digest.update(repr((model.state["bias"], model.meta.iterations)).encode())
+        assert train.data.shape == (212, 1024)
+        assert digest.hexdigest() in {
+            "b2a2070fc40d7998fbbf47c12314f0da5ca550c9a72f1c0f205309d4a7f59efc",
+            "f964a6c1669e3c13bbf938a643a856f9f5da7a3348b1c1695c9772e8b558e543",
+        }

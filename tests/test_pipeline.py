@@ -28,6 +28,7 @@ from qembed.bench.data import synthetic_telco
 from qembed.bench import runner
 from qembed.bench.config import config_from_dict, load_config
 from qembed.bench.runner import split_checksum
+from qembed.models import MODEL_KINDS
 from qembed.pipeline import ColumnSpec, FeatureMatrix
 
 
@@ -1162,15 +1163,21 @@ class TestRunPreprocess:
         assert total == 2 * n_min
 
     @pytest.mark.parametrize("rows", [500, 7043])
-    def test_preprocess_calls_no_linalg(self, monkeypatch, rows):
+    def test_preprocess_calls_no_linalg(self, refuse_linalg, rows):
         # configs/synthetic.json's draw, then at telco size: no LAPACK routine
         # runs, so none maps its pages and no BLAS kernel moves a report bit
-        def refuse(*args, **kwargs):
-            raise AssertionError("preprocessing called numpy.linalg")
-        for name in ("lstsq", "solve", "inv", "svd", "qr", "eigh", "eig"):
-            monkeypatch.setattr(np.linalg, name, refuse)
+        refuse_linalg()
         cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.json")
         runner.preprocess_run(replace(cfg, synthetic_rows=rows))
+
+    def test_bench_run_calls_no_linalg(self, refuse_linalg):
+        # configs/synthetic.json's draw through every encoding, then the fit and
+        # predict_proba of every model kind: a whole bench run maps no LAPACK code
+        refuse_linalg()
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "synthetic.json")
+        assert {spec.kind for spec in cfg.models} == set(MODEL_KINDS)
+        cells = runner.run_matrix(cfg).results
+        assert len(cells) == 28 and not any(cell.error for cell in cells)
 
     @pytest.mark.parametrize("seed", [-1, 2.0, "2", True,
                                       pytest.param(np.bool_(True), id="np-bool")])
