@@ -13,7 +13,6 @@ persists them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import le, lt
 
 import numpy as np
 
@@ -124,11 +123,11 @@ MODEL_KINDS = tuple(DEFAULT_PARAMS)
 
 
 # What each hyperparameter must be, checked by key, the same in every kind: an
-# integer >= 1, a bool, or a finite real number x in its range, below(0, x) and
-# x <= high.  None is allowed for the _NULLABLE keys.
+# integer >= 1, a bool, or a finite real number x with 0 < x <= high, its upper
+# bound.  None is allowed for the _NULLABLE keys.
 _INTEGERS = ("max_iter", "k", "max_depth", "min_leaf", "n_trees", "n_rounds")
-_REALS = {"l2": (">= 0", le, np.inf), "C": ("> 0", lt, np.inf), "tol": ("> 0", lt, np.inf),
-          "lr": ("> 0", lt, np.inf), "feature_fraction": ("in (0, 1]", lt, 1)}
+_REALS = {"l2": ("> 0", np.inf), "C": ("> 0", np.inf), "tol": ("> 0", np.inf),
+          "lr": ("> 0", np.inf), "feature_fraction": ("in (0, 1]", 1)}
 _NULLABLE = ("feature_fraction", "max_depth")
 
 
@@ -141,9 +140,8 @@ def _checked_params(p: dict) -> dict:
         if key in _INTEGERS:
             checked_int(v, 1, key, InvalidHyperparameter)
         elif key in _REALS:
-            what, below, high = _REALS[key]
-            p[key] = checked_real(v, key, what, lambda x: below(0, x) and x <= high,
-                                  InvalidHyperparameter)
+            what, high = _REALS[key]
+            p[key] = checked_real(v, key, what, lambda x: 0 < x <= high, InvalidHyperparameter)
         elif key == "bootstrap" and not isinstance(v, bool):
             raise InvalidHyperparameter(f"bootstrap must be true or false, got {v!r}")
     if "kernel" in p:  # KernelFn checks gamma, degree and coef0, each against its family

@@ -44,9 +44,11 @@ def fit_logreg(X, y, l2: float, max_iter: int):
     (Lin, Weng & Keerthi 2008): in (w, b) when d <= m, and when d > m in
     (beta, b) with w = X^T beta, by the (m+1)-square J^T H J [u; s] = -J^T g
     for J = diag(X^T, 1), built from K = X X^T once per fit; the (d+1)^2
-    Hessian is never formed, and with l2 > 0 the two give one step.  Either
-    system is solved by one `sweep` of [[H, g], [g^T, 0]], and an aliased
-    pivot (an all-zero column at l2 = 0, a duplicated row) steps by zero.
+    Hessian is never formed.  l2 > 0 keeps the optimum w and every step in the
+    row space of X, so both spaces take one step by construction.  Either is
+    solved by one `sweep` of [[H, g], [g^T, 0]]; only in the row space can a
+    pivot alias (a training row in the span of those swept before it, as a
+    duplicated row), and its beta then steps by zero.
     The step is then halved until the loss falls by the Armijo fraction of
     its predicted decrease.  Returns (weights, bias, iterations, converged).
     """
@@ -76,7 +78,7 @@ def fit_logreg(X, y, l2: float, max_iter: int):
         M[:n, :n] = row_dots(A.T * (p * (1 - p)), A.T) / m
         M[:n - 1, :n - 1] += ridge
         M[:n, n] = M[n, :n] = grad
-        step = np.where(sweep(M, n, 1e-12), 0.0, -M[:n, n])
+        step = np.where(sweep(M, n), 0.0, -M[:n, n])
         # the floor on t ends the search where rounding hides the decrease
         t, base, slope = 1.0, loss(theta), float(grad @ step)
         while t > 1e-10 and loss(theta + t * step) > base + 1e-4 * t * slope:

@@ -281,13 +281,13 @@ def correlation_matrix(matrix: FeatureMatrix) -> np.ndarray:
     return cov / np.outer(scale, scale)
 
 
-def sweep(M: np.ndarray, n: int, tol: float) -> np.ndarray:
+def sweep(M: np.ndarray, n: int) -> np.ndarray:
     """Gauss-Jordan sweep of the symmetric M on pivots 0..n-1, in place (Beaton 1964;
-    Goodnight 1979).  A pivot at or under tol times its diagonal before the sweep is
+    Goodnight 1979).  A pivot at or under 1e-12 times its diagonal before the sweep is
     aliased, in the span of the pivots swept before it, and skipped; returns the aliased
     mask.  With S the swept pivots and R the rest, M[S, S] ends as -M_SS^-1 and M[S, R]
     as M_SS^-1 M_SR.  Elementwise numpy: no BLAS kernel or thread count moves a bit."""
-    floor = tol * M.diagonal()[:n]
+    floor = 1e-12 * M.diagonal()[:n]
     aliased = np.zeros(n, dtype=bool)
     for k in range(n):
         pivot = M[k, k]
@@ -313,9 +313,9 @@ def compute_vif(corr: np.ndarray, names) -> list[VifEntry]:
 
     VIF_j = 1/(1 - R^2_j), R^2_j that of an intercept-included least-squares
     fit of column j on the others, read off one `sweep` of C on every pivot.
-    M[k, k] is then C[k, k] (1 - R^2) for column k on the columns swept
-    before it; at or under 1e-12 * C[k, k] (R^2 >= 1 - 1e-12) k is aliased,
-    in the span of those columns.  With S the swept set, -M[j, j] =
+    M[k, k] is then C[k, k] (1 - R^2) for column k on the columns swept before
+    it; at or under the sweep's 1e-12 * C[k, k] (R^2 >= 1 - 1e-12) k is
+    aliased, in the span of those columns.  With S the swept set, -M[j, j] =
     [C_SS^-1]_jj is VIF_j for j in S, and M[S, a] the fit of an aliased
     column a on S.  A column is infinite (flagged, not raised) when aliased,
     when an aliased column's fit uses it with a coefficient above 1e-8 (a
@@ -326,7 +326,7 @@ def compute_vif(corr: np.ndarray, names) -> list[VifEntry]:
     if d < 2 or corr.shape != (d, d):
         raise LengthMismatch(f"VIF needs at least two columns and a {d} x {d} C, got {corr.shape}")
     M = corr.copy()
-    aliased = sweep(M, d, 1e-12)
+    aliased = sweep(M, d)
     vif = np.maximum(1.0, -M.diagonal())
     infinite = aliased | (vif > 1e12)
     infinite[~aliased] |= (np.abs(M[np.ix_(~aliased, aliased)]) > 1e-8).any(axis=1)

@@ -319,6 +319,8 @@ class TestConfig:
     @pytest.mark.parametrize("path, value, named", [
         ("preprocess.vif_threshold", float("inf"), "preprocess.vif_threshold"),
         ("models[0].params.l2", float("nan"), "models[0].params.l2"),
+        # l2 = 0 on a readout wider than its train rows has no one optimum
+        ("models[0].params.l2", 0, "models[0]: l2 must be a finite real number > 0"),
         ("preprocess.extra_drops", [3], "preprocess: extra_drops"),
         ("models[4].params.n_trees", None, "models[4]: n_trees"),
         ("dataset.schema", [{"name": 3, "kind": "numeric"}], "dataset.schema[0]"),

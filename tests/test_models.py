@@ -101,6 +101,8 @@ class TestModelSpec:
         # real hyperparameters must be finite numbers, not bools or strings
         for kind, params in [
             ("logreg", {"l2": math.nan}),
+            ("logreg", {"l2": 0.0}),
+            ("logreg", {"l2": -0.0}),
             ("svm", {"C": math.inf}),
             ("svm", {"gamma": math.inf}),
             ("svm", {"kernel": "polynomial", "coef0": "a"}),
@@ -326,31 +328,40 @@ class TestLogreg:
             num_b = (log_loss_l2(X, y, w, b + h, l2) - log_loss_l2(X, y, w, b - h, l2)) / (2 * h)
             assert abs(num_b - grad_b) / max(abs(num_b), 1e-8) < 1e-4
 
-    def test_zero_column_without_penalty(self, refuse_linalg):
-        # an all-zero column (amplitude padding) makes the l2 = 0 Hessian
-        # singular: the sweep aliases its pivot, and its weight steps by zero
+    def test_zero_column_at_default_l2(self, refuse_linalg, monkeypatch):
+        # an all-zero column (amplitude padding) has only the ridge on its
+        # Hessian diagonal: its pivot is swept, not aliased, and its weight
+        # steps by exactly zero
         refuse_linalg()
+        masks = []
+
+        def recording_sweep(M, n):
+            masks.append(pl.sweep(M, n))
+            return masks[-1]
+
+        monkeypatch.setattr(linear, "sweep", recording_sweep)
         X, y = blobs(3, n=30, spread=3.0)
         X = np.column_stack([X, np.zeros(len(X))])
-        model = models.fit(ModelSpec("logreg", params={"l2": 0.0}), X, y)
-        assert model.meta.converged
+        model = models.fit(ModelSpec("logreg"), X, y)
+        assert model.meta.converged and len(masks) == model.meta.iterations > 0
+        assert not np.any(masks)
         weights, bias = model.state["weights"], model.state["bias"]
         assert weights[-1] == 0.0
-        grad_w, grad_b = log_loss_gradient(X, y, weights, bias, 0.0)
+        grad_w, grad_b = log_loss_gradient(X, y, weights, bias, model.spec.params["l2"])
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) < 1e-6
 
-    @pytest.mark.parametrize("l2", [0.0, 1e-4])
-    def test_regular_fit_calls_no_linalg(self, refuse_linalg, l2):
+    def test_regular_fit_calls_no_linalg(self, refuse_linalg):
         refuse_linalg()
         X, y = blobs(3, n=30, spread=3.0)
-        model = models.fit(ModelSpec("logreg", params={"l2": l2}), X, y)
+        model = models.fit(ModelSpec("logreg"), X, y)
         assert model.meta.converged and model.meta.iterations > 0
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("l2", [1e-4, 1.0])
+    @pytest.mark.parametrize("l2", [1e-8, 1e-4, 1.0])
     def test_row_space_step_matches_primal_solve(self, refuse_linalg, seed, l2):
         # more columns than rows: the step is taken in the row space, against
-        # a reference that solves the (d+1)^2 primal system by LU every step
+        # a reference that solves the (d+1)^2 primal system by LU every step;
+        # the smallest penalty still makes the two spaces one model
         X, y = probability_rows(seed, m=40, d=96, duplicated=6)
         weights, bias, iters = reference_logreg(X, y, l2)
         refuse_linalg()
